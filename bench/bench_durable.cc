@@ -1,13 +1,17 @@
 // A11: durable-ingestion ablation. Acked events/s through the
 // DurableLogWriter pipeline under each sync policy — `none` (WAL never
 // synced), `group` (batched commit barrier, the default), `always`
-// (fsync per append) — plus recovery time over a 100k-event log, both
-// as a pure WAL-tail replay and as the mixed segments-plus-tail shape a
-// real crash leaves. Refresh BENCH_throughput.json with:
+// (fsync per append call) — appending one event per call and 256 events
+// per call (a recording session's Push), plus recovery time over a
+// 100k-event log, both as a pure WAL-tail replay and as the mixed
+// segments-plus-tail shape a real crash leaves. Refresh
+// BENCH_throughput.json with:
 //   ./bench_durable --benchmark_filter='A11'
 //     --benchmark_out=bench_a11.json --benchmark_out_format=json
 
+#include <algorithm>
 #include <string>
+#include <thread>
 
 #include <benchmark/benchmark.h>
 
@@ -34,16 +38,20 @@ const EventBatch& Events() {
 
 // -------------------------------------------------------------------------
 // Ingestion: full pipeline (WAL + drainer + columnar segments), clean
-// close. items/s = acked events per second under the policy's ack rule.
+// close. items/s = acked events per second under the policy's ack rule,
+// with `batch` events per Append call.
 // -------------------------------------------------------------------------
 
-void IngestLoop(benchmark::State& state, const char* policy) {
+void IngestLoop(benchmark::State& state, const char* policy, size_t batch) {
   const EventBatch& events = Events();
   for (auto _ : state) {
     DurableLogWriter::Options opts;
     opts.sync = ParseSyncPolicy(policy).value();
     DurableLogWriter w(LogPath(), opts);
-    Status st = w.AppendBatch(events);
+    Status st = w.status();
+    for (size_t off = 0; st.ok() && off < events.size(); off += batch) {
+      st = w.Append(events.data() + off, std::min(batch, events.size() - off));
+    }
     if (st.ok()) st = w.Close();
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
@@ -52,27 +60,63 @@ void IngestLoop(benchmark::State& state, const char* policy) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEvents));
+  state.counters["batch"] = static_cast<double>(batch);
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
 
 void BM_A11IngestSyncNone(benchmark::State& state) {
-  IngestLoop(state, "none");
+  IngestLoop(state, "none", 1);
 }
 BENCHMARK(BM_A11IngestSyncNone)->Unit(benchmark::kMillisecond);
 
 void BM_A11IngestSyncGroup(benchmark::State& state) {
-  IngestLoop(state, "group");
+  IngestLoop(state, "group", 1);
 }
 BENCHMARK(BM_A11IngestSyncGroup)->Unit(benchmark::kMillisecond);
 
 void BM_A11IngestSyncAlways(benchmark::State& state) {
-  IngestLoop(state, "always");
+  IngestLoop(state, "always", 1);
 }
 BENCHMARK(BM_A11IngestSyncAlways)->Unit(benchmark::kMillisecond);
+
+void BM_A11IngestBatch256SyncNone(benchmark::State& state) {
+  IngestLoop(state, "none", 256);
+}
+BENCHMARK(BM_A11IngestBatch256SyncNone)->Unit(benchmark::kMillisecond);
+
+void BM_A11IngestBatch256SyncGroup(benchmark::State& state) {
+  IngestLoop(state, "group", 256);
+}
+BENCHMARK(BM_A11IngestBatch256SyncGroup)->Unit(benchmark::kMillisecond);
+
+void BM_A11IngestBatch256SyncAlways(benchmark::State& state) {
+  IngestLoop(state, "always", 256);
+}
+BENCHMARK(BM_A11IngestBatch256SyncAlways)->Unit(benchmark::kMillisecond);
 
 // -------------------------------------------------------------------------
 // Recovery: RecoverDurableLog over a 100k-event crashed log. Setup
 // builds the on-disk state once; the measured loop is recovery only.
 // -------------------------------------------------------------------------
+
+/// Writes `events[from..)` as a WAL of 256-event records (a recording
+/// session's Push shape), seqs from `from + 1`.
+bool WriteWal(const std::string& path, const EventBatch& events,
+              size_t from) {
+  WalWriter wal(path, /*first_seq=*/from + 1);
+  EventBlock block;
+  WalRecord record;
+  for (size_t i = from; i < events.size(); i += 256) {
+    block.Clear();
+    for (size_t j = i; j < std::min(events.size(), i + 256); ++j) {
+      block.AppendColumnar(events[j]);
+    }
+    EncodeWalRecord(i + 1, block, &record);
+    if (!wal.Append(record).ok()) return false;
+  }
+  return wal.Close().ok();
+}
 
 /// Worst case: the crash predates every segment fsync — a header-only
 /// columnar file and the whole stream in the WAL tail.
@@ -85,15 +129,8 @@ void BM_A11RecoverWalTail(benchmark::State& state) {
       state.SkipWithError("columnar setup failed");
       return;
     }
-    WalWriter wal(path + ".wal.0", /*first_seq=*/1);
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (!wal.Append(i + 1, events[i]).ok()) {
-        state.SkipWithError("wal setup failed");
-        return;
-      }
-    }
-    if (!wal.Close().ok()) {
-      state.SkipWithError("wal close failed");
+    if (!WriteWal(path + ".wal.0", events, 0)) {
+      state.SkipWithError("wal setup failed");
       return;
     }
   }
@@ -107,6 +144,8 @@ void BM_A11RecoverWalTail(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEvents));
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_A11RecoverWalTail)->Unit(benchmark::kMillisecond);
 
@@ -128,15 +167,8 @@ void BM_A11RecoverSegmentsPlusWalTail(benchmark::State& state) {
       state.SkipWithError("columnar close failed");
       return;
     }
-    WalWriter wal(path + ".wal.0", /*first_seq=*/half + 1);
-    for (size_t i = half; i < events.size(); ++i) {
-      if (!wal.Append(i + 1, events[i]).ok()) {
-        state.SkipWithError("wal setup failed");
-        return;
-      }
-    }
-    if (!wal.Close().ok()) {
-      state.SkipWithError("wal close failed");
+    if (!WriteWal(path + ".wal.0", events, half)) {
+      state.SkipWithError("wal setup failed");
       return;
     }
   }
@@ -150,6 +182,8 @@ void BM_A11RecoverSegmentsPlusWalTail(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kEvents));
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_A11RecoverSegmentsPlusWalTail)->Unit(benchmark::kMillisecond);
 

@@ -1,34 +1,30 @@
-// E12: event log + stream replayer throughput (the demo's record/replay
-// path, Fig. 4). Measures serialized write rate, full-speed replay rate,
-// and filtered replay (host selection) — the replayer must outpace the
-// engine so it never becomes the bottleneck when reproducing attacks.
+// E12: stream replayer throughput (the demo's record/replay path,
+// Fig. 4). Measures full-speed replay rate and filtered replay (host
+// selection) — the replayer must outpace the engine so it never becomes
+// the bottleneck when reproducing attacks.
 //
-// A9: replay-format ablation — the engine-facing replay loop (NextBlock,
-// row materialization, intern pass) over the same corpus stored as the
-// row-at-a-time v1 format, columnar v2 with buffered reads, and columnar
-// v2 with mmap zero-copy blocks. Refresh BENCH_throughput.json with:
+// A9: replay ablation — the engine-facing replay loop (NextBlock, row
+// materialization, intern pass) over the same corpus stored as a
+// columnar v2 log, read buffered and with mmap zero-copy blocks, plus
+// the v2 write rate. Refresh BENCH_throughput.json with:
 //   ./bench_replayer --benchmark_filter='A9Replay'
 //     --benchmark_out=bench_a9.json --benchmark_out_format=json
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "core/interner.h"
 #include "storage/columnar_log.h"
-#include "storage/event_log.h"
 #include "storage/replayer.h"
 
 namespace saql {
 namespace {
 
 constexpr size_t kLogEvents = 100000;
-
-std::string LogPath() {
-  return ::std::string("/tmp/saql_bench_replayer.saqllog");
-}
 
 std::string ColumnarLogPath() {
   return ::std::string("/tmp/saql_bench_replayer_v2.saqllog");
@@ -40,39 +36,10 @@ const EventBatch& Events() {
   return *events;
 }
 
-void BM_EventLogWrite(benchmark::State& state) {
-  const EventBatch& events = Events();
-  for (auto _ : state) {
-    Status st = WriteEventLog(LogPath(), events);
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kLogEvents));
-}
-BENCHMARK(BM_EventLogWrite)->Unit(benchmark::kMillisecond);
-
-void BM_EventLogRead(benchmark::State& state) {
-  (void)WriteEventLog(LogPath(), Events());
-  for (auto _ : state) {
-    Result<EventBatch> events = ReadEventLog(LogPath());
-    if (!events.ok()) {
-      state.SkipWithError(events.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(events->size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kLogEvents));
-}
-BENCHMARK(BM_EventLogRead)->Unit(benchmark::kMillisecond);
-
 void BM_ReplayFullSpeed(benchmark::State& state) {
-  (void)WriteEventLog(LogPath(), Events());
+  (void)WriteColumnarEventLog(ColumnarLogPath(), Events());
   for (auto _ : state) {
-    StreamReplayer replayer(LogPath(), StreamReplayer::Filter{});
+    StreamReplayer replayer(ColumnarLogPath(), StreamReplayer::Filter{});
     EventBatch batch;
     size_t total = 0;
     while (replayer.NextBatch(1024, &batch)) total += batch.size();
@@ -86,11 +53,11 @@ BENCHMARK(BM_ReplayFullSpeed)->Unit(benchmark::kMillisecond);
 void BM_ReplayWithHostFilter(benchmark::State& state) {
   // All bench events carry agent "db-server-01"; filtering for another
   // host exercises the filter-and-skip path on every record.
-  (void)WriteEventLog(LogPath(), Events());
+  (void)WriteColumnarEventLog(ColumnarLogPath(), Events());
   StreamReplayer::Filter filter;
   filter.hosts = {"ws-01"};
   for (auto _ : state) {
-    StreamReplayer replayer(LogPath(), filter);
+    StreamReplayer replayer(ColumnarLogPath(), filter);
     EventBatch batch;
     while (replayer.NextBatch(1024, &batch)) {
     }
@@ -133,13 +100,9 @@ void ReplayLoop(benchmark::State& state, const std::string& path,
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kLogEvents));
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
-
-void BM_A9ReplayRowV1(benchmark::State& state) {
-  (void)WriteEventLog(LogPath(), Events());
-  ReplayLoop(state, LogPath(), /*use_mmap=*/false);
-}
-BENCHMARK(BM_A9ReplayRowV1)->Unit(benchmark::kMillisecond);
 
 void BM_A9ReplayColumnarV2(benchmark::State& state) {
   (void)WriteColumnarEventLog(ColumnarLogPath(), Events());
@@ -164,6 +127,8 @@ void BM_A9LogWriteColumnarV2(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kLogEvents));
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_A9LogWriteColumnarV2)->Unit(benchmark::kMillisecond);
 

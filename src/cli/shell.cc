@@ -10,7 +10,6 @@
 #include "core/string_util.h"
 #include "storage/columnar_log.h"
 #include "storage/durable_log.h"
-#include "storage/event_log.h"
 #include "storage/recovery.h"
 #include "storage/replayer.h"
 
@@ -124,13 +123,10 @@ void QueryShell::CmdHelp() {
        << "  explain <name>          placement rationale + lint findings\n"
           "                          for a registered query\n"
        << "  simulate [minutes]      run enterprise sim + APT attack\n"
-       << "  replay <log> [host...]  replay a stored event log (v1 and\n"
-          "                          columnar v2 auto-detected)\n"
+       << "  replay <log> [host...]  replay a stored columnar v2 event log\n"
        << "  record <log> [minutes]  simulate and store events to a log\n"
           "                          (columnar v2 via the durable WAL\n"
-          "                          pipeline; pass --v1 for the old row\n"
-          "                          format — v1 logs stay replayable,\n"
-          "                          no migration needed)\n"
+          "                          pipeline)\n"
           "                          --sync=always  ack only fsynced\n"
           "                                         events (no acked\n"
           "                                         event is ever lost)\n"
@@ -465,26 +461,16 @@ void QueryShell::CmdReplay(const std::vector<std::string>& args) {
     return;
   }
   out_ << "replaying " << rest[0] << " (format v"
-       << replayer.format_version()
-       << (replayer.format_version() == 2 ? ", columnar" : ", row") << ")\n";
+       << replayer.format_version() << ", columnar)\n";
   RunEngine(&replayer, shards);
 }
 
 void QueryShell::CmdRecord(const std::vector<std::string>& args) {
-  std::vector<std::string> rest;
-  bool v1 = false;
-  for (const std::string& a : args) {
-    if (a == "--v1") {
-      v1 = true;
-    } else {
-      rest.push_back(a);
-    }
-  }
+  std::vector<std::string> rest = args;
   SyncPolicy sync;
   ConsumeSyncFlag(&rest, &sync);
   if (rest.empty()) {
-    out_ << "usage: record <log> [minutes] [--sync=always|group|none] "
-            "[--v1]\n";
+    out_ << "usage: record <log> [minutes] [--sync=always|group|none]\n";
     return;
   }
   EnterpriseSimulator::Options opts;
@@ -494,17 +480,6 @@ void QueryShell::CmdRecord(const std::vector<std::string>& args) {
   }
   EnterpriseSimulator sim(opts);
   EventBatch events = sim.Generate();
-  if (v1) {
-    Status st = WriteEventLog(rest[0], events);
-    if (!st.ok()) {
-      out_ << "record failed: " << st << "\n";
-      exit_code_ = 1;
-      return;
-    }
-    out_ << "recorded " << events.size() << " events to " << rest[0]
-         << " (row v1)\n";
-    return;
-  }
   DurableLogWriter::Options dopts;
   dopts.sync = sync;
   DurableLogWriter writer(rest[0], dopts);

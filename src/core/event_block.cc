@@ -60,9 +60,10 @@ void EventBlock::Clear() {
   cols_valid_ = false;
   dict_arena_.clear();
   dict_own_.clear();
-  dict_codes_.clear();
+  if (!dict_codes_.empty()) dict_codes_.clear();
   dict_ = nullptr;
   dict_size_ = 0;
+  syms_owned_ = false;
   dict_syms_own_.clear();
   dict_syms_ = nullptr;
   syms_gen_ = 0;
@@ -88,6 +89,7 @@ void EventBlock::EnsureOwnedColumnar() {
   if (mode_ == Mode::kOwnedColumnar) return;
   assert(mode_ == Mode::kEmpty && "AppendColumnar on a non-columnar block");
   mode_ = Mode::kOwnedColumnar;
+  syms_owned_ = true;
   dict_own_.clear();
   dict_own_.push_back(std::string_view{});  // code 0 = ""
   dict_ = dict_own_.data();
@@ -96,12 +98,25 @@ void EventBlock::EnsureOwnedColumnar() {
 
 uint32_t EventBlock::DictCode(std::string_view s) {
   if (s.empty()) return kEmptyCode;
-  auto it = dict_codes_.find(s);
-  if (it != dict_codes_.end()) return it->second;
+  if (dict_codes_.empty()) {
+    // Small dictionaries (a block of a few events) are scanned: cheaper
+    // than hashing, and nothing to allocate or clear per block.
+    for (size_t i = 1; i < dict_own_.size(); ++i) {
+      if (dict_own_[i] == s) return static_cast<uint32_t>(i);
+    }
+    if (dict_own_.size() >= kScannedDictEntries) {
+      for (size_t i = 1; i < dict_own_.size(); ++i) {
+        dict_codes_.emplace(dict_own_[i], static_cast<uint32_t>(i));
+      }
+    }
+  } else {
+    auto it = dict_codes_.find(s);
+    if (it != dict_codes_.end()) return it->second;
+  }
   dict_arena_.emplace_back(s);
   uint32_t code = static_cast<uint32_t>(dict_own_.size());
   dict_own_.push_back(dict_arena_.back());
-  dict_codes_.emplace(dict_own_.back(), code);
+  if (!dict_codes_.empty()) dict_codes_.emplace(dict_own_.back(), code);
   dict_ = dict_own_.data();  // vector growth may relocate
   dict_size_ = dict_own_.size();
   dict_syms_ = nullptr;  // dictionary grew; interned ids are stale
@@ -135,6 +150,53 @@ void EventBlock::AppendColumnar(const Event& e) {
   rows_valid_ = false;
 }
 
+void EventBlock::AppendColumns(const EventBlock& src, size_t offset,
+                               size_t count) {
+  assert(src.columnar() && offset + count <= src.size());
+  EnsureOwnedColumnar();
+  const Columns c = src.columns().Slice(offset);
+  auto append = [count](auto& dst, const auto* col) {
+    dst.insert(dst.end(), col, col + count);
+  };
+  append(store_.id, c.id);
+  append(store_.ts, c.ts);
+  append(store_.subj_pid, c.subj_pid);
+  append(store_.obj_pid, c.obj_pid);
+  append(store_.src_port, c.src_port);
+  append(store_.dst_port, c.dst_port);
+  append(store_.amount, c.amount);
+  append(store_.op, c.op);
+  append(store_.object_type, c.object_type);
+  append(store_.failed, c.failed);
+
+  // Codes are remapped lazily, so a spelling the range never uses does
+  // not enter this block's dictionary.
+  constexpr uint32_t kUnmapped = UINT32_MAX;
+  remap_.assign(src.dict_size(), kUnmapped);
+  const std::string_view* dict = src.dict();
+  auto append_codes = [&](std::vector<uint32_t>& dst, const uint32_t* col) {
+    const size_t base = dst.size();
+    dst.resize(base + count);
+    for (size_t i = 0; i < count; ++i) {
+      uint32_t& code = remap_[col[i]];
+      if (code == kUnmapped) code = DictCode(dict[col[i]]);
+      dst[base + i] = code;
+    }
+  };
+  append_codes(store_.agent, c.agent);
+  append_codes(store_.subj_exe, c.subj_exe);
+  append_codes(store_.subj_user, c.subj_user);
+  append_codes(store_.obj_exe, c.obj_exe);
+  append_codes(store_.obj_user, c.obj_user);
+  append_codes(store_.obj_path, c.obj_path);
+  append_codes(store_.src_ip, c.src_ip);
+  append_codes(store_.dst_ip, c.dst_ip);
+  append_codes(store_.protocol, c.protocol);
+  size_ += count;
+  cols_valid_ = false;
+  rows_valid_ = false;
+}
+
 void EventBlock::BindColumns(const Columns& cols, size_t count,
                              const std::string_view* dict, size_t dict_size,
                              const uint32_t* dict_syms,
@@ -148,6 +210,7 @@ void EventBlock::BindColumns(const Columns& cols, size_t count,
   dict_size_ = dict_size;
   dict_syms_ = dict_syms;
   syms_gen_ = syms_generation;
+  syms_owned_ = dict_syms == nullptr;
 }
 
 const EventBlock::Columns& EventBlock::columns() const {
@@ -187,8 +250,8 @@ void EventBlock::InternDictionary() const {
   Interner& interner = Interner::Global();
   uint64_t gen = interner.generation();
   if (dict_syms_ != nullptr && syms_gen_ == gen) return;
-  assert(mode_ == Mode::kOwnedColumnar &&
-         "borrowed dictionaries are interned by their owner at bind time");
+  assert(syms_owned_ &&
+         "dictionaries bound with ids are interned by their owner");
   dict_syms_own_.resize(dict_size_);
   for (size_t i = 0; i < dict_size_; ++i) {
     dict_syms_own_[i] = interner.Intern(dict_[i]);
@@ -199,12 +262,12 @@ void EventBlock::InternDictionary() const {
 }
 
 const uint32_t* EventBlock::dict_syms() const {
-  if (mode_ == Mode::kOwnedColumnar) InternDictionary();
+  if (syms_owned_) InternDictionary();
   return dict_syms_;
 }
 
 void EventBlock::Materialize() {
-  if (mode_ == Mode::kOwnedColumnar) InternDictionary();
+  if (syms_owned_) InternDictionary();
   const Columns& c = columns();
   const uint32_t* syms = dict_syms_;
   uint32_t gen = static_cast<uint32_t>(syms_gen_);

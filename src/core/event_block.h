@@ -28,9 +28,9 @@ namespace saql {
 /// generation check.
 ///
 /// Three backings share this interface:
-///  - **owned columnar** (`AppendColumnar`): the block owns its column
-///    vectors and dictionary — the event-log writer's pending segment and
-///    the general building side;
+///  - **owned columnar** (`AppendColumnar`, `AppendColumns`): the block
+///    owns its column vectors and dictionary — the event-log writer's
+///    pending segment and the general building side;
 ///  - **borrowed columnar** (`BindColumns`): the column arrays and
 ///    dictionary alias storage owned by someone else — the mmap'd v2
 ///    event-log reader hands out blocks whose columns point straight into
@@ -114,13 +114,20 @@ class EventBlock {
   /// owned-columnar mode.
   void AppendColumnar(const Event& e);
 
+  /// Appends events `[offset, offset + count)` of the columnar block `src`
+  /// column by column, remapping its dictionary codes into this block's
+  /// dictionary (one lookup per distinct spelling the range uses). First
+  /// call after `Clear` switches the block to owned-columnar mode.
+  void AppendColumns(const EventBlock& src, size_t offset, size_t count);
+
   // -------------------------------------------------------------------
   // Columnar adoption (borrowed; the mmap'd log reader).
 
   /// Binds externally owned column arrays, dictionary, and the
   /// dictionary's interned symbol ids (parallel to `dict`, computed under
-  /// interner generation `syms_generation`). All pointers must stay valid
-  /// while the block is bound.
+  /// interner generation `syms_generation`). With `dict_syms == nullptr`
+  /// the block interns the dictionary itself on first use, like an owned
+  /// block. All pointers must stay valid while the block is bound.
   void BindColumns(const Columns& cols, size_t count,
                    const std::string_view* dict, size_t dict_size,
                    const uint32_t* dict_syms, uint64_t syms_generation);
@@ -136,14 +143,15 @@ class EventBlock {
   const std::string_view* dict() const;
   size_t dict_size() const;
 
-  /// Interned symbol ids parallel to `dict()`. Owned mode: interns the
-  /// dictionary into the global `Interner` on first use (and again after a
-  /// rotation). Borrowed mode: the ids supplied at bind time.
+  /// Interned symbol ids parallel to `dict()`. Owned mode (and borrowed
+  /// mode bound without ids): interns the dictionary into the global
+  /// `Interner` on first use (and again after a rotation). Borrowed mode:
+  /// the ids supplied at bind time.
   const uint32_t* dict_syms() const;
 
-  /// Interns the owned dictionary into the process interner now (no-op if
-  /// already interned under the current generation). `MutableRows` calls
-  /// this implicitly.
+  /// Interns the block's own dictionary ids into the process interner now
+  /// (no-op if already interned under the current generation).
+  /// `MutableRows` calls this implicitly.
   void InternDictionary() const;
 
   /// Row view of the block; columnar blocks materialize (and cache) rows
@@ -175,6 +183,10 @@ class EventBlock {
     void clear();
   };
 
+  /// Dictionaries up to this many entries are looked up by linear scan;
+  /// larger ones through `dict_codes_`.
+  static constexpr size_t kScannedDictEntries = 16;
+
   /// Returns the dictionary code for `s`, adding it on first sight (exact,
   /// case-preserving — normalization is the interner's job).
   uint32_t DictCode(std::string_view s);
@@ -197,7 +209,12 @@ class EventBlock {
   const std::string_view* dict_ = nullptr;
   size_t dict_size_ = 0;
 
-  // Interned ids parallel to the dictionary.
+  /// Old-code → new-code scratch for `AppendColumns`.
+  std::vector<uint32_t> remap_;
+
+  // Interned ids parallel to the dictionary: computed here (owned mode, or
+  // bound without ids) or supplied by the binder.
+  bool syms_owned_ = false;
   mutable std::vector<uint32_t> dict_syms_own_;
   mutable const uint32_t* dict_syms_ = nullptr;
   mutable uint64_t syms_gen_ = 0;

@@ -507,13 +507,7 @@ struct SaqlEngine::Session::SessionContext {
     // Record-ahead: persist before query processing sees the batch, so a
     // crash never alerts on an event the log lost.
     if (recorder != nullptr && recording_status.ok()) {
-      for (size_t i = 0; i < count; ++i) {
-        Status st = recorder->Append(events[i]);
-        if (!st.ok()) {
-          recording_status = st;
-          break;
-        }
-      }
+      recording_status = recorder->Append(events, count);
     }
     if (!sharded) {
       executor->ProcessBatch(events, count);

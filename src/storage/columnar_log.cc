@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "core/interner.h"
-#include "storage/event_log.h"
 
 namespace saql {
 
@@ -17,20 +16,165 @@ namespace {
 
 constexpr size_t kSentinelNone = static_cast<size_t>(-1);
 
-void PutBytes(std::string* buf, const void* data, size_t size) {
-  buf->append(static_cast<const char*>(data), size);
-}
-
-void PutU32(std::string* buf, uint32_t v) { PutBytes(buf, &v, sizeof(v)); }
-
-void PadTo8(std::string* buf) { buf->resize(AlignTo8(buf->size()), '\0'); }
-
 /// Per-event bytes of the fixed-width column section.
 constexpr size_t ColumnBytesPerEvent() {
   return 7 * sizeof(int64_t) + 9 * sizeof(uint32_t) + 3 * sizeof(uint8_t);
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Segment payload codec.
+// ---------------------------------------------------------------------------
+
+void EncodeSegmentPayload(const EventBlock& block, std::string* out) {
+  const size_t n = block.size();
+  const EventBlock::Columns& c = block.columns();
+
+  // Size the payload first and fill it through a cursor: one resize
+  // instead of an append per column and dictionary entry.
+  size_t dict_bytes = 0;
+  for (size_t i = 1; i < block.dict_size(); ++i) {
+    dict_bytes += sizeof(uint32_t) + block.dict()[i].size();
+  }
+  const size_t base = out->size();
+  out->resize(base + AlignTo8(dict_bytes) +
+              AlignTo8(n * ColumnBytesPerEvent()),
+              '\0');
+  char* p = out->data() + base;
+  auto put = [&p](const void* data, size_t size) {
+    std::memcpy(p, data, size);
+    p += size;
+  };
+  // A one-event block (a per-event append) copies fixed-size cells the
+  // compiler inlines instead of calling memcpy per column.
+  auto put_col = [&p, n](const auto* col) {
+    constexpr size_t kWidth = sizeof(*col);
+    if (n == 1) {
+      std::memcpy(p, col, kWidth);
+    } else {
+      std::memcpy(p, col, n * kWidth);
+    }
+    p += n * kWidth;
+  };
+  // Dictionary: entry 0 ("") is implicit.
+  for (size_t i = 1; i < block.dict_size(); ++i) {
+    std::string_view s = block.dict()[i];
+    const auto len = static_cast<uint32_t>(s.size());
+    put(&len, sizeof(len));
+    put(s.data(), s.size());
+  }
+  p = out->data() + base + AlignTo8(dict_bytes);
+  // Columns, widest first (log_format.h fixes the order).
+  put_col(c.id);
+  put_col(c.ts);
+  put_col(c.subj_pid);
+  put_col(c.obj_pid);
+  put_col(c.src_port);
+  put_col(c.dst_port);
+  put_col(c.amount);
+  put_col(c.agent);
+  put_col(c.subj_exe);
+  put_col(c.subj_user);
+  put_col(c.obj_exe);
+  put_col(c.obj_user);
+  put_col(c.obj_path);
+  put_col(c.src_ip);
+  put_col(c.dst_ip);
+  put_col(c.protocol);
+  put_col(c.op);
+  put_col(c.object_type);
+  put_col(c.failed);
+}
+
+Status DecodeSegmentPayload(const char* payload, uint64_t bytes,
+                            uint32_t count, uint32_t dict_count,
+                            SegmentPayload* out) {
+  // Dictionary: dict_count entries of u32 length + bytes.
+  out->dict.clear();
+  out->dict.push_back(std::string_view{});  // code 0 = ""
+  uint64_t pos = 0;
+  for (uint32_t d = 0; d < dict_count; ++d) {
+    uint32_t len = 0;
+    if (pos + sizeof(len) > bytes) {
+      return Status::IoError("corrupt segment dictionary");
+    }
+    std::memcpy(&len, payload + pos, sizeof(len));
+    pos += sizeof(len);
+    if (len > bytes - pos) {
+      return Status::IoError("corrupt segment dictionary");
+    }
+    out->dict.emplace_back(payload + pos, len);
+    pos += len;
+  }
+  pos = AlignTo8(pos);
+
+  // Columns at fixed offsets after the dictionary.
+  const size_t n = count;
+  if (pos > bytes || n * ColumnBytesPerEvent() > bytes - pos) {
+    return Status::IoError("corrupt segment (columns truncated)");
+  }
+  auto take_i64 = [&](const int64_t** col) {
+    *col = reinterpret_cast<const int64_t*>(payload + pos);
+    pos += n * sizeof(int64_t);
+  };
+  auto take_u32 = [&](const uint32_t** col) {
+    *col = reinterpret_cast<const uint32_t*>(payload + pos);
+    pos += n * sizeof(uint32_t);
+  };
+  auto take_u8 = [&](const uint8_t** col) {
+    *col = reinterpret_cast<const uint8_t*>(payload + pos);
+    pos += n * sizeof(uint8_t);
+  };
+  EventBlock::Columns& c = out->cols;
+  c.id = reinterpret_cast<const uint64_t*>(payload + pos);
+  pos += n * sizeof(uint64_t);
+  take_i64(&c.ts);
+  take_i64(&c.subj_pid);
+  take_i64(&c.obj_pid);
+  take_i64(&c.src_port);
+  take_i64(&c.dst_port);
+  take_i64(&c.amount);
+  take_u32(&c.agent);
+  take_u32(&c.subj_exe);
+  take_u32(&c.subj_user);
+  take_u32(&c.obj_exe);
+  take_u32(&c.obj_user);
+  take_u32(&c.obj_path);
+  take_u32(&c.src_ip);
+  take_u32(&c.dst_ip);
+  take_u32(&c.protocol);
+  take_u8(&c.op);
+  take_u8(&c.object_type);
+  take_u8(&c.failed);
+  out->count = n;
+
+  // Bound-check enums and dictionary codes once per payload, so
+  // materialization can index without per-cell checks. Max-reduce then
+  // one compare per column: branch-free inner loops the compiler
+  // vectorizes.
+  uint8_t max_op = 0, max_type = 0;
+  for (size_t r = 0; r < n; ++r) {
+    max_op = std::max(max_op, c.op[r]);
+    max_type = std::max(max_type, c.object_type[r]);
+  }
+  if (max_op >= kNumEventOps || max_type > 2) {
+    return Status::IoError("corrupt segment (bad enum value)");
+  }
+  const uint32_t dict_total = static_cast<uint32_t>(out->dict.size());
+  const uint32_t* code_cols[] = {c.agent,    c.subj_exe, c.subj_user,
+                                 c.obj_exe,  c.obj_user, c.obj_path,
+                                 c.src_ip,   c.dst_ip,   c.protocol};
+  for (const uint32_t* col : code_cols) {
+    uint32_t max_code = 0;
+    for (size_t r = 0; r < n; ++r) max_code = std::max(max_code, col[r]);
+    if (max_code >= dict_total) {
+      return Status::IoError(
+          "corrupt segment (dictionary code out of range)");
+    }
+  }
+  return Status::Ok();
+}
 
 // ---------------------------------------------------------------------------
 // Writer.
@@ -46,11 +190,11 @@ ColumnarLogWriter::ColumnarLogWriter(const std::string& path, Options options)
     return;
   }
   out_ = std::move(*file);
-  payload_.assign(kLogMagicV2, sizeof(kLogMagicV2));
-  uint32_t version = kLogVersionV2;
-  PutU32(&payload_, version);
-  PutU32(&payload_, 0);  // reserved
-  status_ = out_->Append(payload_.data(), payload_.size());
+  char header[kV2FileHeaderSize] = {};  // magic, u32 version, u32 reserved
+  std::memcpy(header, kLogMagicV2, sizeof(kLogMagicV2));
+  std::memcpy(header + sizeof(kLogMagicV2), &kLogVersionV2,
+              sizeof(kLogVersionV2));
+  status_ = out_->Append(header, sizeof(header));
 }
 
 ColumnarLogWriter::~ColumnarLogWriter() { Close(); }
@@ -71,16 +215,28 @@ Status ColumnarLogWriter::AppendBatch(const EventBatch& events) {
 
 Status ColumnarLogWriter::WriteBlock(EventBlock* block) {
   SAQL_RETURN_IF_ERROR(status_);
-  if (block->empty()) return Status::Ok();
-  if (block->columnar() && block->size() >= options_.segment_events) {
-    SAQL_RETURN_IF_ERROR(Flush());  // keep order: pending rows come first
-    SAQL_RETURN_IF_ERROR(WriteSegment(*block));
-    events_written_ += block->size();
+  const size_t n = block->size();
+  if (n == 0) return Status::Ok();
+  if (!block->columnar()) {
+    const Event* rows = block->MutableRows();
+    for (size_t i = 0; i < n; ++i) {
+      SAQL_RETURN_IF_ERROR(Append(rows[i]));
+    }
     return Status::Ok();
   }
-  const Event* rows = block->MutableRows();
-  for (size_t i = 0; i < block->size(); ++i) {
-    SAQL_RETURN_IF_ERROR(Append(rows[i]));
+  if (pending_.empty() && n >= options_.segment_events) {
+    SAQL_RETURN_IF_ERROR(WriteSegment(*block));
+    events_written_ += n;
+    return Status::Ok();
+  }
+  for (size_t done = 0; done < n;) {
+    const size_t take =
+        std::min(n - done, options_.segment_events - pending_.size());
+    pending_.AppendColumns(*block, done, take);
+    done += take;
+    if (pending_.size() >= options_.segment_events) {
+      SAQL_RETURN_IF_ERROR(Flush());
+    }
   }
   return Status::Ok();
 }
@@ -95,42 +251,12 @@ Status ColumnarLogWriter::Flush() {
 }
 
 Status ColumnarLogWriter::WriteSegment(const EventBlock& block) {
-  const size_t n = block.size();
-  const EventBlock::Columns& c = block.columns();
-
   payload_.clear();
-  // Dictionary: entry 0 ("") is implicit.
-  for (size_t i = 1; i < block.dict_size(); ++i) {
-    std::string_view s = block.dict()[i];
-    PutU32(&payload_, static_cast<uint32_t>(s.size()));
-    PutBytes(&payload_, s.data(), s.size());
-  }
-  PadTo8(&payload_);
-  // Columns, widest first (log_format.h fixes the order).
-  PutBytes(&payload_, c.id, n * sizeof(uint64_t));
-  PutBytes(&payload_, c.ts, n * sizeof(int64_t));
-  PutBytes(&payload_, c.subj_pid, n * sizeof(int64_t));
-  PutBytes(&payload_, c.obj_pid, n * sizeof(int64_t));
-  PutBytes(&payload_, c.src_port, n * sizeof(int64_t));
-  PutBytes(&payload_, c.dst_port, n * sizeof(int64_t));
-  PutBytes(&payload_, c.amount, n * sizeof(int64_t));
-  PutBytes(&payload_, c.agent, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.subj_exe, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.subj_user, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.obj_exe, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.obj_user, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.obj_path, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.src_ip, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.dst_ip, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.protocol, n * sizeof(uint32_t));
-  PutBytes(&payload_, c.op, n * sizeof(uint8_t));
-  PutBytes(&payload_, c.object_type, n * sizeof(uint8_t));
-  PutBytes(&payload_, c.failed, n * sizeof(uint8_t));
-  PadTo8(&payload_);
+  EncodeSegmentPayload(block, &payload_);
 
   SegmentHeader header;
   header.payload_bytes = payload_.size();
-  header.event_count = static_cast<uint32_t>(n);
+  header.event_count = static_cast<uint32_t>(block.size());
   block.TsBounds(&header.min_ts, &header.max_ts);
   header.dict_count = static_cast<uint32_t>(block.dict_size() - 1);
   header.crc32 = Crc32(payload_.data(), payload_.size());
@@ -309,104 +435,18 @@ Status ColumnarLogReader::LoadSegment(size_t i) {
     crc_checked_[i] = true;
   }
 
-  // Dictionary: dict_count entries of u32 length + bytes.
-  loaded_dict_.clear();
-  loaded_dict_.push_back(std::string_view{});  // code 0 = ""
-  size_t pos = 0;
-  for (uint32_t d = 0; d < info.dict_count; ++d) {
-    uint32_t len = 0;
-    if (pos + sizeof(len) > info.payload_bytes) {
-      status_ = Status::IoError("corrupt segment dictionary");
-      return status_;
-    }
-    std::memcpy(&len, payload + pos, sizeof(len));
-    pos += sizeof(len);
-    if (pos + len > info.payload_bytes) {
-      status_ = Status::IoError("corrupt segment dictionary");
-      return status_;
-    }
-    loaded_dict_.emplace_back(payload + pos, len);
-    pos += len;
-  }
-  pos = AlignTo8(pos);
-
-  // Columns at fixed offsets after the dictionary.
-  const size_t n = info.count;
-  if (pos + n * ColumnBytesPerEvent() > info.payload_bytes) {
-    status_ = Status::IoError("corrupt segment (columns truncated)");
-    return status_;
-  }
-  auto take_i64 = [&](const int64_t** col) {
-    *col = reinterpret_cast<const int64_t*>(payload + pos);
-    pos += n * sizeof(int64_t);
-  };
-  auto take_u32 = [&](const uint32_t** col) {
-    *col = reinterpret_cast<const uint32_t*>(payload + pos);
-    pos += n * sizeof(uint32_t);
-  };
-  auto take_u8 = [&](const uint8_t** col) {
-    *col = reinterpret_cast<const uint8_t*>(payload + pos);
-    pos += n * sizeof(uint8_t);
-  };
-  EventBlock::Columns c;
-  c.id = reinterpret_cast<const uint64_t*>(payload + pos);
-  pos += n * sizeof(uint64_t);
-  take_i64(&c.ts);
-  take_i64(&c.subj_pid);
-  take_i64(&c.obj_pid);
-  take_i64(&c.src_port);
-  take_i64(&c.dst_port);
-  take_i64(&c.amount);
-  take_u32(&c.agent);
-  take_u32(&c.subj_exe);
-  take_u32(&c.subj_user);
-  take_u32(&c.obj_exe);
-  take_u32(&c.obj_user);
-  take_u32(&c.obj_path);
-  take_u32(&c.src_ip);
-  take_u32(&c.dst_ip);
-  take_u32(&c.protocol);
-  take_u8(&c.op);
-  take_u8(&c.object_type);
-  take_u8(&c.failed);
-
-  // Bound-check enums and dictionary codes once per segment, so
-  // materialization can index without per-cell checks. Max-reduce then
-  // one compare per column: branch-free inner loops the compiler
-  // vectorizes.
-  uint8_t max_op = 0, max_type = 0;
-  for (size_t r = 0; r < n; ++r) {
-    max_op = std::max(max_op, c.op[r]);
-    max_type = std::max(max_type, c.object_type[r]);
-  }
-  if (max_op >= kNumEventOps || max_type > 2) {
-    status_ = Status::IoError("corrupt segment (bad enum value)");
-    return status_;
-  }
-  const uint32_t dict_total = static_cast<uint32_t>(loaded_dict_.size());
-  const uint32_t* code_cols[] = {c.agent,    c.subj_exe, c.subj_user,
-                                 c.obj_exe,  c.obj_user, c.obj_path,
-                                 c.src_ip,   c.dst_ip,   c.protocol};
-  for (const uint32_t* col : code_cols) {
-    uint32_t max_code = 0;
-    for (size_t r = 0; r < n; ++r) max_code = std::max(max_code, col[r]);
-    if (max_code >= dict_total) {
-      status_ = Status::IoError(
-          "corrupt segment (dictionary code out of range)");
-      return status_;
-    }
-  }
+  status_ = DecodeSegmentPayload(payload, info.payload_bytes, info.count,
+                                 info.dict_count, &loaded_);
+  SAQL_RETURN_IF_ERROR(status_);
 
   // Materialize the dictionary into the process interner: one probe per
   // distinct spelling for the whole segment.
   Interner& interner = Interner::Global();
   loaded_syms_gen_ = interner.generation();
-  loaded_dict_syms_.resize(loaded_dict_.size());
-  for (size_t d = 0; d < loaded_dict_.size(); ++d) {
-    loaded_dict_syms_[d] = interner.Intern(loaded_dict_[d]);
+  loaded_dict_syms_.resize(loaded_.dict.size());
+  for (size_t d = 0; d < loaded_.dict.size(); ++d) {
+    loaded_dict_syms_[d] = interner.Intern(loaded_.dict[d]);
   }
-
-  loaded_cols_ = c;
   loaded_index_ = i;
   return Status::Ok();
 }
@@ -418,12 +458,12 @@ void ColumnarLogReader::BindRange(EventBlock* block, size_t offset,
     // The interner rotated under us (legal only between runs, but blocks
     // may be handed out across that boundary): refresh the dictionary ids.
     loaded_syms_gen_ = interner.generation();
-    for (size_t d = 0; d < loaded_dict_.size(); ++d) {
-      loaded_dict_syms_[d] = interner.Intern(loaded_dict_[d]);
+    for (size_t d = 0; d < loaded_.dict.size(); ++d) {
+      loaded_dict_syms_[d] = interner.Intern(loaded_.dict[d]);
     }
   }
-  block->BindColumns(loaded_cols_.Slice(offset), count, loaded_dict_.data(),
-                     loaded_dict_.size(), loaded_dict_syms_.data(),
+  block->BindColumns(loaded_.cols.Slice(offset), count, loaded_.dict.data(),
+                     loaded_.dict.size(), loaded_dict_syms_.data(),
                      loaded_syms_gen_);
 }
 
@@ -460,9 +500,8 @@ Result<EventBatch> ReadColumnarEventLog(const std::string& path) {
 }
 
 Result<EventBatch> ReadAnyEventLog(const std::string& path) {
-  SAQL_ASSIGN_OR_RETURN(int version, DetectEventLogVersion(path));
-  if (version == 2) return ReadColumnarEventLog(path);
-  return ReadEventLog(path);
+  SAQL_RETURN_IF_ERROR(DetectEventLogVersion(path).status());
+  return ReadColumnarEventLog(path);
 }
 
 }  // namespace saql

@@ -16,6 +16,31 @@
 
 namespace saql {
 
+/// One decoded v2 segment payload (storage/log_format.h): column views and
+/// dictionary spellings aliasing the payload bytes. Columnar segments, WAL
+/// records and recovery share this codec.
+struct SegmentPayload {
+  EventBlock::Columns cols;
+  /// Dictionary spellings; entry 0 is the implicit "".
+  std::vector<std::string_view> dict;
+  size_t count = 0;
+};
+
+/// Appends the segment payload of the columnar block `block` to `out`:
+/// dictionary, then the aligned columns, padded to 8 bytes relative to
+/// where the payload starts (which must itself be 8-aligned in `out` for
+/// the columns to decode in place).
+void EncodeSegmentPayload(const EventBlock& block, std::string* out);
+
+/// Decodes a payload of `count` events and `dict_count` serialized
+/// dictionary entries (excluding the implicit ""). `payload` must be
+/// 8-aligned. Bound-checks the dictionary against `bytes`, the column
+/// extent, enum values and every dictionary code: a violation is
+/// corruption (IoError). `out` reuses its dictionary capacity.
+Status DecodeSegmentPayload(const char* payload, uint64_t bytes,
+                            uint32_t count, uint32_t dict_count,
+                            SegmentPayload* out);
+
 /// Writes an event log in the columnar v2 format (storage/log_format.h):
 /// events are buffered into an owned `EventBlock` and flushed as
 /// dictionary-compressed columnar segments of up to
@@ -23,11 +48,10 @@ namespace saql {
 /// min/max ts, CRC) so readers can seek by time range and recover from a
 /// torn tail.
 ///
-/// Crash semantics match v1: the log survives a process kill up to the
-/// last *completely written segment* (plus whatever the destructor-path
-/// `Close` managed to flush). The destructor closes, but cannot report —
-/// call `Close()` (or read `status()` afterwards) to observe flush
-/// failures.
+/// Crash semantics: the log survives a process kill up to the last
+/// *completely written segment* (plus whatever the destructor-path `Close`
+/// managed to flush). The destructor closes, but cannot report — call
+/// `Close()` (or read `status()` afterwards) to observe flush failures.
 class ColumnarLogWriter {
  public:
   struct Options {
@@ -60,10 +84,11 @@ class ColumnarLogWriter {
   /// Appends a batch.
   Status AppendBatch(const EventBatch& events);
 
-  /// Writes `block` out. Columnar blocks whose size is at least the
-  /// segment threshold are serialized directly as one segment (after
-  /// flushing any pending rows, preserving order); everything else is
-  /// appended row-wise to the pending segment.
+  /// Writes `block` out. A columnar block of at least the segment
+  /// threshold arriving on an empty pending segment is serialized directly
+  /// as one segment; other columnar blocks merge column by column into the
+  /// pending segment, which is cut at the threshold so segments stay full
+  /// however small the blocks are. Row-backed blocks append row-wise.
   Status WriteBlock(EventBlock* block);
 
   /// Flushes the pending partial segment to the file.
@@ -108,7 +133,7 @@ class ColumnarLogWriter {
 /// On open the reader scans the segment headers into an index (offset,
 /// count, min/max ts) without touching payloads; a truncated tail —
 /// header cut short or payload extending past EOF — ends the index at the
-/// last complete segment, mirroring v1's crash-consistent tail rule.
+/// last complete segment (the crash-consistent tail rule).
 /// Payload CRCs are verified once per segment when it is first loaded;
 /// a mismatch is corruption and fails the read.
 ///
@@ -198,8 +223,7 @@ class ColumnarLogReader {
 
   // Loaded-segment state.
   size_t loaded_index_;  // = SIZE_MAX sentinel until first load
-  EventBlock::Columns loaded_cols_;
-  std::vector<std::string_view> loaded_dict_;
+  SegmentPayload loaded_;
   std::vector<uint32_t> loaded_dict_syms_;
   uint64_t loaded_syms_gen_ = 0;
   std::vector<bool> crc_checked_;
@@ -213,7 +237,7 @@ Status WriteColumnarEventLog(
 /// Convenience: reads a whole v2 log into rows.
 Result<EventBatch> ReadColumnarEventLog(const std::string& path);
 
-/// Convenience: reads a whole log of either format (auto-detected).
+/// Convenience: reads a whole log after checking its format magic.
 Result<EventBatch> ReadAnyEventLog(const std::string& path);
 
 }  // namespace saql

@@ -85,62 +85,90 @@ void DurableLogWriter::SetStatusLocked(const Status& st) {
   }
 }
 
-Status DurableLogWriter::Append(const Event& event) {
+Status DurableLogWriter::Append(const Event* events, size_t n) {
+  if (n == 0) return status();
+  for (size_t done = 0; done < n;) {
+    const size_t count = std::min(n - done, options_.segment_events);
+    // Encoded outside `mu_`: only this thread advances `next_seq_`.
+    encode_block_.Clear();
+    for (size_t i = done; i < done + count; ++i) {
+      encode_block_.AppendColumnar(events[i]);
+    }
+    EncodeWalRecord(next_seq_, encode_block_, &encode_record_);
+    done += count;
+    SAQL_RETURN_IF_ERROR(AppendEncodedRecord(done == n));
+  }
+  return Status::Ok();
+}
+
+Status DurableLogWriter::AppendEncodedRecord(bool apply_sync) {
+  const WalRecord& record = encode_record_;
   std::unique_lock<std::mutex> lock(mu_);
   SAQL_RETURN_IF_ERROR(status_);
   if (closing_ || closed_) {
     return Status::FailedPrecondition("durable log is closed");
   }
 
-  const uint64_t seq = next_seq_;
   const uint64_t before = wal_->bytes_written();
-  Status st = wal_->Append(seq, event);
+  Status st = wal_->Append(record);
   if (!st.ok()) {
     SetStatusLocked(st);
     return st;
   }
-  next_seq_ = seq + 1;
-  if (unsynced_bytes_ == 0) window_start_ = std::chrono::steady_clock::now();
+  next_seq_ += record.count;
+  const bool window_opened = unsynced_bytes_ == 0;
+  if (window_opened) window_start_ = std::chrono::steady_clock::now();
   unsynced_bytes_ += wal_->bytes_written() - before;
 
-  switch (options_.sync.mode) {
-    case SyncMode::kAlways:
-      WalBarrierLocked();
-      if (!status_.ok()) return status_;
-      break;
-    case SyncMode::kGroupCommit:
-      if (unsynced_bytes_ >= options_.sync.max_bytes) {
+  if (apply_sync) {
+    switch (options_.sync.mode) {
+      case SyncMode::kAlways:
         WalBarrierLocked();
-        // A barrier failure surfaces on the *next* append: this event's
-        // WAL record was accepted, which is all group commit promises.
-      }
-      break;
-    case SyncMode::kNone:
-      break;
+        if (!status_.ok()) return status_;
+        break;
+      case SyncMode::kGroupCommit:
+        if (unsynced_bytes_ >= options_.sync.max_bytes) {
+          WalBarrierLocked();
+          // A barrier failure surfaces on the *next* append: this chunk's
+          // WAL record was accepted, which is all group commit promises.
+        }
+        break;
+      case SyncMode::kNone:
+        break;
+    }
   }
 
-  // Hand off to the drainer; block on backpressure.
+  // Hand off to the drainer. Backpressure waits for the queue to drop
+  // below capacity and then admits the whole chunk — never for room for
+  // the chunk, which a chunk larger than the capacity would never get.
   cv_space_.wait(lock, [this] {
-    return queue_.size() < options_.queue_capacity || !status_.ok() ||
+    return queued_events_ < options_.queue_capacity || !status_.ok() ||
            closing_;
   });
   if (closing_ || closed_) {
     return Status::FailedPrecondition("durable log is closed");
   }
-  queue_.push_back(event);
-  cv_drainer_.notify_one();
+  queued_events_ += record.count;
+  queue_.push_back(std::exchange(encode_record_, WalRecord{}));
+  if (!spare_.empty()) {
+    spare_bytes_ -= spare_.back().capacity();
+    encode_record_.bytes = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  // The drainer has nothing to write before a segment's worth is queued,
+  // and waking it costs the appender a syscall: wake it per segment (or
+  // full queue), and when a group-commit window opens so it arms the
+  // barrier deadline.
+  if (queued_events_ >= std::min(options_.segment_events,
+                                 options_.queue_capacity) ||
+      (window_opened && options_.sync.mode == SyncMode::kGroupCommit)) {
+    cv_drainer_.notify_one();
+  }
 
   if (wal_->bytes_written() >= options_.wal_rotate_bytes) {
     RotateWalLocked();
   }
   return status_;
-}
-
-Status DurableLogWriter::AppendBatch(const EventBatch& events) {
-  for (const Event& e : events) {
-    SAQL_RETURN_IF_ERROR(Append(e));
-  }
-  return Status::Ok();
 }
 
 Status DurableLogWriter::SyncWal() {
@@ -212,17 +240,21 @@ void DurableLogWriter::DrainLoop() {
 }
 
 void DurableLogWriter::DrainBatchLocked(std::unique_lock<std::mutex>& lock) {
-  std::vector<Event> batch;
-  batch.swap(queue_);
+  draining_.swap(queue_);
+  queued_events_ = 0;
   cv_space_.notify_all();
 
-  if (!status_.ok()) return;  // discard: the WAL retains these events
+  if (!status_.ok()) {
+    draining_.clear();  // discard: the WAL retains these events
+    return;
+  }
 
   lock.unlock();
   backend_->TripPoint(durable_trip::kPreSegment);
   Status st;
-  for (const Event& e : batch) {
-    st = columnar_->Append(e);
+  for (const WalRecord& record : draining_) {
+    st = BindWalRecord(record, &drain_payload_, &drain_block_);
+    if (st.ok()) st = columnar_->WriteBlock(&drain_block_);
     if (!st.ok()) break;
   }
 
@@ -236,6 +268,15 @@ void DurableLogWriter::DrainBatchLocked(std::unique_lock<std::mutex>& lock) {
 
   std::vector<SealedWal> deletable;
   lock.lock();
+  // Spent record buffers go back to the appender with their capacity, so
+  // steady-state appends neither allocate nor free across threads.
+  for (WalRecord& record : draining_) {
+    const size_t bytes = record.bytes.capacity();
+    if (spare_bytes_ + bytes > kSpareBytes) break;
+    spare_bytes_ += bytes;
+    spare_.push_back(std::move(record.bytes));
+  }
+  draining_.clear();
   if (!st.ok()) {
     SetStatusLocked(st);
     return;

@@ -31,16 +31,21 @@ inline constexpr char kWalRotate[] = "durable.wal-rotate";
 
 /// Durable ingestion pipeline: the write path
 ///
-///   Append ──► WAL (`<path>.wal.<N>`, sequential, CRC'd, sync policy)
-///            └► bounded queue ──► drainer thread ──► columnar segments
-///                                                    (`<path>`, v2 format)
+///   Append ──► one WAL record per chunk (`<path>.wal.<N>`, CRC'd,
+///            │ sync policy)
+///            └► bounded queue of encoded chunks ──► drainer thread
+///                 ──► columnar segments (`<path>`, v2 format)
 ///
-/// Appends ack according to `SyncPolicy` (see wal.h): `always` acks only
-/// after the WAL fsync, `group` acks immediately with the barrier
-/// batched, `none` never syncs the WAL. A background drainer batches the
-/// queued events into v2 columnar segments through `ColumnarLogWriter`;
-/// once segments are fsynced, the WAL files they fully cover are
-/// deleted (rotation keeps individual WAL files bounded). `Close` drains
+/// The unit of recording is the appended batch: each chunk of at most
+/// `segment_events` events is encoded once, as a v2 segment payload, and
+/// costs one lock, one WAL write and one hand-off. The drainer, woken once
+/// a segment's worth is queued, merges the chunks column by column into
+/// full segments without re-encoding rows.
+/// Appends ack according to `SyncPolicy` (see wal.h), applied once per
+/// `Append` call: `always` acks only after the WAL fsync, `group` acks
+/// immediately with the barrier batched, `none` never syncs the WAL.
+/// Once segments are fsynced, the WAL files they fully cover are deleted
+/// (rotation keeps individual WAL files bounded). `Close` drains
 /// everything, leaving a pure v2 columnar log and no WAL files.
 ///
 /// After a crash, `RecoverDurableLog` (recovery.h) = the complete
@@ -54,8 +59,8 @@ inline constexpr char kWalRotate[] = "durable.wal-rotate";
 /// session) is expected to degrade gracefully — stop recording, keep
 /// serving queries.
 ///
-/// Thread contract: `Append`/`AppendBatch`/`Close` from one thread; the
-/// accessors are thread-safe.
+/// Thread contract: `Append`/`AppendBatch`/`Close` from one thread (it
+/// alone assigns sequence numbers); the accessors are thread-safe.
 class DurableLogWriter {
  public:
   struct Options {
@@ -64,8 +69,9 @@ class DurableLogWriter {
     size_t segment_events = 4096;
     /// Seal + rotate the WAL once the current file reaches this size.
     uint64_t wal_rotate_bytes = 4u << 20;
-    /// Bounded hand-off queue to the drainer, in events. Appends block
-    /// when the drainer is this far behind.
+    /// Bounded hand-off queue to the drainer, in events. An append waits
+    /// while the drainer is this far behind, then admits its whole chunk,
+    /// so the queue overshoots by at most one chunk.
     size_t queue_capacity = 64 * 1024;
     /// File layer (nullptr = real files).
     FileBackend* backend = nullptr;
@@ -93,11 +99,14 @@ class DurableLogWriter {
   /// segments). Sticky.
   Status status() const;
 
-  /// Appends one event. Returns OK = acked per the sync policy's
-  /// contract (`always`: durable now; `group`/`none`: accepted, durable
-  /// at the next barrier).
-  Status Append(const Event& event);
-  Status AppendBatch(const EventBatch& events);
+  /// Appends `events[0..n)` as chunks of at most `segment_events`.
+  /// Returns OK = all acked per the sync policy's contract (`always`:
+  /// durable now; `group`/`none`: accepted, durable at the next barrier).
+  Status Append(const Event* events, size_t n);
+  Status Append(const Event& event) { return Append(&event, 1); }
+  Status AppendBatch(const EventBatch& events) {
+    return Append(events.data(), events.size());
+  }
 
   /// Forces a WAL durability barrier now (any policy). Everything
   /// appended so far is durable when this returns OK.
@@ -122,9 +131,13 @@ class DurableLogWriter {
     uint64_t last_seq = 0;
   };
 
+  /// Writes `encode_record_` to the WAL, applies the sync policy when
+  /// `apply_sync`, and moves the record to the drainer's queue (one `mu_`
+  /// acquisition).
+  Status AppendEncodedRecord(bool apply_sync);
   /// Drainer thread body.
   void DrainLoop();
-  /// Moves queued events into the columnar writer; fsyncs + deletes
+  /// Merges queued chunks into the columnar writer; fsyncs + deletes
   /// covered WALs when segments advanced. Called with `mu_` held;
   /// releases it around file I/O.
   void DrainBatchLocked(std::unique_lock<std::mutex>& lock);
@@ -159,11 +172,24 @@ class DurableLogWriter {
   std::vector<SealedWal> sealed_;
   uint64_t rotations_ = 0;
 
-  std::vector<Event> queue_;  ///< seq order; front = oldest
+  std::vector<WalRecord> queue_;  ///< seq order; front = oldest
+  size_t queued_events_ = 0;
+  /// Drained record buffers, capacity kept, for the appender to reuse;
+  /// their capacity totals `spare_bytes_` <= `kSpareBytes`.
+  static constexpr size_t kSpareBytes = 1u << 20;
+  std::vector<std::string> spare_;
+  size_t spare_bytes_ = 0;
+
+  // Appender-owned: the chunk being encoded.
+  EventBlock encode_block_;
+  WalRecord encode_record_;
 
   // Drainer-owned (no lock needed beyond the hand-off).
   std::unique_ptr<ColumnarLogWriter> columnar_;
   uint64_t seg_durable_seq_ = 0;  ///< events fsynced in segments
+  std::vector<WalRecord> draining_;
+  SegmentPayload drain_payload_;
+  EventBlock drain_block_;
 
   std::thread drainer_;
 };

@@ -13,8 +13,8 @@
 namespace saql {
 
 /// One append-only file opened through a `FileBackend`. All storage
-/// writers (WAL, columnar log, v1 row log) run on this seam instead of
-/// raw streams, so crash and I/O-error behavior is testable
+/// writers (WAL, columnar log) run on this seam instead of raw streams,
+/// so crash and I/O-error behavior is testable
 /// deterministically (`FaultInjectionFileBackend`) instead of via
 /// platform fixtures like `/dev/full`.
 ///

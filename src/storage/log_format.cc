@@ -103,8 +103,9 @@ Result<int> DetectEventLogVersion(const std::string& path) {
   if (!in) {
     return Status::IoError("'" + path + "' is not a SAQL event log");
   }
-  if (std::memcmp(magic, kLogMagicV1, sizeof(magic)) == 0) return 1;
-  if (std::memcmp(magic, kLogMagicV2, sizeof(magic)) == 0) return 2;
+  if (std::memcmp(magic, kLogMagicV2, sizeof(magic)) == 0) {
+    return static_cast<int>(kLogVersionV2);
+  }
   return Status::IoError("'" + path + "' is not a SAQL event log");
 }
 

@@ -9,10 +9,7 @@
 
 namespace saql {
 
-// On-disk event-log formats (both little-endian):
-//
-//  v1 ("SAQLLOG1"): row-at-a-time — u32 payload size + field-by-field
-//    record per event (storage/event_log.h).
+// On-disk event-log format (little-endian):
 //
 //  v2 ("SAQLLOG2"): columnar segments — the batch-native format behind
 //    `ColumnarLogWriter` / `ColumnarLogReader` (storage/columnar_log.h):
@@ -38,15 +35,15 @@ namespace saql {
 //
 //    Writers emit whole segments, so a crash truncates the file inside at
 //    most one segment; readers bound-check each segment against the file
-//    and stop at the first incomplete one (crash-consistent tail, same
-//    contract as v1's last-complete-record rule). A bounds-complete
-//    segment whose CRC fails is corruption, not truncation → IoError.
+//    and stop at the first incomplete one (crash-consistent tail). A
+//    bounds-complete segment whose CRC fails is corruption, not
+//    truncation → IoError.
+//
+//    The segment payload is also the write-ahead log's record body
+//    (storage/wal.h): one codec for segments, WAL records and recovery.
 
-inline constexpr char kLogMagicV1[8] = {'S', 'A', 'Q', 'L',
-                                        'L', 'O', 'G', '1'};
 inline constexpr char kLogMagicV2[8] = {'S', 'A', 'Q', 'L',
                                         'L', 'O', 'G', '2'};
-inline constexpr uint32_t kLogVersionV1 = 1;
 inline constexpr uint32_t kLogVersionV2 = 2;
 inline constexpr size_t kV2FileHeaderSize = 16;
 inline constexpr uint32_t kSegmentMagic = 0x32474553;  // "SEG2"
@@ -72,10 +69,9 @@ uint32_t Crc32(const void* data, size_t size);
 /// Rounds `n` up to the next multiple of 8 (payload/section alignment).
 inline constexpr size_t AlignTo8(size_t n) { return (n + 7) & ~size_t{7}; }
 
-/// Sniffs the magic at `path`: returns 1 or 2, or IoError for missing
-/// files and non-SAQL content. `replay` and the session ingest path use
-/// this to route v1 logs through the row reader and v2 logs through the
-/// columnar reader.
+/// Sniffs the magic at `path`: returns 2 for a v2 columnar log, or
+/// IoError for missing files and anything else (including retired v1 row
+/// logs).
 Result<int> DetectEventLogVersion(const std::string& path);
 
 }  // namespace saql

@@ -86,22 +86,29 @@ Result<RecoveredLog> RecoverDurableLog(const std::string& path) {
   // drainer writes in sequence order), so replay picks up from there.
   SAQL_ASSIGN_OR_RETURN(out.wal_files, FindWalFiles(path));
   uint64_t max_seq = out.segment_events;
+  SegmentPayload payload;
+  EventBlock block;
   for (const std::string& wal : out.wal_files) {
     // A file torn inside its own header (crash during rotation) holds
     // no records by construction.
-    if (FileSize(wal) < 20) continue;
+    if (FileSize(wal) < kWalFileHeaderSize) continue;
     SAQL_ASSIGN_OR_RETURN(std::vector<WalRecord> records, ReadWal(wal));
-    for (WalRecord& r : records) {
-      if (r.seq <= max_seq) continue;  // already durable in segments
-      if (r.seq != max_seq + 1) {
+    for (const WalRecord& r : records) {
+      if (r.last_seq() <= max_seq) continue;  // already durable in segments
+      if (r.first_seq > max_seq + 1) {
         return Status::IoError(
             "gap in WAL replay at '" + wal + "': have seq " +
-            std::to_string(max_seq) + ", next surviving record is seq " +
-            std::to_string(r.seq));
+            std::to_string(max_seq) + ", next surviving record starts at " +
+            "seq " + std::to_string(r.first_seq));
       }
-      out.events.push_back(std::move(r.event));
-      ++max_seq;
-      ++out.wal_events;
+      // Segments are cut at event counts, not chunk boundaries: a record
+      // may straddle the last segment, so replay only its suffix.
+      SAQL_RETURN_IF_ERROR(BindWalRecord(r, &payload, &block));
+      const Event* rows = block.MutableRows();
+      const uint64_t skip = max_seq + 1 - r.first_seq;
+      out.events.insert(out.events.end(), rows + skip, rows + r.count);
+      out.wal_events += r.count - skip;
+      max_seq = r.last_seq();
     }
   }
   return out;

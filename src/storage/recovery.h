@@ -37,9 +37,11 @@ Result<std::vector<std::string>> FindWalFiles(const std::string& path);
 ///      segment — crash mid-segment-write — is dropped by the v2
 ///      reader's tail rule). These hold events with seqs 1..n.
 ///   2. Scans `path`'s directory for `<path>.wal.<N>` files and replays,
-///      in rotation order, every surviving record with seq > n. Torn
-///      WAL tails (crash mid-record) are detected by length/CRC and
-///      discarded.
+///      in rotation order, every surviving event with seq > n, decoding
+///      each record with the segment decoder. Torn WAL tails (crash
+///      mid-record) are detected by length/CRC and discarded — a torn
+///      record drops exactly its chunk; a CRC-valid record that does not
+///      decode is corruption (IoError).
 ///   3. Verifies the replay is gap-free (the pipeline deletes WAL files
 ///      only after their events are fsynced in segments, so a gap means
 ///      corruption, not a crash).

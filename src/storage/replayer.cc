@@ -20,28 +20,19 @@ int64_t WallNowNs() {
 
 StreamReplayer::StreamReplayer(const std::string& path, Filter filter)
     : filter_(std::move(filter)) {
-  Result<int> version = DetectEventLogVersion(path);
-  if (!version.ok()) {
-    status_ = version.status();
-    return;
-  }
-  format_version_ = *version;
-  if (format_version_ == 2) {
-    ColumnarLogReader::Options opts;
-    opts.use_mmap = filter_.use_mmap;
-    v2_ = std::make_unique<ColumnarLogReader>(path, opts);
-    status_ = v2_->status();
-    if (status_.ok() && filter_.start_ts > 0) {
-      // Time-range seek: jump the cursor past every segment that ends
-      // before the range, without touching their payloads.
-      seg_ = v2_->FirstSegmentAtOrAfter(filter_.start_ts);
-      for (size_t i = 0; i < seg_; ++i) {
-        filtered_out_ += v2_->segment(i).count;
-      }
+  ColumnarLogReader::Options opts;
+  opts.use_mmap = filter_.use_mmap;
+  reader_ = std::make_unique<ColumnarLogReader>(path, opts);
+  status_ = reader_->status();
+  if (!status_.ok()) return;
+  format_version_ = static_cast<int>(kLogVersionV2);
+  if (filter_.start_ts > 0) {
+    // Time-range seek: jump the cursor past every segment that ends
+    // before the range, without touching their payloads.
+    seg_ = reader_->FirstSegmentAtOrAfter(filter_.start_ts);
+    for (size_t i = 0; i < seg_; ++i) {
+      filtered_out_ += reader_->segment(i).count;
     }
-  } else {
-    v1_ = std::make_unique<EventLogReader>(path);
-    status_ = v1_->status();
   }
 }
 
@@ -72,33 +63,6 @@ void StreamReplayer::PaceTo(Timestamp ts) {
   }
 }
 
-EventBlock* StreamReplayer::NextBlock(size_t max_events) {
-  if (!status_.ok() || max_events == 0) return nullptr;
-  return format_version_ == 2 ? NextBlockV2(max_events)
-                              : NextBlockV1(max_events);
-}
-
-EventBlock* StreamReplayer::NextBlockV1(size_t max_events) {
-  EventBatch& rows = out_block_.ResetOwnedRows();
-  while (rows.size() < max_events) {
-    Result<Event> e = v1_->Next();
-    if (!e.ok()) {
-      if (e.status().code() != StatusCode::kNotFound) {
-        status_ = e.status();
-      }
-      break;
-    }
-    if (!Accept(*e)) {
-      ++filtered_out_;
-      continue;
-    }
-    PaceTo(e->ts);
-    ++replayed_;
-    rows.push_back(std::move(*e));
-  }
-  return rows.empty() ? nullptr : &out_block_;
-}
-
 bool StreamReplayer::LoadAcceptableSegment() {
   while (seg_pos_ >= seg_size_) {
     if (seg_size_ > 0) {
@@ -106,8 +70,8 @@ bool StreamReplayer::LoadAcceptableSegment() {
       seg_pos_ = 0;
       seg_size_ = 0;
     }
-    if (seg_ >= v2_->num_segments()) return false;
-    const ColumnarLogReader::SegmentInfo& info = v2_->segment(seg_);
+    if (seg_ >= reader_->num_segments()) return false;
+    const ColumnarLogReader::SegmentInfo& info = reader_->segment(seg_);
     if (info.count == 0 || info.max_ts < filter_.start_ts ||
         info.min_ts >= filter_.end_ts) {
       // Whole segment outside the time range (or degenerate): skip it
@@ -116,7 +80,7 @@ bool StreamReplayer::LoadAcceptableSegment() {
       ++seg_;
       continue;
     }
-    Status st = v2_->LoadSegment(seg_);
+    Status st = reader_->LoadSegment(seg_);
     if (!st.ok()) {
       status_ = st;
       return false;
@@ -132,12 +96,13 @@ bool StreamReplayer::LoadAcceptableSegment() {
   return true;
 }
 
-EventBlock* StreamReplayer::NextBlockV2(size_t max_events) {
+EventBlock* StreamReplayer::NextBlock(size_t max_events) {
+  if (!status_.ok() || max_events == 0) return nullptr;
   if (!LoadAcceptableSegment()) return nullptr;
   if (seg_exact_) {
     // Zero-copy: a sub-range of the loaded segment's columns.
     size_t n = std::min(max_events, seg_size_ - seg_pos_);
-    v2_->BindRange(&out_block_, seg_pos_, n);
+    reader_->BindRange(&out_block_, seg_pos_, n);
     seg_pos_ += n;
     replayed_ += n;
     return &out_block_;
@@ -148,9 +113,9 @@ EventBlock* StreamReplayer::NextBlockV2(size_t max_events) {
   while (rows.size() < max_events) {
     if (!LoadAcceptableSegment()) break;
     if (seg_exact_ && !rows.empty()) break;  // hand out the rows first
-    if (seg_exact_) return NextBlockV2(max_events);
+    if (seg_exact_) return NextBlock(max_events);
     if (seg_block_seg_ != seg_) {
-      v2_->BindRange(&seg_block_, 0, seg_size_);
+      reader_->BindRange(&seg_block_, 0, seg_size_);
       seg_block_seg_ = seg_;
     }
     const Event* seg_rows = seg_block_.MutableRows();

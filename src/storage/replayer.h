@@ -9,7 +9,6 @@
 #include "core/event_block.h"
 #include "core/result.h"
 #include "storage/columnar_log.h"
-#include "storage/event_log.h"
 #include "stream/event_source.h"
 
 namespace saql {
@@ -23,12 +22,11 @@ namespace saql {
 ///  - speed == 1: real time (1s of event time per wall second);
 ///  - speed == N: N× faster than real time.
 ///
-/// The log format is auto-detected: v1 row logs replay through the
-/// sequential `EventLogReader`; v2 columnar logs replay through the
-/// mmap'd `ColumnarLogReader` — the time range seeks (and skips) whole
-/// segments via the segment index, and when no per-event work is needed
-/// (no host filter, no pacing, segment fully inside the time range) the
-/// replayer hands out zero-copy columnar blocks whose rows materialize
+/// Logs are v2 columnar logs, replayed through the mmap'd
+/// `ColumnarLogReader` — the time range seeks (and skips) whole segments
+/// via the segment index, and when no per-event work is needed (no host
+/// filter, no pacing, segment fully inside the time range) the replayer
+/// hands out zero-copy columnar blocks whose rows materialize
 /// pre-interned.
 class StreamReplayer : public EventSource {
  public:
@@ -40,9 +38,8 @@ class StreamReplayer : public EventSource {
     Timestamp end_ts = INT64_MAX;
     /// Replay speed multiplier; 0 disables pacing.
     double speed = 0.0;
-    /// v2 logs: mmap the log and alias columns out of the mapping; off =
-    /// buffered per-segment reads (ablation baseline / mmap-less
-    /// filesystems). Ignored for v1 logs.
+    /// mmap the log and alias columns out of the mapping; off = buffered
+    /// per-segment reads (ablation baseline / mmap-less filesystems).
     bool use_mmap = true;
   };
 
@@ -53,7 +50,7 @@ class StreamReplayer : public EventSource {
 
   EventBlock* NextBlock(size_t max_events) override;
 
-  /// Detected log format (1 or 2); 0 when open failed.
+  /// Log format version (2); 0 when open failed.
   int format_version() const { return format_version_; }
 
   /// Events skipped by the filter so far (time-range segment skips count
@@ -65,14 +62,11 @@ class StreamReplayer : public EventSource {
   bool Accept(const Event& e) const;
   void PaceTo(Timestamp ts);
 
-  EventBlock* NextBlockV1(size_t max_events);
-  EventBlock* NextBlockV2(size_t max_events);
   /// Advances seg_/seg_pos_ to the next event range the filter can
   /// accept; returns false at end of log (or on error → status_).
   bool LoadAcceptableSegment();
 
-  std::unique_ptr<EventLogReader> v1_;
-  std::unique_ptr<ColumnarLogReader> v2_;
+  std::unique_ptr<ColumnarLogReader> reader_;
   Filter filter_;
   Status status_;
   int format_version_ = 0;
@@ -81,7 +75,7 @@ class StreamReplayer : public EventSource {
   Timestamp first_event_ts_ = INT64_MIN;
   int64_t wall_start_ns_ = 0;
 
-  // v2 cursor.
+  // Segment cursor.
   size_t seg_ = 0;        ///< current segment index
   size_t seg_pos_ = 0;    ///< next event within the segment
   size_t seg_size_ = 0;   ///< events in the loaded segment

@@ -6,8 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "core/event.h"
+#include "core/event_block.h"
 #include "core/result.h"
+#include "storage/columnar_log.h"
 #include "storage/file_backend.h"
 
 namespace saql {
@@ -55,19 +56,55 @@ struct SyncPolicy {
 /// shell's `--sync=` argument values).
 Result<SyncPolicy> ParseSyncPolicy(const std::string& text);
 
-/// Append-only write-ahead log of events, the durability layer in front
-/// of the columnar segment writer.
+/// Byte sizes of the WAL file header and of each record header.
+inline constexpr size_t kWalFileHeaderSize = 20;
+inline constexpr size_t kWalRecordHeaderSize = 24;
+
+/// One WAL record: a chunk of `count` events with sequence numbers
+/// `first_seq .. first_seq + count - 1`, encoded once. The same buffer is
+/// written to the WAL, handed (moved) to the durable log's drainer, and
+/// replayed by recovery.
+struct WalRecord {
+  uint64_t first_seq = 0;
+  uint32_t count = 0;
+  /// Record header + segment payload, exactly as on disk. The payload
+  /// starts at offset `kWalRecordHeaderSize`, 8-aligned in the heap
+  /// buffer, so its columns decode in place.
+  std::string bytes;
+
+  uint64_t last_seq() const { return first_seq + count - 1; }
+};
+
+/// Encodes the columnar block `block` as the record for sequence numbers
+/// starting at `first_seq`, into `out` (reusing `out->bytes`' capacity).
+void EncodeWalRecord(uint64_t first_seq, const EventBlock& block,
+                     WalRecord* out);
+
+/// Decodes `record`'s payload into `payload` and binds it into `block` as
+/// a borrowed columnar block (aliasing `record.bytes` and `payload`'s
+/// dictionary; both must outlive the binding). IoError when the payload
+/// fails the segment decoder's bound checks.
+Status BindWalRecord(const WalRecord& record, SegmentPayload* payload,
+                     EventBlock* block);
+
+/// Append-only write-ahead log of event chunks, the durability layer in
+/// front of the columnar segment writer.
 ///
 /// File format (little-endian):
-///   header:  magic "SAQLWAL1", u32 version, u64 first_seq
-///   record:  u32 payload_size, u32 crc32 (over seq + payload),
-///            u64 seq, payload (v1 event serialization)
+///   header:  magic "SAQLWAL2", u32 version = 2, u64 first_seq
+///   record:  u32 payload_size, u32 crc32, u64 first_seq, u32 count,
+///            u32 dict_count, payload
 ///
-/// Records carry explicit sequence numbers so recovery can line the WAL
-/// tail up against the columnar segments (which hold seqs
-/// 1..events-in-segments by construction). The CRC covers seq + payload,
-/// so a torn tail — power loss mid-append — is detected and discarded by
-/// the reader rather than replayed as garbage.
+/// The payload is the chunk encoded exactly like a v2 columnar segment
+/// payload (storage/log_format.h: dictionary + aligned columns), so the
+/// drainer merges it into segments without re-encoding rows and recovery
+/// decodes it with the segment decoder. Records carry explicit sequence
+/// numbers so recovery can line the WAL tail up against the columnar
+/// segments (which hold seqs 1..events-in-segments by construction). One
+/// CRC-32C covers first_seq, count, dict_count and the payload, so a torn
+/// tail — power loss mid-append — is detected and discarded by the
+/// reader rather than replayed as garbage; a CRC-valid record that fails
+/// to decode is corruption.
 class WalWriter {
  public:
   /// Creates/truncates `path`; records appended here start at
@@ -82,9 +119,9 @@ class WalWriter {
   Status status() const { return status_; }
   const std::string& path() const { return path_; }
 
-  /// Appends `event` as the record for `seq`. No fsync — call `Sync()`
-  /// per the policy in force.
-  Status Append(uint64_t seq, const Event& event);
+  /// Appends `record` with one write. No fsync — call `Sync()` per the
+  /// policy in force.
+  Status Append(const WalRecord& record);
 
   /// Durability barrier over everything appended so far.
   Status Sync();
@@ -102,21 +139,16 @@ class WalWriter {
   std::string path_;
   std::unique_ptr<WritableFile> out_;
   Status status_;
-  std::string buffer_;
   uint64_t records_written_ = 0;
 };
 
-/// One event recovered from a WAL file.
-struct WalRecord {
-  uint64_t seq = 0;
-  Event event;
-};
-
-/// Reads the complete records of the WAL at `path`, in file order. A bad
-/// record — short header, short payload, or CRC mismatch — ends the read
-/// at the last good record: the crash-consistent torn-tail contract, not
-/// an error. `bytes_consumed` (optional) reports how far the valid
-/// prefix ran.
+/// Reads the complete records of the WAL at `path`, in file order. A torn
+/// record — short header, short payload, implausible length, or CRC
+/// mismatch — ends the read at the last good record: the crash-consistent
+/// torn-tail contract, not an error. A CRC-valid record whose payload
+/// fails to decode (bad dictionary, codes, or count) is corruption:
+/// IoError. `bytes_consumed` (optional) reports how far the valid prefix
+/// ran.
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        uint64_t* bytes_consumed = nullptr);
 

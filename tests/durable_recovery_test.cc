@@ -138,15 +138,28 @@ std::vector<std::string> AlertsFor(const EventBatch& events, size_t shards) {
   return out;
 }
 
-/// Probe: WAL bytes (header + records) for the first `count` events —
-/// measured on a scratch backend so crash thresholds can target exact
-/// record boundaries on the backend under test.
+/// Probe: WAL bytes (header + records) for the first `count` events
+/// appended `batch` at a time and cut into chunks of `segment_events` —
+/// the records `DurableLogWriter::Append` writes — measured on a scratch
+/// backend so crash thresholds can target exact record boundaries on the
+/// backend under test.
 uint64_t WalBytesFor(const EventBatch& events, size_t count,
-                     const std::string& dir) {
+                     const std::string& dir, size_t batch = 1,
+                     size_t segment_events = 4096) {
   FaultInjectionFileBackend probe_fs;
   WalWriter probe(dir + "/probe.walbytes", 1, &probe_fs);
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_TRUE(probe.Append(i + 1, events[i]).ok());
+  EventBlock block;
+  WalRecord record;
+  for (size_t call = 0; call < count; call += batch) {
+    const size_t call_end = std::min(count, call + batch);
+    for (size_t i = call; i < call_end; i += segment_events) {
+      block.Clear();
+      for (size_t j = i; j < std::min(call_end, i + segment_events); ++j) {
+        block.AppendColumnar(events[j]);
+      }
+      EncodeWalRecord(i + 1, block, &record);
+      EXPECT_TRUE(probe.Append(record).ok());
+    }
   }
   return probe_fs.bytes_appended();
 }
@@ -170,19 +183,21 @@ struct CrashOutcome {
   uint64_t durable = 0;  ///< writer-reported durable_seq after the dust
 };
 
-/// Appends `corpus` until the scheduled fault kills the pipeline, then
-/// closes (which must fail and must leave the WAL files in place).
+/// Appends `corpus` `batch` events per call until the scheduled fault
+/// kills the pipeline, then closes (which must fail and must leave the
+/// WAL files in place).
 CrashOutcome WriteUntilCrash(const std::string& path,
                              FaultInjectionFileBackend* fs,
                              DurableLogWriter::Options opts,
-                             const EventBatch& corpus) {
+                             const EventBatch& corpus, size_t batch = 1) {
   opts.backend = fs;
   DurableLogWriter w(path, opts);
   EXPECT_TRUE(w.status().ok()) << w.status();
   CrashOutcome out;
-  for (const Event& e : corpus) {
-    if (!w.Append(e).ok()) break;
-    ++out.acked;
+  for (size_t off = 0; off < corpus.size(); off += batch) {
+    const size_t n = std::min(batch, corpus.size() - off);
+    if (!w.Append(corpus.data() + off, n).ok()) break;
+    out.acked += n;
   }
   w.Close();
   EXPECT_TRUE(fs->crashed()) << path << ": fault never fired";
@@ -514,33 +529,173 @@ TEST(DurableRecoveryTest, CompactionRewritesCrashedLogAsPureColumnar) {
   EXPECT_EQ(again->wal_events, 0u);
 }
 
+// The batch write path: `Append(events, n)` writes one WAL record per
+// chunk of at most `segment_events`. n = 5000 exceeds `segment_events`
+// (4096) and checks the chunking. Per batch size and crash point: a torn
+// record drops exactly its chunk, `always` recovers at least the acked
+// events and at most the failing call's events more (one chunk when
+// n <= segment_events), and the recovered stream alerts at 1/2/4 shards
+// exactly like the uncrashed prefix.
+TEST(DurableRecoveryTest, BatchedAppendCrashMatrix) {
+  const EventBatch corpus = Corpus(16000);
+  constexpr size_t kSegmentEvents = 4096;
+  for (size_t n : {1u, 7u, 256u, 5000u}) {
+    // Tear the first record of call `calls` 7 bytes in.
+    const size_t calls = std::max<size_t>(2, 500 / n);
+    std::string probe_dir = TestDir("durable_batch_probe");
+    const uint64_t torn_at =
+        WalBytesFor(corpus, calls * n, probe_dir, n, kSegmentEvents) + 7;
+    const std::vector<CrashCase> cases = {
+        {"torn-record",
+         [&](FaultInjectionFileBackend& fs) {
+           fs.CrashAfterBytes(".wal.0", torn_at);
+         },
+         64u << 20, kSegmentEvents},
+        {"pre-segment",
+         [](FaultInjectionFileBackend& fs) {
+           fs.CrashAtTripPoint(durable_trip::kPreSegment, 2);
+         },
+         64u << 20, kSegmentEvents},
+        {"wal-rotate",
+         [](FaultInjectionFileBackend& fs) {
+           fs.CrashAtTripPoint(durable_trip::kWalRotate, 2);
+         },
+         64 * 1024, kSegmentEvents},
+    };
+    for (const CrashCase& c : cases) {
+      const std::string label = c.name + " n=" + std::to_string(n);
+      SCOPED_TRACE(label);
+      std::string path = TestDir("durable_batch_" + c.name) + "/log";
+      FaultInjectionFileBackend fs;
+      c.schedule(fs);
+      DurableLogWriter::Options opts;
+      opts.sync = ParseSyncPolicy("always").value();
+      opts.segment_events = c.segment_events;
+      opts.wal_rotate_bytes = c.wal_rotate_bytes;
+      opts.queue_capacity = 128;
+      CrashOutcome crash = WriteUntilCrash(path, &fs, opts, corpus, n);
+      ASSERT_LT(crash.acked, corpus.size());
+
+      auto rec = RecoverDurableLog(path);
+      ASSERT_TRUE(rec.ok()) << rec.status();
+      ExpectIsCorpusPrefix(rec->events, corpus, label);
+      if (c.name == "torn-record") {
+        EXPECT_EQ(crash.acked, calls * n);
+        EXPECT_EQ(rec->events.size(), calls * n);
+      }
+      EXPECT_GE(rec->events.size(), crash.acked);
+      EXPECT_LE(rec->events.size(), crash.acked + n);
+      EXPECT_GE(rec->events.size(), crash.durable);
+
+      if (rec->events.empty()) continue;
+      EventBatch prefix(corpus.begin(),
+                        corpus.begin() + static_cast<long>(rec->events.size()));
+      const std::vector<std::string> want = AlertsFor(prefix, 1);
+      for (size_t shards : {1u, 2u, 4u}) {
+        EXPECT_EQ(AlertsFor(rec->events, shards), want)
+            << label << " shards=" << shards;
+      }
+    }
+  }
+}
+
+// The drainer merges chunks column by column into the pending segment,
+// so segments stay full however small the appends are: 10k events make
+// ceil(10k / segment_events) segments for every batch size.
+TEST(DurableLogTest, MergedChunksKeepSegmentsFull) {
+  const EventBatch corpus = Corpus(10000);
+  for (size_t n : {1u, 7u, 256u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::string path = TestDir("durable_full_segments") + "/log";
+    DurableLogWriter::Options opts;
+    opts.sync = ParseSyncPolicy("none").value();
+    {
+      DurableLogWriter w(path, opts);
+      for (size_t off = 0; off < corpus.size(); off += n) {
+        ASSERT_TRUE(
+            w.Append(corpus.data() + off, std::min(n, corpus.size() - off))
+                .ok());
+      }
+      ASSERT_TRUE(w.Close().ok()) << w.status();
+    }
+    ColumnarLogReader reader(path);
+    ASSERT_TRUE(reader.status().ok()) << reader.status();
+    EXPECT_EQ(reader.num_segments(),
+              (corpus.size() + opts.segment_events - 1) / opts.segment_events);
+    auto direct = ReadColumnarEventLog(path);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_EQ(direct->size(), corpus.size());
+    ExpectIsCorpusPrefix(*direct, corpus, "full-segments");
+  }
+}
+
+// Backpressure admits a whole chunk once the queue is below capacity, so
+// a chunk larger than the queue never deadlocks: capacity 1, 256-event
+// batches, every policy.
+TEST(DurableLogTest, BatchLargerThanQueueCapacityNeverDeadlocks) {
+  const EventBatch corpus = Corpus(256 * 20);
+  for (const char* policy : {"always", "group", "none"}) {
+    SCOPED_TRACE(policy);
+    std::string path = TestDir("durable_tiny_queue") + "/log";
+    DurableLogWriter::Options opts;
+    opts.sync = ParseSyncPolicy(policy).value();
+    opts.queue_capacity = 1;
+    {
+      DurableLogWriter w(path, opts);
+      for (size_t off = 0; off < corpus.size(); off += 256) {
+        ASSERT_TRUE(w.Append(corpus.data() + off, 256).ok());
+      }
+      ASSERT_TRUE(w.Close().ok()) << w.status();
+      EXPECT_EQ(w.events_in_segments(), corpus.size());
+    }
+    auto direct = ReadColumnarEventLog(path);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_EQ(direct->size(), corpus.size());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Engine wiring: a recording session persists what it serves, and a
 // recording *failure* costs the recording, never the queries.
 
 TEST(DurableSessionTest, RecordingSessionPersistsPushedEvents) {
-  const EventBatch corpus = Corpus(1200);
-  std::string path = TestDir("session_record") + "/log";
-  SaqlEngine::Options opts;
-  opts.record_path = path;
-  opts.record_sync = ParseSyncPolicy("group").value();
-  SaqlEngine engine(opts);
-  ASSERT_TRUE(engine.AddQuery(kExfilQuery, "exfil").ok());
-  auto session = engine.OpenSession();
-  ASSERT_TRUE(session.ok()) << session.status();
-  EventBatch copy = corpus;
-  ASSERT_TRUE((*session)->Push(copy).ok());
-  EXPECT_TRUE((*session)->recording_status().ok());
-  EXPECT_EQ((*session)->recorded_events(), corpus.size());
-  ASSERT_TRUE((*session)->Close().ok());
-  EXPECT_EQ((*session)->durable_events(), corpus.size());
+  const EventBatch corpus = Corpus(12000);
+  // Push sizes below, at and above `segment_events` (4096), direct and
+  // sharded: a whole Push is one recorded batch.
+  for (size_t shards : {1u, 2u}) {
+    for (size_t push : {1u, 7u, 256u, 5000u}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " push=" + std::to_string(push);
+      SCOPED_TRACE(label);
+      const size_t n = push == 1 ? 1200 : corpus.size();
+      std::string path = TestDir("session_record") + "/log";
+      SaqlEngine::Options opts;
+      opts.num_shards = shards;
+      opts.record_path = path;
+      opts.record_sync = ParseSyncPolicy("group").value();
+      SaqlEngine engine(opts);
+      ASSERT_TRUE(engine.AddQuery(kExfilQuery, "exfil").ok());
+      auto session = engine.OpenSession();
+      ASSERT_TRUE(session.ok()) << session.status();
+      EventBatch copy(corpus.begin(), corpus.begin() + static_cast<long>(n));
+      for (size_t off = 0; off < n; off += push) {
+        ASSERT_TRUE(
+            (*session)->Push(copy.data() + off, std::min(push, n - off))
+                .ok());
+      }
+      EXPECT_TRUE((*session)->recording_status().ok());
+      EXPECT_EQ((*session)->recorded_events(), n);
+      ASSERT_TRUE((*session)->Close().ok());
+      EXPECT_EQ((*session)->durable_events(), n);
 
-  // The recording is the stream: replayable, field-identical.
-  auto direct = ReadColumnarEventLog(path);
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  ASSERT_EQ(direct->size(), corpus.size());
-  ExpectIsCorpusPrefix(*direct, corpus, "session-record");
-  EXPECT_TRUE(WalFilesNextTo(path).empty());
+      // The recording is the stream: replayable, field-identical.
+      auto direct = ReadColumnarEventLog(path);
+      ASSERT_TRUE(direct.ok()) << direct.status();
+      ASSERT_EQ(direct->size(), n);
+      ExpectIsCorpusPrefix(*direct, corpus, label);
+      EXPECT_TRUE(WalFilesNextTo(path).empty());
+    }
+  }
 }
 
 TEST(DurableSessionTest, RecordingFailureDegradesGracefully) {

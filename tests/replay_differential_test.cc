@@ -1,9 +1,9 @@
 // Corpus differential for the storage/replay path: the engine's alerts
 // over the checked-in query corpus must be bit-identical whether the
-// stream comes from memory (VectorEventSource), a v1 row log, a v2
-// columnar log (mmap'd zero-copy blocks), or a v2 log read buffered —
-// at 1, 2, and 4 shards. Pins the v1→v2 migration: replaying an existing
-// v1 log and a re-recorded v2 log must be indistinguishable downstream.
+// stream comes from memory (VectorEventSource), a log recorded through
+// the durable WAL pipeline (pushed batches merged into segments), a v2
+// columnar log written directly (mmap'd zero-copy blocks), or a v2 log
+// read buffered — at 1, 2, and 4 shards.
 
 #include <algorithm>
 #include <memory>
@@ -15,7 +15,7 @@
 #include "collect/enterprise_sim.h"
 #include "engine/engine.h"
 #include "storage/columnar_log.h"
-#include "storage/event_log.h"
+#include "storage/durable_log.h"
 #include "storage/replayer.h"
 #include "stream/event_source.h"
 #include "test_util.h"
@@ -53,6 +53,19 @@ EventBatch Corpus() {
   return sim.Generate();
 }
 
+/// Records `corpus` through the durable pipeline in 257-event batches
+/// (chunks that do not line up with segments), the way a recording
+/// session writes it.
+void RecordDurable(const std::string& path, const EventBatch& corpus) {
+  DurableLogWriter w(path, DurableLogWriter::Options());
+  for (size_t off = 0; off < corpus.size(); off += 257) {
+    ASSERT_TRUE(
+        w.Append(corpus.data() + off, std::min<size_t>(257, corpus.size() - off))
+            .ok());
+  }
+  ASSERT_TRUE(w.Close().ok()) << w.status();
+}
+
 /// Runs the full corpus over `source`; returns the alert sequence (Run's
 /// deterministic output order) plus per-query stats lines.
 std::vector<std::string> RunEngineOver(EventSource* source, size_t shards) {
@@ -79,9 +92,9 @@ std::vector<std::string> RunEngineOver(EventSource* source, size_t shards) {
 
 TEST(ReplayDifferentialTest, AllFormatsAllShardCountsBitIdentical) {
   EventBatch corpus = Corpus();
-  std::string v1_path = TempPath("diff_v1.saqllog");
+  std::string recorded_path = TempPath("diff_recorded.saqllog");
   std::string v2_path = TempPath("diff_v2.saqllog");
-  ASSERT_TRUE(WriteEventLog(v1_path, corpus).ok());
+  RecordDurable(recorded_path, corpus);
   ColumnarLogWriter::Options wopts;
   wopts.segment_events = 2048;  // several segments over this corpus
   ASSERT_TRUE(WriteColumnarEventLog(v2_path, corpus, wopts).ok());
@@ -92,11 +105,11 @@ TEST(ReplayDifferentialTest, AllFormatsAllShardCountsBitIdentical) {
     std::vector<std::string> baseline = RunEngineOver(&vec, shards);
     ASSERT_FALSE(baseline.empty());
 
-    StreamReplayer v1(v1_path, StreamReplayer::Filter{});
-    ASSERT_TRUE(v1.status().ok());
-    ASSERT_EQ(v1.format_version(), 1);
-    EXPECT_EQ(RunEngineOver(&v1, shards), baseline) << "v1 row log";
-    EXPECT_EQ(v1.replayed(), corpus.size());
+    StreamReplayer recorded(recorded_path, StreamReplayer::Filter{});
+    ASSERT_TRUE(recorded.status().ok());
+    ASSERT_EQ(recorded.format_version(), 2);
+    EXPECT_EQ(RunEngineOver(&recorded, shards), baseline) << "recorded log";
+    EXPECT_EQ(recorded.replayed(), corpus.size());
 
     StreamReplayer::Filter mmap_filter;
     StreamReplayer v2(v2_path, mmap_filter);
@@ -113,14 +126,14 @@ TEST(ReplayDifferentialTest, AllFormatsAllShardCountsBitIdentical) {
   }
 }
 
-// The filtered replay paths must agree across formats too (the host
-// filter forces the v2 row-materializing path; the time range exercises
-// the segment-skip seek).
+// The filtered replay paths must agree across write paths too (the host
+// filter forces the row-materializing path; the time range exercises the
+// segment-skip seek).
 TEST(ReplayDifferentialTest, FilteredReplayAgreesAcrossFormats) {
   EventBatch corpus = Corpus();
-  std::string v1_path = TempPath("diff_f_v1.saqllog");
+  std::string recorded_path = TempPath("diff_f_recorded.saqllog");
   std::string v2_path = TempPath("diff_f_v2.saqllog");
-  ASSERT_TRUE(WriteEventLog(v1_path, corpus).ok());
+  RecordDurable(recorded_path, corpus);
   ColumnarLogWriter::Options wopts;
   wopts.segment_events = 512;
   ASSERT_TRUE(WriteColumnarEventLog(v2_path, corpus, wopts).ok());
@@ -137,22 +150,29 @@ TEST(ReplayDifferentialTest, FilteredReplayAgreesAcrossFormats) {
     }
     return all;
   };
-  StreamReplayer v1(v1_path, filter);
+  StreamReplayer recorded(recorded_path, filter);
   StreamReplayer v2(v2_path, filter);
-  ASSERT_TRUE(v1.status().ok());
+  ASSERT_TRUE(recorded.status().ok());
   ASSERT_TRUE(v2.status().ok());
-  EventBatch from_v1 = drain(&v1);
+  EventBatch from_recorded = drain(&recorded);
   EventBatch from_v2 = drain(&v2);
-  ASSERT_FALSE(from_v1.empty());
-  ASSERT_EQ(from_v1.size(), from_v2.size());
-  for (size_t i = 0; i < from_v1.size(); ++i) {
-    EXPECT_EQ(from_v1[i].id, from_v2[i].id);
-    EXPECT_EQ(from_v1[i].ts, from_v2[i].ts);
-    EXPECT_EQ(from_v1[i].agent_id, from_v2[i].agent_id);
+  ASSERT_FALSE(from_recorded.empty());
+  ASSERT_EQ(from_recorded.size(), from_v2.size());
+  for (size_t i = 0; i < from_recorded.size(); ++i) {
+    EXPECT_EQ(from_recorded[i].id, from_v2[i].id);
+    EXPECT_EQ(from_recorded[i].ts, from_v2[i].ts);
+    EXPECT_EQ(from_recorded[i].agent_id, from_v2[i].agent_id);
   }
-  EXPECT_EQ(v1.replayed(), v2.replayed());
-  EXPECT_EQ(v1.filtered_out() + v1.replayed(),
+  EXPECT_EQ(recorded.replayed(), v2.replayed());
+  EXPECT_EQ(recorded.filtered_out() + recorded.replayed(),
             v2.filtered_out() + v2.replayed());
+  // Both sides against the filter applied in memory.
+  size_t expected = 0;
+  for (const Event& e : corpus) {
+    expected += e.ts >= filter.start_ts && e.ts < filter.end_ts &&
+                filter.hosts.count(e.agent_id) != 0;
+  }
+  EXPECT_EQ(from_v2.size(), expected);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "collect/enterprise_sim.h"
-#include "storage/event_log.h"
+#include "storage/columnar_log.h"
+#include "storage/durable_log.h"
 #include "storage/file_backend.h"
 #include "storage/replayer.h"
 #include "test_util.h"
@@ -17,6 +18,18 @@ using testing::EventBuilder;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Records `events` the way the shell's `record` does: through the
+/// durable pipeline, into a v2 columnar event log.
+Status RecordLog(const std::string& path, const EventBatch& events,
+                 size_t segment_events = 4096) {
+  DurableLogWriter::Options opts;
+  opts.segment_events = segment_events;
+  DurableLogWriter w(path, opts);
+  Status st = w.AppendBatch(events);
+  Status closed = w.Close();
+  return st.ok() ? closed : st;
 }
 
 EventBatch SampleEvents() {
@@ -53,8 +66,9 @@ EventBatch SampleEvents() {
 TEST(EventLogTest, RoundTripPreservesAllFields) {
   std::string path = TempPath("roundtrip.saqllog");
   EventBatch original = SampleEvents();
-  ASSERT_TRUE(WriteEventLog(path, original).ok());
-  Result<EventBatch> loaded = ReadEventLog(path);
+  original[1].failed = true;
+  ASSERT_TRUE(RecordLog(path, original).ok());
+  Result<EventBatch> loaded = ReadAnyEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -76,27 +90,36 @@ TEST(EventLogTest, RoundTripPreservesAllFields) {
 
 TEST(EventLogTest, EmptyLogReadsEmpty) {
   std::string path = TempPath("empty.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, {}).ok());
-  Result<EventBatch> loaded = ReadEventLog(path);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(RecordLog(path, {}).ok());
+  Result<EventBatch> loaded = ReadAnyEventLog(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->empty());
 }
 
 TEST(EventLogTest, MissingFileFails) {
-  EXPECT_EQ(ReadEventLog("/nonexistent/nope.saqllog").status().code(),
+  EXPECT_EQ(ReadAnyEventLog("/nonexistent/nope.saqllog").status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(RecordLog("/nonexistent/nope.saqllog", SampleEvents()).code(),
             StatusCode::kIoError);
 }
 
+// Text and the retired v1 row format are both "not an event log".
 TEST(EventLogTest, RejectsNonLogFile) {
   std::string path = TempPath("not_a_log.txt");
   std::ofstream(path) << "hello world, definitely not a SAQL log";
-  EXPECT_EQ(ReadEventLog(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadAnyEventLog(path).status().code(), StatusCode::kIoError);
+  std::string v1 = TempPath("retired_v1.saqllog");
+  std::ofstream(v1, std::ios::binary)
+      << "SAQLLOG1" << std::string(4, '\1') << std::string(64, 'x');
+  EXPECT_EQ(ReadAnyEventLog(v1).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(StreamReplayer(v1, StreamReplayer::Filter{}).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(EventLogTest, TruncatedTailIsCrashConsistent) {
   std::string path = TempPath("truncated.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, SampleEvents()).ok());
-  // Chop off the last 5 bytes (mid-record).
+  ASSERT_TRUE(RecordLog(path, SampleEvents(), /*segment_events=*/1).ok());
+  // Chop off the last 5 bytes (mid-segment).
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   auto size = static_cast<long>(in.tellg());
   in.close();
@@ -106,31 +129,34 @@ TEST(EventLogTest, TruncatedTailIsCrashConsistent) {
   src.close();
   std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 
-  Result<EventBatch> loaded = ReadEventLog(path);
+  Result<EventBatch> loaded = ReadAnyEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->size(), 2u);  // last record dropped, others intact
+  EXPECT_EQ(loaded->size(), 2u);  // last segment dropped, others intact
 }
 
 // The injected-fault twin of TruncatedTailIsCrashConsistent: a simulated
-// power loss mid-append leaves a torn final record on disk (the
+// power loss mid-append leaves a torn final segment on disk (the
 // backend's page-cache model keeps the unsynced prefix of the
-// triggering write), and the reader drops exactly that record.
+// triggering write), and the reader drops exactly that segment.
 TEST(EventLogTest, InjectedCrashMidRecordIsCrashConsistent) {
   std::string path = TempPath("crash_midrec.saqllog");
   FaultInjectionFileBackend fs;
-  // Header is 12 bytes; crash once the file holds the header, two full
-  // records, and a few bytes of the third.
+  ColumnarLogWriter::Options opts;
+  opts.segment_events = 1;
+  opts.backend = &fs;
+  // Crash once the file holds the header, two full segments, and a few
+  // bytes of the third.
   EventBatch events = SampleEvents();
-  uint64_t two_records;
+  uint64_t two_segments;
   {
-    EventLogWriter probe(TempPath("crash_probe.saqllog"), &fs);
+    ColumnarLogWriter probe(TempPath("crash_probe.saqllog"), opts);
     ASSERT_TRUE(probe.Append(events[0]).ok());
     ASSERT_TRUE(probe.Append(events[1]).ok());
-    two_records = fs.bytes_appended();
+    two_segments = fs.bytes_appended();
   }
-  fs.CrashAfterBytes("crash_midrec", two_records + 5);
+  fs.CrashAfterBytes("crash_midrec", two_segments + 5);
 
-  EventLogWriter w(path, &fs);
+  ColumnarLogWriter w(path, opts);
   ASSERT_TRUE(w.status().ok());
   EXPECT_TRUE(w.Append(events[0]).ok());
   EXPECT_TRUE(w.Append(events[1]).ok());
@@ -138,17 +164,20 @@ TEST(EventLogTest, InjectedCrashMidRecordIsCrashConsistent) {
   EXPECT_TRUE(fs.crashed());
   w.Close();
 
-  Result<EventBatch> loaded = ReadEventLog(path);
+  Result<EventBatch> loaded = ReadAnyEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->size(), 2u);  // torn record dropped, others intact
+  EXPECT_EQ(loaded->size(), 2u);  // torn segment dropped, others intact
 }
 
-// Disk-full through the backend seam: the v1 writer reports the failure
-// on the append that hit the wall and stays sticky.
+// Disk-full through the backend seam: recording reports the failure on
+// the append that hit the wall (its WAL write) and stays sticky.
 TEST(EventLogTest, DiskFullSurfacesOnFailingAppend) {
   FaultInjectionFileBackend fs;
   fs.FailAppendsAfterBytes(1024);
-  EventLogWriter w(TempPath("full.saqllog"), &fs);
+  DurableLogWriter::Options opts;
+  opts.backend = &fs;
+  opts.force_stale_wal = true;  // an earlier run's failed WAL stays behind
+  DurableLogWriter w(TempPath("full.saqllog"), opts);
   ASSERT_TRUE(w.status().ok());
   Status st;
   EventBatch events = SampleEvents();
@@ -159,16 +188,17 @@ TEST(EventLogTest, DiskFullSurfacesOnFailingAppend) {
 
 TEST(EventLogTest, WriterCountsEvents) {
   std::string path = TempPath("count.saqllog");
-  EventLogWriter w(path);
+  DurableLogWriter w(path, DurableLogWriter::Options());
   ASSERT_TRUE(w.status().ok());
   ASSERT_TRUE(w.AppendBatch(SampleEvents()).ok());
-  EXPECT_EQ(w.events_written(), 3u);
+  EXPECT_EQ(w.appended_events(), 3u);
   EXPECT_TRUE(w.Close().ok());
+  EXPECT_EQ(w.events_in_segments(), 3u);
 }
 
 TEST(ReplayerTest, ReplaysEverythingWithoutFilter) {
   std::string path = TempPath("replay_all.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, SampleEvents()).ok());
+  ASSERT_TRUE(RecordLog(path, SampleEvents()).ok());
   StreamReplayer r(path, StreamReplayer::Filter{});
   ASSERT_TRUE(r.status().ok());
   EventBatch batch;
@@ -181,7 +211,7 @@ TEST(ReplayerTest, ReplaysEverythingWithoutFilter) {
 
 TEST(ReplayerTest, HostFilter) {
   std::string path = TempPath("replay_host.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, SampleEvents()).ok());
+  ASSERT_TRUE(RecordLog(path, SampleEvents()).ok());
   StreamReplayer::Filter f;
   f.hosts = {"h1"};
   StreamReplayer r(path, f);
@@ -197,7 +227,7 @@ TEST(ReplayerTest, HostFilter) {
 
 TEST(ReplayerTest, TimeRangeFilter) {
   std::string path = TempPath("replay_time.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, SampleEvents()).ok());
+  ASSERT_TRUE(RecordLog(path, SampleEvents()).ok());
   StreamReplayer::Filter f;
   f.start_ts = 15 * kSecond;
   f.end_ts = 25 * kSecond;
@@ -217,7 +247,7 @@ TEST(ReplayerTest, SimulatorRoundTripThroughLog) {
   EnterpriseSimulator sim(opts);
   EventBatch events = sim.Generate();
   std::string path = TempPath("sim_roundtrip.saqllog");
-  ASSERT_TRUE(WriteEventLog(path, events).ok());
+  ASSERT_TRUE(RecordLog(path, events).ok());
   StreamReplayer r(path, StreamReplayer::Filter{});
   EventBatch batch, all;
   while (r.NextBatch(512, &batch)) {
@@ -242,7 +272,7 @@ TEST(ReplayerTest, PacedReplayTakesWallTime) {
                        .OnHost("h")
                        .Subject("p")
                        .Build());
-  ASSERT_TRUE(WriteEventLog(path, events).ok());
+  ASSERT_TRUE(RecordLog(path, events).ok());
   StreamReplayer::Filter f;
   f.speed = 20.0;
   StreamReplayer r(path, f);
