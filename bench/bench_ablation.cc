@@ -9,12 +9,11 @@
 //      pattern can match them vs broadcast to every group.
 //   A6 Shard scaling — the hash-partitioned executor at 1/2/4/8 lanes over
 //      the 8-query stateful workload (per-shard replicas + cross-shard
-//      window merge). The 1-lane point runs the full sharded pipeline
-//      (force_sharded_executor), so the sweep isolates scaling from
-//      splitter overhead; compare BM_RoutingEnabled/8 for the plain
-//      single-threaded executor. Interpret events/s against the `cores`
-//      counter — on a 1-core container the sweep can only show queueing
-//      overhead, not speedup.
+//      window merge). The 1-lane point is the inline lane — no thread,
+//      queue, copy or merge stage, i.e. the unsharded baseline — so the
+//      sweep prices the threaded pipeline against it. Interpret events/s
+//      against the `cores` counter — on a 1-core container the sweep can
+//      only show queueing overhead, not speedup.
 //   A7 Member-side matching — the shared per-group ConstraintIndex vs
 //      brute-force member loops at 8/32/128/512 queries over a
 //      multi-tenant few-shapes workload (exact-equality tenant
@@ -715,9 +714,6 @@ void BM_ShardScaling(benchmark::State& state) {
   for (auto _ : state) {
     SaqlEngine::Options opts;
     opts.num_shards = shards;
-    // 1 lane still runs the splitter/lane/merge pipeline so the sweep
-    // measures scaling, not pipeline-vs-direct overhead.
-    opts.force_sharded_executor = true;
     SaqlEngine engine(opts);
     for (size_t i = 0; i < queries.size(); ++i) {
       Status st = engine.AddQuery(queries[i], "q" + std::to_string(i));

@@ -115,7 +115,12 @@ void BM_BufferedBaseline(benchmark::State& state) {
     BufferedWindowEvaluator baseline(window);
     exec.Subscribe(&baseline);
     source->Reset();
-    exec.Run(source);
+    exec.BeginStream();
+    while (EventBlock* block = source->NextBlock(1024)) {
+      exec.ProcessBlock(block);
+      exec.AdvanceWatermark(exec.max_event_ts());
+    }
+    exec.FinishStream();
     peak = baseline.peak_buffered();
     benchmark::DoNotOptimize(baseline.alerts());
   }

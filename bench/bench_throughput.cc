@@ -41,7 +41,12 @@ void BM_SubstrateOnly(benchmark::State& state) {
     NullProcessor p;
     exec.Subscribe(&p);
     source->Reset();
-    exec.Run(source);
+    exec.BeginStream();
+    while (EventBlock* block = source->NextBlock(1024)) {
+      exec.ProcessBlock(block);
+      exec.AdvanceWatermark(exec.max_event_ts());
+    }
+    exec.FinishStream();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kStreamSize));

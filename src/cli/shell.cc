@@ -12,6 +12,7 @@
 #include "storage/durable_log.h"
 #include "storage/recovery.h"
 #include "storage/replayer.h"
+#include "stream/sharded_executor.h"
 
 namespace saql {
 
@@ -355,6 +356,18 @@ void QueryShell::ConsumeSyncFlag(std::vector<std::string>* args,
   }
 }
 
+size_t QueryShell::ClampShards(size_t n) {
+  constexpr size_t kMax = ShardedStreamExecutor::kMaxShards;
+  if (n > kMax) {
+    out_ << "note: " << n << " shard lanes exceed the maximum of " << kMax
+         << "; using " << kMax << "\n";
+    return kMax;
+  }
+  return n == 0 ? 1 : n;
+}
+
+void QueryShell::SetNumShards(size_t n) { num_shards_ = ClampShards(n); }
+
 size_t QueryShell::ConsumeShardsFlag(std::vector<std::string>* args) {
   size_t shards = num_shards_;
   for (auto it = args->begin(); it != args->end();) {
@@ -366,7 +379,7 @@ size_t QueryShell::ConsumeShardsFlag(std::vector<std::string>* args) {
              << "' (expected --shards=N with N >= 1); using " << shards
              << "\n";
       } else {
-        shards = static_cast<size_t>(n);
+        shards = ClampShards(static_cast<size_t>(n));
       }
       it = args->erase(it);
     } else {

@@ -95,8 +95,9 @@ class QueryShell {
   bool Execute(const std::string& line);
 
   /// Sets the default number of executor shard lanes (the `--shards=N`
-  /// flag of the `saql_shell` binary; 1 = single-threaded).
-  void SetNumShards(size_t n) { num_shards_ = n == 0 ? 1 : n; }
+  /// flag of the `saql_shell` binary; 1 = single-threaded), clamped to
+  /// the lanes a session can run (printing a note when clamped).
+  void SetNumShards(size_t n);
   size_t num_shards() const { return num_shards_; }
 
   /// Enables/disables the shared member-matching ConstraintIndex for
@@ -162,8 +163,12 @@ class QueryShell {
 
   /// Strips a `--shards=N` flag out of `args`, returning the lane count to
   /// use for this run (the session default when absent; malformed values
-  /// are reported and ignored).
+  /// are reported and ignored; too large ones are clamped, with a note).
   size_t ConsumeShardsFlag(std::vector<std::string>* args);
+
+  /// Clamps a requested lane count to
+  /// [1, ShardedStreamExecutor::kMaxShards], noting a clamp in the output.
+  size_t ClampShards(size_t n);
 
   /// Strips a `--sync=P` flag out of `args` into `policy` (untouched when
   /// the flag is absent; malformed values are reported and ignored).

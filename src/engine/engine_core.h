@@ -27,8 +27,6 @@ struct EngineOptions {
   /// index so groups only see events their master pattern can match;
   /// disabled = broadcast delivery (the ablation baseline).
   bool enable_routing = true;
-  /// Intern hot event strings once per batch before dispatch.
-  bool intern_strings = true;
   /// Member-side matching through a shared per-group `ConstraintIndex`:
   /// the group's member constraint conjunctions are factored into
   /// deduplicated predicate slots at BuildGroups time (exact interned
@@ -39,22 +37,19 @@ struct EngineOptions {
   /// way. Dynamic session add/remove rebuilds the affected group's
   /// index.
   bool enable_member_index = true;
-  /// Hash-partitioned parallel execution: with N > 1 each session runs N
-  /// per-shard executor lanes (events partitioned by subject entity
-  /// key), replicating partitionable queries per shard and merging
-  /// stateful window aggregates across shards before alert evaluation;
-  /// queries whose semantics need the full ordered stream (multi-event
-  /// joins, count windows) run on a single global lane. Alerts from all
-  /// lanes funnel through one deterministically ordered sink. The alert
-  /// multiset is identical to a single-threaded run. 1 = the
-  /// single-threaded executor. Sessions can override per session.
+  /// Executor lanes per session (clamped to [1, kMaxShards] of
+  /// `ShardedStreamExecutor`). 1 = one lane run inline on the session's
+  /// thread: every query executes single-threaded over the ordered
+  /// stream and alerts as it fires. With N > 1 each session runs N lane
+  /// threads (events partitioned by subject entity key), replicating
+  /// partitionable queries per lane and merging stateful window
+  /// aggregates across lanes before alert evaluation; queries whose
+  /// semantics need the full ordered stream (multi-event joins, count
+  /// windows, cooldowns) run on one global lane. Alerts from all lanes
+  /// funnel through one deterministically ordered sink; the alert
+  /// multiset is identical to the 1-lane run. Sessions can override per
+  /// session.
   size_t num_shards = 1;
-  /// Routes even a 1-shard run through the full sharded pipeline
-  /// (splitter thread, lane thread, merge stage, ordered sink). For the
-  /// equivalence tests and as the honest 1-shard baseline of the
-  /// shard-scaling ablation; production single-threaded runs should
-  /// leave this off.
-  bool force_sharded_executor = false;
   /// Interner rotation policy for long-running deployments: when the
   /// global interner's payload bytes reach this threshold, the engine
   /// rotates the table — at `OpenSession` when no stream is live, and
@@ -102,9 +97,6 @@ struct EngineOptions {
 struct SessionOptions {
   /// Shard lanes for this session; 0 = the engine default.
   size_t num_shards = 0;
-  /// Force the sharded pipeline for this session (OR'd with the engine
-  /// default).
-  bool force_sharded_executor = false;
   /// Recording destination for this session; empty = the engine
   /// default. Two live sessions must not record to the same path.
   std::string record_path;

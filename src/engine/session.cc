@@ -1,16 +1,18 @@
 // SaqlEngine::Session / QueryHandle: the push-driven streaming lifecycle
 // behind the engine facade. Each session owns a SessionContext — its
-// private query registry, scheduler/groups, executor (optionally sharded)
-// lanes, alert ordering state, statistics, and recording pipeline — so any
-// number of sessions run concurrently against one EngineCore, sharing only
-// the global interner and the immutable analyzed queries.
+// private query registry, per-lane schedulers/groups, executor lanes,
+// alert ordering state, statistics, and recording pipeline — so any number
+// of sessions run concurrently against one EngineCore, sharing only the
+// global interner and the immutable analyzed queries.
 //
-// Single-threaded sessions drive a StreamExecutor step-wise; sharded
-// sessions act as the splitter thread of a ShardedStreamExecutor,
-// coordinate dynamic query add/remove across the lane replicas + merge
-// replica at quiesced points, and release collected lane alerts in
-// deterministic (ts, query, group, values) order as the cross-lane
-// watermark aligns past them.
+// Every session drives one execution path: it is the splitter thread of a
+// ShardedStreamExecutor and wires each query onto its lanes. At one lane
+// the lane runs inline on the session thread and every query runs its
+// primary there, alerting straight to the sink — plain single-threaded
+// execution. At N > 1 lanes the session coordinates dynamic query
+// add/remove across the lane replicas + merge replica at quiesced points,
+// and releases collected lane alerts in deterministic (ts, query, group,
+// values) order as the cross-lane watermark aligns past them.
 //
 // Live interner rotation: the top of every Push is the session's quiesce
 // point — it applies the rotation policy and, when the global generation
@@ -65,13 +67,14 @@ struct SaqlEngine::Session::SessionContext {
   struct SessionQuery {
     std::string name;
     AnalyzedQueryPtr aq;
-    /// Single mode: the executing instance. Sharded mode: the merge
+    /// One lane: the executing instance, on lane 0. More lanes: the merge
     /// replica (stateful), the global-lane instance (global), or an
-    /// unsubscribed stats anchor (partitionable) — mirroring the batch
-    /// sharded wiring. Freed on removal.
+    /// unsubscribed stats anchor (partitionable). Freed on removal.
     std::unique_ptr<CompiledQuery> primary;
-    /// Sharded lane replicas, one per lane (empty for global mode).
+    /// Lane replicas, one per lane (empty at one lane and for global
+    /// mode).
     std::vector<std::unique_ptr<CompiledQuery>> replicas;
+    /// Placement across more than one lane; unused at one lane.
     CompiledQuery::ShardMode mode = CompiledQuery::ShardMode::kPartitionable;
     size_t merge_handle = kNoMergeHandle;
     bool central_distinct = false;
@@ -91,23 +94,18 @@ struct SaqlEngine::Session::SessionContext {
   /// The core's liveness record for this session; null until Open
   /// succeeds and after Close.
   EngineCore::SessionSlot* slot = nullptr;
-  bool sharded = false;
   size_t num_lanes = 1;
   Timestamp advanced_watermark = INT64_MIN;
 
   std::vector<std::unique_ptr<SessionQuery>> queries;
   std::unordered_map<std::string, SessionQuery*> by_name;
 
-  // Single-threaded mode.
-  std::unique_ptr<ConcurrentQueryScheduler> scheduler;
-  std::unique_ptr<StreamExecutor> executor;
-
-  // Sharded mode.
-  std::unique_ptr<ShardedStreamExecutor> sharded_exec;
-  std::unique_ptr<ShardMergeStage> merge;
+  std::unique_ptr<ShardedStreamExecutor> executor;
   std::vector<std::unique_ptr<ConcurrentQueryScheduler>> lane_schedulers;
+  // More than one lane only.
+  std::unique_ptr<ShardMergeStage> merge;
+  /// Created with the first global-mode query; its lane lives as long.
   std::unique_ptr<ConcurrentQueryScheduler> global_scheduler;
-  bool have_global_lane = false;
 
   /// Ordered alert release state. Lane threads append to `pending` and
   /// update the applied watermarks (through the progress hooks); the
@@ -188,13 +186,19 @@ struct SaqlEngine::Session::SessionContext {
     }
   }
 
-  /// Classifies one query, wires its sinks/replicas for sharded
-  /// execution, and registers stateful queries with the merge stage.
-  /// Shared by session open and mid-stream AddQuery (the caller holds the
-  /// pipeline quiesced in the latter case).
-  Status WireShardedQuery(SessionQuery* sq) {
+  /// Wires one query's sinks/replicas for the session's lanes: at one lane
+  /// the primary itself runs on lane 0 and alerts straight to the sink;
+  /// at more lanes the query is classified, replicated per lane, and
+  /// stateful queries register with the merge stage. Shared by session
+  /// open and mid-stream AddQuery (the caller holds the pipeline quiesced
+  /// in the latter case).
+  Status WireQuery(SessionQuery* sq) {
     CompiledQuery* q = sq->primary.get();
     q->SetErrorReporter(core->errors());
+    if (num_lanes == 1) {
+      q->SetAlertSink(DirectSink(sq));
+      return Status::Ok();
+    }
     sq->mode = q->shard_mode();
     if (sq->mode == CompiledQuery::ShardMode::kGlobal) {
       q->SetAlertSink(CollectorSink());
@@ -259,8 +263,6 @@ struct SaqlEngine::Session::SessionContext {
     }
     const size_t shards =
         sopts.num_shards != 0 ? sopts.num_shards : opts.num_shards;
-    sharded = shards > 1 || opts.force_sharded_executor ||
-              sopts.force_sharded_executor;
     num_lanes =
         std::clamp<size_t>(shards, 1, ShardedStreamExecutor::kMaxShards);
 
@@ -286,105 +288,105 @@ struct SaqlEngine::Session::SessionContext {
     return Status::Ok();
   }
 
+  /// The instance of `sq` that runs on shard lane `s`: its replica, or at
+  /// one lane the primary itself. Global-mode queries have none.
+  static CompiledQuery* LaneInstance(const SessionQuery& sq, size_t s) {
+    return sq.replicas.empty() ? sq.primary.get() : sq.replicas[s].get();
+  }
+
+  static bool OnGlobalLane(const SessionQuery& sq) {
+    return sq.mode == CompiledQuery::ShardMode::kGlobal;
+  }
+
+  /// Lane 0's groups re-share their (re)built ConstraintIndex with the
+  /// corresponding groups of every other lane (positional: lanes register
+  /// the same queries in the same order).
+  void AdoptLane0Indexes() {
+    std::vector<QueryGroup*> lane0_groups = lane_schedulers[0]->groups();
+    for (size_t s = 1; s < num_lanes; ++s) {
+      std::vector<QueryGroup*> groups = lane_schedulers[s]->groups();
+      for (size_t j = 0; j < groups.size() && j < lane0_groups.size(); ++j) {
+        AdoptIndexFromLane0(lane0_groups[j], groups[j]);
+      }
+    }
+  }
+
+  ConcurrentQueryScheduler* GlobalScheduler() {
+    if (global_scheduler == nullptr) {
+      global_scheduler = std::make_unique<ConcurrentQueryScheduler>(
+          SchedulerOptions(core->options().enable_member_index));
+    }
+    return global_scheduler.get();
+  }
+
   Status BuildExecution() {
     const EngineOptions& opts = core->options();
-    if (!sharded) {
-      scheduler = std::make_unique<ConcurrentQueryScheduler>(
-          SchedulerOptions(opts.enable_member_index));
-      executor = std::make_unique<StreamExecutor>(
-          StreamExecutor::Options{opts.enable_routing, opts.intern_strings});
-      for (auto& sq : queries) {
-        sq->primary->SetErrorReporter(core->errors());
-        sq->primary->SetAlertSink(DirectSink(sq.get()));
-        scheduler->AddQuery(sq->primary.get());
-      }
-      scheduler->BuildGroups();
-      for (QueryGroup* g : scheduler->groups()) executor->Subscribe(g);
-      executor->BeginStream();
-      return Status::Ok();
+    ShardedStreamExecutor::Options exec_opts;
+    exec_opts.num_shards = num_lanes;
+    exec_opts.executor = StreamExecutor::Options{opts.enable_routing};
+    executor = std::make_unique<ShardedStreamExecutor>(exec_opts);
+    if (num_lanes > 1) {
+      merge = std::make_unique<ShardMergeStage>(num_lanes);
+      lane_applied.assign(num_lanes, INT64_MIN);
     }
 
-    ShardedStreamExecutor::Options sopts_exec;
-    sopts_exec.num_shards = num_lanes;
-    sopts_exec.executor = StreamExecutor::Options{opts.enable_routing,
-                                                  opts.intern_strings};
-    sharded_exec = std::make_unique<ShardedStreamExecutor>(sopts_exec);
-    merge = std::make_unique<ShardMergeStage>(num_lanes);
-    lane_applied.assign(num_lanes, INT64_MIN);
-
     for (auto& sq : queries) {
-      Status st = WireShardedQuery(sq.get());
+      Status st = WireQuery(sq.get());
       if (!st.ok()) return st;
     }
 
-    // One scheduler (query grouping) per shard lane over that shard's
-    // replicas, plus one for the global lane over the primaries of
+    // One scheduler (query grouping) per shard lane over that lane's
+    // instances, plus one for the global lane over the primaries of
     // global-mode queries. The member-matching ConstraintIndex is built
     // once, on lane 0; every other lane's groups adopt the same immutable
     // index (lanes register the same queries in the same order, so groups
     // correspond by position and member order, and Match is const —
     // per-lane scratch lives in each lane's own QueryGroup).
-    std::vector<QueryGroup*> lane0_groups;
     lane_schedulers.reserve(num_lanes);
     for (size_t s = 0; s < num_lanes; ++s) {
       auto sched = std::make_unique<ConcurrentQueryScheduler>(
           SchedulerOptions(opts.enable_member_index && s == 0));
       for (auto& sq : queries) {
-        if (!sq->replicas.empty()) sched->AddQuery(sq->replicas[s].get());
+        if (!OnGlobalLane(*sq)) sched->AddQuery(LaneInstance(*sq, s));
       }
       sched->BuildGroups();
-      std::vector<QueryGroup*> groups = sched->groups();
-      if (s == 0) {
-        lane0_groups = groups;
-      } else {
-        for (size_t j = 0; j < groups.size() && j < lane0_groups.size();
-             ++j) {
-          AdoptIndexFromLane0(lane0_groups[j], groups[j]);
-        }
-      }
-      for (QueryGroup* g : groups) sharded_exec->SubscribeShard(s, g);
+      for (QueryGroup* g : sched->groups()) executor->SubscribeShard(s, g);
       lane_schedulers.push_back(std::move(sched));
     }
-    bool any_global = false;
+    AdoptLane0Indexes();
     for (auto& sq : queries) {
-      any_global |= sq->mode == CompiledQuery::ShardMode::kGlobal;
+      if (OnGlobalLane(*sq)) GlobalScheduler()->AddQuery(sq->primary.get());
     }
-    if (any_global) {
-      global_scheduler = std::make_unique<ConcurrentQueryScheduler>(
-          SchedulerOptions(opts.enable_member_index));
-      for (auto& sq : queries) {
-        if (sq->mode == CompiledQuery::ShardMode::kGlobal) {
-          global_scheduler->AddQuery(sq->primary.get());
-        }
-      }
+    if (global_scheduler != nullptr) {
       global_scheduler->BuildGroups();
       for (QueryGroup* g : global_scheduler->groups()) {
-        sharded_exec->SubscribeGlobal(g);
+        executor->SubscribeGlobal(g);
       }
-      have_global_lane = true;
     }
 
-    ShardedStreamExecutor::ProgressHooks hooks;
-    hooks.watermark = [this](size_t s, Timestamp ts) {
-      merge->AdvanceShardWatermark(s, ts);
-      std::lock_guard<std::mutex> lock(alert_mu);
-      if (ts > lane_applied[s]) lane_applied[s] = ts;
-    };
-    hooks.finished = [this](size_t s) {
-      merge->FinishShard(s);
-      std::lock_guard<std::mutex> lock(alert_mu);
-      lane_applied[s] = INT64_MAX;
-    };
-    hooks.global_watermark = [this](Timestamp ts) {
-      std::lock_guard<std::mutex> lock(alert_mu);
-      if (ts > global_applied) global_applied = ts;
-    };
-    hooks.global_finished = [this]() {
-      std::lock_guard<std::mutex> lock(alert_mu);
-      global_applied = INT64_MAX;
-    };
-    sharded_exec->SetProgressHooks(std::move(hooks));
-    sharded_exec->BeginStream();
+    if (merge != nullptr) {
+      ShardedStreamExecutor::ProgressHooks hooks;
+      hooks.watermark = [this](size_t s, Timestamp ts) {
+        merge->AdvanceShardWatermark(s, ts);
+        std::lock_guard<std::mutex> lock(alert_mu);
+        if (ts > lane_applied[s]) lane_applied[s] = ts;
+      };
+      hooks.finished = [this](size_t s) {
+        merge->FinishShard(s);
+        std::lock_guard<std::mutex> lock(alert_mu);
+        lane_applied[s] = INT64_MAX;
+      };
+      hooks.global_watermark = [this](Timestamp ts) {
+        std::lock_guard<std::mutex> lock(alert_mu);
+        if (ts > global_applied) global_applied = ts;
+      };
+      hooks.global_finished = [this]() {
+        std::lock_guard<std::mutex> lock(alert_mu);
+        global_applied = INT64_MAX;
+      };
+      executor->SetProgressHooks(std::move(hooks));
+    }
+    executor->BeginStream();
     return Status::Ok();
   }
 
@@ -399,28 +401,15 @@ struct SaqlEngine::Session::SessionContext {
   /// session has passed. Called from the session thread with the
   /// generation already observed to have moved.
   void HealRotation(uint64_t gen) {
-    if (sharded) sharded_exec->Quiesce();
+    executor->Quiesce();
     for (auto& sq : queries) {
       if (!sq->active) continue;
       if (sq->primary != nullptr) sq->primary->ReInternSymbols();
       for (auto& r : sq->replicas) r->ReInternSymbols();
     }
-    if (!sharded) {
-      scheduler->ReindexAllGroups();
-    } else {
-      if (!lane_schedulers.empty()) {
-        lane_schedulers[0]->ReindexAllGroups();
-        std::vector<QueryGroup*> lane0_groups = lane_schedulers[0]->groups();
-        for (size_t s = 1; s < num_lanes; ++s) {
-          std::vector<QueryGroup*> groups = lane_schedulers[s]->groups();
-          for (size_t j = 0; j < groups.size() && j < lane0_groups.size();
-               ++j) {
-            AdoptIndexFromLane0(lane0_groups[j], groups[j]);
-          }
-        }
-      }
-      if (global_scheduler != nullptr) global_scheduler->ReindexAllGroups();
-    }
+    lane_schedulers[0]->ReindexAllGroups();
+    AdoptLane0Indexes();
+    if (global_scheduler != nullptr) global_scheduler->ReindexAllGroups();
     slot->gen_seen.store(gen, std::memory_order_release);
     core->MaybeReclaim();
   }
@@ -437,7 +426,8 @@ struct SaqlEngine::Session::SessionContext {
   }
 
   // -------------------------------------------------------------------
-  // Ordered alert release (sharded mode).
+  // Ordered alert release (more than one lane; at one lane nothing is
+  // ever collected).
 
   /// Emits every collected alert that is final: with `all` set (after
   /// FinishStream) everything, otherwise alerts whose event time is
@@ -452,7 +442,7 @@ struct SaqlEngine::Session::SessionContext {
       Timestamp cutoff = INT64_MAX;
       if (!all) {
         for (Timestamp w : lane_applied) cutoff = std::min(cutoff, w);
-        if (have_global_lane) cutoff = std::min(cutoff, global_applied);
+        if (global_scheduler) cutoff = std::min(cutoff, global_applied);
         if (cutoff == INT64_MIN) return;
       }
       std::vector<Alert> keep;
@@ -509,34 +499,24 @@ struct SaqlEngine::Session::SessionContext {
     if (recorder != nullptr && recording_status.ok()) {
       recording_status = recorder->Append(events, count);
     }
-    if (!sharded) {
-      executor->ProcessBatch(events, count);
-      return Status::Ok();
-    }
-    sharded_exec->PushBatch(events, count);
+    executor->PushBatch(events, count);
     ReleaseReadyAlerts(false);
     return Status::Ok();
   }
 
   Status AdvanceWatermark(Timestamp ts) {
-    bool advanced = sharded ? sharded_exec->AdvanceWatermark(ts)
-                            : executor->AdvanceWatermark(ts);
-    if (advanced) advanced_watermark = ts;
-    if (sharded) ReleaseReadyAlerts(false);
+    if (executor->AdvanceWatermark(ts)) advanced_watermark = ts;
+    ReleaseReadyAlerts(false);
     return Status::Ok();
   }
 
   Status Flush() {
-    if (sharded) {
-      sharded_exec->Quiesce();
-      ReleaseReadyAlerts(false);
-    }
+    executor->Quiesce();
+    ReleaseReadyAlerts(false);
     return Status::Ok();
   }
 
-  Timestamp MaxEventTs() const {
-    return sharded ? sharded_exec->input_max_ts() : executor->max_event_ts();
-  }
+  Timestamp MaxEventTs() const { return executor->input_max_ts(); }
 
   // -------------------------------------------------------------------
   // Dynamic query lifecycle.
@@ -585,50 +565,37 @@ struct SaqlEngine::Session::SessionContext {
     if (diagnostics != nullptr) *diagnostics = findings;
     sq->diagnostics = std::move(findings);
 
-    if (!sharded) {
-      sq->primary->SetErrorReporter(core->errors());
-      sq->primary->SetAlertSink(DirectSink(sq.get()));
+    // All lanes idle: replica wiring, group patching, and merge-stage
+    // registration must not race the lane threads.
+    executor->Quiesce();
+    Status st = WireQuery(sq.get());
+    if (!st.ok()) return st;
+    if (OnGlobalLane(*sq)) {
       bool created = false;
-      QueryGroup* g = scheduler->AddQueryDynamic(sq->primary.get(), &created);
-      // A new group means a new stream subscription: the executor's
-      // dispatch index re-registers before the next batch. An existing
-      // group keeps its subscription (the new member shares its
-      // structural envelope) but had its ConstraintIndex rebuilt.
-      if (created) executor->Subscribe(g);
+      QueryGroup* g =
+          GlobalScheduler()->AddQueryDynamic(sq->primary.get(), &created);
+      // May spin up the global lane thread mid-stream; the lane sees the
+      // stream from this point on (attach-point semantics).
+      if (created) executor->SubscribeGlobal(g);
     } else {
-      // All lanes idle: replica wiring, group patching, and merge-stage
-      // registration must not race the lane threads.
-      sharded_exec->Quiesce();
-      Status st = WireShardedQuery(sq.get());
-      if (!st.ok()) return st;
-      if (sq->mode == CompiledQuery::ShardMode::kGlobal) {
-        if (!global_scheduler) {
-          global_scheduler = std::make_unique<ConcurrentQueryScheduler>(
-              SchedulerOptions(core->options().enable_member_index));
-        }
+      // A new group means a new stream subscription: the lane's dispatch
+      // index re-registers before the next batch. An existing group keeps
+      // its subscription (the new member shares its structural envelope)
+      // but had its ConstraintIndex rebuilt.
+      QueryGroup* lane0_group = nullptr;
+      for (size_t s = 0; s < num_lanes; ++s) {
         bool created = false;
-        QueryGroup* g =
-            global_scheduler->AddQueryDynamic(sq->primary.get(), &created);
-        // May spin up the global lane thread mid-stream; the lane sees
-        // the stream from this point on (attach-point semantics).
-        if (created) sharded_exec->SubscribeGlobal(g);
-        have_global_lane = true;
-      } else {
-        QueryGroup* lane0_group = nullptr;
-        for (size_t s = 0; s < num_lanes; ++s) {
-          bool created = false;
-          QueryGroup* g = lane_schedulers[s]->AddQueryDynamic(
-              sq->replicas[s].get(), &created);
-          if (created) sharded_exec->SubscribeShard(s, g);
-          if (s == 0) {
-            lane0_group = g;  // rebuilt its index (when enabled)
-          } else {
-            AdoptIndexFromLane0(lane0_group, g);
-          }
+        QueryGroup* g = lane_schedulers[s]->AddQueryDynamic(
+            LaneInstance(*sq, s), &created);
+        if (created) executor->SubscribeShard(s, g);
+        if (s == 0) {
+          lane0_group = g;  // rebuilt its index (when enabled)
+        } else {
+          AdoptIndexFromLane0(lane0_group, g);
         }
       }
-      ReleaseReadyAlerts(false);
     }
+    ReleaseReadyAlerts(false);
 
     // Session-local attach: concurrent sessions are isolated tenants, so
     // the engine-level registry (which future sessions snapshot) is not
@@ -664,44 +631,37 @@ struct SaqlEngine::Session::SessionContext {
       return Status::FailedPrecondition("query '" + sq->name +
                                         "' was already removed");
     }
-    if (!sharded) {
-      sq->final_stats = sq->primary->stats();
+    executor->Quiesce();
+    sq->final_stats = SumStats(*sq);
+    // An emptied group must leave its lane's dispatch index before it
+    // dies.
+    if (OnGlobalLane(*sq)) {
       std::unique_ptr<QueryGroup> emptied;
       QueryGroup* patched = nullptr;
-      scheduler->RemoveQuery(sq->primary.get(), &emptied, &patched);
-      // An emptied group must leave the dispatch index before it dies.
-      if (emptied) executor->Unsubscribe(emptied.get());
+      global_scheduler->RemoveQuery(sq->primary.get(), &emptied, &patched);
+      if (emptied) executor->UnsubscribeGlobal(emptied.get());
     } else {
-      sharded_exec->Quiesce();
-      sq->final_stats = SumStats(*sq);
-      if (sq->mode == CompiledQuery::ShardMode::kGlobal) {
+      QueryGroup* lane0_patched = nullptr;
+      for (size_t s = 0; s < num_lanes; ++s) {
         std::unique_ptr<QueryGroup> emptied;
         QueryGroup* patched = nullptr;
-        global_scheduler->RemoveQuery(sq->primary.get(), &emptied, &patched);
-        if (emptied) sharded_exec->UnsubscribeGlobal(emptied.get());
-      } else {
-        QueryGroup* lane0_patched = nullptr;
-        for (size_t s = 0; s < num_lanes; ++s) {
-          std::unique_ptr<QueryGroup> emptied;
-          QueryGroup* patched = nullptr;
-          lane_schedulers[s]->RemoveQuery(sq->replicas[s].get(), &emptied,
-                                          &patched);
-          if (emptied) {
-            sharded_exec->UnsubscribeShard(s, emptied.get());
-          } else if (s == 0) {
-            lane0_patched = patched;  // index rebuilt over the survivors
-          } else {
-            AdoptIndexFromLane0(lane0_patched, patched);
-          }
-        }
-        if (sq->merge_handle != kNoMergeHandle) {
-          // Pending unmerged windows are dropped, not flushed: removal
-          // tears partial state down.
-          merge->RemoveQuery(sq->merge_handle);
+        lane_schedulers[s]->RemoveQuery(LaneInstance(*sq, s), &emptied,
+                                        &patched);
+        if (emptied) {
+          executor->UnsubscribeShard(s, emptied.get());
+        } else if (s == 0) {
+          lane0_patched = patched;  // index rebuilt over the survivors
+        } else {
+          AdoptIndexFromLane0(lane0_patched, patched);
         }
       }
-      ReleaseReadyAlerts(false);
+      if (sq->merge_handle != kNoMergeHandle) {
+        // Pending unmerged windows are dropped, not flushed: removal
+        // tears partial state down.
+        merge->RemoveQuery(sq->merge_handle);
+      }
     }
+    ReleaseReadyAlerts(false);
     sq->replicas.clear();
     sq->primary.reset();
     sq->active = false;
@@ -716,13 +676,12 @@ struct SaqlEngine::Session::SessionContext {
     CompiledQuery::QueryStats qs;
     if (!sq->active) {
       qs = sq->final_stats;
-    } else if (!sharded) {
-      qs = sq->primary->stats();
     } else {
-      sharded_exec->Quiesce();
+      executor->Quiesce();
       qs = SumStats(*sq);
     }
-    if (sharded && sq->mode == CompiledQuery::ShardMode::kPartitionable) {
+    if (num_lanes > 1 &&
+        sq->mode == CompiledQuery::ShardMode::kPartitionable) {
       // Replicas count pre-deduplication emissions; report what actually
       // reached the sink (more may still be buffered for ordered
       // release).
@@ -735,7 +694,7 @@ struct SaqlEngine::Session::SessionContext {
 
   std::vector<std::pair<std::string, CompiledQuery::QueryStats>>
   QueryStats() {
-    if (sharded && sharded_exec != nullptr) sharded_exec->Quiesce();
+    executor->Quiesce();
     std::vector<std::pair<std::string, CompiledQuery::QueryStats>> out;
     out.reserve(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -745,25 +704,19 @@ struct SaqlEngine::Session::SessionContext {
   }
 
   size_t NumGroups() const {
-    if (!sharded) return scheduler->num_groups();
-    size_t n = lane_schedulers.empty() ? 0
-                                       : lane_schedulers.front()->num_groups();
+    size_t n = lane_schedulers.front()->num_groups();
     if (global_scheduler) n += global_scheduler->num_groups();
     return n;
   }
 
   size_t NumIndexedGroups() const {
-    if (!sharded) return scheduler->num_indexed_groups();
-    size_t n = lane_schedulers.empty()
-                   ? 0
-                   : lane_schedulers.front()->num_indexed_groups();
+    size_t n = lane_schedulers.front()->num_indexed_groups();
     if (global_scheduler) n += global_scheduler->num_indexed_groups();
     return n;
   }
 
   double ForwardRatio() {
-    if (!sharded) return scheduler->ForwardRatio();
-    sharded_exec->Quiesce();
+    executor->Quiesce();
     uint64_t in = 0, forwarded = 0;
     auto fold = [&in, &forwarded](ConcurrentQueryScheduler* sched) {
       for (QueryGroup* g : sched->groups()) {
@@ -779,9 +732,8 @@ struct SaqlEngine::Session::SessionContext {
   }
 
   ExecutorStats ExecStats() {
-    if (!sharded) return executor->stats();
-    sharded_exec->Quiesce();
-    return sharded_exec->merged_stats();
+    executor->Quiesce();
+    return executor->merged_stats();
   }
 
   // -------------------------------------------------------------------
@@ -796,19 +748,12 @@ struct SaqlEngine::Session::SessionContext {
       EngineCore::ReleaseRecordPath(reserved_path);
       reserved_path.clear();
     }
-    if (!sharded) {
-      executor->FinishStream();
-    } else {
-      sharded_exec->FinishStream();  // joins lanes; hooks all fired
-      ReleaseReadyAlerts(true);
-    }
+    executor->FinishStream();  // joins lanes; hooks all fired
+    ReleaseReadyAlerts(true);
     // Freeze every live query's stats (the fixups in SlotStats still
     // apply — emitted_by_query is final now).
     for (auto& sq : queries) {
-      if (sq->active) {
-        sq->final_stats =
-            sharded ? SumStats(*sq) : sq->primary->stats();
-      }
+      if (sq->active) sq->final_stats = SumStats(*sq);
     }
     // Publish the run to the engine-level accessors (last close wins)
     // before deactivating.

@@ -18,16 +18,6 @@ bool EventSource::NextBatch(size_t max_events, EventBatch* batch) {
   return true;
 }
 
-Event* EventSource::NextBatchZeroCopy(size_t max_events, size_t* count) {
-  EventBlock* block;
-  do {
-    block = NextBlock(max_events);
-    if (block == nullptr) return nullptr;
-  } while (block->empty());
-  *count = block->size();
-  return block->MutableRows();
-}
-
 VectorEventSource::VectorEventSource(EventBatch events)
     : events_(std::move(events)) {}
 

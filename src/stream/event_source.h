@@ -20,9 +20,8 @@ namespace saql {
 /// `NextBlock` is the one virtual every source implements. Columnar
 /// sources (the mmap'd event-log replayer) hand out blocks whose columns
 /// alias their own storage and whose dictionary is already interned; row
-/// sources wrap their rows in a block shim. The historical row-level pulls
-/// (`NextBatch`, `NextBatchZeroCopy`) survive as non-virtual adapters over
-/// `NextBlock`.
+/// sources wrap their rows in a block shim. The row-level pull `NextBatch`
+/// survives as a non-virtual copying adapter over `NextBlock`.
 ///
 /// Sources produce events in non-decreasing timestamp order unless stated
 /// otherwise; a `ReorderBuffer` can repair bounded disorder.
@@ -42,12 +41,6 @@ class EventSource {
   /// (batch is cleared first). Returns false when the stream is
   /// exhausted.
   bool NextBatch(size_t max_events, EventBatch* batch);
-
-  /// Row adapter, zero-copy where the source allows it: returns the next
-  /// block's row view and stores its length in `count`, or nullptr at end
-  /// of stream. Rows stay owned by the source and remain valid until the
-  /// next pull.
-  Event* NextBatchZeroCopy(size_t max_events, size_t* count);
 };
 
 /// Source over a pre-materialized vector of events; used by tests and by

@@ -1,5 +1,7 @@
 #include "stream/sharded_executor.h"
 
+#include <algorithm>
+
 #include "core/interner.h"
 
 namespace saql {
@@ -9,11 +11,12 @@ ShardedStreamExecutor::ShardedStreamExecutor(Options options)
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.num_shards > kMaxShards) options_.num_shards = kMaxShards;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
+  inline_ = options_.num_shards == 1;
   lanes_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
     lanes_.push_back(std::make_unique<Lane>(options_.executor));
   }
-  staged_.resize(options_.num_shards);
+  if (!inline_) staged_.resize(options_.num_shards);
 }
 
 ShardedStreamExecutor::~ShardedStreamExecutor() {
@@ -49,7 +52,7 @@ void ShardedStreamExecutor::SubscribeGlobal(EventProcessor* processor) {
   // subscriber list unsynchronized, so the thread must start strictly
   // after (thread creation is the happens-before edge).
   lane->executor.Subscribe(processor);
-  if (streaming_ && !lane->started) StartLaneThread(lane);
+  if (streaming_ && !lane->started) StartLane(lane);
 }
 
 void ShardedStreamExecutor::UnsubscribeShard(size_t shard,
@@ -77,10 +80,14 @@ ShardedStreamExecutor::Lane* ShardedStreamExecutor::EnsureGlobalLane() {
   return global_lane_.get();
 }
 
-void ShardedStreamExecutor::StartLaneThread(Lane* lane) {
+void ShardedStreamExecutor::StartLane(Lane* lane) {
   lane->hooks = &hooks_;
   lane->started = true;
-  threads_.emplace_back([lane] { lane->ThreadMain(); });
+  if (inline_) {
+    lane->executor.BeginStream();
+  } else {
+    threads_.emplace_back([lane] { lane->ThreadMain(); });
+  }
 }
 
 void ShardedStreamExecutor::Lane::Push(LaneBatch&& batch, size_t capacity) {
@@ -119,29 +126,33 @@ void ShardedStreamExecutor::Lane::ThreadMain() {
     }
     can_push.notify_one();
     executor.ProcessBatch(batch.events.data(), batch.events.size());
-    // The *input* watermark, not the lane's own max event time — see the
-    // watermark rule in the class comment.
-    bool advanced = executor.AdvanceWatermark(batch.watermark);
-    if (advanced && hooks != nullptr) {
-      if (is_global) {
-        if (hooks->global_watermark) hooks->global_watermark(batch.watermark);
-      } else if (hooks->watermark) {
-        hooks->watermark(index, batch.watermark);
-      }
-    }
+    ApplyWatermark(batch.watermark);
     {
       std::lock_guard<std::mutex> lock(mu);
       busy = false;
       if (queue.empty()) idle.notify_all();
     }
   }
+  Finish();
+}
+
+void ShardedStreamExecutor::Lane::ApplyWatermark(Timestamp ts) {
+  // The *input* watermark, not the lane's own max event time — see the
+  // watermark rule in the class comment.
+  if (!executor.AdvanceWatermark(ts)) return;
+  if (is_global) {
+    if (hooks->global_watermark) hooks->global_watermark(ts);
+  } else if (hooks->watermark) {
+    hooks->watermark(index, ts);
+  }
+}
+
+void ShardedStreamExecutor::Lane::Finish() {
   executor.FinishStream();
-  if (hooks != nullptr) {
-    if (is_global) {
-      if (hooks->global_finished) hooks->global_finished();
-    } else if (hooks->finished) {
-      hooks->finished(index);
-    }
+  if (is_global) {
+    if (hooks->global_finished) hooks->global_finished();
+  } else if (hooks->finished) {
+    hooks->finished(index);
   }
 }
 
@@ -151,20 +162,28 @@ void ShardedStreamExecutor::BeginStream() {
   threads_.reserve(lanes_.size() + 1);
   for (size_t s = 0; s < lanes_.size(); ++s) {
     lanes_[s]->index = s;
-    StartLaneThread(lanes_[s].get());
+    StartLane(lanes_[s].get());
   }
-  if (global_lane_) StartLaneThread(global_lane_.get());
+  if (global_lane_) StartLane(global_lane_.get());
 }
 
 void ShardedStreamExecutor::PushBatch(Event* events, size_t count) {
   if (!streaming_ || count == 0) return;
-  const size_t n = lanes_.size();
   ++splitter_stats_.input_batches;
   splitter_stats_.input_events += count;
+  if (inline_) {
+    // The caller's buffer is the lane batch; the lane interns it.
+    StreamExecutor& lane = lanes_[0]->executor;
+    lane.ProcessBatch(events, count);
+    if (global_lane_) global_lane_->executor.ProcessBatch(events, count);
+    input_max_ts_ = std::max(input_max_ts_, lane.max_event_ts());
+    return;
+  }
+  const size_t n = lanes_.size();
   // Intern once, in the caller's buffer, before events fan out: replayed
   // buffers (VectorEventSource) keep the memoization, and every copy
   // below carries the symbol ids with it.
-  if (options_.executor.intern_strings) InternEventSpan(events, count);
+  InternEventSpan(events, count);
   for (EventBatch& s : staged_) s.clear();
   for (size_t k = 0; k < count; ++k) {
     const Event& e = events[k];
@@ -196,17 +215,20 @@ bool ShardedStreamExecutor::AdvanceWatermark(Timestamp ts) {
   // Every lane gets the advanced input watermark, even when it received
   // no events — a quiet shard must keep closing windows so the merge
   // stage's alignment can progress.
-  for (auto& lane : lanes_) {
-    lane->Push(LaneBatch{EventBatch{}, ts}, options_.queue_capacity);
-  }
-  if (global_lane_) {
-    global_lane_->Push(LaneBatch{EventBatch{}, ts}, options_.queue_capacity);
-  }
+  auto advance = [this, ts](Lane* lane) {
+    if (inline_) {
+      lane->ApplyWatermark(ts);
+    } else {
+      lane->Push(LaneBatch{EventBatch{}, ts}, options_.queue_capacity);
+    }
+  };
+  for (auto& lane : lanes_) advance(lane.get());
+  if (global_lane_) advance(global_lane_.get());
   return true;
 }
 
 void ShardedStreamExecutor::Quiesce() {
-  if (!streaming_) return;
+  if (!streaming_ || inline_) return;
   for (auto& lane : lanes_) lane->WaitIdle();
   if (global_lane_) global_lane_->WaitIdle();
 }
@@ -215,6 +237,11 @@ void ShardedStreamExecutor::FinishStream() {
   if (!streaming_) return;
   streaming_ = false;
   ran_ = true;
+  if (inline_) {
+    for (auto& lane : lanes_) lane->Finish();
+    if (global_lane_) global_lane_->Finish();
+    return;
+  }
   for (auto& lane : lanes_) lane->Close();
   if (global_lane_) global_lane_->Close();
   for (std::thread& t : threads_) t.join();
@@ -224,17 +251,6 @@ void ShardedStreamExecutor::FinishStream() {
 void ShardedStreamExecutor::PushBlock(EventBlock* block) {
   if (block->empty()) return;
   PushBatch(block->MutableRows(), block->size());
-}
-
-void ShardedStreamExecutor::Run(EventSource* source, size_t batch_size) {
-  if (ran_ || streaming_) return;
-  BeginStream();
-  while (EventBlock* block = source->NextBlock(batch_size)) {
-    if (block->empty()) continue;
-    PushBlock(block);
-    AdvanceWatermark(input_max_ts_);
-  }
-  FinishStream();
 }
 
 const ExecutorStats& ShardedStreamExecutor::shard_stats(size_t shard) const {

@@ -17,51 +17,58 @@
 
 namespace saql {
 
-/// Hash-partitioned parallel stream execution: one splitter thread pulls
-/// the (totally ordered) input stream, routes each event by its subject
-/// entity key to one of N shard lanes, and each lane runs its own
-/// `StreamExecutor` — with its own subscriber replicas — on a dedicated
-/// thread. An optional *global lane* additionally receives every event in
-/// input order, for subscribers whose semantics cannot be partitioned
-/// (multi-event joins across entities, count windows, alert cooldowns).
+/// Hash-partitioned parallel stream execution: the caller's thread (the
+/// splitter — a session's push thread) routes each event of the totally
+/// ordered input by its subject entity key to one of N shard lanes, and
+/// each lane runs its own `StreamExecutor` — with its own subscriber
+/// replicas — on a dedicated thread. An optional *global lane*
+/// additionally receives every event in input order, for subscribers whose
+/// semantics cannot be partitioned (multi-event joins across entities,
+/// count windows, alert cooldowns).
+///
+/// **One lane runs inline.** With `num_shards == 1` there is nothing to
+/// partition: the lane (and a global lane, if one is subscribed) runs on
+/// the caller's thread, with no thread, no queue and no copy. `PushBatch`
+/// hands the caller's own buffer to the lane's `ProcessBatch`;
+/// `AdvanceWatermark` and `FinishStream` apply at once and fire the
+/// progress hooks on the caller's thread; `Quiesce` has nothing to wait
+/// for. The mode follows from the lane count alone.
 ///
 /// Watermark rule: every lane (shard and global) is advanced with the
 /// watermark of the *input* stream — the max event time the splitter has
-/// pulled — after each input batch, not with the lane's own max event time.
-/// Each shard substream is a timestamp-ordered subsequence of the input, so
-/// the input watermark is always ≥ any lane-local watermark and closes the
-/// same windows, just without lag on shards that go quiet. This is also
-/// what lets a downstream merge stage align per-shard window closes: when
-/// every lane has observed watermark W, every window ending at or before W
-/// has closed on every shard.
+/// pushed — not with the lane's own max event time. Each shard substream
+/// is a timestamp-ordered subsequence of the input, so the input watermark
+/// is always ≥ any lane-local watermark and closes the same windows, just
+/// without lag on shards that go quiet. This is also what lets a
+/// downstream merge stage align per-shard window closes: when every lane
+/// has observed watermark W, every window ending at or before W has closed
+/// on every shard.
 ///
-/// The splitter copies events into per-lane batches (the source's zero-copy
-/// buffer is only valid until the next pull, which happens while lanes are
-/// still draining earlier batches). Within a lane, delivery is the same
-/// routed zero-copy path as the single-threaded executor. Interning happens
-/// once, on the splitter, before partitioning.
+/// With threaded lanes, the splitter copies events into per-lane batches
+/// (the caller may reuse its buffer as soon as `PushBatch` returns, while
+/// lanes are still draining earlier batches). Within a lane, delivery is
+/// the same routed zero-copy path as the single-threaded executor.
+/// Interning happens once, on the splitter, before partitioning.
 ///
 /// Alert ordering and cross-shard aggregate merging are the subscriber
-/// layer's concern (see `SaqlEngine`'s sharded mode); this class only
-/// guarantees per-lane event order, the watermark rule above, and that each
-/// event reaches exactly one shard (plus the global lane when present).
+/// layer's concern (see `SaqlEngine::Session`); this class only guarantees
+/// per-lane event order, the watermark rule above, and that each event
+/// reaches exactly one shard (plus the global lane when present).
 class ShardedStreamExecutor {
  public:
-  /// Upper bound on lanes: each lane is a real thread; a runaway shard
-  /// count must not abort the process on thread exhaustion. Drivers
-  /// (engine, CLI) clamp with the same constant so replica wiring and
-  /// lane count always agree.
+  /// Upper bound on lanes: each lane of a multi-lane executor is a real
+  /// thread; a runaway shard count must not abort the process on thread
+  /// exhaustion. Drivers (engine, CLI) clamp with the same constant so
+  /// replica wiring and lane count always agree.
   static constexpr size_t kMaxShards = 256;
 
   struct Options {
     /// Number of hash partitions (shard lanes); clamped to
-    /// [1, kMaxShards].
+    /// [1, kMaxShards]. 1 = the inline lane (see the class comment).
     size_t num_shards = 2;
-    /// Per-lane executor options. `intern_strings` is honored once, on the
-    /// splitter; lanes inherit it only as a no-op safety (interned events
-    /// are skipped by `InternEventSpan`).
+    /// Per-lane executor options.
     StreamExecutor::Options executor;
-    /// Max queued batches per lane before the splitter blocks
+    /// Max queued batches per threaded lane before the splitter blocks
     /// (backpressure, bounds memory when one shard lags).
     size_t queue_capacity = 8;
   };
@@ -79,7 +86,7 @@ class ShardedStreamExecutor {
 
   /// Registers a processor on shard `shard`'s lane. Processors must be
   /// distinct per shard (they run on different threads) and outlive the
-  /// stream (or their `Unsubscribe`). Legal before `BeginStream`/`Run`, or
+  /// stream (or their `Unsubscribe`). Legal before `BeginStream`, or
   /// mid-stream under `Quiesce` (see below): the lane rebuilds its
   /// dispatch index before the next batch, so a processor attached at
   /// time T sees only events pushed after T.
@@ -87,9 +94,9 @@ class ShardedStreamExecutor {
 
   /// Registers a processor on the global lane (created on first use): it
   /// sees every event, in input order, exactly like a single-threaded
-  /// executor would. When the stream is already running, the lane thread
-  /// is spawned on the spot (call under `Quiesce`); the lane observes the
-  /// stream from this point on.
+  /// executor would. When the stream is already running, the lane starts
+  /// on the spot (call under `Quiesce`); it observes the stream from this
+  /// point on.
   void SubscribeGlobal(EventProcessor* processor);
 
   /// Removes a processor from its lane. Mid-stream removal is legal only
@@ -101,44 +108,39 @@ class ShardedStreamExecutor {
   /// Replaces the default subject-entity-key partitioner.
   void SetPartitioner(Partitioner partitioner);
 
-  /// Observers of shard-lane progress, both invoked on the lane's thread
-  /// *after* the subscribers' callbacks returned: `watermark(shard, ts)`
-  /// when a lane applied an advanced input watermark (every window close
-  /// for windows ≤ ts has already fired), `finished(shard)` after a lane
-  /// flushed end-of-stream. This is what a cross-shard merge stage aligns
-  /// on; hooks are not subscribers, so they never appear in the lanes'
-  /// delivery/skip accounting. Shard lanes only (the global lane is
-  /// single-threaded-semantics by construction and needs no alignment).
+  /// Observers of lane progress, invoked on the lane's thread (the
+  /// caller's thread for the inline lane) *after* the subscribers'
+  /// callbacks returned: `watermark(shard, ts)` when a shard lane applied
+  /// an advanced input watermark (every window close for windows ≤ ts has
+  /// already fired), `finished(shard)` after a shard lane flushed
+  /// end-of-stream. This is what a cross-shard merge stage aligns on;
+  /// hooks are not subscribers, so they never appear in the lanes'
+  /// delivery/skip accounting. Every hook is optional.
   struct ProgressHooks {
     std::function<void(size_t shard, Timestamp ts)> watermark;
     std::function<void(size_t shard)> finished;
-    /// Global-lane progress (same semantics, no shard index). Optional;
-    /// the cross-shard merge never aligns on the global lane, but a
-    /// session's ordered alert flush does.
+    /// Global-lane progress (same semantics, no shard index). The
+    /// cross-shard merge never aligns on the global lane, but a session's
+    /// ordered alert release does.
     std::function<void(Timestamp ts)> global_watermark;
     std::function<void()> global_finished;
   };
   void SetProgressHooks(ProgressHooks hooks);
 
-  /// Pulls `source` to exhaustion through the splitter/lane pipeline and
-  /// joins all lane threads. May be called once per instance. Equivalent
-  /// to BeginStream + one PushBatch/AdvanceWatermark pair per pulled
-  /// batch + FinishStream.
-  void Run(EventSource* source, size_t batch_size = 1024);
+  // Streaming (push-driven) interface, driven by the engine's session
+  // API. All of it must be called from one thread (the splitter/session
+  // thread).
 
-  // Streaming (push-driven) interface. `Run` is built from these; the
-  // engine's session API drives them directly. All of them must be called
-  // from one thread (the splitter/session thread).
-
-  /// Starts the lane threads. Call once, after the initial Subscribe
-  /// calls.
+  /// Starts the lanes (threads, unless the lane runs inline). Call once,
+  /// after the initial Subscribe calls.
   void BeginStream();
 
-  /// Interns (when configured) and hash-partitions one batch onto the
-  /// lane queues, plus a copy to the global lane when present. Events are
-  /// annotated in place (symbol ids); the buffer may be reused as soon as
-  /// the call returns (lanes receive copies). Blocks when a lane queue is
-  /// full (backpressure).
+  /// Interns and hash-partitions one batch onto the lane queues, plus a
+  /// copy to the global lane when present. Events are annotated in place
+  /// (symbol ids); the buffer may be reused as soon as the call returns
+  /// (threaded lanes receive copies; the inline lane has processed the
+  /// caller's buffer by then). Blocks when a lane queue is full
+  /// (backpressure).
   void PushBatch(Event* events, size_t count);
 
   /// Block-native push: materializes the block's rows (columnar blocks
@@ -147,20 +149,23 @@ class ShardedStreamExecutor {
   void PushBlock(EventBlock* block);
 
   /// Enqueues watermark `ts` to every lane (shard + global) when it
-  /// advances the input watermark; returns whether it did.
+  /// advances the input watermark; returns whether it did. The inline
+  /// lane applies it before returning.
   bool AdvanceWatermark(Timestamp ts);
 
-  /// Blocks until every lane has drained its queue and gone idle. While
-  /// quiesced — i.e. until the next PushBatch/AdvanceWatermark — the
-  /// caller may mutate lane subscriptions (Subscribe/Unsubscribe) and
-  /// subscriber state without racing the lane threads.
+  /// Blocks until every lane has drained its queue and gone idle (the
+  /// inline lane always is). While quiesced — i.e. until the next
+  /// PushBatch/AdvanceWatermark — the caller may mutate lane subscriptions
+  /// (Subscribe/Unsubscribe) and subscriber state without racing the lane
+  /// threads.
   void Quiesce();
 
   /// Closes the lane queues, joins all lane threads (each lane flushes
-  /// end-of-stream first). Call once; the instance cannot be restarted.
+  /// end-of-stream first; the inline lane flushes on the caller's thread).
+  /// Call once; the instance cannot be restarted.
   void FinishStream();
 
-  /// Max event timestamp the splitter has seen (INT64_MIN before any).
+  /// Max event timestamp pushed so far (INT64_MIN before any).
   Timestamp input_max_ts() const { return input_max_ts_; }
 
   /// Default partitioner: FNV-1a over (agent_id, subject.pid).
@@ -194,9 +199,10 @@ class ShardedStreamExecutor {
     Timestamp watermark = INT64_MIN;
   };
 
-  /// A lane: bounded queue + executor. The thread pops batches until the
-  /// queue closes, then finishes the stream. `index` is set for shard
-  /// lanes; the global lane reports through the hooks' global callbacks.
+  /// A lane: executor + (for threaded lanes) a bounded queue. The thread
+  /// pops batches until the queue closes, then finishes the stream; the
+  /// inline lane is driven directly. `index` is set for shard lanes; the
+  /// global lane reports through the hooks' global callbacks.
   struct Lane {
     explicit Lane(StreamExecutor::Options opts) : executor(opts) {}
 
@@ -205,6 +211,10 @@ class ShardedStreamExecutor {
     /// Blocks until the queue is empty and the thread is between batches.
     void WaitIdle();
     void ThreadMain();
+    /// Applies input watermark `ts`; reports it when it advanced.
+    void ApplyWatermark(Timestamp ts);
+    /// Flushes end-of-stream and reports it.
+    void Finish();
 
     StreamExecutor executor;
     std::mutex mu;
@@ -216,20 +226,24 @@ class ShardedStreamExecutor {
     bool busy = false;  ///< thread currently processing a popped batch
     size_t index = 0;
     bool is_global = false;
-    bool started = false;  ///< lane thread spawned (mid-stream global lane)
+    bool started = false;  ///< thread spawned, or inline stream begun
     const ProgressHooks* hooks = nullptr;
   };
 
   Lane* EnsureGlobalLane();
-  void StartLaneThread(Lane* lane);
+  /// Begins the lane's stream: on a new thread, or at once when inline.
+  void StartLane(Lane* lane);
 
   Options options_;
+  /// One lane, run on the caller's thread (see the class comment).
+  bool inline_ = false;
   Partitioner partitioner_;
   ProgressHooks hooks_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<Lane> global_lane_;
   std::vector<std::thread> threads_;
-  /// Per-lane staging buffers, reused across PushBatch calls.
+  /// Per-lane staging buffers of threaded lanes, reused across PushBatch
+  /// calls.
   std::vector<EventBatch> staged_;
   SplitterStats splitter_stats_;
   Timestamp input_max_ts_ = INT64_MIN;

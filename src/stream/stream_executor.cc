@@ -60,7 +60,7 @@ void StreamExecutor::ProcessBatch(Event* batch, size_t count) {
   if (routing_dirty_) BuildRoutingTable();
   const size_t n = processors_.size();
   ++stats_.batches;
-  if (options_.intern_strings) InternEventSpan(batch, count);
+  InternEventSpan(batch, count);
   for (EventRefs& r : routed_) r.clear();
   for (size_t k = 0; k < count; ++k) {
     const Event& e = batch[k];
@@ -110,16 +110,6 @@ void StreamExecutor::FinishStream() {
 void StreamExecutor::ProcessBlock(EventBlock* block) {
   if (block->empty()) return;
   ProcessBatch(block->MutableRows(), block->size());
-}
-
-void StreamExecutor::Run(EventSource* source, size_t batch_size) {
-  BeginStream();
-  while (EventBlock* block = source->NextBlock(batch_size)) {
-    if (block->empty()) continue;
-    ProcessBlock(block);
-    AdvanceWatermark(max_event_ts_);
-  }
-  FinishStream();
 }
 
 }  // namespace saql

@@ -65,7 +65,7 @@ class EventProcessor {
   virtual void OnFinish() = 0;
 
   /// The structural envelope this processor wants. Declared once, read by
-  /// the executor when `Run` builds its dispatch index. Default: all
+  /// the executor when it (re)builds its dispatch index. Default: all
   /// events.
   virtual RoutingInterest Interest() const { return RoutingInterest{}; }
 
@@ -79,14 +79,14 @@ class EventProcessor {
 /// benchmarks (paper §II-C: the master-dependent-query scheme reduces
 /// per-query data copies).
 struct ExecutorStats {
-  /// Events pulled from the source.
+  /// Events handed to `ProcessBatch`.
   uint64_t events = 0;
   /// Event deliveries = sum over events of subscribers it was handed to.
   /// With N independent queries this is N * events; with grouped queries it
   /// is (#groups) * events; with routing enabled, only eligible groups
   /// count.
   uint64_t deliveries = 0;
-  /// Batches pulled.
+  /// Non-empty batches handed to `ProcessBatch`.
   uint64_t batches = 0;
   /// Deliveries avoided by the dispatch index (event shape outside the
   /// subscriber's interest). deliveries + routed_skips equals what a
@@ -96,13 +96,14 @@ struct ExecutorStats {
   uint64_t watermarks = 0;
 };
 
-/// Single-threaded push loop: pulls batches from a source and delivers each
-/// event to the subscribed processors, followed by a watermark at the batch
-/// boundary. (The paper's deployment parallelizes across hosts before the
-/// central feed; the engine itself observes one totally-ordered feed, which
-/// this models.)
+/// Single-threaded, step-wise delivery: the driver hands it batches of the
+/// stream and watermarks, and it delivers each event to the subscribed
+/// processors. (The paper's deployment parallelizes across hosts before
+/// the central feed; the engine itself observes one totally-ordered feed,
+/// which this models.) Every session drives one per lane through
+/// `ShardedStreamExecutor`.
 ///
-/// Delivery is routed, not broadcast: at `Run` start the executor indexes
+/// Delivery is routed, not broadcast: at stream start the executor indexes
 /// subscribers by the (object type, operation) combinations they declare
 /// via `Interest()`, and each event is pushed only to the eligible
 /// subscribers — the op/entity dispatch index that makes the shared pass
@@ -115,16 +116,13 @@ class StreamExecutor {
     /// Route events through the dispatch index; disabled = broadcast to
     /// every subscriber (the ablation baseline).
     bool enable_routing = true;
-    /// Intern hot event strings before dispatch.
-    bool intern_strings = true;
   };
 
   StreamExecutor() = default;
   explicit StreamExecutor(Options options) : options_(options) {}
 
-  /// Registers a processor. Subscribers must outlive `Run` (or, for
-  /// step-wise drives, stay subscribed until `FinishStream` or an
-  /// `Unsubscribe`). May be called mid-stream between batches: the
+  /// Registers a processor. It must stay alive until `FinishStream` or
+  /// its `Unsubscribe`. May be called mid-stream between batches: the
   /// dispatch index is rebuilt before the next `ProcessBatch`, so a
   /// subscriber added at time T sees only events pushed after T (the
   /// session API's attach-point semantics).
@@ -139,15 +137,10 @@ class StreamExecutor {
   /// Removes all subscribers and resets statistics.
   void Reset();
 
-  /// Pulls `source` to exhaustion, delivering to eligible subscribers, then
-  /// calls OnFinish on each. Equivalent to BeginStream + one ProcessBatch /
-  /// AdvanceWatermark pair per pulled batch + FinishStream.
-  void Run(EventSource* source, size_t batch_size = 1024);
-
-  // Step-wise driving interface. `Run` is built from these; a sharded
-  // executor drives each per-shard instance directly so that watermarks can
-  // come from the *global* input stream (which every shard substream is a
-  // subsequence of) instead of the shard's own events.
+  // Step-wise driving interface. A sharded executor drives each per-lane
+  // instance so that watermarks come from the *global* input stream (which
+  // every shard substream is a subsequence of) instead of the lane's own
+  // events.
 
   /// Builds the dispatch index and resets per-run watermark state. Call
   /// once after all Subscribe calls, before the first ProcessBatch.
@@ -164,9 +157,8 @@ class StreamExecutor {
   void ProcessBlock(EventBlock* block);
 
   /// Emits `ts` to all subscribers if it advances the emitted watermark;
-  /// returns whether it did. `Run` passes the max event time seen;
-  /// external drivers may pass any value ≥ it (closing the same windows
-  /// earlier, never different ones).
+  /// returns whether it did. Drivers pass the max event time seen or any
+  /// value ≥ it (closing the same windows earlier, never different ones).
   bool AdvanceWatermark(Timestamp ts);
 
   /// Calls OnFinish on all subscribers (end of stream).

@@ -400,6 +400,33 @@ TEST(QueryShellLiveTest, ShardsAndIndexReportAgainstLiveSession) {
   h.Run("close");
 }
 
+// A lane count beyond what a session runs is clamped to
+// ShardedStreamExecutor::kMaxShards with a note, so the shell never
+// reports lanes the session does not have.
+TEST(QueryShellLiveTest, ShardCountsClampToMaxLanes) {
+  ShellHarness h;
+  h.Run("query q proc p write ip i as e return p");
+  std::string out = h.Run("shards 5000");
+  EXPECT_NE(out.find("note: 5000 shard lanes exceed the maximum of 256"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(h.shell().num_shards(), 256u);
+
+  h.Run("shards 1");
+  out = h.Run("open --shards=1000");
+  EXPECT_NE(out.find("note: 1000 shard lanes exceed the maximum of 256"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("session open on 256 shard lanes"), std::string::npos)
+      << out;
+  EXPECT_NE(h.Run("session").find("256 shard lanes"), std::string::npos);
+  EXPECT_EQ(h.shell().num_shards(), 1u);  // the flag is per-open only
+  h.Run("close");
+
+  h.shell().SetNumShards(1000);  // the saql_shell --shards=N flag
+  EXPECT_EQ(h.shell().num_shards(), 256u);
+}
+
 TEST(QueryShellLiveTest, LoadDuringSessionPointsAtAdd) {
   ShellHarness h;
   h.Run("open");

@@ -379,12 +379,10 @@ TEST(ConstraintIndexDiffTest, MemberSetsMatchBruteForcePerEvent) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> RunEngineCase(const GeneratedCase& c,
-                                       bool member_index, size_t shards,
-                                       bool force_sharded) {
+                                       bool member_index, size_t shards) {
   SaqlEngine::Options opts;
   opts.enable_member_index = member_index;
   opts.num_shards = shards;
-  opts.force_sharded_executor = force_sharded;
   SaqlEngine engine(opts);
   for (size_t i = 0; i < c.queries.size(); ++i) {
     Status st = engine.AddQuery(c.queries[i], "q" + std::to_string(i));
@@ -403,13 +401,11 @@ TEST(ConstraintIndexDiffTest, EngineLevelIncludingShards) {
   uint64_t total_alerts = 0;
   for (uint64_t seed = 3000; seed < 3060; ++seed) {
     GeneratedCase c = MakeCase(seed);
-    std::vector<std::string> brute = RunEngineCase(c, false, 1, false);
-    ASSERT_EQ(RunEngineCase(c, true, 1, false), brute) << "seed " << seed;
-    ASSERT_EQ(RunEngineCase(c, true, 1, true), brute)
-        << "seed " << seed << " (forced 1-shard)";
-    ASSERT_EQ(RunEngineCase(c, true, 2, false), brute)
+    std::vector<std::string> brute = RunEngineCase(c, false, 1);
+    ASSERT_EQ(RunEngineCase(c, true, 1), brute) << "seed " << seed;
+    ASSERT_EQ(RunEngineCase(c, true, 2), brute)
         << "seed " << seed << " (2 shards)";
-    ASSERT_EQ(RunEngineCase(c, true, 4, false), brute)
+    ASSERT_EQ(RunEngineCase(c, true, 4), brute)
         << "seed " << seed << " (4 shards)";
     total_alerts += brute.size();
   }

@@ -200,7 +200,7 @@ TEST(DispatchRoutingTest, DefaultInterestReceivesEverything) {
   RecordingProcessor p;
   exec.Subscribe(&p);
   VectorEventSource source(MixedStream());
-  exec.Run(&source, 2);
+  testing::DriveToEnd(&exec, &source, 2);
   EXPECT_EQ(p.events.size(), 3u);
   EXPECT_EQ(exec.stats().deliveries, 3u);
   EXPECT_EQ(exec.stats().routed_skips, 0u);
@@ -218,7 +218,7 @@ TEST(DispatchRoutingTest, UnchangedWatermarkNotReEmitted) {
   RecordingProcessor p;
   exec.Subscribe(&p);
   VectorEventSource source(std::move(events));
-  exec.Run(&source, 2);  // batches: [5s, 5s], [4s, 7s]
+  testing::DriveToEnd(&exec, &source, 2);  // batches: [5s, 5s], [4s, 7s]
   ASSERT_EQ(p.watermarks.size(), 2u);
   EXPECT_EQ(p.watermarks[0], 5 * kSecond);
   EXPECT_EQ(p.watermarks[1], 7 * kSecond);
@@ -234,7 +234,7 @@ TEST(DispatchRoutingTest, UnchangedWatermarkNotReEmitted) {
   RecordingProcessor p2;
   exec2.Subscribe(&p2);
   VectorEventSource source2(std::move(flat));
-  exec2.Run(&source2, 2);
+  testing::DriveToEnd(&exec2, &source2, 2);
   ASSERT_EQ(p2.watermarks.size(), 1u);
   EXPECT_EQ(p2.watermarks[0], 5 * kSecond);
 }

@@ -143,11 +143,11 @@ TEST(ReorderingSourceTest, ZeroCopyDrainsInOrderWithoutLoss) {
   VectorEventSource inner(std::move(disordered));
   ReorderingEventSource source(&inner, 4 * kSecond);
   EventBatch all;
-  size_t count = 0;
-  while (Event* span = source.NextBatchZeroCopy(17, &count)) {
-    ASSERT_GT(count, 0u);
-    ASSERT_LE(count, 17u);
-    all.insert(all.end(), span, span + count);
+  while (EventBlock* block = source.NextBlock(17)) {
+    ASSERT_GT(block->size(), 0u);
+    ASSERT_LE(block->size(), 17u);
+    const Event* rows = block->MutableRows();
+    all.insert(all.end(), rows, rows + block->size());
   }
   ASSERT_EQ(all.size(), SequencePlusNoise().size());
   for (size_t i = 1; i < all.size(); ++i) {
@@ -156,12 +156,12 @@ TEST(ReorderingSourceTest, ZeroCopyDrainsInOrderWithoutLoss) {
 }
 
 TEST(ReorderingSourceTest, RoutedAlertsIdenticalThroughZeroCopyDrain) {
-  // The executor pulls exclusively through NextBatchZeroCopy; a repaired
-  // disordered feed must produce the same routed alerts as the ordered
-  // feed (previously the reordering source fell back to the copying
-  // adapter — this pins the in-place drain to identical detections).
+  // Run pulls exclusively through NextBlock; a repaired disordered feed
+  // must produce the same routed alerts as the ordered feed (previously
+  // the reordering source fell back to the copying adapter — this pins
+  // the in-place drain to identical detections).
   auto run = [](EventSource* source) {
-    SaqlEngine engine;  // routing + interning on (defaults)
+    SaqlEngine engine;  // routing on (default)
     EXPECT_TRUE(engine.AddQuery(kSequenceQuery, "seq").ok());
     EXPECT_TRUE(engine.Run(source).ok());
     std::vector<std::string> rendered;

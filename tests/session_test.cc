@@ -218,22 +218,21 @@ INSTANTIATE_TEST_SUITE_P(Shards, SessionCorpusDiff,
                            return "shards" + std::to_string(info.param);
                          });
 
-// The forced 1-lane sharded pipeline (splitter + lane + merge + ordered
-// sink) through the session path, against plain single-threaded Run:
-// alert multiset identity (sharded emission is globally sorted).
-TEST(SessionShardedTest, ForcedShardedSessionMatchesSingleThreadedMultiset) {
+// The threaded 2-lane pipeline (splitter + lanes + merge + ordered sink)
+// through the session path, against plain single-threaded Run: alert
+// multiset identity (sharded emission is globally sorted).
+TEST(SessionShardedTest, TwoLaneSessionMatchesSingleThreadedMultiset) {
   auto queries = CorpusQueries();
   const EventBatch& events = SimCorpus();
   RunResult single = RunBatch(queries, events, EngineOptions(1, 1024));
-  SaqlEngine::Options forced = EngineOptions(1, 1024);
-  forced.force_sharded_executor = true;
-  RunResult sharded = RunSession(queries, events, forced, 777, 2);
+  RunResult sharded =
+      RunSession(queries, events, EngineOptions(2, 1024), 777, 2);
   std::vector<std::string> a = single.alerts;
   std::vector<std::string> b = sharded.alerts;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
-  ExpectStatsEq(sharded, single, "forced-sharded");
+  ExpectStatsEq(sharded, single, "two-lane");
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +253,6 @@ TEST_P(SessionDynamicAdd, AddedQuerySeesOnlyEventsAfterAttach) {
 
   SaqlEngine::Options opts;
   opts.num_shards = shards;
-  opts.force_sharded_executor = shards == 1;
   SaqlEngine engine(opts);
   ASSERT_TRUE(engine.AddQuery(text, "before").ok());
   auto session = engine.OpenSession();
@@ -428,7 +426,6 @@ TEST_P(SessionDynamicRemove, RemovalFreezesStatsAndSparesSurvivors) {
 
   SaqlEngine::Options opts;
   opts.num_shards = shards;
-  opts.force_sharded_executor = shards == 1;
   SaqlEngine engine(opts);
   ASSERT_TRUE(
       engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "qa")
@@ -544,7 +541,6 @@ TEST_P(SessionIndexChurn, IndexedChurnMatchesBruteForce) {
   auto churn = [&](bool member_index) {
     SaqlEngine::Options opts;
     opts.num_shards = shards;
-    opts.force_sharded_executor = shards == 1;
     opts.enable_member_index = member_index;
     SaqlEngine engine(opts);
     for (int t = 0; t < 4; ++t) {
@@ -630,7 +626,6 @@ TEST_P(SessionHandleSink, TapReceivesOnlyItsQuery) {
   const size_t shards = GetParam();
   SaqlEngine::Options opts;
   opts.num_shards = shards;
-  opts.force_sharded_executor = shards == 1;
   SaqlEngine engine(opts);
   ASSERT_TRUE(
       engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "qa")

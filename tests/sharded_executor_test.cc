@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,7 +64,7 @@ TEST(ShardedExecutorTest, EveryEventReachesExactlyOneShard) {
   for (size_t s = 0; s < kShards; ++s) sharded.SubscribeShard(s, &procs[s]);
 
   VectorEventSource source(MixedHostStream(500));
-  sharded.Run(&source, /*batch_size=*/64);
+  testing::DriveToEnd(&sharded, &source, /*batch_size=*/64);
 
   size_t total = 0;
   for (size_t s = 0; s < kShards; ++s) {
@@ -80,6 +82,77 @@ TEST(ShardedExecutorTest, EveryEventReachesExactlyOneShard) {
   EXPECT_EQ(total, 500u);
   EXPECT_EQ(sharded.splitter_stats().input_events, 500u);
   EXPECT_GT(sharded.num_shards(), 1u);
+}
+
+TEST(ShardedExecutorTest, OneLaneRunsInline) {
+  // One lane has nothing to partition: it runs on the caller's thread over
+  // the caller's buffer — no thread, no queue, no copy. Everything below
+  // is guarded so that a threaded lane fails the checks instead of
+  // racing them.
+  class AddressRecorder final : public EventProcessor {
+   public:
+    void OnBatch(const EventRefs& events) override {
+      std::lock_guard<std::mutex> lock(mu);
+      seen.insert(seen.end(), events.begin(), events.end());
+    }
+    void OnEvent(const Event&) override {}
+    void OnWatermark(Timestamp) override {}
+    void OnFinish() override {}
+
+    std::mutex mu;
+    std::vector<const Event*> seen;
+  };
+
+  ShardedStreamExecutor::Options opts;
+  opts.num_shards = 1;
+  ShardedStreamExecutor sharded(opts);
+  AddressRecorder proc;
+  sharded.SubscribeShard(0, &proc);
+  std::mutex hook_mu;
+  std::vector<std::thread::id> hook_threads;
+  std::vector<Timestamp> hook_marks;
+  bool finished = false;
+  ShardedStreamExecutor::ProgressHooks hooks;
+  hooks.watermark = [&](size_t, Timestamp ts) {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    hook_threads.push_back(std::this_thread::get_id());
+    hook_marks.push_back(ts);
+  };
+  hooks.finished = [&](size_t) {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    hook_threads.push_back(std::this_thread::get_id());
+    finished = true;
+  };
+  sharded.SetProgressHooks(std::move(hooks));
+  sharded.BeginStream();
+
+  EventBatch events = MixedHostStream(100);
+  sharded.PushBatch(events.data(), events.size());
+  {
+    // The whole batch, seen before PushBatch returned (no Quiesce), at
+    // the caller's own addresses.
+    std::lock_guard<std::mutex> lock(proc.mu);
+    ASSERT_EQ(proc.seen.size(), events.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(proc.seen[i], &events[i]) << "event " << i;
+    }
+  }
+  EXPECT_EQ(sharded.input_max_ts(), events.back().ts);
+
+  ASSERT_TRUE(sharded.AdvanceWatermark(events.back().ts));
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    ASSERT_EQ(hook_marks.size(), 1u);  // applied before the call returned
+    EXPECT_EQ(hook_marks[0], events.back().ts);
+  }
+  sharded.FinishStream();
+  std::lock_guard<std::mutex> lock(hook_mu);
+  EXPECT_TRUE(finished);
+  ASSERT_EQ(hook_threads.size(), 2u);
+  for (std::thread::id id : hook_threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(sharded.shard_stats(0).events, events.size());
 }
 
 TEST(ShardedExecutorTest, SameSubjectKeyAlwaysSameShard) {
@@ -116,7 +189,7 @@ TEST(ShardedExecutorTest, GlobalLaneSeesFullOrderedStream) {
 
   EventBatch stream = MixedHostStream(300);
   VectorEventSource source(stream);
-  sharded.Run(&source, 32);
+  testing::DriveToEnd(&sharded, &source, 32);
 
   ASSERT_TRUE(sharded.has_global_lane());
   ASSERT_EQ(global.events.size(), stream.size());
@@ -162,7 +235,7 @@ TEST(ShardedExecutorTest, MergedStatsKeepRoutedSkipParity) {
     sharded.SubscribeShard(s, &net_procs[s]);
   }
   VectorEventSource source(MixedHostStream(400));  // all file writes
-  sharded.Run(&source, 128);
+  testing::DriveToEnd(&sharded, &source, 128);
 
   ExecutorStats merged = sharded.merged_stats();
   EXPECT_EQ(merged.events, 400u);
@@ -206,7 +279,7 @@ struct CorpusRun {
   std::string errors;
 };
 
-CorpusRun RunCorpus(size_t num_shards, bool force_sharded = false) {
+CorpusRun RunCorpus(size_t num_shards) {
   EnterpriseSimulator::Options sopts;
   sopts.num_workstations = 2;
   sopts.duration = 20 * kMinute;
@@ -219,7 +292,6 @@ CorpusRun RunCorpus(size_t num_shards, bool force_sharded = false) {
 
   SaqlEngine::Options eopts;
   eopts.num_shards = num_shards;
-  eopts.force_sharded_executor = force_sharded;
   SaqlEngine engine(eopts);
   for (const auto& [name, file] : kCorpusQueries) {
     Status st = engine.AddQuery(testing::ReadQueryFile(file), name);
@@ -261,20 +333,26 @@ TEST_F(ShardEquivalenceTest, BaselineDetectsSomething) {
 }
 
 TEST_F(ShardEquivalenceTest, OneShardShardedEqualsSingleThreaded) {
-  // The full sharded pipeline — splitter, lane thread, partial-window
-  // export, merge stage, ordered sink — collapsed to one shard must
-  // reproduce the single-threaded executor exactly.
-  CorpusRun run = RunCorpus(1, /*force_sharded=*/true);
-  EXPECT_EQ(AsMultiset(run.alerts), AsMultiset(baseline_->alerts));
+  // One shard is the inline lane: single-threaded execution over the
+  // ordered stream. A second run over a freshly generated corpus (the
+  // interner already holds its strings) reproduces the alert sequence,
+  // not just the multiset, and every query's stats.
+  CorpusRun run = RunCorpus(1);
+  EXPECT_EQ(run.alerts, baseline_->alerts);
+  EXPECT_EQ(run.events, baseline_->events);
+  for (const auto& [name, qs] : baseline_->stats) {
+    EXPECT_EQ(run.stats[name].events_in, qs.events_in) << name;
+    EXPECT_EQ(run.stats[name].matches, qs.matches) << name;
+    EXPECT_EQ(run.stats[name].alerts, qs.alerts) << name;
+  }
   EXPECT_EQ(run.errors, "(no errors)") << run.errors;
 }
 
-TEST_F(ShardEquivalenceTest, ZeroShardsForcedShardedClampsToOneLane) {
-  // num_shards=0 with the forced pipeline must clamp to one lane (engine
-  // and executor agree on the clamp) instead of wiring zero replicas
-  // against a one-lane executor.
-  CorpusRun run = RunCorpus(0, /*force_sharded=*/true);
-  EXPECT_EQ(AsMultiset(run.alerts), AsMultiset(baseline_->alerts));
+TEST_F(ShardEquivalenceTest, ZeroShardsClampsToOneLane) {
+  // num_shards=0 must clamp to one lane (engine and executor agree on the
+  // clamp) instead of wiring zero lanes.
+  CorpusRun run = RunCorpus(0);
+  EXPECT_EQ(run.alerts, baseline_->alerts);
 }
 
 TEST_F(ShardEquivalenceTest, TwoShardsSameAlertMultiset) {

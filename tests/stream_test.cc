@@ -154,7 +154,7 @@ TEST(StreamExecutorTest, DeliversToAllSubscribers) {
   StreamExecutor exec;
   exec.Subscribe(&a);
   exec.Subscribe(&b);
-  exec.Run(&src, 4);
+  testing::DriveToEnd(&exec, &src, 4);
   EXPECT_EQ(a.events.size(), 10u);
   EXPECT_EQ(b.events.size(), 10u);
   EXPECT_TRUE(a.finished);
@@ -168,7 +168,7 @@ TEST(StreamExecutorTest, WatermarksAdvanceWithBatches) {
   RecordingProcessor p;
   StreamExecutor exec;
   exec.Subscribe(&p);
-  exec.Run(&src, 5);
+  testing::DriveToEnd(&exec, &src, 5);
   ASSERT_EQ(p.watermarks.size(), 2u);  // one per batch
   EXPECT_EQ(p.watermarks[0], 4 * kSecond);
   EXPECT_EQ(p.watermarks[1], 9 * kSecond);
@@ -179,7 +179,7 @@ TEST(StreamExecutorTest, EmptySourceStillFinishes) {
   RecordingProcessor p;
   StreamExecutor exec;
   exec.Subscribe(&p);
-  exec.Run(&src);
+  testing::DriveToEnd(&exec, &src);
   EXPECT_TRUE(p.finished);
   EXPECT_TRUE(p.events.empty());
   EXPECT_TRUE(p.watermarks.empty());

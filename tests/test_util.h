@@ -12,6 +12,9 @@
 
 #include "core/event.h"
 #include "engine/compiled_query.h"
+#include "stream/event_source.h"
+#include "stream/sharded_executor.h"
+#include "stream/stream_executor.h"
 
 namespace saql {
 namespace testing {
@@ -114,6 +117,30 @@ inline bool BruteForceMatches(const CompiledQuery& q, const Event& event) {
 /// Reads member bit `i` of a ConstraintIndex::MatchResult bitset.
 inline bool BitAt(const std::vector<uint64_t>& bits, size_t i) {
   return (bits[i / 64] >> (i % 64)) & 1;
+}
+
+/// Drives `exec` step-wise over `source` to exhaustion: one batch and one
+/// watermark advance to the max event time per pulled block, then end of
+/// stream.
+inline void DriveToEnd(StreamExecutor* exec, EventSource* source,
+                       size_t batch_size = 1024) {
+  exec->BeginStream();
+  while (EventBlock* block = source->NextBlock(batch_size)) {
+    exec->ProcessBlock(block);
+    exec->AdvanceWatermark(exec->max_event_ts());
+  }
+  exec->FinishStream();
+}
+
+/// The same drive through a sharded executor's streaming interface.
+inline void DriveToEnd(ShardedStreamExecutor* exec, EventSource* source,
+                       size_t batch_size = 1024) {
+  exec->BeginStream();
+  while (EventBlock* block = source->NextBlock(batch_size)) {
+    exec->PushBlock(block);
+    exec->AdvanceWatermark(exec->input_max_ts());
+  }
+  exec->FinishStream();
 }
 
 }  // namespace testing
