@@ -6,13 +6,17 @@
 // global interner and the immutable analyzed queries.
 //
 // Every session drives one execution path: it is the splitter thread of a
-// ShardedStreamExecutor and wires each query onto its lanes. At one lane
-// the lane runs inline on the session thread and every query runs its
-// primary there, alerting straight to the sink — plain single-threaded
-// execution. At N > 1 lanes the session coordinates dynamic query
-// add/remove across the lane replicas + merge replica at quiesced points,
-// and releases collected lane alerts in deterministic (ts, query, group,
-// values) order as the cross-lane watermark aligns past them.
+// ShardedStreamExecutor and places each query on lanes — one (lane,
+// instance) pair per lane it runs on — and every open, add, remove and
+// heal is one loop over those placements. At one lane the lane runs inline
+// on the session thread and every query runs its primary there, alerting
+// straight to the sink — plain single-threaded execution. At N > 1 lanes
+// partitionable queries run a replica on each shard lane 0..N-1, and
+// queries that need the full ordered stream run their primary on the
+// global lane N; the session coordinates dynamic query add/remove across
+// the lanes + merge replica at quiesced points, and releases collected
+// lane alerts in deterministic (ts, query, group, values) order as the
+// watermark every lane applied aligns past them.
 //
 // Live interner rotation: the top of every Push is the session's quiesce
 // point — it applies the rotation policy and, when the global generation
@@ -61,6 +65,12 @@ constexpr size_t kNoMergeHandle = std::numeric_limits<size_t>::max();
 }  // namespace
 
 struct SaqlEngine::Session::SessionContext {
+  /// One lane a query runs on, and the instance grouped there.
+  struct Placement {
+    size_t lane = 0;
+    CompiledQuery* instance = nullptr;
+  };
+
   /// One query of the session, alive for the session's whole lifetime
   /// (removal deactivates it and frees its execution state, but keeps the
   /// entry so handles and per-query stats survive).
@@ -71,10 +81,14 @@ struct SaqlEngine::Session::SessionContext {
     /// replica (stateful), the global-lane instance (global), or an
     /// unsubscribed stats anchor (partitionable). Freed on removal.
     std::unique_ptr<CompiledQuery> primary;
-    /// Lane replicas, one per lane (empty at one lane and for global
-    /// mode).
+    /// Lane replicas, one per shard lane (empty at one lane and for
+    /// global mode).
     std::vector<std::unique_ptr<CompiledQuery>> replicas;
-    /// Placement across more than one lane; unused at one lane.
+    /// Where the query runs: (0, primary) at one lane, (N, primary) for a
+    /// global-mode query, else (s, replicas[s]) for every shard lane s.
+    /// Cleared on removal.
+    std::vector<Placement> placements;
+    /// Classification for more than one lane; unused at one lane.
     CompiledQuery::ShardMode mode = CompiledQuery::ShardMode::kPartitionable;
     size_t merge_handle = kNoMergeHandle;
     bool central_distinct = false;
@@ -101,20 +115,22 @@ struct SaqlEngine::Session::SessionContext {
   std::unordered_map<std::string, SessionQuery*> by_name;
 
   std::unique_ptr<ShardedStreamExecutor> executor;
-  std::vector<std::unique_ptr<ConcurrentQueryScheduler>> lane_schedulers;
+  /// Query grouping per lane: shard lanes 0..N-1, then the global lane N
+  /// (empty until a global-mode query arrives).
+  std::vector<std::unique_ptr<ConcurrentQueryScheduler>> schedulers;
   // More than one lane only.
   std::unique_ptr<ShardMergeStage> merge;
-  /// Created with the first global-mode query; its lane lives as long.
-  std::unique_ptr<ConcurrentQueryScheduler> global_scheduler;
 
   /// Ordered alert release state. Lane threads append to `pending` and
-  /// update the applied watermarks (through the progress hooks); the
-  /// session thread extracts and emits alerts whose event time every lane
-  /// has aligned past. `alert_mu` guards all of it.
+  /// update `applied` (through the progress hooks); the session thread
+  /// extracts and emits alerts whose event time every lane has aligned
+  /// past. `alert_mu` guards all of it.
   std::mutex alert_mu;
   std::vector<Alert> pending;
-  std::vector<Timestamp> lane_applied;
-  Timestamp global_applied = INT64_MIN;
+  /// Last watermark each executor lane applied (INT64_MAX once finished):
+  /// one entry per shard lane from open, plus lane N's from its first
+  /// subscription (which creates that lane).
+  std::vector<Timestamp> applied;
   std::set<std::pair<std::string, std::string>> distinct_seen;
   std::map<std::string, uint64_t> emitted_by_query;
 
@@ -186,9 +202,17 @@ struct SaqlEngine::Session::SessionContext {
     }
   }
 
-  /// Wires one query's sinks/replicas for the session's lanes: at one lane
-  /// the primary itself runs on lane 0 and alerts straight to the sink;
-  /// at more lanes the query is classified, replicated per lane, and
+  /// Shard lanes 1..N-1 mirror lane 0: same queries, same order, so they
+  /// adopt lane 0's ConstraintIndex instead of building their own. Lane 0
+  /// and the global lane build theirs.
+  bool AdoptsLane0Index(size_t lane) const {
+    return lane > 0 && lane < num_lanes;
+  }
+
+  /// Wires one query's sinks/replicas for the session's lanes and records
+  /// its placements: at one lane the primary itself runs on lane 0 and
+  /// alerts straight to the sink; at more lanes the query is classified,
+  /// runs its primary on the global lane or a replica per shard lane, and
   /// stateful queries register with the merge stage. Shared by session
   /// open and mid-stream AddQuery (the caller holds the pipeline quiesced
   /// in the latter case).
@@ -197,11 +221,13 @@ struct SaqlEngine::Session::SessionContext {
     q->SetErrorReporter(core->errors());
     if (num_lanes == 1) {
       q->SetAlertSink(DirectSink(sq));
+      sq->placements.push_back({0, q});
       return Status::Ok();
     }
     sq->mode = q->shard_mode();
     if (sq->mode == CompiledQuery::ShardMode::kGlobal) {
       q->SetAlertSink(CollectorSink());
+      sq->placements.push_back({num_lanes, q});
       return Status::Ok();
     }
     if (sq->mode == CompiledQuery::ShardMode::kPartitionableWithMerge) {
@@ -229,6 +255,7 @@ struct SaqlEngine::Session::SessionContext {
       } else {
         r->SetAlertSink(CollectorSink());
       }
+      sq->placements.push_back({s, r.get()});
       sq->replicas.push_back(std::move(r));
     }
     return Status::Ok();
@@ -288,35 +315,26 @@ struct SaqlEngine::Session::SessionContext {
     return Status::Ok();
   }
 
-  /// The instance of `sq` that runs on shard lane `s`: its replica, or at
-  /// one lane the primary itself. Global-mode queries have none.
-  static CompiledQuery* LaneInstance(const SessionQuery& sq, size_t s) {
-    return sq.replicas.empty() ? sq.primary.get() : sq.replicas[s].get();
-  }
-
-  static bool OnGlobalLane(const SessionQuery& sq) {
-    return sq.mode == CompiledQuery::ShardMode::kGlobal;
-  }
-
-  /// Lane 0's groups re-share their (re)built ConstraintIndex with the
-  /// corresponding groups of every other lane (positional: lanes register
-  /// the same queries in the same order).
-  void AdoptLane0Indexes() {
-    std::vector<QueryGroup*> lane0_groups = lane_schedulers[0]->groups();
-    for (size_t s = 1; s < num_lanes; ++s) {
-      std::vector<QueryGroup*> groups = lane_schedulers[s]->groups();
-      for (size_t j = 0; j < groups.size() && j < lane0_groups.size(); ++j) {
-        AdoptIndexFromLane0(lane0_groups[j], groups[j]);
-      }
+  /// Shard lane `lane`'s groups re-share lane 0's (re)built
+  /// ConstraintIndex (positional: shard lanes register the same queries in
+  /// the same order).
+  void AdoptLane0Index(size_t lane) {
+    std::vector<QueryGroup*> lane0_groups = schedulers[0]->groups();
+    std::vector<QueryGroup*> groups = schedulers[lane]->groups();
+    for (size_t j = 0; j < groups.size() && j < lane0_groups.size(); ++j) {
+      AdoptIndexFromLane0(lane0_groups[j], groups[j]);
     }
   }
 
-  ConcurrentQueryScheduler* GlobalScheduler() {
-    if (global_scheduler == nullptr) {
-      global_scheduler = std::make_unique<ConcurrentQueryScheduler>(
-          SchedulerOptions(core->options().enable_member_index));
+  /// Subscribes a new group to lane `lane`, first giving the lane its
+  /// `applied` entry: a subscription may create the lane (the global lane,
+  /// on its first group), whose progress then bounds the ordered release.
+  void SubscribeGroup(size_t lane, QueryGroup* group) {
+    {
+      std::lock_guard<std::mutex> lock(alert_mu);
+      if (applied.size() <= lane) applied.resize(lane + 1, INT64_MIN);
     }
-    return global_scheduler.get();
+    executor->Subscribe(lane, group);
   }
 
   Status BuildExecution() {
@@ -325,64 +343,52 @@ struct SaqlEngine::Session::SessionContext {
     exec_opts.num_shards = num_lanes;
     exec_opts.executor = StreamExecutor::Options{opts.enable_routing};
     executor = std::make_unique<ShardedStreamExecutor>(exec_opts);
-    if (num_lanes > 1) {
-      merge = std::make_unique<ShardMergeStage>(num_lanes);
-      lane_applied.assign(num_lanes, INT64_MIN);
-    }
+    if (num_lanes > 1) merge = std::make_unique<ShardMergeStage>(num_lanes);
+    applied.assign(num_lanes, INT64_MIN);
 
     for (auto& sq : queries) {
       Status st = WireQuery(sq.get());
       if (!st.ok()) return st;
     }
 
-    // One scheduler (query grouping) per shard lane over that lane's
-    // instances, plus one for the global lane over the primaries of
-    // global-mode queries. The member-matching ConstraintIndex is built
-    // once, on lane 0; every other lane's groups adopt the same immutable
-    // index (lanes register the same queries in the same order, so groups
+    // One scheduler (query grouping) per lane, over the instances placed
+    // on it. The member-matching ConstraintIndex is built on lane 0 and on
+    // the global lane; shard lanes 1..N-1 adopt lane 0's immutable index
+    // (they register the same queries in the same order, so groups
     // correspond by position and member order, and Match is const —
     // per-lane scratch lives in each lane's own QueryGroup).
-    lane_schedulers.reserve(num_lanes);
-    for (size_t s = 0; s < num_lanes; ++s) {
-      auto sched = std::make_unique<ConcurrentQueryScheduler>(
-          SchedulerOptions(opts.enable_member_index && s == 0));
-      for (auto& sq : queries) {
-        if (!OnGlobalLane(*sq)) sched->AddQuery(LaneInstance(*sq, s));
-      }
-      sched->BuildGroups();
-      for (QueryGroup* g : sched->groups()) executor->SubscribeShard(s, g);
-      lane_schedulers.push_back(std::move(sched));
+    schedulers.reserve(num_lanes + 1);
+    for (size_t lane = 0; lane <= num_lanes; ++lane) {
+      schedulers.push_back(std::make_unique<ConcurrentQueryScheduler>(
+          SchedulerOptions(opts.enable_member_index &&
+                           !AdoptsLane0Index(lane))));
     }
-    AdoptLane0Indexes();
     for (auto& sq : queries) {
-      if (OnGlobalLane(*sq)) GlobalScheduler()->AddQuery(sq->primary.get());
+      for (const Placement& p : sq->placements) {
+        schedulers[p.lane]->AddQuery(p.instance);
+      }
     }
-    if (global_scheduler != nullptr) {
-      global_scheduler->BuildGroups();
-      for (QueryGroup* g : global_scheduler->groups()) {
-        executor->SubscribeGlobal(g);
+    for (size_t lane = 0; lane < schedulers.size(); ++lane) {
+      schedulers[lane]->BuildGroups();
+      if (AdoptsLane0Index(lane)) AdoptLane0Index(lane);
+      for (QueryGroup* g : schedulers[lane]->groups()) {
+        SubscribeGroup(lane, g);
       }
     }
 
     if (merge != nullptr) {
+      // Only shard lanes feed the merge stage; every lane, the global lane
+      // included, bounds the ordered release.
       ShardedStreamExecutor::ProgressHooks hooks;
-      hooks.watermark = [this](size_t s, Timestamp ts) {
-        merge->AdvanceShardWatermark(s, ts);
+      hooks.watermark = [this](size_t lane, Timestamp ts) {
+        if (lane < num_lanes) merge->AdvanceShardWatermark(lane, ts);
         std::lock_guard<std::mutex> lock(alert_mu);
-        if (ts > lane_applied[s]) lane_applied[s] = ts;
+        if (ts > applied[lane]) applied[lane] = ts;
       };
-      hooks.finished = [this](size_t s) {
-        merge->FinishShard(s);
+      hooks.finished = [this](size_t lane) {
+        if (lane < num_lanes) merge->FinishShard(lane);
         std::lock_guard<std::mutex> lock(alert_mu);
-        lane_applied[s] = INT64_MAX;
-      };
-      hooks.global_watermark = [this](Timestamp ts) {
-        std::lock_guard<std::mutex> lock(alert_mu);
-        if (ts > global_applied) global_applied = ts;
-      };
-      hooks.global_finished = [this]() {
-        std::lock_guard<std::mutex> lock(alert_mu);
-        global_applied = INT64_MAX;
+        applied[lane] = INT64_MAX;
       };
       executor->SetProgressHooks(std::move(hooks));
     }
@@ -396,10 +402,10 @@ struct SaqlEngine::Session::SessionContext {
   /// The session's quiesce-point half of a live rotation: drains the lane
   /// pipeline, re-captures every compiled constraint's symbol under the
   /// current generation, rebuilds the ConstraintIndex probe groups (lane
-  /// 0 rebuilds, other lanes adopt positionally), then advances this
-  /// session's reclaim barrier and lets the core free generations every
-  /// session has passed. Called from the session thread with the
-  /// generation already observed to have moved.
+  /// 0 and the global lane rebuild, shard lanes 1..N-1 adopt lane 0's
+  /// positionally), then advances this session's reclaim barrier and lets
+  /// the core free generations every session has passed. Called from the
+  /// session thread with the generation already observed to have moved.
   void HealRotation(uint64_t gen) {
     executor->Quiesce();
     for (auto& sq : queries) {
@@ -407,9 +413,13 @@ struct SaqlEngine::Session::SessionContext {
       if (sq->primary != nullptr) sq->primary->ReInternSymbols();
       for (auto& r : sq->replicas) r->ReInternSymbols();
     }
-    lane_schedulers[0]->ReindexAllGroups();
-    AdoptLane0Indexes();
-    if (global_scheduler != nullptr) global_scheduler->ReindexAllGroups();
+    for (size_t lane = 0; lane < schedulers.size(); ++lane) {
+      if (AdoptsLane0Index(lane)) {
+        AdoptLane0Index(lane);
+      } else {
+        schedulers[lane]->ReindexAllGroups();
+      }
+    }
     slot->gen_seen.store(gen, std::memory_order_release);
     core->MaybeReclaim();
   }
@@ -441,8 +451,7 @@ struct SaqlEngine::Session::SessionContext {
       if (pending.empty()) return;
       Timestamp cutoff = INT64_MAX;
       if (!all) {
-        for (Timestamp w : lane_applied) cutoff = std::min(cutoff, w);
-        if (global_scheduler) cutoff = std::min(cutoff, global_applied);
+        for (Timestamp w : applied) cutoff = std::min(cutoff, w);
         if (cutoff == INT64_MIN) return;
       }
       std::vector<Alert> keep;
@@ -570,29 +579,22 @@ struct SaqlEngine::Session::SessionContext {
     executor->Quiesce();
     Status st = WireQuery(sq.get());
     if (!st.ok()) return st;
-    if (OnGlobalLane(*sq)) {
+    // A new group means a new stream subscription: the lane's dispatch
+    // index re-registers before the next batch (the global lane's first
+    // group starts the lane mid-stream; it sees the stream from this point
+    // on). An existing group keeps its subscription (the new member shares
+    // its structural envelope) but had its ConstraintIndex rebuilt, which
+    // shard lanes 1..N-1 then adopt from lane 0.
+    QueryGroup* lane0_group = nullptr;
+    for (const Placement& p : sq->placements) {
       bool created = false;
       QueryGroup* g =
-          GlobalScheduler()->AddQueryDynamic(sq->primary.get(), &created);
-      // May spin up the global lane thread mid-stream; the lane sees the
-      // stream from this point on (attach-point semantics).
-      if (created) executor->SubscribeGlobal(g);
-    } else {
-      // A new group means a new stream subscription: the lane's dispatch
-      // index re-registers before the next batch. An existing group keeps
-      // its subscription (the new member shares its structural envelope)
-      // but had its ConstraintIndex rebuilt.
-      QueryGroup* lane0_group = nullptr;
-      for (size_t s = 0; s < num_lanes; ++s) {
-        bool created = false;
-        QueryGroup* g = lane_schedulers[s]->AddQueryDynamic(
-            LaneInstance(*sq, s), &created);
-        if (created) executor->SubscribeShard(s, g);
-        if (s == 0) {
-          lane0_group = g;  // rebuilt its index (when enabled)
-        } else {
-          AdoptIndexFromLane0(lane0_group, g);
-        }
+          schedulers[p.lane]->AddQueryDynamic(p.instance, &created);
+      if (created) SubscribeGroup(p.lane, g);
+      if (p.lane == 0) {
+        lane0_group = g;
+      } else if (AdoptsLane0Index(p.lane)) {
+        AdoptIndexFromLane0(lane0_group, g);
       }
     }
     ReleaseReadyAlerts(false);
@@ -634,34 +636,27 @@ struct SaqlEngine::Session::SessionContext {
     executor->Quiesce();
     sq->final_stats = SumStats(*sq);
     // An emptied group must leave its lane's dispatch index before it
-    // dies.
-    if (OnGlobalLane(*sq)) {
+    // dies; a patched one had its index rebuilt over the survivors.
+    QueryGroup* lane0_patched = nullptr;
+    for (const Placement& p : sq->placements) {
       std::unique_ptr<QueryGroup> emptied;
       QueryGroup* patched = nullptr;
-      global_scheduler->RemoveQuery(sq->primary.get(), &emptied, &patched);
-      if (emptied) executor->UnsubscribeGlobal(emptied.get());
-    } else {
-      QueryGroup* lane0_patched = nullptr;
-      for (size_t s = 0; s < num_lanes; ++s) {
-        std::unique_ptr<QueryGroup> emptied;
-        QueryGroup* patched = nullptr;
-        lane_schedulers[s]->RemoveQuery(LaneInstance(*sq, s), &emptied,
-                                        &patched);
-        if (emptied) {
-          executor->UnsubscribeShard(s, emptied.get());
-        } else if (s == 0) {
-          lane0_patched = patched;  // index rebuilt over the survivors
-        } else {
-          AdoptIndexFromLane0(lane0_patched, patched);
-        }
-      }
-      if (sq->merge_handle != kNoMergeHandle) {
-        // Pending unmerged windows are dropped, not flushed: removal
-        // tears partial state down.
-        merge->RemoveQuery(sq->merge_handle);
+      schedulers[p.lane]->RemoveQuery(p.instance, &emptied, &patched);
+      if (emptied) {
+        executor->Unsubscribe(p.lane, emptied.get());
+      } else if (p.lane == 0) {
+        lane0_patched = patched;
+      } else if (AdoptsLane0Index(p.lane)) {
+        AdoptIndexFromLane0(lane0_patched, patched);
       }
     }
+    if (sq->merge_handle != kNoMergeHandle) {
+      // Pending unmerged windows are dropped, not flushed: removal tears
+      // partial state down.
+      merge->RemoveQuery(sq->merge_handle);
+    }
     ReleaseReadyAlerts(false);
+    sq->placements.clear();
     sq->replicas.clear();
     sq->primary.reset();
     sq->active = false;
@@ -703,29 +698,35 @@ struct SaqlEngine::Session::SessionContext {
     return out;
   }
 
+  /// Groups over every lane that builds its own index; shard lanes
+  /// 1..N-1 mirror lane 0 and are not counted again.
   size_t NumGroups() const {
-    size_t n = lane_schedulers.front()->num_groups();
-    if (global_scheduler) n += global_scheduler->num_groups();
+    size_t n = 0;
+    for (size_t lane = 0; lane < schedulers.size(); ++lane) {
+      if (!AdoptsLane0Index(lane)) n += schedulers[lane]->num_groups();
+    }
     return n;
   }
 
   size_t NumIndexedGroups() const {
-    size_t n = lane_schedulers.front()->num_indexed_groups();
-    if (global_scheduler) n += global_scheduler->num_indexed_groups();
+    size_t n = 0;
+    for (size_t lane = 0; lane < schedulers.size(); ++lane) {
+      if (!AdoptsLane0Index(lane)) {
+        n += schedulers[lane]->num_indexed_groups();
+      }
+    }
     return n;
   }
 
   double ForwardRatio() {
     executor->Quiesce();
     uint64_t in = 0, forwarded = 0;
-    auto fold = [&in, &forwarded](ConcurrentQueryScheduler* sched) {
+    for (auto& sched : schedulers) {
       for (QueryGroup* g : sched->groups()) {
         in += g->stats().events_in;
         forwarded += g->stats().events_forwarded;
       }
-    };
-    for (auto& sched : lane_schedulers) fold(sched.get());
-    if (global_scheduler) fold(global_scheduler.get());
+    }
     return in == 0 ? 0.0
                    : static_cast<double>(forwarded) /
                          static_cast<double>(in);

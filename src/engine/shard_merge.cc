@@ -69,7 +69,6 @@ void ShardMergeStage::DrainReadyLocked() {
       for (auto& [key, pg] : pw.groups) {
         groups.push_back(qs.replica->FinishPartialGroup(pw.window, pg));
       }
-      ++merged_windows_;
       qs.replica->ConsumeMergedWindow(pw.window, groups);
     }
   }

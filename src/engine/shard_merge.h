@@ -24,11 +24,13 @@ namespace saql {
 /// closed that window.
 ///
 /// Alignment: a window [s, e) is ready when min over shards of the last
-/// reported lane watermark is ≥ e. Shard lanes report progress through the
-/// sharded executor's `ProgressHooks`, which fire *after* the lane's query
-/// groups processed the watermark, so every partial for windows ≤ W has
-/// been added before the lane reports W. A finished lane reports +inf, so
-/// end-of-stream flushes deterministically.
+/// reported lane watermark is ≥ e. Shard lanes 0..N-1 report progress
+/// through the sharded executor's `ProgressHooks`, which fire *after* the
+/// lane's query groups processed the watermark, so every partial for
+/// windows ≤ W has been added before the lane reports W. The global lane
+/// N hosts no replicas and exports no partials, so its reports are not
+/// forwarded here. A finished lane reports +inf, so end-of-stream flushes
+/// deterministically.
 ///
 /// Thread safety: all entry points are called from shard lane threads and
 /// serialize on one mutex. Merged-window evaluation (and the alerts it
@@ -64,9 +66,6 @@ class ShardMergeStage {
   /// One shard lane finished its stream (watermark jumps to +inf).
   void FinishShard(size_t shard);
 
-  /// Windows evaluated after merging.
-  uint64_t merged_windows() const { return merged_windows_; }
-
  private:
   struct PendingWindow {
     TimeWindow window;
@@ -87,7 +86,6 @@ class ShardMergeStage {
   std::mutex mu_;
   std::vector<Timestamp> shard_watermarks_;
   std::vector<QueryState> queries_;
-  uint64_t merged_windows_ = 0;
 };
 
 }  // namespace saql

@@ -7,16 +7,16 @@
 namespace saql {
 
 ShardedStreamExecutor::ShardedStreamExecutor(Options options)
-    : options_(options), partitioner_(&SubjectKeyShard) {
+    : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.num_shards > kMaxShards) options_.num_shards = kMaxShards;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   inline_ = options_.num_shards == 1;
-  lanes_.reserve(options_.num_shards);
+  lanes_.reserve(options_.num_shards + 1);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(options_.executor));
+    lanes_.push_back(std::make_unique<Lane>(options_.executor, i, &hooks_));
   }
-  if (!inline_) staged_.resize(options_.num_shards);
+  if (!inline_) staged_.resize(options_.num_shards + 1);
 }
 
 ShardedStreamExecutor::~ShardedStreamExecutor() {
@@ -41,47 +41,29 @@ size_t ShardedStreamExecutor::SubjectKeyShard(const Event& event,
   return static_cast<size_t>(h % num_shards);
 }
 
-void ShardedStreamExecutor::SubscribeShard(size_t shard,
-                                           EventProcessor* processor) {
-  lanes_[shard]->executor.Subscribe(processor);
-}
-
-void ShardedStreamExecutor::SubscribeGlobal(EventProcessor* processor) {
-  Lane* lane = EnsureGlobalLane();
-  // Subscribe before the lane thread can exist: its BeginStream reads the
-  // subscriber list unsynchronized, so the thread must start strictly
+void ShardedStreamExecutor::Subscribe(size_t lane,
+                                      EventProcessor* processor) {
+  if (lane == options_.num_shards && lanes_.size() == lane) {
+    lanes_.push_back(std::make_unique<Lane>(options_.executor, lane, &hooks_));
+  }
+  Lane* l = lanes_[lane].get();
+  // Subscribe before a new lane's thread can exist: its BeginStream reads
+  // the subscriber list unsynchronized, so the thread must start strictly
   // after (thread creation is the happens-before edge).
-  lane->executor.Subscribe(processor);
-  if (streaming_ && !lane->started) StartLane(lane);
+  l->executor.Subscribe(processor);
+  if (streaming_ && !l->started) StartLane(l);
 }
 
-void ShardedStreamExecutor::UnsubscribeShard(size_t shard,
-                                             EventProcessor* processor) {
-  lanes_[shard]->executor.Unsubscribe(processor);
-}
-
-void ShardedStreamExecutor::UnsubscribeGlobal(EventProcessor* processor) {
-  if (global_lane_) global_lane_->executor.Unsubscribe(processor);
-}
-
-void ShardedStreamExecutor::SetPartitioner(Partitioner partitioner) {
-  partitioner_ = std::move(partitioner);
+void ShardedStreamExecutor::Unsubscribe(size_t lane,
+                                        EventProcessor* processor) {
+  if (lane < lanes_.size()) lanes_[lane]->executor.Unsubscribe(processor);
 }
 
 void ShardedStreamExecutor::SetProgressHooks(ProgressHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-ShardedStreamExecutor::Lane* ShardedStreamExecutor::EnsureGlobalLane() {
-  if (!global_lane_) {
-    global_lane_ = std::make_unique<Lane>(options_.executor);
-    global_lane_->is_global = true;
-  }
-  return global_lane_.get();
-}
-
 void ShardedStreamExecutor::StartLane(Lane* lane) {
-  lane->hooks = &hooks_;
   lane->started = true;
   if (inline_) {
     lane->executor.BeginStream();
@@ -140,31 +122,19 @@ void ShardedStreamExecutor::Lane::ApplyWatermark(Timestamp ts) {
   // The *input* watermark, not the lane's own max event time — see the
   // watermark rule in the class comment.
   if (!executor.AdvanceWatermark(ts)) return;
-  if (is_global) {
-    if (hooks->global_watermark) hooks->global_watermark(ts);
-  } else if (hooks->watermark) {
-    hooks->watermark(index, ts);
-  }
+  if (hooks->watermark) hooks->watermark(index, ts);
 }
 
 void ShardedStreamExecutor::Lane::Finish() {
   executor.FinishStream();
-  if (is_global) {
-    if (hooks->global_finished) hooks->global_finished();
-  } else if (hooks->finished) {
-    hooks->finished(index);
-  }
+  if (hooks->finished) hooks->finished(index);
 }
 
 void ShardedStreamExecutor::BeginStream() {
   if (streaming_ || ran_) return;
   streaming_ = true;
-  threads_.reserve(lanes_.size() + 1);
-  for (size_t s = 0; s < lanes_.size(); ++s) {
-    lanes_[s]->index = s;
-    StartLane(lanes_[s].get());
-  }
-  if (global_lane_) StartLane(global_lane_.get());
+  threads_.reserve(options_.num_shards + 1);
+  for (auto& lane : lanes_) StartLane(lane.get());
 }
 
 void ShardedStreamExecutor::PushBatch(Event* events, size_t count) {
@@ -172,38 +142,36 @@ void ShardedStreamExecutor::PushBatch(Event* events, size_t count) {
   ++splitter_stats_.input_batches;
   splitter_stats_.input_events += count;
   if (inline_) {
-    // The caller's buffer is the lane batch; the lane interns it.
-    StreamExecutor& lane = lanes_[0]->executor;
-    lane.ProcessBatch(events, count);
-    if (global_lane_) global_lane_->executor.ProcessBatch(events, count);
-    input_max_ts_ = std::max(input_max_ts_, lane.max_event_ts());
+    // The caller's buffer is every lane's batch; lane 0 interns it.
+    for (auto& lane : lanes_) lane->executor.ProcessBatch(events, count);
+    input_max_ts_ =
+        std::max(input_max_ts_, lanes_[0]->executor.max_event_ts());
     return;
   }
-  const size_t n = lanes_.size();
+  const size_t n = options_.num_shards;
   // Intern once, in the caller's buffer, before events fan out: replayed
   // buffers (VectorEventSource) keep the memoization, and every copy
-  // below carries the symbol ids with it.
+  // below carries the symbol ids with it. A lane with no subscribers is
+  // staged nothing: it gets no copies, only watermarks.
   InternEventSpan(events, count);
   for (EventBatch& s : staged_) s.clear();
   for (size_t k = 0; k < count; ++k) {
     const Event& e = events[k];
     if (e.ts > input_max_ts_) input_max_ts_ = e.ts;
-    staged_[partitioner_(e, n)].push_back(e);
+    const size_t s = SubjectKeyShard(e, n);
+    if (lanes_[s]->subscribed()) staged_[s].push_back(e);
+  }
+  // Lane N sees the whole batch.
+  if (lanes_.size() > n && lanes_[n]->subscribed()) {
+    staged_[n].assign(events, events + count);
   }
   // The batch carries the last *advanced* watermark (a no-op for the
   // lane's executor): watermark progress is explicit, via
   // AdvanceWatermark, which also reaches lanes this batch skipped.
-  for (size_t s = 0; s < n; ++s) {
-    if (staged_[s].empty()) continue;
-    lanes_[s]->Push(LaneBatch{std::move(staged_[s]), pushed_watermark_},
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    if (staged_[i].empty()) continue;
+    lanes_[i]->Push(LaneBatch{std::move(staged_[i]), pushed_watermark_},
                     options_.queue_capacity);
-    staged_[s] = EventBatch{};
-  }
-  if (global_lane_) {
-    LaneBatch gb;
-    gb.events.assign(events, events + count);
-    gb.watermark = pushed_watermark_;
-    global_lane_->Push(std::move(gb), options_.queue_capacity);
   }
 }
 
@@ -215,22 +183,19 @@ bool ShardedStreamExecutor::AdvanceWatermark(Timestamp ts) {
   // Every lane gets the advanced input watermark, even when it received
   // no events — a quiet shard must keep closing windows so the merge
   // stage's alignment can progress.
-  auto advance = [this, ts](Lane* lane) {
+  for (auto& lane : lanes_) {
     if (inline_) {
       lane->ApplyWatermark(ts);
     } else {
       lane->Push(LaneBatch{EventBatch{}, ts}, options_.queue_capacity);
     }
-  };
-  for (auto& lane : lanes_) advance(lane.get());
-  if (global_lane_) advance(global_lane_.get());
+  }
   return true;
 }
 
 void ShardedStreamExecutor::Quiesce() {
   if (!streaming_ || inline_) return;
   for (auto& lane : lanes_) lane->WaitIdle();
-  if (global_lane_) global_lane_->WaitIdle();
 }
 
 void ShardedStreamExecutor::FinishStream() {
@@ -239,11 +204,9 @@ void ShardedStreamExecutor::FinishStream() {
   ran_ = true;
   if (inline_) {
     for (auto& lane : lanes_) lane->Finish();
-    if (global_lane_) global_lane_->Finish();
     return;
   }
   for (auto& lane : lanes_) lane->Close();
-  if (global_lane_) global_lane_->Close();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
 }
@@ -253,25 +216,20 @@ void ShardedStreamExecutor::PushBlock(EventBlock* block) {
   PushBatch(block->MutableRows(), block->size());
 }
 
-const ExecutorStats& ShardedStreamExecutor::shard_stats(size_t shard) const {
-  return lanes_[shard]->executor.stats();
-}
-
-const ExecutorStats* ShardedStreamExecutor::global_stats() const {
-  return global_lane_ ? &global_lane_->executor.stats() : nullptr;
+const ExecutorStats* ShardedStreamExecutor::lane_stats(size_t lane) const {
+  return lane < lanes_.size() ? &lanes_[lane]->executor.stats() : nullptr;
 }
 
 ExecutorStats ShardedStreamExecutor::merged_stats() const {
   ExecutorStats out;
-  auto add = [&out](const ExecutorStats& s) {
+  for (const auto& lane : lanes_) {
+    const ExecutorStats& s = lane->executor.stats();
     out.events += s.events;
     out.deliveries += s.deliveries;
     out.batches += s.batches;
     out.routed_skips += s.routed_skips;
     out.watermarks += s.watermarks;
-  };
-  for (const auto& lane : lanes_) add(lane->executor.stats());
-  if (global_lane_) add(global_lane_->executor.stats());
+  }
   return out;
 }
 

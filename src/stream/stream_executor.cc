@@ -19,15 +19,6 @@ void StreamExecutor::Unsubscribe(EventProcessor* processor) {
   }
 }
 
-void StreamExecutor::Reset() {
-  processors_.clear();
-  routed_.clear();
-  routing_dirty_ = true;
-  max_event_ts_ = INT64_MIN;
-  emitted_watermark_ = INT64_MIN;
-  stats_ = ExecutorStats{};
-}
-
 void StreamExecutor::BuildRoutingTable() {
   for (auto& by_op : table_) {
     for (auto& bucket : by_op) bucket.clear();

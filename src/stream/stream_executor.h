@@ -79,7 +79,12 @@ class EventProcessor {
 /// benchmarks (paper §II-C: the master-dependent-query scheme reduces
 /// per-query data copies).
 struct ExecutorStats {
-  /// Events handed to `ProcessBatch`.
+  /// Events handed to `ProcessBatch`. Summed over a sharded executor's
+  /// lanes, an event counts on its shard lane and again on the global
+  /// lane. Edge: a threaded lane with no subscribers is handed no events
+  /// and counts none, so once a multi-lane session removed its last
+  /// global-lane query, later pushes count once. Inline lanes (one shard)
+  /// count every pushed event.
   uint64_t events = 0;
   /// Event deliveries = sum over events of subscribers it was handed to.
   /// With N independent queries this is N * events; with grouped queries it
@@ -134,9 +139,6 @@ class StreamExecutor {
   /// ProcessBatch themselves). No-op when the processor is not subscribed.
   void Unsubscribe(EventProcessor* processor);
 
-  /// Removes all subscribers and resets statistics.
-  void Reset();
-
   // Step-wise driving interface. A sharded executor drives each per-lane
   // instance so that watermarks come from the *global* input stream (which
   // every shard substream is a subsequence of) instead of the lane's own
@@ -166,9 +168,6 @@ class StreamExecutor {
 
   /// Max event timestamp seen since BeginStream (INT64_MIN before any).
   Timestamp max_event_ts() const { return max_event_ts_; }
-
-  /// Last watermark delivered to subscribers (INT64_MIN before any).
-  Timestamp emitted_watermark() const { return emitted_watermark_; }
 
   size_t num_subscribers() const { return processors_.size(); }
 

@@ -519,6 +519,56 @@ TEST(SessionDynamicRemoveTest, StatefulRemovalDropsOpenWindowsSharded) {
   EXPECT_EQ(stats[0].second.alerts, 0u);
 }
 
+// Once the only join is cancelled the global lane has no subscribers: it
+// must not be handed copies of later pushes (it still gets watermarks).
+// The merged `events` stat then counts each pushed event once — on its
+// shard lane — instead of twice.
+TEST(SessionDynamicRemoveTest, IdleGlobalLaneGetsNoEventCopies) {
+  SaqlEngine::Options opts;
+  opts.num_shards = 2;
+  SaqlEngine engine(opts);
+  ASSERT_TRUE(engine
+                  .AddQuery("proc p write ip i as e return p", "net")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .AddQuery("proc a start proc b as e1 "
+                            "proc c write ip i as e2 "
+                            "with e1 -> e2 return a, c",
+                            "join")
+                  .ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  auto batch = [](Timestamp base) {
+    EventBatch out;
+    for (int i = 0; i < 100; ++i) {
+      out.push_back(NetWrite("app.exe", "1.1.1.1", 100, base + i * kSecond,
+                             "h" + std::to_string(i % 3), 100 + i % 7));
+    }
+    return out;
+  };
+  EventBatch first = batch(kSecond);
+  ASSERT_TRUE((*session)->Push(first).ok());
+  // Both lanes subscribed: every event counts on its shard lane and on
+  // the global lane.
+  EXPECT_EQ((*session)->executor_stats().events, 200u);
+
+  SaqlEngine::QueryHandle* join = (*session)->handle("join");
+  ASSERT_NE(join, nullptr);
+  ASSERT_TRUE(join->Cancel().ok());
+  const uint64_t before = (*session)->executor_stats().events;
+  EventBatch second = batch(200 * kSecond);
+  ASSERT_TRUE((*session)->Push(second).ok());
+  EXPECT_EQ((*session)->executor_stats().events - before, 100u);
+
+  // Watermarks still reach the idle lane, so the ordered release keeps
+  // draining: every partitionable alert arrives.
+  ASSERT_TRUE(
+      (*session)->AdvanceWatermark((*session)->max_event_ts()).ok());
+  ASSERT_TRUE((*session)->Close().ok());
+  EXPECT_EQ(engine.alerts().size(), 200u);
+}
+
 // ---------------------------------------------------------------------
 // ConstraintIndex rebuild parity under churn.
 

@@ -61,7 +61,7 @@ TEST(ShardedExecutorTest, EveryEventReachesExactlyOneShard) {
   opts.num_shards = kShards;
   ShardedStreamExecutor sharded(opts);
   std::vector<RecordingProcessor> procs(kShards);
-  for (size_t s = 0; s < kShards; ++s) sharded.SubscribeShard(s, &procs[s]);
+  for (size_t s = 0; s < kShards; ++s) sharded.Subscribe(s, &procs[s]);
 
   VectorEventSource source(MixedHostStream(500));
   testing::DriveToEnd(&sharded, &source, /*batch_size=*/64);
@@ -74,7 +74,7 @@ TEST(ShardedExecutorTest, EveryEventReachesExactlyOneShard) {
     for (size_t i = 1; i < procs[s].events.size(); ++i) {
       EXPECT_LE(procs[s].events[i - 1].ts, procs[s].events[i].ts);
     }
-    // Every event on this shard is one the partitioner assigns here.
+    // Every event on this shard is one SubjectKeyShard assigns here.
     for (const Event& e : procs[s].events) {
       EXPECT_EQ(ShardedStreamExecutor::SubjectKeyShard(e, kShards), s);
     }
@@ -107,7 +107,7 @@ TEST(ShardedExecutorTest, OneLaneRunsInline) {
   opts.num_shards = 1;
   ShardedStreamExecutor sharded(opts);
   AddressRecorder proc;
-  sharded.SubscribeShard(0, &proc);
+  sharded.Subscribe(0, &proc);
   std::mutex hook_mu;
   std::vector<std::thread::id> hook_threads;
   std::vector<Timestamp> hook_marks;
@@ -152,7 +152,7 @@ TEST(ShardedExecutorTest, OneLaneRunsInline) {
   for (std::thread::id id : hook_threads) {
     EXPECT_EQ(id, std::this_thread::get_id());
   }
-  EXPECT_EQ(sharded.shard_stats(0).events, events.size());
+  EXPECT_EQ(sharded.lane_stats(0)->events, events.size());
 }
 
 TEST(ShardedExecutorTest, SameSubjectKeyAlwaysSameShard) {
@@ -183,15 +183,15 @@ TEST(ShardedExecutorTest, GlobalLaneSeesFullOrderedStream) {
   opts.num_shards = 3;
   ShardedStreamExecutor sharded(opts);
   std::vector<RecordingProcessor> procs(3);
-  for (size_t s = 0; s < 3; ++s) sharded.SubscribeShard(s, &procs[s]);
+  for (size_t s = 0; s < 3; ++s) sharded.Subscribe(s, &procs[s]);
   RecordingProcessor global;
-  sharded.SubscribeGlobal(&global);
+  sharded.Subscribe(3, &global);  // lane N: the global lane
 
   EventBatch stream = MixedHostStream(300);
   VectorEventSource source(stream);
   testing::DriveToEnd(&sharded, &source, 32);
 
-  ASSERT_TRUE(sharded.has_global_lane());
+  ASSERT_NE(sharded.lane_stats(3), nullptr);
   ASSERT_EQ(global.events.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(global.events[i].id, stream[i].id);
@@ -201,6 +201,89 @@ TEST(ShardedExecutorTest, GlobalLaneSeesFullOrderedStream) {
   for (size_t i = 1; i < global.watermarks.size(); ++i) {
     EXPECT_LT(global.watermarks[i - 1], global.watermarks[i]);
   }
+}
+
+/// Global-lane progress: lane N reports through the same two hooks as a
+/// shard lane, each report *after* lane N's subscriber has seen that
+/// watermark / end of stream — on a lane thread when threaded, on the
+/// caller's thread when the shard count is 1 (inline).
+void ExpectGlobalLaneHooksFollowSubscriber(size_t shards) {
+  std::mutex mu;
+  std::vector<std::string> log;  // lane N's subscriber and hook calls
+  std::vector<std::thread::id> hook_threads;
+  class GlobalLogger final : public EventProcessor {
+   public:
+    GlobalLogger(std::mutex* mu, std::vector<std::string>* log)
+        : mu_(mu), log_(log) {}
+    void OnEvent(const Event&) override {}
+    void OnWatermark(Timestamp ts) override {
+      std::lock_guard<std::mutex> lock(*mu_);
+      log_->push_back("sub wm " + std::to_string(ts));
+    }
+    void OnFinish() override {
+      std::lock_guard<std::mutex> lock(*mu_);
+      log_->push_back("sub finish");
+    }
+
+   private:
+    std::mutex* mu_;
+    std::vector<std::string>* log_;
+  };
+
+  ShardedStreamExecutor::Options opts;
+  opts.num_shards = shards;
+  ShardedStreamExecutor sharded(opts);
+  std::vector<RecordingProcessor> procs(shards);
+  for (size_t s = 0; s < shards; ++s) sharded.Subscribe(s, &procs[s]);
+  GlobalLogger global(&mu, &log);
+  sharded.Subscribe(shards, &global);
+  ShardedStreamExecutor::ProgressHooks hooks;
+  hooks.watermark = [&](size_t lane, Timestamp ts) {
+    if (lane != shards) return;
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back("hook wm " + std::to_string(ts));
+    hook_threads.push_back(std::this_thread::get_id());
+  };
+  hooks.finished = [&](size_t lane) {
+    if (lane != shards) return;
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back("hook finish");
+    hook_threads.push_back(std::this_thread::get_id());
+  };
+  sharded.SetProgressHooks(std::move(hooks));
+
+  VectorEventSource source(MixedHostStream(200));
+  testing::DriveToEnd(&sharded, &source, /*batch_size=*/50);
+
+  std::vector<std::string> expected;
+  for (int b = 1; b <= 4; ++b) {
+    const std::string ts = std::to_string(b * 50 * kSecond);
+    expected.push_back("sub wm " + ts);
+    expected.push_back("hook wm " + ts);
+  }
+  expected.push_back("sub finish");
+  expected.push_back("hook finish");
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(log, expected);
+  ASSERT_EQ(hook_threads.size(), expected.size() / 2);
+  for (std::thread::id id : hook_threads) {
+    if (shards == 1) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    } else {
+      EXPECT_NE(id, std::this_thread::get_id());
+    }
+  }
+  ASSERT_NE(sharded.lane_stats(shards), nullptr);
+  EXPECT_EQ(sharded.lane_stats(shards)->events, 200u);
+  EXPECT_EQ(sharded.lane_stats(shards + 1), nullptr);
+}
+
+TEST(ShardedExecutorTest, GlobalLaneHooksFollowSubscriberThreaded) {
+  ExpectGlobalLaneHooksFollowSubscriber(2);
+}
+
+TEST(ShardedExecutorTest, GlobalLaneHooksFollowSubscriberInline) {
+  ExpectGlobalLaneHooksFollowSubscriber(1);
 }
 
 TEST(ShardedExecutorTest, MergedStatsKeepRoutedSkipParity) {
@@ -231,8 +314,8 @@ TEST(ShardedExecutorTest, MergedStatsKeepRoutedSkipParity) {
   std::vector<FileOnly> file_procs(kShards);
   std::vector<NetOnly> net_procs(kShards);
   for (size_t s = 0; s < kShards; ++s) {
-    sharded.SubscribeShard(s, &file_procs[s]);
-    sharded.SubscribeShard(s, &net_procs[s]);
+    sharded.Subscribe(s, &file_procs[s]);
+    sharded.Subscribe(s, &net_procs[s]);
   }
   VectorEventSource source(MixedHostStream(400));  // all file writes
   testing::DriveToEnd(&sharded, &source, 128);
@@ -242,7 +325,7 @@ TEST(ShardedExecutorTest, MergedStatsKeepRoutedSkipParity) {
   EXPECT_EQ(merged.deliveries + merged.routed_skips, 2 * 400u);
   size_t file_seen = 0;
   for (size_t s = 0; s < kShards; ++s) {
-    const ExecutorStats& lane = sharded.shard_stats(s);
+    const ExecutorStats& lane = *sharded.lane_stats(s);
     EXPECT_EQ(lane.deliveries + lane.routed_skips, 2 * lane.events);
     file_seen += file_procs[s].events.size();
     EXPECT_TRUE(net_procs[s].events.empty());
