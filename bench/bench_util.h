@@ -1,9 +1,7 @@
 #ifndef SAQL_BENCH_BENCH_UTIL_H_
 #define SAQL_BENCH_BENCH_UTIL_H_
 
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 
 #include "core/event.h"
@@ -11,14 +9,6 @@
 
 namespace saql {
 namespace bench {
-
-/// Reads one of the checked-in queries (queries/*.saql).
-inline std::string ReadQueryFile(const std::string& filename) {
-  std::ifstream in(std::string(SAQL_QUERY_DIR) + "/" + filename);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 /// Synthetic stream of per-process network writes: `procs` processes
 /// round-robin over `ips` destination IPs, one event per `gap` of event
@@ -45,30 +35,6 @@ inline EventBatch NetWriteStream(size_t n, int procs, int ips,
         "10.0.0." + std::to_string(static_cast<int>(i) % ips + 1);
     e.obj_net.dst_port = 443;
     e.amount = static_cast<int64_t>(amount(rng));
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-/// Synthetic stream of process-start events: `parents` parent processes
-/// spawning children from a pool of `children` names.
-inline EventBatch ProcStartStream(size_t n, int parents, int children,
-                                  Duration gap = 100 * kMillisecond) {
-  EventBatch out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Event e;
-    e.id = i + 1;
-    e.ts = static_cast<Timestamp>(i) * gap;
-    e.agent_id = "host-1";
-    int p = static_cast<int>(i) % parents;
-    e.subject.exe_name = "parent" + std::to_string(p) + ".exe";
-    e.subject.pid = 2000 + p;
-    e.op = EventOp::kStart;
-    e.object_type = EntityType::kProcess;
-    int c = static_cast<int>(i / static_cast<size_t>(parents)) % children;
-    e.obj_proc.exe_name = "child" + std::to_string(c) + ".exe";
-    e.obj_proc.pid = 3000 + c;
     out.push_back(std::move(e));
   }
   return out;

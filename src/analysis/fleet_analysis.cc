@@ -260,6 +260,8 @@ struct CanonPattern {
   std::vector<CanonConstraint> object;
 };
 
+}  // namespace
+
 struct CanonQuery {
   std::vector<CanonPattern> patterns;
   std::vector<CanonConstraint> globals;
@@ -273,6 +275,8 @@ struct CanonQuery {
   /// event-set containment, so SA051 subsumption claims are sound.
   bool stateless = false;
 };
+
+namespace {
 
 /// Renders an expression with variable names erased: resolved refs print as
 /// their (kind, index, role, field) coordinates, so alpha-renamed queries
@@ -522,28 +526,37 @@ SourceSpan AnchorSpan(const AnalyzedQuery& aq) {
   return SourceSpan{};
 }
 
-Diagnostic MakeDuplicateFinding(const AnalyzedQuery& aq,
-                                const std::string& other) {
-  Diagnostic d;
-  d.code = "SA050";
-  d.severity = Severity::kWarning;
-  d.span = AnchorSpan(aq);
-  d.message = "exact duplicate of fleet query '" + other +
-              "': identical patterns, constraints, and alert shape up to "
-              "renaming — both raise the same alerts on every stream "
-              "(double alerting)";
-  d.fix_hint = "drop one of the two queries, or differentiate this one if "
-               "the overlap is unintentional";
-  return d;
+/// How a later-registered query relates to an earlier one. `Analyze` and
+/// `CheckQuery` decide every pair through `Relate`, so they always agree.
+enum class PairRelation { kNone, kDuplicate, kLaterTighter, kLaterWider };
+
+PairRelation Relate(const CanonQuery& earlier, const CanonQuery& later,
+                    const FleetOptions& options) {
+  if (CanonEqual(earlier, later)) return PairRelation::kDuplicate;
+  if (!options.subsumption) return PairRelation::kNone;
+  // Mutually subsuming queries (equivalent constraints that differ
+  // canonically, e.g. LIKE "ab%" and "ab%%") report the later one as the
+  // wider: both claims hold.
+  if (CanonSubsumed(earlier, later)) return PairRelation::kLaterWider;
+  if (CanonSubsumed(later, earlier)) return PairRelation::kLaterTighter;
+  return PairRelation::kNone;
 }
 
-Diagnostic MakeSubsumedFinding(const AnalyzedQuery& aq,
-                               const std::string& other, bool this_stricter) {
+/// The later query's finding for a related pair (`relation` != kNone).
+Diagnostic MakeFinding(PairRelation relation, const AnalyzedQuery& later,
+                       const std::string& other) {
   Diagnostic d;
-  d.code = "SA051";
+  d.code = relation == PairRelation::kDuplicate ? "SA050" : "SA051";
   d.severity = Severity::kWarning;
-  d.span = AnchorSpan(aq);
-  if (this_stricter) {
+  d.span = AnchorSpan(later);
+  if (relation == PairRelation::kDuplicate) {
+    d.message = "exact duplicate of fleet query '" + other +
+                "': identical patterns, constraints, and alert shape up to "
+                "renaming — both raise the same alerts on every stream "
+                "(double alerting)";
+    d.fix_hint = "drop one of the two queries, or differentiate this one if "
+                 "the overlap is unintentional";
+  } else if (relation == PairRelation::kLaterTighter) {
     d.message = "subsumed by fleet query '" + other +
                 "': this query's constraints are provably tighter, so every "
                 "alert it raises, '" + other + "' raises too";
@@ -563,6 +576,11 @@ Diagnostic MakeSubsumedFinding(const AnalyzedQuery& aq,
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
+
+FleetEntry::FleetEntry(std::string name, AnalyzedQueryPtr aq)
+    : name(std::move(name)),
+      aq(std::move(aq)),
+      canon(std::make_shared<const CanonQuery>(Canonicalize(*this->aq))) {}
 
 bool FleetReport::HasFindings() const {
   for (const auto& f : findings) {
@@ -612,23 +630,15 @@ FleetReport FleetAnalysis::Analyze(const std::vector<Member>& members,
 
   for (size_t j = 0; j < members.size(); ++j) {
     for (size_t i = 0; i < j; ++i) {
-      if (CanonEqual(canon[i], canon[j])) {
-        report.relations.push_back(
-            {i, j, FleetRelation::Kind::kDuplicate});
-        report.findings[j].push_back(
-            MakeDuplicateFinding(*members[j].aq, members[i].name));
-        continue;
-      }
-      if (!options.subsumption) continue;
-      if (CanonSubsumed(canon[i], canon[j])) {
-        report.relations.push_back({i, j, FleetRelation::Kind::kSubsumes});
-        report.findings[j].push_back(
-            MakeSubsumedFinding(*members[j].aq, members[i].name, false));
-      } else if (CanonSubsumed(canon[j], canon[i])) {
-        report.relations.push_back({j, i, FleetRelation::Kind::kSubsumes});
-        report.findings[j].push_back(
-            MakeSubsumedFinding(*members[j].aq, members[i].name, true));
-      }
+      PairRelation r = Relate(canon[i], canon[j], options);
+      if (r == PairRelation::kNone) continue;
+      bool flip = r == PairRelation::kLaterTighter;  // a is the subsumed side
+      report.relations.push_back(
+          {flip ? j : i, flip ? i : j,
+           r == PairRelation::kDuplicate ? FleetRelation::Kind::kDuplicate
+                                         : FleetRelation::Kind::kSubsumes});
+      report.findings[j].push_back(
+          MakeFinding(r, *members[j].aq, members[i].name));
     }
   }
 
@@ -660,22 +670,13 @@ FleetReport FleetAnalysis::Analyze(const std::vector<Member>& members,
 }
 
 std::vector<Diagnostic> FleetAnalysis::CheckQuery(
-    const AnalyzedQuery& candidate, const std::vector<Member>& fleet,
+    const FleetEntry& candidate, const std::vector<FleetEntry>& fleet,
     const Options& options) {
   std::vector<Diagnostic> out;
-  CanonQuery cc = Canonicalize(candidate);
-  for (const Member& m : fleet) {
-    if (m.aq == nullptr) continue;
-    CanonQuery cm = Canonicalize(*m.aq);
-    if (CanonEqual(cc, cm)) {
-      out.push_back(MakeDuplicateFinding(candidate, m.name));
-      continue;
-    }
-    if (!options.subsumption) continue;
-    if (CanonSubsumed(cc, cm)) {
-      out.push_back(MakeSubsumedFinding(candidate, m.name, true));
-    } else if (CanonSubsumed(cm, cc)) {
-      out.push_back(MakeSubsumedFinding(candidate, m.name, false));
+  for (const FleetEntry& m : fleet) {
+    PairRelation r = Relate(*m.canon, *candidate.canon, options);
+    if (r != PairRelation::kNone) {
+      out.push_back(MakeFinding(r, *candidate.aq, m.name));
     }
   }
   return out;

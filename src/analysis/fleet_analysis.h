@@ -1,6 +1,7 @@
 #ifndef SAQL_ANALYSIS_FLEET_ANALYSIS_H_
 #define SAQL_ANALYSIS_FLEET_ANALYSIS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,20 @@ struct FleetOptions {
   bool subsumption = true;
 };
 
+/// A query's canonical form (defined in fleet_analysis.cc).
+struct CanonQuery;
+
+/// One fleet member with its canonical form, computed once at construction.
+/// Copies share that form, so a registry entry snapshot by many sessions is
+/// canonicalized exactly once.
+struct FleetEntry {
+  FleetEntry(std::string name, AnalyzedQueryPtr aq);
+
+  std::string name;
+  AnalyzedQueryPtr aq;  ///< immutable, shared across sessions
+  std::shared_ptr<const CanonQuery> canon;
+};
+
 /// Cross-query static analysis over a set of compiled (analyzed) queries:
 /// the fleet-level counterpart to `QueryAnalysis::Lint`.
 ///
@@ -102,12 +117,14 @@ class FleetAnalysis {
   static FleetReport Analyze(const std::vector<Member>& members,
                              const Options& options = Options());
 
-  /// Incremental form used by the AddQuery hooks: checks `candidate`
-  /// against the already-registered fleet and returns its SA050/SA051
-  /// findings (never errors — fleet findings warn, they do not reject).
-  static std::vector<Diagnostic> CheckQuery(const AnalyzedQuery& candidate,
-                                            const std::vector<Member>& fleet,
-                                            const Options& options = Options());
+  /// Incremental form used at query admission: checks `candidate` against
+  /// the already-registered fleet and returns its SA050/SA051 findings
+  /// (never errors — fleet findings warn, they do not reject). Each pair is
+  /// decided exactly as `Analyze` decides it with `candidate` registered
+  /// last, from the entries' precomputed canonical forms.
+  static std::vector<Diagnostic> CheckQuery(
+      const FleetEntry& candidate, const std::vector<FleetEntry>& fleet,
+      const Options& options = Options());
 };
 
 }  // namespace saql

@@ -26,6 +26,14 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return out;
 }
 
+/// Parses and compiles `text` as query `name` (default options): the
+/// instance the `lint` and `explain` commands analyze.
+Result<std::unique_ptr<CompiledQuery>> CompileForAnalysis(
+    const std::string& text, const std::string& name) {
+  SAQL_ASSIGN_OR_RETURN(AnalyzedQueryPtr aq, CompileSaql(text));
+  return CompiledQuery::Create(std::move(aq), name, {});
+}
+
 }  // namespace
 
 QueryShell::QueryShell(std::istream& in, std::ostream& out)
@@ -239,6 +247,16 @@ void QueryShell::PrintDiagnostics(
 }
 
 void QueryShell::CmdLint(const std::vector<std::string>& args) {
+  auto lint = [this](const std::string& label, const std::string& text) {
+    Result<std::unique_ptr<CompiledQuery>> query =
+        CompileForAnalysis(text, label);
+    if (!query.ok()) {
+      out_ << label << ": compile error: " << query.status() << "\n";
+      return;
+    }
+    out_ << label << ":\n";
+    PrintDiagnostics(QueryAnalysis::Lint(**query));
+  };
   // With no file arguments, lint every registered query instead.
   if (args.empty()) {
     if (queries_.empty()) {
@@ -246,21 +264,7 @@ void QueryShell::CmdLint(const std::vector<std::string>& args) {
               "(no queries registered — 'load' some, or pass files)\n";
       return;
     }
-    for (const auto& [name, text] : queries_) {
-      Result<AnalyzedQueryPtr> compiled = CompileSaql(text);
-      if (!compiled.ok()) {
-        out_ << name << ": compile error: " << compiled.status() << "\n";
-        continue;
-      }
-      Result<std::unique_ptr<CompiledQuery>> query =
-          CompiledQuery::Create(*compiled, name, {});
-      if (!query.ok()) {
-        out_ << name << ": compile error: " << query.status() << "\n";
-        continue;
-      }
-      out_ << name << ":\n";
-      PrintDiagnostics(QueryAnalysis::Lint(**query));
-    }
+    for (const auto& [name, text] : queries_) lint(name, text);
     return;
   }
   for (const std::string& path : args) {
@@ -271,19 +275,7 @@ void QueryShell::CmdLint(const std::vector<std::string>& args) {
     }
     std::ostringstream text;
     text << f.rdbuf();
-    Result<AnalyzedQueryPtr> compiled = CompileSaql(text.str());
-    if (!compiled.ok()) {
-      out_ << path << ": compile error: " << compiled.status() << "\n";
-      continue;
-    }
-    Result<std::unique_ptr<CompiledQuery>> query =
-        CompiledQuery::Create(*compiled, path, {});
-    if (!query.ok()) {
-      out_ << path << ": compile error: " << query.status() << "\n";
-      continue;
-    }
-    out_ << path << ":\n";
-    PrintDiagnostics(QueryAnalysis::Lint(**query));
+    lint(path, text.str());
   }
 }
 
@@ -320,13 +312,8 @@ void QueryShell::CmdExplain(const std::vector<std::string>& args) {
     out_ << "no query named '" << args[0] << "' — 'list' shows names\n";
     return;
   }
-  Result<AnalyzedQueryPtr> compiled = CompileSaql(it->second);
-  if (!compiled.ok()) {
-    out_ << "compile error: " << compiled.status() << "\n";
-    return;
-  }
   Result<std::unique_ptr<CompiledQuery>> query =
-      CompiledQuery::Create(*compiled, args[0], {});
+      CompileForAnalysis(it->second, args[0]);
   if (!query.ok()) {
     out_ << "compile error: " << query.status() << "\n";
     return;

@@ -1,8 +1,5 @@
 #include "engine/engine.h"
 
-#include "analysis/fleet_analysis.h"
-#include "analysis/query_analysis.h"
-#include "core/interner.h"
 #include "parser/analyzer.h"
 
 namespace saql {
@@ -31,40 +28,7 @@ Status SaqlEngine::AddAnalyzedQuery(AnalyzedQueryPtr aq,
         "mid-stream (engine-level registration covers future sessions "
         "only)");
   }
-  // Static analysis gates registration: a provably broken query (UNSAT
-  // constraints, dead pattern) never reaches a session. The throwaway
-  // compilation mirrors RegisterQuery's own validation compile.
-  {
-    SAQL_ASSIGN_OR_RETURN(
-        std::unique_ptr<CompiledQuery> compiled,
-        CompiledQuery::Create(aq, name, core_.options().query_options));
-    std::vector<Diagnostic> findings = QueryAnalysis::Lint(*compiled);
-    if (HasErrors(findings)) {
-      std::string rendered = RenderDiagnostics(findings, "  ");
-      if (diagnostics != nullptr) *diagnostics = std::move(findings);
-      return Status::InvalidArgument("query '" + name +
-                                     "' rejected by static analysis:\n" +
-                                     rendered);
-    }
-    // Fleet pass: warn (never reject) when the new query duplicates or
-    // subsumes an already-registered one. Subsumption claims are disabled
-    // under a nonzero alert cooldown, whose suppression timing breaks the
-    // alert-containment argument (see FleetAnalysis).
-    std::vector<FleetAnalysis::Member> fleet;
-    for (EngineCore::RegisteredQuery& reg : core_.SnapshotRegistry()) {
-      fleet.push_back({reg.name, reg.aq});
-    }
-    FleetAnalysis::Options fleet_opts;
-    fleet_opts.subsumption =
-        core_.options().query_options.alert_cooldown <= 0;
-    std::vector<Diagnostic> fleet_findings =
-        FleetAnalysis::CheckQuery(*aq, fleet, fleet_opts);
-    findings.insert(findings.end(),
-                    std::make_move_iterator(fleet_findings.begin()),
-                    std::make_move_iterator(fleet_findings.end()));
-    if (diagnostics != nullptr) *diagnostics = std::move(findings);
-  }
-  return core_.RegisterQuery(std::move(aq), name);
+  return core_.RegisterQuery(std::move(aq), name, diagnostics);
 }
 
 void SaqlEngine::SetAlertSink(AlertSink sink) {

@@ -206,9 +206,11 @@ class SaqlEngine {
     /// `SaqlEngine::AddQuery` between sessions for queries every later
     /// session should include). The name must be unique within the
     /// session (including removed queries).
-    /// Static analysis runs between compilation and wiring: error-severity
-    /// diagnostics (unsatisfiable constraints, dead patterns) reject the
-    /// query with the session state untouched; the remaining findings
+    /// Admission is the engine's one path (`EngineCore::PrepareQuery`),
+    /// run before any wiring: compile, lint — error-severity diagnostics
+    /// (unsatisfiable constraints, dead patterns) reject the query with
+    /// the session state untouched — then the fleet check (SA050/SA051)
+    /// against this session's active queries. The remaining findings
     /// attach to the returned handle (`QueryHandle::diagnostics`). When
     /// `diagnostics` is non-null it receives the full finding list either
     /// way — on rejection this is how callers render the findings.
@@ -296,10 +298,12 @@ class SaqlEngine {
   /// reports. Returns FailedPrecondition while any session is open (use
   /// `Session::AddQuery` to attach mid-stream) or after `Run` was used.
   ///
-  /// Registration runs static analysis (`QueryAnalysis::Lint`):
-  /// error-severity findings reject with InvalidArgument. Pass
-  /// `diagnostics` to receive every finding (also on rejection);
-  /// warnings/hints/notes never reject.
+  /// Registration runs the one admission path
+  /// (`EngineCore::PrepareQuery`, shared with `Session::AddQuery`):
+  /// compile, lint — error-severity findings reject with InvalidArgument
+  /// before the name check — and the fleet check (SA050/SA051) against
+  /// the registered queries. Pass `diagnostics` to receive every finding
+  /// (also on rejection); warnings/hints/notes never reject.
   Status AddQuery(const std::string& text, const std::string& name,
                   std::vector<Diagnostic>* diagnostics = nullptr);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "analysis/query_analysis.h"
 #include "core/interner.h"
 
 namespace saql {
@@ -29,27 +30,52 @@ EngineCore::EngineCore(EngineOptions options)
   sink_ = [this](const Alert& a) { alerts_.push_back(a); };
 }
 
-Status EngineCore::RegisterQuery(AnalyzedQueryPtr aq,
-                                 const std::string& name) {
+Result<EngineCore::PreparedQuery> EngineCore::PrepareQuery(
+    AnalyzedQueryPtr aq, const std::string& name,
+    const std::vector<FleetEntry>& fleet,
+    std::vector<Diagnostic>* diagnostics) const {
+  SAQL_ASSIGN_OR_RETURN(
+      std::unique_ptr<CompiledQuery> instance,
+      CompiledQuery::Create(aq, name, options_.query_options));
+  // Static analysis gates admission before any wiring: a provably broken
+  // query (UNSAT constraints, dead pattern) never reaches a session.
+  std::vector<Diagnostic> findings = QueryAnalysis::Lint(*instance);
+  if (HasErrors(findings)) {
+    std::string rendered = RenderDiagnostics(findings, "  ");
+    if (diagnostics != nullptr) *diagnostics = std::move(findings);
+    return Status::InvalidArgument("query '" + name +
+                                   "' rejected by static analysis:\n" +
+                                   rendered);
+  }
+  FleetEntry entry(name, std::move(aq));
+  FleetAnalysis::Options fleet_opts;
+  fleet_opts.subsumption = options_.query_options.alert_cooldown <= 0;
+  std::vector<Diagnostic> fleet_findings =
+      FleetAnalysis::CheckQuery(entry, fleet, fleet_opts);
+  findings.insert(findings.end(),
+                  std::make_move_iterator(fleet_findings.begin()),
+                  std::make_move_iterator(fleet_findings.end()));
+  if (diagnostics != nullptr) *diagnostics = std::move(findings);
+  return PreparedQuery{std::move(entry), std::move(instance)};
+}
+
+Status EngineCore::RegisterQuery(AnalyzedQueryPtr aq, const std::string& name,
+                                 std::vector<Diagnostic>* diagnostics) {
   std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const RegisteredQuery& r : registered_) {
+  SAQL_ASSIGN_OR_RETURN(
+      PreparedQuery prepared,
+      PrepareQuery(std::move(aq), name, registered_, diagnostics));
+  for (const FleetEntry& r : registered_) {
     if (r.name == name) {
       return Status::AlreadyExists("query '" + name +
                                    "' is already registered");
     }
   }
-  // Compile to validate: sessions compile their own instances at open,
-  // so the validated instance is discarded here.
-  SAQL_ASSIGN_OR_RETURN(
-      std::unique_ptr<CompiledQuery> q,
-      CompiledQuery::Create(aq, name, options_.query_options));
-  (void)q;
-  registered_.push_back(RegisteredQuery{name, std::move(aq)});
+  registered_.push_back(std::move(prepared.entry));
   return Status::Ok();
 }
 
-std::vector<EngineCore::RegisteredQuery> EngineCore::SnapshotRegistry()
-    const {
+std::vector<FleetEntry> EngineCore::SnapshotRegistry() const {
   std::lock_guard<std::mutex> lock(registry_mu_);
   return registered_;
 }

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.h"
+#include "analysis/fleet_analysis.h"
 #include "engine/alert.h"
 #include "engine/compiled_query.h"
 #include "engine/error_reporter.h"
@@ -124,10 +126,11 @@ struct SessionOptions {
 /// session's own `SessionContext` (session.cc) and is never shared.
 class EngineCore {
  public:
-  /// One registered query, snapshot by each session at open.
-  struct RegisteredQuery {
-    std::string name;
-    AnalyzedQueryPtr aq;  ///< immutable, shared across sessions
+  /// A query that passed admission: its fleet entry (canonical form
+  /// included) and its compiled instance.
+  struct PreparedQuery {
+    FleetEntry entry;
+    std::unique_ptr<CompiledQuery> instance;
   };
 
   /// Liveness record of one open session. Owned by the core; handed to
@@ -147,14 +150,27 @@ class EngineCore {
 
   // Query registry ----------------------------------------------------
 
-  /// Validates (by compiling) and registers a query under `name`.
-  /// Sessions opened later include it; open sessions are unaffected
-  /// (use Session::AddQuery to attach mid-stream).
-  Status RegisterQuery(AnalyzedQueryPtr aq, const std::string& name);
+  /// The one query-admission path, shared by `RegisterQuery` and
+  /// `Session::AddQuery`: compile with `query_options`, lint (error
+  /// findings reject with InvalidArgument), then the fleet check against
+  /// `fleet` (SA051 only when `alert_cooldown <= 0`; fleet findings never
+  /// reject). `diagnostics`, if set, receives every finding.
+  Result<PreparedQuery> PrepareQuery(
+      AnalyzedQueryPtr aq, const std::string& name,
+      const std::vector<FleetEntry>& fleet,
+      std::vector<Diagnostic>* diagnostics) const;
 
-  /// The registered queries at this instant (shared AnalyzedQuery
-  /// handles; safe to compile from concurrently).
-  std::vector<RegisteredQuery> SnapshotRegistry() const;
+  /// Admits a query through `PrepareQuery` against the registered fleet
+  /// and registers it under `name` (AlreadyExists, after the lint gate,
+  /// when taken). The compiled instance is dropped: sessions opened later
+  /// compile their own; open sessions are unaffected.
+  Status RegisterQuery(AnalyzedQueryPtr aq, const std::string& name,
+                       std::vector<Diagnostic>* diagnostics);
+
+  /// The registered queries at this instant. Entries share their analyzed
+  /// query and canonical form with the registry (both immutable, safe to
+  /// compile from concurrently).
+  std::vector<FleetEntry> SnapshotRegistry() const;
 
   size_t num_queries() const;
 
@@ -235,7 +251,7 @@ class EngineCore {
   ErrorReporter errors_;
 
   mutable std::mutex registry_mu_;
-  std::vector<RegisteredQuery> registered_;
+  std::vector<FleetEntry> registered_;
 
   std::mutex sink_mu_;
   AlertSink sink_;

@@ -35,8 +35,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/fleet_analysis.h"
-#include "analysis/query_analysis.h"
 #include "core/interner.h"
 #include "engine/engine.h"
 #include "engine/shard_merge.h"
@@ -76,7 +74,6 @@ struct SaqlEngine::Session::SessionContext {
   /// entry so handles and per-query stats survive).
   struct SessionQuery {
     std::string name;
-    AnalyzedQueryPtr aq;
     /// One lane: the executing instance, on lane 0. More lanes: the merge
     /// replica (stateful), the global-lane instance (global), or an
     /// unsubscribed stats anchor (partitionable). Freed on removal.
@@ -113,6 +110,9 @@ struct SaqlEngine::Session::SessionContext {
 
   std::vector<std::unique_ptr<SessionQuery>> queries;
   std::unordered_map<std::string, SessionQuery*> by_name;
+  /// The active queries in attach order, with their canonical forms: the
+  /// members an incoming query's fleet check compares against.
+  std::vector<FleetEntry> fleet;
 
   std::unique_ptr<ShardedStreamExecutor> executor;
   /// Query grouping per lane: shard lanes 0..N-1, then the global lane N
@@ -242,7 +242,7 @@ struct SaqlEngine::Session::SessionContext {
     for (size_t s = 0; s < num_lanes; ++s) {
       SAQL_ASSIGN_OR_RETURN(
           std::unique_ptr<CompiledQuery> r,
-          CompiledQuery::Create(sq->aq, sq->name, q->options()));
+          CompiledQuery::Create(q->analyzed_ptr(), sq->name, q->options()));
       r->SetErrorReporter(core->errors());
       if (sq->mode == CompiledQuery::ShardMode::kPartitionableWithMerge) {
         ShardMergeStage* m = merge.get();
@@ -295,11 +295,12 @@ struct SaqlEngine::Session::SessionContext {
 
     // Snapshot the engine's registered queries as this session's set,
     // compiling a fresh instance of each (sessions never share mutable
-    // execution state; the analyzed queries are immutable and shared).
-    for (EngineCore::RegisteredQuery& reg : core->SnapshotRegistry()) {
+    // execution state; the analyzed queries and their canonical forms are
+    // immutable and shared).
+    fleet = core->SnapshotRegistry();
+    for (const FleetEntry& reg : fleet) {
       auto sq = std::make_unique<SessionQuery>();
       sq->name = reg.name;
-      sq->aq = reg.aq;
       SAQL_ASSIGN_OR_RETURN(
           sq->primary,
           CompiledQuery::Create(reg.aq, reg.name, opts.query_options));
@@ -531,48 +532,23 @@ struct SaqlEngine::Session::SessionContext {
   // Dynamic query lifecycle.
 
   Result<QueryHandle*> AddQuery(AnalyzedQueryPtr aq, const std::string& name,
-                                std::vector<Diagnostic>* diagnostics =
-                                    nullptr) {
+                                std::vector<Diagnostic>* diagnostics) {
     if (by_name.count(name) != 0) {
       return Status::AlreadyExists("query '" + name +
                                    "' already exists in this session");
     }
+    // Admission (compile, lint, fleet check against this session's active
+    // queries) runs before any scheduler or executor wiring, so a rejected
+    // query leaves the session exactly as it was.
+    std::vector<Diagnostic> findings;
+    std::vector<Diagnostic>* out = diagnostics != nullptr ? diagnostics
+                                                          : &findings;
+    SAQL_ASSIGN_OR_RETURN(EngineCore::PreparedQuery prepared,
+                          core->PrepareQuery(std::move(aq), name, fleet, out));
     auto sq = std::make_unique<SessionQuery>();
     sq->name = name;
-    sq->aq = aq;
-    SAQL_ASSIGN_OR_RETURN(
-        sq->primary,
-        CompiledQuery::Create(aq, name, core->options().query_options));
-
-    // Static analysis gates the attach *before* any scheduler or executor
-    // wiring, so a rejected query leaves the session exactly as it was.
-    std::vector<Diagnostic> findings = QueryAnalysis::Lint(*sq->primary);
-    if (HasErrors(findings)) {
-      if (diagnostics != nullptr) *diagnostics = findings;
-      return Status::InvalidArgument(
-          "query '" + name + "' rejected by static analysis:\n" +
-          RenderDiagnostics(findings, "  "));
-    }
-    // Fleet pass against this session's live query set: duplicate /
-    // subsumption findings warn on the incoming query's handle, they never
-    // reject. Subsumption claims are unsound under an alert cooldown
-    // (suppression timing), so they are gated on cooldown == 0.
-    {
-      std::vector<FleetAnalysis::Member> fleet;
-      for (const auto& existing : queries) {
-        fleet.push_back({existing->name, existing->aq});
-      }
-      FleetAnalysis::Options fleet_opts;
-      fleet_opts.subsumption =
-          core->options().query_options.alert_cooldown <= 0;
-      std::vector<Diagnostic> fleet_findings =
-          FleetAnalysis::CheckQuery(*aq, fleet, fleet_opts);
-      findings.insert(findings.end(),
-                      std::make_move_iterator(fleet_findings.begin()),
-                      std::make_move_iterator(fleet_findings.end()));
-    }
-    if (diagnostics != nullptr) *diagnostics = findings;
-    sq->diagnostics = std::move(findings);
+    sq->primary = std::move(prepared.instance);
+    sq->diagnostics = *out;
 
     // All lanes idle: replica wiring, group patching, and merge-stage
     // registration must not race the lane threads.
@@ -608,6 +584,7 @@ struct SaqlEngine::Session::SessionContext {
     QueryHandle* h = sq->handle.get();
     by_name[name] = sq.get();
     queries.push_back(std::move(sq));
+    fleet.push_back(std::move(prepared.entry));
     return h;
   }
 
@@ -660,6 +637,9 @@ struct SaqlEngine::Session::SessionContext {
     sq->replicas.clear();
     sq->primary.reset();
     sq->active = false;
+    fleet.erase(std::find_if(
+        fleet.begin(), fleet.end(),
+        [sq](const FleetEntry& e) { return e.name == sq->name; }));
     return Status::Ok();
   }
 

@@ -1,3 +1,5 @@
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -98,6 +100,37 @@ TEST(QueryShellTest, LintCommandReportsDiagnostics) {
   EXPECT_NE(out.find("0 error(s), 0 warning(s)"), std::string::npos);
   EXPECT_NE(h.Run("lint /no/such.saql").find("cannot open"),
             std::string::npos);
+}
+
+// `lint` and `explain` share one compile step; their exact lines are
+// pinned: a compile failure prints "<label>: compile error: <status>" and
+// linting goes on with the next target.
+TEST(QueryShellTest, LintAndExplainPinTheirLines) {
+  std::string bad =
+      (std::filesystem::temp_directory_path() / "saql_cli_lint_bad.saql")
+          .string();
+  std::ofstream(bad) << "proc p wrte file f as e return p\n";
+  ShellHarness h;
+  EXPECT_EQ(h.Run("lint " + bad + " /no/such.saql"),
+            bad + ": compile error: ParseError: unknown operation 'wrte'\n"
+                  "/no/such.saql: cannot open\n");
+  std::filesystem::remove(bad);
+
+  h.Run("query x proc p write file f as e return p");
+  std::string out = h.Run("lint");
+  EXPECT_EQ(out.rfind("x:\n  warning SA041 at 1:14-20: unused pattern "
+                      "variable 'f'",
+                      0),
+            0u)
+      << out;
+  EXPECT_NE(out.find("\n  0 error(s), 1 warning(s), 1 note(s)\n"),
+            std::string::npos)
+      << out;
+  out = h.Run("explain x");
+  EXPECT_EQ(out.rfind("placement: partitionable", 0), 0u) << out;
+  EXPECT_NE(out.find("\nfindings:\n  warning SA041 at 1:14-20: "),
+            std::string::npos)
+      << out;
 }
 
 TEST(QueryShellTest, ExplainShowsPlacementRationale) {

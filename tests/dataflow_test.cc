@@ -384,7 +384,8 @@ TEST(GoldenSpanTest, SA050PinsItsSpan) {
       "proc pb[\"%EVIL.EXE\"] write file fb[name = \"%drop.dll\"] as eb\n"
       "return pb, fb");
   ASSERT_TRUE(a.ok() && b.ok());
-  auto diags = FleetAnalysis::CheckQuery(**b, {{"first", *a}});
+  auto diags = FleetAnalysis::CheckQuery(FleetEntry("second", *b),
+                                         {FleetEntry("first", *a)});
   const Diagnostic* d = Find(diags, "SA050");
   ASSERT_NE(d, nullptr) << Render(diags);
   EXPECT_EQ(d->severity, Severity::kWarning);
@@ -398,7 +399,8 @@ TEST(GoldenSpanTest, SA051PinsItsSpan) {
       "return p, f");
   auto wide = CompileSaql("proc p write file f as e\nreturn p, f");
   ASSERT_TRUE(tight.ok() && wide.ok());
-  auto diags = FleetAnalysis::CheckQuery(**wide, {{"tight", *tight}});
+  auto diags = FleetAnalysis::CheckQuery(FleetEntry("wide", *wide),
+                                         {FleetEntry("tight", *tight)});
   const Diagnostic* d = Find(diags, "SA051");
   ASSERT_NE(d, nullptr) << Render(diags);
   EXPECT_EQ(d->severity, Severity::kWarning);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -223,6 +224,41 @@ TEST(FleetAnalysisTest, SA051RespectsTheSubsumptionOption) {
   FleetReport r2 = FleetAnalysis::Analyze({{"a", wide}, {"b", wide}}, opts);
   ASSERT_EQ(r2.relations.size(), 1u);
   EXPECT_EQ(r2.relations[0].kind, FleetRelation::Kind::kDuplicate);
+}
+
+// LIKE "ab%" and "ab%%" both match prefix "ab", so each query implies the
+// other, yet they differ canonically (no SA050). The whole-fleet pass and
+// the incremental check decide the pair through one relation, so both word
+// it alike: the later query subsumes the earlier one.
+TEST(FleetAnalysisTest, SA051MutualSubsumptionWordedAlikeEverywhere) {
+  const std::string qa =
+      "proc p[exe_name = \"ab%\"] write file f as e return distinct p";
+  const std::string qb =
+      "proc p[exe_name = \"ab%%\"] write file f as e return distinct p";
+  AnalyzedQueryPtr a = Compile(qa);
+  AnalyzedQueryPtr b = Compile(qb);
+  ASSERT_TRUE(a != nullptr && b != nullptr);
+
+  FleetReport r = FleetAnalysis::Analyze({{"qa", a}, {"qb", b}});
+  ASSERT_EQ(r.relations.size(), 1u) << r.ToString();
+  EXPECT_EQ(r.relations[0].kind, FleetRelation::Kind::kSubsumes);
+  ASSERT_EQ(r.findings[1].size(), 1u);
+  const std::string& whole = r.findings[1][0].message;
+  EXPECT_EQ(whole.rfind("subsumes fleet query 'qa'", 0), 0u) << whole;
+
+  std::vector<Diagnostic> inc = FleetAnalysis::CheckQuery(
+      FleetEntry("qb", b), {FleetEntry("qa", a)});
+  ASSERT_EQ(inc.size(), 1u);
+  EXPECT_EQ(inc[0].code, "SA051");
+  EXPECT_EQ(inc[0].message, whole);
+
+  SaqlEngine engine;
+  std::vector<Diagnostic> diags;
+  ASSERT_TRUE(engine.AddQuery(qa, "qa").ok());
+  ASSERT_TRUE(engine.AddQuery(qb, "qb", &diags).ok());
+  const Diagnostic* d = Find(diags, "SA051");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->message, whole);
 }
 
 TEST(FleetAnalysisTest, RoutingEnvelopeCells) {
@@ -514,6 +550,126 @@ TEST(FleetDifferentialTest, ClaimedRelationsHoldUnderExecution) {
   // every claimed pair ran, and a healthy fraction produced alerts.
   EXPECT_EQ(executed, 220u);
   EXPECT_GT(alerting_pairs, 100u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Incremental admission equals the whole-fleet pass.
+//
+// Registering a fleet one query at a time — through SaqlEngine::AddQuery,
+// and through Session::AddQuery on top of an engine-registered prefix —
+// must attach to each query exactly the SA050/SA051 findings (code and
+// message) that Analyze over the same registration order gives it.
+// ---------------------------------------------------------------------------
+
+using NamedQuery = std::pair<std::string, std::string>;  // (name, text)
+
+std::vector<NamedQuery> CorpusFleet() {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           SAQL_QUERY_DIR)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".saql" &&
+        entry.path().parent_path().filename() != "fixtures") {
+      files.push_back(
+          std::filesystem::relative(entry.path(), SAQL_QUERY_DIR).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<NamedQuery> out;
+  for (const std::string& f : files) {
+    out.emplace_back(f, testing::ReadQueryFile(f));
+  }
+  return out;
+}
+
+std::vector<NamedQuery> FixtureFleet() {
+  return {{"dup_a", testing::ReadQueryFile(
+                        "apt/fixtures/dup_dropper_write_a.saql")},
+          {"dup_b", testing::ReadQueryFile(
+                        "apt/fixtures/dup_dropper_write_b.saql")}};
+}
+
+/// Flattens generated pairs into one fleet, so relations also form across
+/// pairs that happen to share a base.
+std::vector<NamedQuery> GeneratedFleet() {
+  std::mt19937 rng(0x1AC);
+  std::vector<NamedQuery> out;
+  for (int i = 0; i < 12; ++i) {
+    GenPair pair = MakePair(&rng, static_cast<GenPair::Kind>(i % 3));
+    out.emplace_back("g" + std::to_string(i) + "a", pair.a);
+    out.emplace_back("g" + std::to_string(i) + "b", pair.b);
+  }
+  return out;
+}
+
+std::vector<std::string> FleetFindings(const std::vector<Diagnostic>& diags) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : diags) {
+    if (d.code == "SA050" || d.code == "SA051") {
+      out.push_back(d.code + ": " + d.message);
+    }
+  }
+  return out;
+}
+
+TEST(FleetIncrementalTest, AddQueryFindingsEqualWholeFleetPass) {
+  const std::vector<std::pair<std::string, std::vector<NamedQuery>>> fleets =
+      {{"corpus", CorpusFleet()},
+       {"fixtures", FixtureFleet()},
+       {"generated", GeneratedFleet()}};
+  size_t related = 0;
+  for (const auto& [fleet_name, fleet] : fleets) {
+    ASSERT_GE(fleet.size(), 2u) << fleet_name;
+    for (uint32_t seed : {1u, 2u, 3u}) {
+      std::vector<NamedQuery> order = fleet;
+      std::mt19937 rng(seed);
+      std::shuffle(order.begin(), order.end(), rng);
+      SCOPED_TRACE(fleet_name + " seed " + std::to_string(seed));
+
+      std::vector<FleetAnalysis::Member> members;
+      for (const auto& [name, text] : order) {
+        AnalyzedQueryPtr aq = Compile(text);
+        ASSERT_NE(aq, nullptr) << name;
+        members.push_back({name, aq});
+      }
+      FleetReport report = FleetAnalysis::Analyze(members);
+      related += report.relations.size();
+
+      // Engine leg: every query registered through SaqlEngine::AddQuery.
+      SaqlEngine engine;
+      for (size_t i = 0; i < order.size(); ++i) {
+        std::vector<Diagnostic> diags;
+        ASSERT_TRUE(engine.AddQuery(order[i].second, order[i].first, &diags)
+                        .ok())
+            << order[i].first;
+        EXPECT_EQ(FleetFindings(diags), FleetFindings(report.findings[i]))
+            << "engine AddQuery of " << order[i].first;
+      }
+
+      // Session leg: the first half registered on the engine (snapshot at
+      // open), the rest attached through Session::AddQuery.
+      const size_t split = order.size() / 2;
+      SaqlEngine prefix;
+      for (size_t i = 0; i < split; ++i) {
+        ASSERT_TRUE(prefix.AddQuery(order[i].second, order[i].first).ok());
+      }
+      auto session = prefix.OpenSession();
+      ASSERT_TRUE(session.ok()) << session.status();
+      for (size_t i = split; i < order.size(); ++i) {
+        std::vector<Diagnostic> diags;
+        auto h = (*session)->AddQuery(order[i].second, order[i].first, &diags);
+        ASSERT_TRUE(h.ok()) << order[i].first << ": " << h.status();
+        EXPECT_EQ(FleetFindings(diags), FleetFindings(report.findings[i]))
+            << "session AddQuery of " << order[i].first;
+        EXPECT_EQ(FleetFindings((*h)->diagnostics()),
+                  FleetFindings(report.findings[i]));
+      }
+      ASSERT_TRUE((*session)->Close().ok());
+    }
+  }
+  // The fixture pair contributes one SA050 per order, the generated fleet
+  // several SA050/SA051 more.
+  EXPECT_GT(related, 3u);
 }
 
 }  // namespace

@@ -845,6 +845,47 @@ TEST(SessionLifecycleTest, DuplicateSessionQueryNameRejected) {
   ASSERT_TRUE((*session)->Close().ok());
 }
 
+// The fleet check on AddQuery compares against the session's *active*
+// queries: a removed or cancelled query draws no SA050, a live one does.
+TEST(SessionLifecycleTest, FleetCheckSeesOnlyActiveQueries) {
+  const std::string text =
+      "proc p[exe_name = \"a.exe\"] write file f as e return distinct p";
+  auto codes = [](const std::vector<Diagnostic>& diags) {
+    std::string out;
+    for (const Diagnostic& d : diags) out += d.code + ": " + d.message + "\n";
+    return out;
+  };
+  SaqlEngine engine;
+  ASSERT_TRUE(engine.AddQuery(text, "t005").ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  SaqlEngine::Session& s = **session;
+  ASSERT_TRUE(s.RemoveQuery("t005").ok());
+
+  std::vector<Diagnostic> diags;
+  auto readded = s.AddQuery(text, "t005-r", &diags);
+  ASSERT_TRUE(readded.ok()) << readded.status();
+  EXPECT_EQ(codes(diags).find("SA050"), std::string::npos) << codes(diags);
+
+  // A duplicate of the live re-add still draws SA050, naming it.
+  auto dup = s.AddQuery(text, "t005-d", &diags);
+  ASSERT_TRUE(dup.ok()) << dup.status();
+  EXPECT_NE(codes(diags).find("SA050: exact duplicate of fleet query "
+                              "'t005-r'"),
+            std::string::npos)
+      << codes(diags);
+  EXPECT_EQ(codes(diags).find("'t005'"), std::string::npos) << codes(diags);
+
+  // Cancel drops a query from the fleet just like RemoveQuery.
+  ASSERT_TRUE((*readded)->Cancel().ok());
+  ASSERT_TRUE((*dup)->Cancel().ok());
+  auto third = s.AddQuery(text, "t005-c", &diags);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_EQ(codes(diags).find("SA050"), std::string::npos) << codes(diags);
+  EXPECT_EQ(s.num_active_queries(), 1u);
+  ASSERT_TRUE(s.Close().ok());
+}
+
 TEST(SessionLifecycleTest, DestructorClosesOpenSession) {
   SaqlEngine engine;
   ASSERT_TRUE(
