@@ -33,12 +33,18 @@
 //      the rotation hiccup: the same drive with the live interner
 //      rotation policy forced on at every quiesce point, so each push
 //      pays the re-intern/re-index heal.
+//   A13 Interning — `InternEventSpan` over an EnterpriseSimulator stream
+//      in 256-event spans (a pushed batch), symbols reset between
+//      iterations so every event pays the lock-free hit path: one
+//      case-folded hash and compare per interned string. Reported as
+//      `ns_per_event`.
 //   Baseline file: run with
-//     --benchmark_filter='Routing|ShardScaling|MemberIndex|DynamicChurn|ConcurrentSessions'
+//     --benchmark_filter='Routing|ShardScaling|MemberIndex|DynamicChurn|ConcurrentSessions|InternEventSpan'
 //     --benchmark_out=BENCH_throughput.json --benchmark_out_format=json
 //   to refresh the checked-in throughput baseline.
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
@@ -46,6 +52,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "collect/enterprise_sim.h"
 #include "core/interner.h"
 #include "core/like_matcher.h"
 #include "engine/engine.h"
@@ -677,6 +684,47 @@ BENCHMARK(BM_ConcurrentSessionsRotating)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// A13: interning hot path.
+// ---------------------------------------------------------------------------
+
+/// Interns the simulator's stream span by span, the way a session interns
+/// each pushed batch. Only the `InternEventSpan` calls are timed; the
+/// symbol reset that makes the next iteration intern again is not.
+void BM_InternEventSpan(benchmark::State& state) {
+  static constexpr size_t kSpan = 256;
+  static EventBatch* stream = [] {
+    EnterpriseSimulator::Options opts;
+    opts.num_workstations = 8;
+    opts.duration = 10 * kMinute;
+    opts.seed = 20200227;
+    return new EventBatch(EnterpriseSimulator(opts).Generate());
+  }();
+  double total_ns = 0;
+  for (auto _ : state) {
+    for (Event& e : *stream) e.syms = EventSymbols{};
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t pos = 0; pos < stream->size(); pos += kSpan) {
+      InternEventSpan(stream->data() + pos,
+                      std::min(kSpan, stream->size() - pos));
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    benchmark::DoNotOptimize(stream->data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(elapsed.count());
+    total_ns += elapsed.count() * 1e9;
+  }
+  const double events = static_cast<double>(state.iterations()) *
+                        static_cast<double>(stream->size());
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["ns_per_event"] = total_ns / events;
+  state.counters["events"] = static_cast<double>(stream->size());
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+}
+BENCHMARK(BM_InternEventSpan)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // ---------------------------------------------------------------------------
 // A6: shard scaling (hash-partitioned executor, 1/2/4/8 lanes).

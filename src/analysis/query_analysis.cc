@@ -149,11 +149,6 @@ Contradiction MakeContradiction(const NormConstraint& a,
   return out;
 }
 
-/// Exact string equality under the engine's case-insensitive LIKE semantics.
-bool CiEqual(const std::string& a, const std::string& b) {
-  return ToLower(a) == ToLower(b);
-}
-
 /// Pairwise refutation for two string constraints. Conservative: returns a
 /// contradiction only for provable cases (two different exact values; an
 /// exact value a LIKE pattern rejects); pattern-vs-pattern is left alone.
@@ -164,7 +159,7 @@ std::optional<std::string> RefuteStringPair(ConstraintOp op_a,
   LikeMatcher ma(va);
   LikeMatcher mb(vb);
   if (op_a == ConstraintOp::kEq && op_b == ConstraintOp::kEq) {
-    if (ma.is_exact() && mb.is_exact() && !CiEqual(va, vb)) {
+    if (ma.is_exact() && mb.is_exact() && !AsciiCaseEqual(va, vb)) {
       return ": no value equals both";
     }
     if (ma.is_exact() && !mb.is_exact() && !mb.Matches(va)) {
@@ -177,11 +172,11 @@ std::optional<std::string> RefuteStringPair(ConstraintOp op_a,
   }
   // eq V vs ne W with V == W (exact on both sides).
   if (op_a == ConstraintOp::kEq && op_b == ConstraintOp::kNe &&
-      ma.is_exact() && mb.is_exact() && CiEqual(va, vb)) {
+      ma.is_exact() && mb.is_exact() && AsciiCaseEqual(va, vb)) {
     return ": requires and excludes the same value";
   }
   if (op_a == ConstraintOp::kNe && op_b == ConstraintOp::kEq &&
-      ma.is_exact() && mb.is_exact() && CiEqual(va, vb)) {
+      ma.is_exact() && mb.is_exact() && AsciiCaseEqual(va, vb)) {
     return ": requires and excludes the same value";
   }
   return std::nullopt;

@@ -1,39 +1,10 @@
 #include "core/interner.h"
 
-#include <cctype>
+#include "core/string_util.h"
 
 namespace saql {
 
 namespace {
-
-inline unsigned char LowerByte(char c) {
-  return static_cast<unsigned char>(
-      std::tolower(static_cast<unsigned char>(c)));
-}
-
-std::string NormalizeAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(LowerByte(c));
-  return out;
-}
-
-/// FNV-1a over the lowercased bytes; must agree with CiEquals.
-size_t CiHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= LowerByte(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h);
-}
-
-bool CiEquals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (LowerByte(a[i]) != LowerByte(b[i])) return false;
-  }
-  return true;
-}
 
 constexpr size_t kInitialCapacity = 1024;  // power of two
 constexpr size_t kMaxLoadNum = 7;          // grow above 7/10 occupancy
@@ -74,7 +45,7 @@ const Interner::Entry* Interner::Probe(const Table* t, std::string_view s,
   for (size_t i = hash & t->mask;; i = (i + 1) & t->mask) {
     const Entry* e = t->slots[i].load(std::memory_order_acquire);
     if (e == nullptr) return nullptr;
-    if (e->hash == hash && CiEquals(e->name, s)) return e;
+    if (e->hash == hash && AsciiCaseEqual(e->name, s)) return e;
   }
 }
 
@@ -104,7 +75,7 @@ void Interner::GrowLocked() {
 }
 
 uint32_t Interner::Intern(std::string_view s) {
-  const size_t hash = CiHash(s);
+  const size_t hash = AsciiCaseHash(s);
   if (const Entry* e =
           Probe(table_.load(std::memory_order_acquire), s, hash)) {
     return e->id;
@@ -119,7 +90,7 @@ uint32_t Interner::Intern(std::string_view s) {
     t = table_.load(std::memory_order_relaxed);
   }
   Entry* e = new Entry();
-  e->name = NormalizeAscii(s);
+  e->name = ToLower(s);
   e->hash = hash;
   e->id = static_cast<uint32_t>(by_id_.size());
   by_id_.push_back(e);
@@ -147,7 +118,7 @@ uint32_t Interner::InternStamped(std::string_view s,
 
 uint32_t Interner::Find(std::string_view s) const {
   const Entry* e =
-      Probe(table_.load(std::memory_order_acquire), s, CiHash(s));
+      Probe(table_.load(std::memory_order_acquire), s, AsciiCaseHash(s));
   return e == nullptr ? kUnset : e->id;
 }
 

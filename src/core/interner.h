@@ -20,7 +20,11 @@ namespace saql {
 /// Strings are normalized to ASCII lowercase before interning, matching
 /// SAQL's case-insensitive entity-name semantics (`LikeMatcher`,
 /// `ValuesEqual`): two strings receive the same id iff an exact (wildcard
-/// free) SAQL equality would consider them equal.
+/// free) SAQL equality would consider them equal. The fold is the shared
+/// `FoldAscii` (core/string_util): only 'A'..'Z' fold, every other byte
+/// (bytes >= 0x80 included) is kept, and the process locale plays no part.
+/// A probe hashes and compares the folded string 8 bytes at a time
+/// (`AsciiCaseHash`, `AsciiCaseEqual`) without materializing a copy.
 ///
 /// Id 0 (`kUnset`) is reserved and never assigned; an `Event` whose symbol
 /// slots are 0 simply has not passed through `InternEventStrings`, and

@@ -1,7 +1,5 @@
 #include "core/like_matcher.h"
 
-#include <cctype>
-
 #include "core/string_util.h"
 
 namespace saql {
@@ -13,27 +11,13 @@ bool ContainsWildcard(const std::string& s) {
          s.find('_') != std::string::npos;
 }
 
-inline char LowerByte(char c) {
-  return static_cast<char>(
-      std::tolower(static_cast<unsigned char>(c)));
-}
-
-/// text (any case) == needle (pre-lowered), without copying text.
-bool CiEquals(std::string_view text, std::string_view needle) {
-  if (text.size() != needle.size()) return false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (LowerByte(text[i]) != needle[i]) return false;
-  }
-  return true;
-}
-
 /// needle (pre-lowered) occurs in text (any case).
 bool CiContains(std::string_view text, std::string_view needle) {
   if (needle.empty()) return true;
   if (text.size() < needle.size()) return false;
   for (size_t start = 0; start + needle.size() <= text.size(); ++start) {
     size_t i = 0;
-    while (i < needle.size() && LowerByte(text[start + i]) == needle[i]) {
+    while (i < needle.size() && FoldAscii(text[start + i]) == needle[i]) {
       ++i;
     }
     if (i == needle.size()) return true;
@@ -78,13 +62,14 @@ LikeMatcher::LikeMatcher(const std::string& pattern)
 bool LikeMatcher::Matches(std::string_view text) const {
   switch (kind_) {
     case Kind::kExact:
-      return CiEquals(text, needle_);
+      return AsciiCaseEqual(text, needle_);
     case Kind::kSuffix:
       return text.size() >= needle_.size() &&
-             CiEquals(text.substr(text.size() - needle_.size()), needle_);
+             AsciiCaseEqual(text.substr(text.size() - needle_.size()),
+                            needle_);
     case Kind::kPrefix:
       return text.size() >= needle_.size() &&
-             CiEquals(text.substr(0, needle_.size()), needle_);
+             AsciiCaseEqual(text.substr(0, needle_.size()), needle_);
     case Kind::kContains:
       return CiContains(text, needle_);
     case Kind::kGeneral:
@@ -101,7 +86,7 @@ bool LikeMatcher::GeneralMatch(std::string_view text) const {
   size_t ti = 0, pi = 0;
   size_t star_p = std::string::npos, star_t = 0;
   while (ti < text.size()) {
-    if (pi < p.size() && (p[pi] == '_' || p[pi] == LowerByte(text[ti]))) {
+    if (pi < p.size() && (p[pi] == '_' || p[pi] == FoldAscii(text[ti]))) {
       ++ti;
       ++pi;
     } else if (pi < p.size() && p[pi] == '%') {

@@ -9,8 +9,10 @@ namespace saql {
 
 /// SQL-LIKE style pattern matching used by SAQL entity constraints such as
 /// `proc p1["%cmd.exe"]`: `%` matches any run of characters (including
-/// empty), `_` matches exactly one character. Matching is case-insensitive,
-/// mirroring how the paper's queries match Windows executable names.
+/// empty), `_` matches exactly one character. Matching is case-insensitive
+/// under the shared ASCII fold (`FoldAscii`; locale-independent, bytes
+/// >= 0x80 compare exactly), mirroring how the paper's queries match
+/// Windows executable names.
 ///
 /// A compiled matcher is immutable and cheap to copy; compile once per query
 /// pattern, match once per candidate event.
@@ -23,9 +25,10 @@ class LikeMatcher {
 
   /// Returns true when `text` matches the compiled pattern.
   ///
-  /// Matching is allocation-free: the comparison lowercases `text` byte by
-  /// byte in place against the pre-lowered pattern instead of materializing
-  /// a lowered copy per call (this sits on the per-event hot path — one
+  /// Matching is allocation-free: the comparison folds `text` in place
+  /// (`FoldAscii`, 8 bytes at a time for the exact/prefix/suffix kinds)
+  /// against the pre-lowered pattern instead of materializing a lowered
+  /// copy per call (this sits on the per-event hot path — one
   /// call per string constraint per candidate event; see the A1 ablation in
   /// bench_ablation.cc and the allocation regression test in
   /// tests/like_matcher_test.cc). Exact (wildcard-free) equality on

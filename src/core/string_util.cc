@@ -1,15 +1,79 @@
 #include "core/string_util.h"
 
-#include <algorithm>
 #include <cctype>
+#include <cstring>
 
 namespace saql {
 
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+namespace {
+
+/// 8 bytes at `p`, as one word (a fixed-size copy compiles to one load).
+inline uint64_t LoadWord(const char* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+/// The `n` (1..7) bytes at `p` as one zero-padded word, read with
+/// fixed-size 4/2/1-byte loads: never past `p + n`, and no variable-length
+/// copy (which would be a library call).
+inline uint64_t LoadTail(const char* p, size_t n) {
+  uint64_t w = 0;
+  size_t off = 0;
+  if (n & 4) {
+    uint32_t v = 0;
+    std::memcpy(&v, p, 4);
+    w = v;
+    off = 4;
+  }
+  if (n & 2) {
+    uint16_t v = 0;
+    std::memcpy(&v, p + off, 2);
+    w |= static_cast<uint64_t>(v) << (off * 8);
+    off += 2;
+  }
+  if (n & 1) {
+    w |= static_cast<uint64_t>(static_cast<unsigned char>(p[off]))
+         << (off * 8);
+  }
+  return w;
+}
+
+constexpr uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
+
+inline uint64_t HashStep(uint64_t h, uint64_t word) {
+  h = (h ^ word) * kHashMul;
+  return h ^ (h >> 32);
+}
+
+}  // namespace
+
+bool AsciiCaseEqual(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  const char* pa = a.data();
+  const char* pb = b.data();
+  size_t n = a.size();
+  for (; n >= 8; pa += 8, pb += 8, n -= 8) {
+    if (FoldAsciiWord(LoadWord(pa)) != FoldAsciiWord(LoadWord(pb))) {
+      return false;
+    }
+  }
+  return n == 0 ||
+         FoldAsciiWord(LoadTail(pa, n)) == FoldAsciiWord(LoadTail(pb, n));
+}
+
+size_t AsciiCaseHash(std::string_view s) {
+  const char* p = s.data();
+  size_t n = s.size();
+  uint64_t h = static_cast<uint64_t>(n) * kHashMul;
+  for (; n >= 8; p += 8, n -= 8) h = HashStep(h, FoldAsciiWord(LoadWord(p)));
+  if (n > 0) h = HashStep(h, FoldAsciiWord(LoadTail(p, n)));
+  return static_cast<size_t>(HashStep(h, 0));
+}
+
+std::string ToLower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = FoldAscii(c);
   return out;
 }
 

@@ -30,7 +30,7 @@ bool ValuesEqual(const Value& a, const Value& b) {
       return LikeMatcher(a.AsString()).Matches(b.AsString());
     }
     // Entity names compare case-insensitively throughout SAQL.
-    return ToLower(a.AsString()) == ToLower(b.AsString());
+    return AsciiCaseEqual(a.AsString(), b.AsString());
   }
   return a.Equals(b);
 }

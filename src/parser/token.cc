@@ -85,7 +85,7 @@ std::string SourceSpan::ToString() const {
 }
 
 bool Token::IsIdent(const std::string& spelling) const {
-  return kind == TokenKind::kIdentifier && ToLower(text) == ToLower(spelling);
+  return kind == TokenKind::kIdentifier && AsciiCaseEqual(text, spelling);
 }
 
 std::string Token::ToString() const {

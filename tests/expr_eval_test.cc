@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "parser/parser.h"
 
 namespace saql {
@@ -73,6 +74,33 @@ TEST(ExprEvalTest, StringEqualityCaseInsensitive) {
   MapContext ctx;
   ctx.Set("p", Value("CMD.EXE"));
   EXPECT_TRUE(Eval("p == \"cmd.exe\"", ctx).AsBool());
+}
+
+TEST(ExprEvalTest, StringEqualityDoesNotAllocate) {
+  // `==`/`!=` on strings compare under the shared ASCII fold in place. The
+  // operands themselves are copied out of the context (long strings, so
+  // each copy allocates); the comparison must add nothing on top, so an
+  // `==` costs exactly the allocations of an allocation-free `<` over the
+  // same operands.
+  MapContext ctx;
+  ctx.Set("a", Value("C:\\Windows\\System32\\CMD.EXE"));
+  ctx.Set("b", Value("c:\\windows\\system32\\cmd.exe"));
+  ExprPtr eq = ParseExpr("a == b");
+  ExprPtr ne = ParseExpr("a != b");
+  ExprPtr lt = ParseExpr("a < b");
+  ASSERT_TRUE(eq != nullptr && ne != nullptr && lt != nullptr);
+
+  auto allocs = [&ctx](const Expr& e, bool expected) {
+    const size_t before = testing::HeapAllocs();
+    for (int i = 0; i < 100; ++i) {
+      Result<Value> v = EvaluateExpr(e, ctx);
+      EXPECT_TRUE(v.ok() && v->AsBool() == expected);
+    }
+    return testing::HeapAllocs() - before;
+  };
+  const size_t operand_copies = allocs(*lt, true);  // 'C' < 'c'
+  EXPECT_EQ(allocs(*eq, true), operand_copies);
+  EXPECT_EQ(allocs(*ne, false), operand_copies);
 }
 
 TEST(ExprEvalTest, StringEqualityLikeUpgrade) {
