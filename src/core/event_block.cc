@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "core/interner.h"
+#include "core/string_util.h"
 
 namespace saql {
 
@@ -58,9 +60,11 @@ void EventBlock::Clear() {
   size_ = 0;
   store_.clear();
   cols_valid_ = false;
-  dict_arena_.clear();
+  arena_chunk_ = 0;
+  arena_used_ = 0;
   dict_own_.clear();
-  if (!dict_codes_.empty()) dict_codes_.clear();
+  for (uint32_t slot : dict_slots_) dict_table_[slot] = kEmptyCode;
+  dict_slots_.clear();
   dict_ = nullptr;
   dict_size_ = 0;
   syms_owned_ = false;
@@ -94,29 +98,60 @@ void EventBlock::EnsureOwnedColumnar() {
   dict_own_.push_back(std::string_view{});  // code 0 = ""
   dict_ = dict_own_.data();
   dict_size_ = 1;
+  if (dict_table_.empty()) dict_table_.assign(kDictFirstSlots, kEmptyCode);
+}
+
+std::string_view EventBlock::ArenaCopy(std::string_view s) {
+  // Move on until a chunk has room; append a chunk when none is left.
+  // Chunks are reused in order after `Clear`, so a steady stream of
+  // spellings stops allocating once the arena has grown to fit it.
+  for (;; ++arena_chunk_, arena_used_ = 0) {
+    if (arena_chunk_ == arena_.size()) {
+      const size_t capacity = std::max(kDictChunkBytes, s.size());
+      arena_.push_back(
+          ArenaChunk{std::make_unique<char[]>(capacity), capacity});
+    }
+    ArenaChunk& chunk = arena_[arena_chunk_];
+    if (chunk.capacity - arena_used_ >= s.size()) {
+      char* dst = chunk.bytes.get() + arena_used_;
+      std::memcpy(dst, s.data(), s.size());
+      arena_used_ += s.size();
+      return std::string_view(dst, s.size());
+    }
+  }
+}
+
+void EventBlock::GrowDictTable() {
+  dict_table_.assign(dict_table_.size() * 2, kEmptyCode);
+  dict_slots_.clear();
+  const size_t mask = dict_table_.size() - 1;
+  for (size_t code = 1; code < dict_own_.size(); ++code) {
+    size_t slot = AsciiCaseHash(dict_own_[code]) & mask;
+    while (dict_table_[slot] != kEmptyCode) slot = (slot + 1) & mask;
+    dict_table_[slot] = static_cast<uint32_t>(code);
+    dict_slots_.push_back(static_cast<uint32_t>(slot));
+  }
 }
 
 uint32_t EventBlock::DictCode(std::string_view s) {
   if (s.empty()) return kEmptyCode;
-  if (dict_codes_.empty()) {
-    // Small dictionaries (a block of a few events) are scanned: cheaper
-    // than hashing, and nothing to allocate or clear per block.
-    for (size_t i = 1; i < dict_own_.size(); ++i) {
-      if (dict_own_[i] == s) return static_cast<uint32_t>(i);
-    }
-    if (dict_own_.size() >= kScannedDictEntries) {
-      for (size_t i = 1; i < dict_own_.size(); ++i) {
-        dict_codes_.emplace(dict_own_[i], static_cast<uint32_t>(i));
-      }
-    }
-  } else {
-    auto it = dict_codes_.find(s);
-    if (it != dict_codes_.end()) return it->second;
+  const size_t mask = dict_table_.size() - 1;
+  size_t slot = AsciiCaseHash(s) & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const uint32_t code = dict_table_[slot];
+    if (code == kEmptyCode) break;
+    if (dict_own_[code] == s) return code;
   }
-  dict_arena_.emplace_back(s);
-  uint32_t code = static_cast<uint32_t>(dict_own_.size());
-  dict_own_.push_back(dict_arena_.back());
-  if (!dict_codes_.empty()) dict_codes_.emplace(dict_own_.back(), code);
+  // A miss ends on the free slot the new code takes, unless the table
+  // must grow first.
+  const uint32_t code = static_cast<uint32_t>(dict_own_.size());
+  dict_own_.push_back(ArenaCopy(s));
+  if (2 * dict_own_.size() > dict_table_.size()) {
+    GrowDictTable();
+  } else {
+    dict_table_[slot] = code;
+    dict_slots_.push_back(static_cast<uint32_t>(slot));
+  }
   dict_ = dict_own_.data();  // vector growth may relocate
   dict_size_ = dict_own_.size();
   dict_syms_ = nullptr;  // dictionary grew; interned ids are stale

@@ -1,11 +1,11 @@
 #ifndef SAQL_CORE_EVENT_BLOCK_H_
 #define SAQL_CORE_EVENT_BLOCK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/event.h"
@@ -30,7 +30,12 @@ namespace saql {
 /// Three backings share this interface:
 ///  - **owned columnar** (`AppendColumnar`, `AppendColumns`): the block
 ///    owns its column vectors and dictionary — the event-log writer's
-///    pending segment and the general building side;
+///    pending segment, the WAL chunk encoder, and the general building
+///    side. The owned dictionary is one flat open-addressing table of
+///    codes over spellings copied into a chunked char arena; `Clear`
+///    keeps the table, the arena chunks and the column vectors, so a
+///    reused block re-encodes chunks of already-seen spellings without
+///    allocating;
 ///  - **borrowed columnar** (`BindColumns`): the column arrays and
 ///    dictionary alias storage owned by someone else — the mmap'd v2
 ///    event-log reader hands out blocks whose columns point straight into
@@ -77,11 +82,17 @@ class EventBlock {
     Columns Slice(size_t offset) const;
   };
 
+  /// Bytes per dictionary arena chunk; a longer spelling gets a chunk of
+  /// its own size.
+  static constexpr size_t kDictChunkBytes = 4096;
+
   EventBlock() = default;
   EventBlock(const EventBlock&) = delete;
   EventBlock& operator=(const EventBlock&) = delete;
 
-  /// Drops all contents (keeps allocated capacity for reuse).
+  /// Drops all contents (keeps allocated capacity for reuse). Costs
+  /// O(dictionary entries used), not O(table size): it runs once per
+  /// event on per-event recording paths.
   void Clear();
 
   size_t size() const {
@@ -183,13 +194,28 @@ class EventBlock {
     void clear();
   };
 
-  /// Dictionaries up to this many entries are looked up by linear scan;
-  /// larger ones through `dict_codes_`.
-  static constexpr size_t kScannedDictEntries = 16;
+  /// One chunk of the dictionary's char arena. A chunk never reallocates,
+  /// so the `dict_own_` views into it stay valid until `Clear`.
+  struct ArenaChunk {
+    std::unique_ptr<char[]> bytes;
+    size_t capacity = 0;
+  };
 
-  /// Returns the dictionary code for `s`, adding it on first sight (exact,
-  /// case-preserving — normalization is the interner's job).
+  /// Slots of the code table when it is first allocated (a power of two).
+  static constexpr size_t kDictFirstSlots = 32;
+
+  /// Returns the dictionary code for `s`, adding it on first sight. Codes
+  /// are assigned in first-seen order. Lookup probes `dict_table_` from
+  /// `AsciiCaseHash(s)`; equality is exact and case-preserving
+  /// (normalization is the interner's job), so a case variant only shares
+  /// a probe chain.
   uint32_t DictCode(std::string_view s);
+
+  /// Copies `s` (non-empty) into the arena and returns the stable view.
+  std::string_view ArenaCopy(std::string_view s);
+
+  /// Doubles `dict_table_` and re-places every code.
+  void GrowDictTable();
 
   void EnsureOwnedColumnar();
   void Materialize();
@@ -202,10 +228,18 @@ class EventBlock {
   mutable Columns cols_;
   mutable bool cols_valid_ = false;  ///< owned views refreshed from store_
 
-  // Dictionary: owned (arena + views) or borrowed (views only).
-  std::deque<std::string> dict_arena_;
+  // Dictionary: owned (arena + views + code table) or borrowed (views
+  // only).
+  std::vector<ArenaChunk> arena_;
+  size_t arena_chunk_ = 0;  ///< chunk being filled
+  size_t arena_used_ = 0;   ///< bytes used in it
   std::vector<std::string_view> dict_own_;
-  std::unordered_map<std::string_view, uint32_t> dict_codes_;
+  /// Open-addressing table of codes into `dict_own_`: power-of-two size,
+  /// linear probing, `kEmptyCode` marks a free slot (code 0, "", is never
+  /// stored). Kept at most half full.
+  std::vector<uint32_t> dict_table_;
+  /// The slots holding codes, so `Clear` frees only those.
+  std::vector<uint32_t> dict_slots_;
   const std::string_view* dict_ = nullptr;
   size_t dict_size_ = 0;
 

@@ -149,8 +149,15 @@ void CompiledQuery::OnEvent(const Event& event) {
   // Single-pattern fast path.
   if (!patterns_[0].Matches(event)) return;
   ++stats_.matches;
-  PatternMatch m;
-  m.events.push_back(event);
+  EmitSingleMatch(event);
+}
+
+void CompiledQuery::EmitSingleMatch(const Event& event) {
+  // The match is scratch: neither consumer keeps it (they copy what they
+  // need), and copy-assigning the event keeps its strings' capacity.
+  PatternMatch& m = scratch_single_;
+  m.events.resize(1);
+  m.events[0] = event;
   m.first_ts = m.last_ts = event.ts;
   if (state_ != nullptr) {
     state_->AddMatch(m);
@@ -169,14 +176,7 @@ void CompiledQuery::OnIndexedDelivery(uint64_t events_in,
   stats_.events_past_global += events_in - failed_global;
   for (const Event* e : matched) {
     ++stats_.matches;
-    PatternMatch m;
-    m.events.push_back(*e);
-    m.first_ts = m.last_ts = e->ts;
-    if (state_ != nullptr) {
-      state_->AddMatch(m);
-    } else {
-      EmitRuleMatch(m);
-    }
+    EmitSingleMatch(*e);
   }
 }
 

@@ -160,6 +160,10 @@ class CompiledQuery final : public EventProcessor {
   /// Rule-query path: a complete pattern match arrived.
   void EmitRuleMatch(const PatternMatch& match);
 
+  /// Single-pattern path: `event` matched; hands it on as a one-event
+  /// match built in `scratch_single_`.
+  void EmitSingleMatch(const Event& event);
+
   /// Stateful path: one window closed with its groups.
   void OnWindowClose(const TimeWindow& window,
                      std::vector<StateMaintainer::ClosedGroup>& groups);
@@ -199,6 +203,7 @@ class CompiledQuery final : public EventProcessor {
 
   QueryStats stats_;
   std::vector<PatternMatch> scratch_matches_;
+  PatternMatch scratch_single_;
 };
 
 }  // namespace saql

@@ -14,6 +14,10 @@ MultieventMatcher::MultieventMatcher(
       q.window->length < horizon_) {
     horizon_ = q.window->length;
   }
+  const size_t n = static_cast<size_t>(aq_->NumPatterns());
+  empty_.events.resize(n);
+  empty_.filled.assign(n, false);
+  match_mask_.assign(n, false);
 }
 
 bool MultieventMatcher::BindVars(
@@ -41,9 +45,7 @@ bool MultieventMatcher::BindVars(
 
 bool MultieventMatcher::TryExtend(const Partial& p, int pattern_idx,
                                   const Event& event, Partial* out) const {
-  if (!(*patterns_)[static_cast<size_t>(pattern_idx)].Matches(event)) {
-    return false;
-  }
+  if (!match_mask_[static_cast<size_t>(pattern_idx)]) return false;
   // Gap bound between consecutive ordered steps.
   if (aq_->ordered && p.filled_count > 0) {
     size_t step = static_cast<size_t>(p.next_step);
@@ -77,7 +79,19 @@ void MultieventMatcher::OnEvent(const Event& event,
                                 std::vector<PatternMatch>* out) {
   ++stats_.events_in;
   const int n = aq_->NumPatterns();
-  std::vector<Partial> extensions;
+  // Each pattern is tested once per event; an event matching none of
+  // them (almost every event) touches no partial.
+  bool any = false;
+  for (int i = 0; i < n; ++i) {
+    const bool m = (*patterns_)[static_cast<size_t>(i)].Matches(event);
+    match_mask_[static_cast<size_t>(i)] = m;
+    any = any || m;
+  }
+  if (!any) {
+    stats_.peak_partials = std::max(stats_.peak_partials, partials_.size());
+    return;
+  }
+  extensions_.clear();
 
   if (aq_->ordered) {
     // Each partial waits for exactly one next step.
@@ -86,16 +100,13 @@ void MultieventMatcher::OnEvent(const Event& event,
           aq_->temporal_order[static_cast<size_t>(p.next_step)];
       Partial ext;
       if (TryExtend(p, pattern_idx, event, &ext)) {
-        extensions.push_back(std::move(ext));
+        extensions_.push_back(std::move(ext));
       }
     }
     // Start a fresh partial at step 0.
-    Partial fresh;
-    fresh.events.resize(static_cast<size_t>(n));
-    fresh.filled.assign(static_cast<size_t>(n), false);
     Partial ext;
-    if (TryExtend(fresh, aq_->temporal_order[0], event, &ext)) {
-      extensions.push_back(std::move(ext));
+    if (TryExtend(empty_, aq_->temporal_order[0], event, &ext)) {
+      extensions_.push_back(std::move(ext));
     }
   } else {
     // Unordered: the event may fill any unfilled slot.
@@ -104,22 +115,19 @@ void MultieventMatcher::OnEvent(const Event& event,
         if (p.filled[static_cast<size_t>(i)]) continue;
         Partial ext;
         if (TryExtend(p, i, event, &ext)) {
-          extensions.push_back(std::move(ext));
+          extensions_.push_back(std::move(ext));
         }
       }
     }
-    Partial fresh;
-    fresh.events.resize(static_cast<size_t>(n));
-    fresh.filled.assign(static_cast<size_t>(n), false);
     for (int i = 0; i < n; ++i) {
       Partial ext;
-      if (TryExtend(fresh, i, event, &ext)) {
-        extensions.push_back(std::move(ext));
+      if (TryExtend(empty_, i, event, &ext)) {
+        extensions_.push_back(std::move(ext));
       }
     }
   }
 
-  for (Partial& ext : extensions) {
+  for (Partial& ext : extensions_) {
     if (ext.filled_count == n) {
       Emit(ext, out);
       continue;

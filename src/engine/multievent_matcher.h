@@ -34,6 +34,13 @@ struct PatternMatch {
 /// alternative combinations still complete. Memory is bounded by
 /// `Options::max_partial_matches` (drops are counted) and by pruning
 /// partials older than the match horizon.
+///
+/// `OnEvent` tests each pattern once per event into a match mask (member
+/// scratch) before it looks at any partial: an event matching no pattern
+/// returns at once, and extending a partial reads the mask instead of
+/// re-testing the pattern. There is no scratch partial per event: a new
+/// partial is copied from one empty template only for a slot the event
+/// matches, and the extensions vector is member scratch too.
 class MultieventMatcher {
  public:
   struct Options {
@@ -81,7 +88,8 @@ class MultieventMatcher {
   };
 
   /// Tries to place `event` into slot `pattern_idx` of `p`; returns false
-  /// when constraints or bindings reject it. On success fills a copy.
+  /// when the slot's pattern did not match (`match_mask_`), the gap bound
+  /// or the bindings reject it. On success fills a copy.
   bool TryExtend(const Partial& p, int pattern_idx, const Event& event,
                  Partial* out) const;
 
@@ -98,6 +106,13 @@ class MultieventMatcher {
   Duration horizon_;
   std::list<Partial> partials_;
   Stats stats_;
+
+  /// A partial with every slot empty; copied when an event starts one.
+  Partial empty_;
+
+  // Per-event scratch.
+  std::vector<bool> match_mask_;  ///< by declaration index
+  std::vector<Partial> extensions_;
 };
 
 }  // namespace saql

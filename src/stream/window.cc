@@ -14,15 +14,18 @@ WindowAssigner::WindowAssigner(const WindowSpec& spec)
 
 std::vector<TimeWindow> WindowAssigner::Assign(Timestamp ts) const {
   std::vector<TimeWindow> out;
-  // Newest window start containing ts, aligned to the slide grid.
-  Timestamp last_start = ts - ((ts % slide_) + slide_) % slide_;
-  for (Timestamp start = last_start; start > ts - length_;
-       start -= slide_) {
+  // Newest window start containing ts, aligned to the slide grid; the
+  // earliest is the last grid step still after ts - length.
+  const Timestamp last_start = ts - ((ts % slide_) + slide_) % slide_;
+  const Timestamp span = last_start - (ts - length_);
+  if (span <= 0) return out;
+  const Timestamp count = (span + slide_ - 1) / slide_;
+  out.reserve(static_cast<size_t>(count));
+  for (Timestamp start = last_start - (count - 1) * slide_;
+       start <= last_start; start += slide_) {
     out.push_back(TimeWindow{start, start + length_});
   }
-  // Earliest first.
-  std::vector<TimeWindow> ordered(out.rbegin(), out.rend());
-  return ordered;
+  return out;
 }
 
 TimeWindow WindowAssigner::NewestFor(Timestamp ts) const {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "parser/analyzer.h"
 #include "test_util.h"
 
@@ -237,6 +238,31 @@ TEST(MatcherTest, FourStepPaperQuery1Sequence) {
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].events.size(), 4u);
   EXPECT_EQ(matches[0].events[3].obj_net.dst_ip, "66.77.88.129");
+}
+
+TEST(MatcherTest, EventMatchingNoPatternDoesNotAllocate) {
+  MatcherHarness h(testing::ReadQueryFile("query1_rule.saql"));
+  // Matches none of Query 1's four patterns.
+  const Event noise = Start("explorer.exe", "notepad.exe", 50, 7, 8);
+  std::vector<PatternMatch> out;
+  out.reserve(1);
+
+  // No live partials.
+  size_t before = testing::HeapAllocs();
+  h.matcher()->OnEvent(noise, &out);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  // With a live partial waiting for evt2.
+  h.Feed(Start("cmd.exe", "osql.exe", 100, 11, 12));
+  ASSERT_EQ(h.matcher()->live_partials(), 1u);
+  before = testing::HeapAllocs();
+  for (int i = 0; i < 8; ++i) h.matcher()->OnEvent(noise, &out);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(h.matcher()->live_partials(), 1u);
+  EXPECT_EQ(h.matcher()->stats().events_in, 10u);
+  EXPECT_EQ(h.matcher()->stats().peak_partials, 1u);
 }
 
 TEST(MatcherTest, StatsTrackPeaks) {
