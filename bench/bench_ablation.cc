@@ -37,7 +37,9 @@
 //      in 256-event spans (a pushed batch), symbols reset between
 //      iterations so every event pays the lock-free hit path: one
 //      case-folded hash and compare per interned string. Reported as
-//      `ns_per_event`.
+//      `ns_per_event`. This is the eager helper, the cost of stamping
+//      every slot; sessions no longer pay it per push, they intern only
+//      the slots their queries compare, on first read.
 //   Baseline file: run with
 //     --benchmark_filter='Routing|ShardScaling|MemberIndex|DynamicChurn|ConcurrentSessions|InternEventSpan'
 //     --benchmark_out=BENCH_throughput.json --benchmark_out_format=json
@@ -597,22 +599,32 @@ BENCHMARK(BM_DynamicChurn)
 // A12: concurrent multi-tenant sessions.
 // ---------------------------------------------------------------------------
 
-/// K sessions of one engine, each driven from its own thread over the
-/// full multi-tenant stream (16 tenant queries, single-lane sessions so
-/// the sweep measures session concurrency, not shard parallelism).
-/// Items processed = K * stream size per iteration, so events/s is the
-/// *aggregate* across tenants. `rotate_bytes != 0` forces the live
-/// interner rotation policy (1 byte = rotate at every quiesce check):
-/// every push rotates the global table and every session re-interns its
-/// constraint symbols and rebuilds its probe groups at its next push —
-/// the worst-case rotation hiccup, reported via the `rotations` counter.
+/// K sessions of one engine, each driven from its own thread over its own
+/// copy of the full multi-tenant stream (16 tenant queries, single-lane
+/// sessions so the sweep measures session concurrency, not shard
+/// parallelism). A session's Push fills the symbol memos of the buffer it
+/// is handed, so threads must not share one: each copy's memos are reset,
+/// untimed, before every iteration, and every session pays its own
+/// interning. Items processed = K * stream size per iteration, so
+/// events/s is the *aggregate* across tenants. `rotate_bytes != 0`
+/// forces the live interner rotation policy (1 byte = rotate at every
+/// quiesce check): every push rotates the global table and every session
+/// re-interns its constraint symbols and rebuilds its probe groups at its
+/// next push — the worst-case rotation hiccup, reported via the
+/// `rotations` counter.
 void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
   const size_t sessions = static_cast<size_t>(state.range(0));
   static constexpr size_t kChunk = 4096;
   static EventBatch* stream = new EventBatch(MemberIndexWorkloadStream());
   std::vector<std::string> queries = MemberIndexWorkloadQueries(16);
+  std::vector<EventBatch> copies(sessions, *stream);
   uint64_t rotations = 0;
   for (auto _ : state) {
+    state.PauseTiming();
+    for (EventBatch& copy : copies) {
+      for (Event& e : copy) e.syms = EventSymbols{};
+    }
+    state.ResumeTiming();
     SaqlEngine::Options opts;
     opts.interner_rotate_bytes = rotate_bytes;
     SaqlEngine engine(opts);
@@ -629,15 +641,15 @@ void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
     std::vector<std::thread> threads;
     threads.reserve(sessions);
     for (size_t s = 0; s < sessions; ++s) {
-      threads.emplace_back([&engine, &failed] {
+      threads.emplace_back([&engine, &failed, events = &copies[s]] {
         auto session = engine.OpenSession();
         if (!session.ok()) {
           failed = true;
           return;
         }
-        for (size_t pos = 0; pos < stream->size(); pos += kChunk) {
-          size_t n = std::min(kChunk, stream->size() - pos);
-          Status st = (*session)->Push(stream->data() + pos, n);
+        for (size_t pos = 0; pos < events->size(); pos += kChunk) {
+          size_t n = std::min(kChunk, events->size() - pos);
+          Status st = (*session)->Push(events->data() + pos, n);
           if (st.ok()) {
             st = (*session)->AdvanceWatermark((*session)->max_event_ts());
           }
@@ -689,8 +701,9 @@ BENCHMARK(BM_ConcurrentSessionsRotating)
 // A13: interning hot path.
 // ---------------------------------------------------------------------------
 
-/// Interns the simulator's stream span by span, the way a session interns
-/// each pushed batch. Only the `InternEventSpan` calls are timed; the
+/// Interns every symbol slot of the simulator's stream, span by span
+/// (the eager helper; a session interns lazily, only the slots its
+/// queries compare). Only the `InternEventSpan` calls are timed; the
 /// symbol reset that makes the next iteration intern again is not.
 void BM_InternEventSpan(benchmark::State& state) {
   static constexpr size_t kSpan = 256;

@@ -17,7 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/interner.h"
 #include "storage/columnar_log.h"
 #include "storage/replayer.h"
 
@@ -70,10 +69,9 @@ BENCHMARK(BM_ReplayWithHostFilter)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // A9: replay-format ablation. Each variant drives the exact loop the
-// engine's `Run` drives — pull a block, materialize rows, run the
-// executor's intern pass (a no-op generation check for pre-interned
-// columnar blocks) — so the items/s are comparable end-to-end replay
-// rates, not raw decode rates.
+// engine's `Run` drives — pull a block, materialize rows (every symbol
+// slot pre-stamped from the interned dictionary) — so the items/s are
+// comparable end-to-end replay rates, not raw decode rates.
 // ---------------------------------------------------------------------------
 
 void ReplayLoop(benchmark::State& state, const std::string& path,
@@ -89,7 +87,6 @@ void ReplayLoop(benchmark::State& state, const std::string& path,
     uint64_t total = 0;
     while (EventBlock* block = replayer.NextBlock(4096)) {
       Event* rows = block->MutableRows();
-      InternEventSpan(rows, block->size());
       benchmark::DoNotOptimize(rows);
       total += block->size();
     }

@@ -92,10 +92,13 @@ struct NetworkEntity {
   bool operator==(const NetworkEntity&) const = default;
 };
 
-/// Interned symbol ids for an event's hot string attributes. All slots are
-/// 0 ("not interned") until the event passes through `InternEventStrings`
-/// (core/interner.h); the stream executor does this once per batch so that
-/// equality predicates across all subscribed queries compare 32-bit ids.
+/// Interned symbol ids for an event's hot string attributes: a per-event
+/// memo that the symbol readers (`GetEntitySymbol`, `GetEventSymbol` in
+/// core/field_access) fill one slot at a time, on the first read of that
+/// slot. A slot is 0 ("not interned") until some exact-equality predicate
+/// compares its attribute by id; a slot no query compares is never
+/// interned. Rows materialized from a columnar block arrive with every
+/// slot pre-stamped from the block's interned dictionary.
 struct EventSymbols {
   uint32_t agent = 0;      ///< agent_id
   uint32_t subj_exe = 0;   ///< subject.exe_name
@@ -103,9 +106,10 @@ struct EventSymbols {
   uint32_t obj_exe = 0;    ///< obj_proc.exe_name (process objects)
   uint32_t obj_user = 0;   ///< obj_proc.user (process objects)
   uint32_t obj_path = 0;   ///< obj_file.path (file objects)
-  /// Interner generation these ids were issued under; 0 = never interned.
-  /// `InternEventSpan` re-interns events whose generation is stale, so
-  /// replayed buffers survive an `Interner::Rotate`.
+  /// Interner generation every non-zero slot was interned under; 0 =
+  /// never interned. A reader that finds the generation stale clears
+  /// every slot before it fills its own, so replayed buffers survive an
+  /// `Interner::Rotate`.
   uint32_t gen = 0;
 };
 
@@ -132,8 +136,10 @@ struct Event {
   int64_t amount = 0;
   /// True when the kernel reported the operation as failed.
   bool failed = false;
-  /// Interned ids of the hot string attributes; 0 until interned.
-  EventSymbols syms;
+  /// Interned ids of the hot string attributes; 0 until first read.
+  /// `mutable`: readers fill the memo through `const Event&`, so one event
+  /// must not be read from two threads at once.
+  mutable EventSymbols syms;
 
   /// Human-readable one-line rendering for logs and the CLI.
   std::string ToString() const;

@@ -331,8 +331,10 @@ void EventBlock::Materialize() {
     e.obj_net.protocol.assign(dict_[c.protocol[i]]);
     e.amount = c.amount[i];
     e.failed = c.failed[i] != 0;
-    // Pre-stamped interned symbols straight from the dictionary — the
-    // executor's InternEventSpan sees a current generation and skips.
+    // Pre-stamp every slot straight from the interned dictionary. The
+    // dictionary is interned once per distinct spelling per block, so
+    // stamping all slots costs one load each here, cheaper than a lazy
+    // per-event probe (core/field_access) on each slot a query reads.
     e.syms = EventSymbols{};
     e.syms.agent = syms[c.agent[i]];
     e.syms.subj_exe = syms[c.subj_exe[i]];

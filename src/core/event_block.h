@@ -23,9 +23,8 @@ namespace saql {
 /// spellings (code 0 is always the empty string). The dictionary is
 /// materialized directly into the process `Interner`: one `Intern` call per
 /// *distinct* spelling per block instead of one hash probe per event, so
-/// rows materialized from a block arrive with `Event::syms` already
-/// stamped and the executor's per-event interning pass reduces to a
-/// generation check.
+/// rows materialized from a block arrive with every `Event::syms` slot
+/// already stamped and a query's symbol reads are memo hits.
 ///
 /// Three backings share this interface:
 ///  - **owned columnar** (`AppendColumnar`, `AppendColumns`): the block

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "core/interner.h"
 #include "core/string_util.h"
 
 namespace saql {
@@ -328,44 +329,76 @@ const std::string* GetEventStringFieldPtr(const Event& event, FieldId id) {
   }
 }
 
+namespace {
+
+/// Reads one `EventSymbols` slot, interning `name` into it on the first
+/// read. A memo stamped under an older generation is cleared first, so
+/// every non-zero slot always shares `syms.gen`. The hit path (slot filled
+/// under the current generation) writes nothing.
+uint32_t ReadSymbol(const Event& event, uint32_t EventSymbols::*slot,
+                    const std::string& name) {
+  EventSymbols& syms = event.syms;
+  Interner& interner = Interner::Global();
+  if (syms.*slot != Interner::kUnset &&
+      syms.gen == static_cast<uint32_t>(interner.generation())) {
+    return syms.*slot;
+  }
+  uint64_t gen = 0;
+  const uint32_t id = interner.InternStamped(name, &gen);
+  if (syms.gen != static_cast<uint32_t>(gen)) {
+    syms = EventSymbols{};
+    syms.gen = static_cast<uint32_t>(gen);
+  }
+  syms.*slot = id;
+  return id;
+}
+
+}  // namespace
+
 uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id) {
   if (role == EntityRole::kSubject) {
     switch (id) {
       case FieldId::kExeName:
       case FieldId::kName:
-        return event.syms.subj_exe;
+        return ReadSymbol(event, &EventSymbols::subj_exe,
+                          event.subject.exe_name);
       case FieldId::kUser:
-        return event.syms.subj_user;
+        return ReadSymbol(event, &EventSymbols::subj_user,
+                          event.subject.user);
       default:
         return 0;
     }
   }
-  switch (id) {
-    case FieldId::kExeName:
-      return event.object_type == EntityType::kProcess ? event.syms.obj_exe
-                                                       : 0;
-    case FieldId::kUser:
-      return event.object_type == EntityType::kProcess ? event.syms.obj_user
-                                                       : 0;
-    case FieldId::kPath:
-      return event.object_type == EntityType::kFile ? event.syms.obj_path : 0;
-    case FieldId::kName:
-      if (event.object_type == EntityType::kProcess) return event.syms.obj_exe;
-      if (event.object_type == EntityType::kFile) return event.syms.obj_path;
+  switch (event.object_type) {
+    case EntityType::kProcess:
+      if (id == FieldId::kExeName || id == FieldId::kName) {
+        return ReadSymbol(event, &EventSymbols::obj_exe,
+                          event.obj_proc.exe_name);
+      }
+      if (id == FieldId::kUser) {
+        return ReadSymbol(event, &EventSymbols::obj_user,
+                          event.obj_proc.user);
+      }
       return 0;
-    default:
+    case EntityType::kFile:
+      if (id == FieldId::kPath || id == FieldId::kName) {
+        return ReadSymbol(event, &EventSymbols::obj_path, event.obj_file.path);
+      }
+      return 0;
+    case EntityType::kNetwork:
       return 0;
   }
+  return 0;
 }
 
 uint32_t GetEventSymbol(const Event& event, FieldId id) {
   switch (id) {
     case FieldId::kAgentId:
-      return event.syms.agent;
+      return ReadSymbol(event, &EventSymbols::agent, event.agent_id);
     case FieldId::kSubjectExeName:
-      return event.syms.subj_exe;
+      return GetEntitySymbol(event, EntityRole::kSubject, FieldId::kExeName);
     case FieldId::kSubjectUser:
-      return event.syms.subj_user;
+      return GetEntitySymbol(event, EntityRole::kSubject, FieldId::kUser);
     case FieldId::kObjectExeName:
       return GetEntitySymbol(event, EntityRole::kObject, FieldId::kExeName);
     case FieldId::kObjectUser:

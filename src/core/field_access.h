@@ -102,10 +102,15 @@ const std::string* GetEntityStringFieldPtr(const Event& event,
 const std::string* GetEventStringFieldPtr(const Event& event, FieldId id);
 
 /// Interned symbol of a string-typed entity attribute, or Interner::kUnset
-/// (0) when the attribute is not interned for this event.
+/// (0) when the attribute carries no symbol for this event (network
+/// strings, pids, a file object asked for kExeName). Interns on first
+/// read: the attribute's `Event::syms` slot is the memo, filled through
+/// `const Event&`, and `event.syms.gen` afterwards names the generation
+/// the returned id belongs to. A later read is a memo hit.
 uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id);
 
-/// Interned symbol of a string-typed whole-event attribute, or 0.
+/// Interned symbol of a string-typed whole-event attribute, or 0; interns
+/// on first read like `GetEntitySymbol`.
 uint32_t GetEventSymbol(const Event& event, FieldId id);
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "core/interner.h"
 
+#include "core/field_access.h"
 #include "core/string_util.h"
 
 namespace saql {
@@ -181,46 +182,49 @@ size_t Interner::ReclaimBefore(uint64_t generation) {
   return freed;
 }
 
-void InternEventStrings(Event* event) {
-  Interner& interner = Interner::Global();
-  for (;;) {
-    const uint64_t gen = interner.generation();
-    EventSymbols syms;  // drop stale ids from older generations
-    syms.agent = interner.Intern(event->agent_id);
-    syms.subj_exe = interner.Intern(event->subject.exe_name);
-    syms.subj_user = interner.Intern(event->subject.user);
-    switch (event->object_type) {
-      case EntityType::kProcess:
-        syms.obj_exe = interner.Intern(event->obj_proc.exe_name);
-        syms.obj_user = interner.Intern(event->obj_proc.user);
-        break;
-      case EntityType::kFile:
-        syms.obj_path = interner.Intern(event->obj_file.path);
-        break;
-      case EntityType::kNetwork:
-        break;
-    }
-    // A rotation racing the loop above could mix ids from two
-    // generations; re-check and redo (rare) rather than stamp an
-    // inconsistent set.
-    if (interner.generation() == gen) {
-      syms.gen = static_cast<uint32_t>(gen);
-      event->syms = syms;
-      return;
-    }
+namespace {
+
+/// True when every slot that applies to the event's object type is filled
+/// under generation `gen`.
+bool SymbolsComplete(const Event& event, uint32_t gen) {
+  const EventSymbols& s = event.syms;
+  if (s.gen != gen || s.agent == Interner::kUnset ||
+      s.subj_exe == Interner::kUnset || s.subj_user == Interner::kUnset) {
+    return false;
   }
+  switch (event.object_type) {
+    case EntityType::kProcess:
+      return s.obj_exe != Interner::kUnset && s.obj_user != Interner::kUnset;
+    case EntityType::kFile:
+      return s.obj_path != Interner::kUnset;
+    case EntityType::kNetwork:
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void InternEventStrings(Event* event) {
+  // A rotation between two reads clears the slots read before it; read
+  // again (rare) until one generation covers every slot.
+  do {
+    GetEventSymbol(*event, FieldId::kAgentId);
+    GetEventSymbol(*event, FieldId::kSubjectExeName);
+    GetEventSymbol(*event, FieldId::kSubjectUser);
+    GetEventSymbol(*event, FieldId::kObjectExeName);
+    GetEventSymbol(*event, FieldId::kObjectUser);
+    GetEventSymbol(*event, FieldId::kObjectPath);
+  } while (!SymbolsComplete(*event, event->syms.gen));
 }
 
 void InternEventSpan(Event* events, size_t count) {
   Interner& interner = Interner::Global();
   for (size_t i = 0; i < count; ++i) {
-    // Interned under the current generation already (memoized replay)?
-    if (events[i].syms.agent != Interner::kUnset &&
-        events[i].syms.gen ==
-            static_cast<uint32_t>(interner.generation())) {
-      continue;
+    if (!SymbolsComplete(events[i],
+                         static_cast<uint32_t>(interner.generation()))) {
+      InternEventStrings(&events[i]);
     }
-    InternEventStrings(&events[i]);
   }
 }
 

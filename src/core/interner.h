@@ -26,9 +26,10 @@ namespace saql {
 /// A probe hashes and compares the folded string 8 bytes at a time
 /// (`AsciiCaseHash`, `AsciiCaseEqual`) without materializing a copy.
 ///
-/// Id 0 (`kUnset`) is reserved and never assigned; an `Event` whose symbol
-/// slots are 0 simply has not passed through `InternEventStrings`, and
-/// consumers fall back to string comparison.
+/// Id 0 (`kUnset`) is reserved and never assigned; an `Event` symbol slot
+/// that is 0 has not been read yet (`GetEntitySymbol`/`GetEventSymbol`
+/// intern a slot on its first read), and consumers fall back to string
+/// comparison.
 ///
 /// Concurrency: the table is shared by every concurrently open engine
 /// session, so the hit path (string already interned — the steady state,
@@ -103,8 +104,8 @@ class Interner {
   };
   Stats stats() const;
 
-  /// Current rotation generation, lock-free (read once per event on the
-  /// interning hot path and once per push on the session rotation check).
+  /// Current rotation generation, lock-free (read on every symbol memo
+  /// read and once per push on the session rotation check).
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -122,7 +123,7 @@ class Interner {
   /// generation they observed. Ids restart densely at 1.
   ///
   /// Consumers self-heal: `Event::syms` carries the generation it was
-  /// interned under and `InternEventSpan` re-interns stale events;
+  /// interned under and the symbol readers clear and re-fill a stale memo;
   /// compiled constraints carry their capture generation and fall back to
   /// string comparison until the owning session re-interns them at its
   /// next quiesce point (see `CompiledQuery::ReInternSymbols`).
@@ -185,19 +186,23 @@ class Interner {
   Entry sentinel_;  ///< id 0: the empty spelling, never retired
 };
 
-/// Fills `event->syms` from the global interner: agent id, subject
-/// exe_name/user, and the object's exe_name/user (process) or path (file).
+/// Eagerly fills every slot of `event->syms` that applies to its object
+/// type: agent id, subject exe_name/user, and the object's exe_name/user
+/// (process) or path (file). Each slot is read through the lazy symbol
+/// readers (core/field_access), so both share one slot-to-string mapping.
 /// Network endpoint strings are deliberately not interned — their
-/// cardinality is unbounded and equality on them is rare. The stamped
-/// (ids, generation) pair is always internally consistent, even when a
-/// rotation races the call.
+/// cardinality is unbounded and equality on them is rare. On return every
+/// applicable slot is filled under one generation, even when a rotation
+/// races the call.
+///
+/// Off the hot path: the executors intern nothing up front, a query's
+/// exact-equality compare interns the one slot it reads. Tests and the
+/// interning benchmarks use this to stamp a whole event.
 void InternEventStrings(Event* event);
 
-/// Interns a contiguous span in place, skipping events interned earlier
-/// under the current generation (their agent slot is already set — every
-/// event is interned agent-first, so 0 means "never seen"). Zero-copy
-/// sources that replay one buffer thus pay the interning cost once, not
-/// once per run.
+/// `InternEventStrings` over a contiguous span in place, skipping events
+/// whose applicable slots are all filled under the current generation (a
+/// memoized replay, or a row materialized from a columnar block).
 void InternEventSpan(Event* events, size_t count);
 
 }  // namespace saql

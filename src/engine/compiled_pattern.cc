@@ -87,9 +87,11 @@ bool CompiledConstraint::MatchesEntity(const Event& event,
     if (!v.ok()) return false;
     return CompareResolved(*v);
   }
-  if (sym_ != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
+  if (sym_ != 0) {
+    // Read first: the read brings the event's memo to the current
+    // generation, which is then the one to compare against.
     uint32_t actual = GetEntitySymbol(event, role, field_id_);
-    if (actual != 0) {
+    if (actual != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
       return op_ == ConstraintOp::kEq ? actual == sym_ : actual != sym_;
     }
   }
@@ -110,9 +112,11 @@ bool CompiledConstraint::MatchesEvent(const Event& event) const {
     if (!v.ok()) return false;
     return CompareResolved(*v);
   }
-  if (sym_ != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
+  if (sym_ != 0) {
+    // Read first: the read brings the event's memo to the current
+    // generation, which is then the one to compare against.
     uint32_t actual = GetEventSymbol(event, field_id_);
-    if (actual != 0) {
+    if (actual != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
       return op_ == ConstraintOp::kEq ? actual == sym_ : actual != sym_;
     }
   }

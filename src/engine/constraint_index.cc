@@ -30,8 +30,8 @@ inline bool Intersects(const std::vector<uint64_t>& a,
   return false;
 }
 
-/// True when (side, field) can carry an interned symbol on events that
-/// passed through `InternEventStrings` — the condition for resolving exact
+/// True when (side, field) can carry an interned symbol — a slot the
+/// symbol readers intern on first read — the condition for resolving exact
 /// equality with one symbol probe. Must mirror GetEntitySymbol /
 /// GetEventSymbol (core/field_access.cc).
 bool SymbolCapable(ConstraintIndex::Side side, FieldId field) {
@@ -204,20 +204,21 @@ void ConstraintIndex::ApplyProbeGroup(const ProbeGroup& group,
                                       const Event& event,
                                       std::vector<uint64_t>* matched) const {
   if (!Intersects(group.all_members, *matched)) return;
-  uint32_t sym = 0;
-  if (event.syms.gen == static_cast<uint32_t>(built_gen_)) {
-    sym = group.side == Side::kEvent
-              ? GetEventSymbol(event, group.field)
-              : GetEntitySymbol(event,
-                                group.side == Side::kSubject
-                                    ? EntityRole::kSubject
-                                    : EntityRole::kObject,
-                                group.field);
-  }
+  // Read first: the read interns the slot on first touch and brings the
+  // event's memo to the current generation.
+  uint32_t sym = group.side == Side::kEvent
+                     ? GetEventSymbol(event, group.field)
+                     : GetEntitySymbol(event,
+                                       group.side == Side::kSubject
+                                           ? EntityRole::kSubject
+                                           : EntityRole::kObject,
+                                       group.field);
+  if (event.syms.gen != static_cast<uint32_t>(built_gen_)) sym = 0;
   if (sym == 0) {
-    // Un-interned event (or the field carries no symbol for this object
-    // type): fall back to the constraints' own evaluation, which handles
-    // the string-compare path exactly like brute force.
+    // The field carries no symbol for this object type, or the index was
+    // built under an older generation: fall back to the constraints' own
+    // evaluation, which handles the string-compare path exactly like
+    // brute force.
     for (uint32_t s : group.slots) {
       const Slot& slot = slots_[s];
       if (Intersects(slot.members, *matched) && !EvalSlot(slot, event)) {

@@ -165,10 +165,15 @@ class SaqlEngine {
     /// concurrently open sessions.
     uint64_t id() const;
 
-    /// Delivers one batch of events to the live query set. Events are
-    /// annotated in place (interned symbol ids); the buffer may be reused
-    /// after the call returns. In sharded mode this blocks only on lane
-    /// backpressure.
+    /// Delivers one batch of events to the live query set. The buffer may
+    /// be reused after the call returns. In sharded mode this blocks only
+    /// on lane backpressure.
+    ///
+    /// Push writes into the caller's buffer: a 1-lane session's queries
+    /// fill each event's symbol memo (`Event::syms`) in place as they
+    /// compare attributes (threaded lanes fill their own copies). So one
+    /// buffer must not be pushed to two sessions at once, from two
+    /// threads; give each thread its own copy.
     Status Push(Event* events, size_t count);
     Status Push(EventBatch& batch) {
       return Push(batch.data(), batch.size());
@@ -176,9 +181,8 @@ class SaqlEngine {
 
     /// Block-native ingest: pushes the block's rows. Columnar blocks
     /// (the v2 event-log replayer's) arrive with `Event::syms` already
-    /// stamped from the block dictionary, so the per-event interning pass
-    /// inside the executors reduces to a generation check. `Run` feeds
-    /// sources through this.
+    /// stamped from the block dictionary, so every symbol read is a memo
+    /// hit. `Run` feeds sources through this.
     Status Push(EventBlock& block) {
       if (block.empty()) return Status::Ok();
       return Push(block.MutableRows(), block.size());

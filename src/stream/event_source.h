@@ -32,7 +32,7 @@ class EventSource {
   /// Primary pull: returns the next block of up to `max_events` events, or
   /// nullptr at end of stream. The block is owned by the source and stays
   /// valid until the next pull; callers may annotate its rows in place
-  /// (the executor fills interned symbol ids — columnar blocks arrive
+  /// (queries fill symbol memos as they compare — columnar blocks arrive
   /// with them pre-stamped). Sources should not hand out empty blocks;
   /// consumers tolerate them.
   virtual EventBlock* NextBlock(size_t max_events) = 0;
@@ -50,8 +50,9 @@ class VectorEventSource : public EventSource {
   explicit VectorEventSource(EventBatch events);
 
   /// Hands out blocks borrowing slices of the owned vector — no per-event
-  /// copies. Interned symbol annotations persist across `Reset`, so
-  /// replays (benchmarks) intern each event at most once.
+  /// copies. Interned symbol memos (`Event::syms`) persist across
+  /// `Reset`, so a replay through an inline lane interns each compared
+  /// slot at most once.
   EventBlock* NextBlock(size_t max_events) override;
 
   /// Rewinds to the beginning (benchmarks reuse one materialized stream).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/interner.h"
-
 namespace saql {
 
 ShardedStreamExecutor::ShardedStreamExecutor(Options options)
@@ -142,18 +140,16 @@ void ShardedStreamExecutor::PushBatch(Event* events, size_t count) {
   ++splitter_stats_.input_batches;
   splitter_stats_.input_events += count;
   if (inline_) {
-    // The caller's buffer is every lane's batch; lane 0 interns it.
+    // The caller's buffer is every lane's batch.
     for (auto& lane : lanes_) lane->executor.ProcessBatch(events, count);
     input_max_ts_ =
         std::max(input_max_ts_, lanes_[0]->executor.max_event_ts());
     return;
   }
   const size_t n = options_.num_shards;
-  // Intern once, in the caller's buffer, before events fan out: replayed
-  // buffers (VectorEventSource) keep the memoization, and every copy
-  // below carries the symbol ids with it. A lane with no subscribers is
-  // staged nothing: it gets no copies, only watermarks.
-  InternEventSpan(events, count);
+  // The splitter only hashes and copies: each lane interns, on first
+  // read, the symbols its queries compare, in its own copies. A lane with
+  // no subscribers is staged nothing: it gets no copies, only watermarks.
   for (EventBatch& s : staged_) s.clear();
   for (size_t k = 0; k < count; ++k) {
     const Event& e = events[k];

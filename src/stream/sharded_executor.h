@@ -54,8 +54,9 @@ namespace saql {
 /// lanes are still draining earlier batches). A threaded lane with no
 /// subscribers is handed no events at all; it still receives watermarks.
 /// Within a lane, delivery is the same routed zero-copy path as the
-/// single-threaded executor. Interning happens once, on the splitter,
-/// before partitioning.
+/// single-threaded executor. The splitter interns nothing: each lane's
+/// queries intern, on first read, the symbols they compare, in that lane's
+/// own copies.
 ///
 /// Alert ordering and cross-shard aggregate merging are the subscriber
 /// layer's concern (see `SaqlEngine::Session`); this class only guarantees
@@ -125,12 +126,12 @@ class ShardedStreamExecutor {
   /// the initial Subscribe calls.
   void BeginStream();
 
-  /// Interns and hash-partitions one batch onto the shard lanes' queues,
-  /// plus the whole batch to lane N when present. Events are annotated in
-  /// place (symbol ids); the buffer may be reused as soon as the call
-  /// returns (threaded lanes receive copies; inline lanes have processed
-  /// the caller's buffer by then). Blocks when a lane queue is full
-  /// (backpressure).
+  /// Hash-partitions one batch onto the shard lanes' queues, plus the
+  /// whole batch to lane N when present. Inline lanes read the caller's
+  /// buffer and fill its symbol memos (`Event::syms`) in place; threaded
+  /// lanes receive copies and leave the caller's events untouched. The
+  /// buffer may be reused as soon as the call returns. Blocks when a lane
+  /// queue is full (backpressure).
   void PushBatch(Event* events, size_t count);
 
   /// Block-native push: materializes the block's rows (columnar blocks

@@ -1,7 +1,5 @@
 #include "stream/stream_executor.h"
 
-#include "core/interner.h"
-
 namespace saql {
 
 void StreamExecutor::Subscribe(EventProcessor* processor) {
@@ -51,7 +49,6 @@ void StreamExecutor::ProcessBatch(Event* batch, size_t count) {
   if (routing_dirty_) BuildRoutingTable();
   const size_t n = processors_.size();
   ++stats_.batches;
-  InternEventSpan(batch, count);
   for (EventRefs& r : routed_) r.clear();
   for (size_t k = 0; k < count; ++k) {
     const Event& e = batch[k];

@@ -113,8 +113,9 @@ struct ExecutorStats {
 /// via `Interest()`, and each event is pushed only to the eligible
 /// subscribers — the op/entity dispatch index that makes the shared pass
 /// scale with the number of *matching* queries instead of all of them.
-/// Batches are interned (`core/interner.h`) before dispatch so equality
-/// predicates downstream compare symbol ids.
+/// Nothing is interned up front: an exact-equality predicate interns the
+/// one attribute it compares on first read (`GetEntitySymbol`), memoized in
+/// `Event::syms`, and compares symbol ids from then on.
 class StreamExecutor {
  public:
   struct Options {
@@ -148,14 +149,15 @@ class StreamExecutor {
   /// once after all Subscribe calls, before the first ProcessBatch.
   void BeginStream();
 
-  /// Interns and delivers one batch to eligible subscribers. Does not emit
-  /// a watermark; the max event time seen so far is tracked internally.
+  /// Delivers one batch to eligible subscribers; their symbol reads fill
+  /// the events' memos in place. Does not emit a watermark; the max event
+  /// time seen so far is tracked internally.
   void ProcessBatch(Event* batch, size_t count);
 
   /// Block-native delivery: materializes the block's rows (a no-op for
   /// row-backed blocks; columnar blocks arrive with `Event::syms`
-  /// pre-stamped from their dictionary, so the interning pass reduces to
-  /// a generation check) and delivers them. Empty blocks are ignored.
+  /// pre-stamped from their dictionary, so every symbol read is a memo
+  /// hit) and delivers them. Empty blocks are ignored.
   void ProcessBlock(EventBlock* block);
 
   /// Emits `ts` to all subscribers if it advances the emitted watermark;

@@ -3,8 +3,12 @@
 // predicates exact symbol semantics, and an analyzed query must evaluate
 // through the fast path only (zero string-keyed lookups per event).
 
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/field_access.h"
 #include "core/interner.h"
 #include "engine/compiled_pattern.h"
@@ -192,6 +196,127 @@ TEST(InternerTest, InternEventStringsFillsSlotsPerObjectType) {
   EXPECT_EQ(GetEntitySymbol(file_evt, EntityRole::kSubject,
                             FieldId::kExeName),
             file_evt.syms.subj_exe);
+}
+
+/// The memo slots of `EventSymbols`, in declaration order.
+constexpr uint32_t EventSymbols::*kSymbolSlots[] = {
+    &EventSymbols::agent,    &EventSymbols::subj_exe, &EventSymbols::subj_user,
+    &EventSymbols::obj_exe,  &EventSymbols::obj_user, &EventSymbols::obj_path,
+};
+
+size_t FilledSlots(const EventSymbols& syms) {
+  size_t n = 0;
+  for (auto slot : kSymbolSlots) n += syms.*slot != 0 ? 1 : 0;
+  return n;
+}
+
+/// Network endpoint strings carry no symbol slot.
+bool IsNetworkString(FieldId id) {
+  switch (id) {
+    case FieldId::kSrcIp:
+    case FieldId::kDstIp:
+    case FieldId::kProtocol:
+    case FieldId::kObjectSrcIp:
+    case FieldId::kObjectDstIp:
+    case FieldId::kObjectProtocol:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// One lazy symbol read on a fresh event, checked against the eager stamp
+/// (`InternEventStrings`) of a copy: the read returns the eager id of the
+/// attribute's own spelling and fills exactly one slot, or returns 0 and
+/// fills none when the attribute carries no symbol. A second read is a
+/// memo hit: same id, no interner entry, no allocation.
+void CheckLazyRead(EntityType type, const std::string& label,
+                   const std::string* spelling, bool network_string,
+                   const std::function<uint32_t(const Event&)>& read) {
+  SCOPED_TRACE(label);
+  Interner& interner = Interner::Global();
+  Event eager = SampleEvent(type);
+  InternEventStrings(&eager);
+  Event lazy = SampleEvent(type);
+  const uint32_t id = read(lazy);
+  if (spelling == nullptr || network_string) {
+    EXPECT_EQ(id, 0u);
+    EXPECT_EQ(FilledSlots(lazy.syms), 0u);
+    EXPECT_EQ(lazy.syms.gen, 0u);
+    return;
+  }
+  ASSERT_NE(id, 0u);
+  EXPECT_EQ(id, interner.Find(*spelling));
+  EXPECT_EQ(lazy.syms.gen, eager.syms.gen);
+  ASSERT_EQ(FilledSlots(lazy.syms), 1u);
+  for (auto slot : kSymbolSlots) {
+    if (lazy.syms.*slot != 0) {
+      EXPECT_EQ(lazy.syms.*slot, eager.syms.*slot);
+    }
+  }
+  const size_t entries = interner.size();
+  const size_t allocs = testing::HeapAllocs();
+  const uint32_t again = read(lazy);
+  EXPECT_EQ(testing::HeapAllocs(), allocs);
+  EXPECT_EQ(interner.size(), entries);
+  EXPECT_EQ(again, id);
+  EXPECT_EQ(FilledSlots(lazy.syms), 1u);
+}
+
+TEST(InternerTest, LazyReadFillsExactlyItsSlotForEveryField) {
+  const EntityType kTypes[] = {EntityType::kProcess, EntityType::kFile,
+                               EntityType::kNetwork};
+  for (EntityType type : kTypes) {
+    const Event sample = SampleEvent(type);
+    for (int raw = static_cast<int>(FieldId::kExeName);
+         raw <= static_cast<int>(FieldId::kName); ++raw) {
+      const FieldId id = static_cast<FieldId>(raw);
+      for (EntityRole role : {EntityRole::kSubject, EntityRole::kObject}) {
+        CheckLazyRead(
+            type,
+            "entity field " + std::to_string(raw) + " role " +
+                std::to_string(static_cast<int>(role)) + " type " +
+                std::to_string(static_cast<int>(type)),
+            GetEntityStringFieldPtr(sample, role, id), IsNetworkString(id),
+            [&](const Event& e) { return GetEntitySymbol(e, role, id); });
+      }
+    }
+    for (int raw = static_cast<int>(FieldId::kAmount);
+         raw <= static_cast<int>(FieldId::kObjectProtocol); ++raw) {
+      const FieldId id = static_cast<FieldId>(raw);
+      CheckLazyRead(type,
+                    "event field " + std::to_string(raw) + " type " +
+                        std::to_string(static_cast<int>(type)),
+                    GetEventStringFieldPtr(sample, id), IsNetworkString(id),
+                    [&](const Event& e) { return GetEventSymbol(e, id); });
+    }
+  }
+}
+
+TEST(InternerTest, LazyReadAfterRotationRefreshesTheMemo) {
+  Interner& interner = Interner::Global();
+  Event e = SampleEvent(EntityType::kFile);
+  ASSERT_NE(GetEventSymbol(e, FieldId::kAgentId), 0u);
+  ASSERT_NE(GetEntitySymbol(e, EntityRole::kObject, FieldId::kPath), 0u);
+  const uint32_t gen_before = e.syms.gen;
+  ASSERT_EQ(FilledSlots(e.syms), 2u);
+
+  interner.Rotate();
+  const uint32_t exe = GetEntitySymbol(e, EntityRole::kSubject,
+                                       FieldId::kExeName);
+  EXPECT_EQ(e.syms.gen, static_cast<uint32_t>(interner.generation()));
+  EXPECT_EQ(e.syms.gen, gen_before + 1);
+  EXPECT_EQ(exe, interner.Find("cmd.exe"));
+  EXPECT_NE(exe, 0u);
+  // The stale agent and path ids are gone, not mixed into the new memo.
+  EXPECT_EQ(e.syms.agent, 0u);
+  EXPECT_EQ(e.syms.obj_path, 0u);
+  EXPECT_EQ(FilledSlots(e.syms), 1u);
+  // Re-reading a cleared slot interns it under the current generation.
+  const uint32_t agent = GetEventSymbol(e, FieldId::kAgentId);
+  EXPECT_EQ(agent, interner.Find("host-1"));
+  EXPECT_NE(agent, 0u);
+  EXPECT_EQ(FilledSlots(e.syms), 2u);
 }
 
 TEST(InternerTest, ExactEqualityMatchesInternedAndPlainEventsAlike) {

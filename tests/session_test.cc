@@ -916,8 +916,10 @@ TEST(SessionInternerTest, RotationPolicyFiresBetweenSessions) {
   SaqlEngine::Options opts;
   opts.interner_rotate_bytes = 1;  // any payload triggers rotation
   SaqlEngine engine(opts);
+  // Exact equality: the query compares subject.exe_name by symbol, so a
+  // push interns that event string (a wildcard LIKE would intern none).
   ASSERT_TRUE(
-      engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "q")
+      engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
           .ok());
 
   auto run_once = [&engine] {
@@ -940,6 +942,55 @@ TEST(SessionInternerTest, RotationPolicyFiresBetweenSessions) {
   run_once();
   EXPECT_GT(interner.generation(), gen_after_first);
   EXPECT_EQ(engine.alerts().size(), alerts_after_first + 1);
+}
+
+// Symbols are interned on first read, by the comparisons that need
+// them: a session whose only query matches by wildcard LIKE interns no
+// event string, however many fresh spellings it is pushed.
+TEST(SessionInternerTest, LikeOnlySessionInternsNothing) {
+  Interner& interner = Interner::Global();
+  SaqlEngine engine;
+  ASSERT_TRUE(
+      engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "q")
+          .ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  EventBatch events;
+  for (int i = 0; i < 64; ++i) {
+    events.push_back(NetWrite("fresh-" + std::to_string(i) + "-a.exe",
+                              "1.1.1.1", 1, (i + 1) * kSecond,
+                              "fresh-host-" + std::to_string(i)));
+  }
+  const size_t bytes_before = interner.payload_bytes();
+  ASSERT_TRUE((*session)->Push(events).ok());
+  EXPECT_EQ(interner.payload_bytes(), bytes_before);
+  for (const Event& e : events) EXPECT_EQ(e.syms.gen, 0u);
+  ASSERT_TRUE((*session)->Close().ok());
+  EXPECT_EQ(engine.alerts().size(), events.size());
+}
+
+// Threaded lanes read copies: the splitter interns nothing, so the
+// caller's buffer comes back with its symbol memos untouched, although
+// the lanes' exact-equality compares interned their own copies.
+TEST(SessionInternerTest, ThreadedPushLeavesCallerMemosUntouched) {
+  SaqlEngine::Options opts;
+  opts.num_shards = 2;
+  SaqlEngine engine(opts);
+  ASSERT_TRUE(
+      engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
+          .ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  EventBatch events;
+  for (int i = 0; i < 16; ++i) {
+    events.push_back(NetWrite(i % 2 == 0 ? "a.exe" : "b.exe", "1.1.1.1", 1,
+                              (i + 1) * kSecond, "h1", 100 + i));
+  }
+  ASSERT_TRUE((*session)->Push(events).ok());
+  ASSERT_TRUE((*session)->Flush().ok());
+  for (const Event& e : events) EXPECT_EQ(e.syms.gen, 0u);
+  ASSERT_TRUE((*session)->Close().ok());
+  EXPECT_EQ(engine.alerts().size(), 8u);
 }
 
 TEST(SessionInternerTest, NoRotationWhenDisabled) {
