@@ -9,11 +9,11 @@
 //      pattern can match them vs broadcast to every group.
 //   A6 Shard scaling — the hash-partitioned executor at 1/2/4/8 lanes over
 //      the 8-query stateful workload (per-shard replicas + cross-shard
-//      window merge). The 1-lane point is the inline lane — no thread,
-//      queue, copy or merge stage, i.e. the unsharded baseline — so the
-//      sweep prices the threaded pipeline against it. Interpret events/s
-//      against the `cores` counter — on a 1-core container the sweep can
-//      only show queueing overhead, not speedup.
+//      window merge). The 1-lane point runs on the caller's thread — no
+//      worker, hashing or merge stage, i.e. the unsharded baseline — so
+//      the sweep prices the fork-join lanes against it. Interpret
+//      events/s against the `cores` counter — on a 1-core container the
+//      sweep can only show synchronization overhead, not speedup.
 //   A7 Member-side matching — the shared per-group ConstraintIndex vs
 //      brute-force member loops at 8/32/128/512 queries over a
 //      multi-tenant few-shapes workload (exact-equality tenant

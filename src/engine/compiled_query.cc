@@ -125,6 +125,12 @@ std::string CompiledQuery::GroupSignature() const {
   return Join(sigs, "+");
 }
 
+CompiledQuery::QueryStats CompiledQuery::stats() const {
+  QueryStats out = stats_;
+  if (state_ != nullptr) out.late_matches = state_->stats().late_matches;
+  return out;
+}
+
 void CompiledQuery::OnEvent(const Event& event) {
   ++stats_.events_in;
   for (const CompiledConstraint& c : global_constraints_) {

@@ -44,6 +44,9 @@ class CompiledQuery final : public EventProcessor {
     uint64_t windows_closed = 0;
     uint64_t alerts = 0;
     uint64_t eval_errors = 0;
+    /// Matches that missed an already-closed time window
+    /// (`StateMaintainer::Stats::late_matches`).
+    uint64_t late_matches = 0;
   };
 
   /// Compiles an analyzed query. `name` identifies the query in alerts and
@@ -99,7 +102,7 @@ class CompiledQuery final : public EventProcessor {
 
   const std::string& name() const { return name_; }
   const AnalyzedQuery& analyzed() const { return *aq_; }
-  const QueryStats& stats() const { return stats_; }
+  QueryStats stats() const;
 
   /// Signature of the query's structural shape; queries with equal
   /// signatures are semantically compatible for scheduler grouping.
@@ -138,7 +141,7 @@ class CompiledQuery final : public EventProcessor {
   bool return_distinct() const { return aq_->query->return_distinct; }
 
   /// Turns this instance into a shard replica: stateful window closes emit
-  /// partial aggregate state through `cb` (from the shard's lane thread)
+  /// partial aggregate state through `cb` (from the shard lane)
   /// instead of evaluating alerts locally. Stateful queries only.
   void ExportPartialWindows(StateMaintainer::PartialCallback cb);
 

@@ -102,8 +102,8 @@ class SaqlEngine {
     bool active() const;
 
     /// Statistics for this query: live while active (in sharded mode the
-    /// sum over the query's lane replicas plus its merge replica, read at
-    /// a quiesced point), frozen at their final values after removal.
+    /// sum over the query's lane replicas plus its merge replica), frozen
+    /// at their final values after removal.
     CompiledQuery::QueryStats stats() const;
 
     /// Additional per-query alert tap: every alert this query emits is
@@ -134,7 +134,8 @@ class SaqlEngine {
 
   /// A push-driven run over the engine's query set. Obtained from
   /// `OpenSession`; all methods must be called from one thread (the
-  /// session thread — in sharded mode it doubles as the splitter).
+  /// session thread — in sharded mode it splits each push and runs lane 0
+  /// and the global lane itself).
   /// Different sessions of one engine run from different threads
   /// concurrently.
   ///
@@ -152,8 +153,10 @@ class SaqlEngine {
   /// timestamp order and not push events older than an advanced
   /// watermark; under that contract a sharded session's alert sequence is
   /// identical to the batch `Run` ordering (alerts are released in
-  /// (ts, query, group, values) order once every lane has aligned past
-  /// them).
+  /// (ts, query, group, values) order once the advanced watermark has
+  /// passed them). A closed time window never reopens: a stateful query
+  /// folds a late match only into its windows still open and counts it in
+  /// `QueryStats::late_matches`.
   class Session {
    public:
     ~Session();
@@ -165,15 +168,15 @@ class SaqlEngine {
     /// concurrently open sessions.
     uint64_t id() const;
 
-    /// Delivers one batch of events to the live query set. The buffer may
-    /// be reused after the call returns. In sharded mode this blocks only
-    /// on lane backpressure.
+    /// Delivers one batch of events to the live query set and returns once
+    /// every lane has processed it; the buffer may be reused after the
+    /// call returns.
     ///
-    /// Push writes into the caller's buffer: a 1-lane session's queries
-    /// fill each event's symbol memo (`Event::syms`) in place as they
-    /// compare attributes (threaded lanes fill their own copies). So one
-    /// buffer must not be pushed to two sessions at once, from two
-    /// threads; give each thread its own copy.
+    /// Push writes into the caller's buffer: at any lane count the
+    /// session's queries fill each event's symbol memo (`Event::syms`) in
+    /// place as they compare attributes — lanes read the caller's events,
+    /// never copies. So one buffer must not be pushed to two sessions at
+    /// once, from two threads; give each thread its own copy.
     Status Push(Event* events, size_t count);
     Status Push(EventBatch& batch) {
       return Push(batch.data(), batch.size());
@@ -192,11 +195,9 @@ class SaqlEngine {
     /// Values that do not advance the watermark are ignored.
     Status AdvanceWatermark(Timestamp ts);
 
-    /// Sharded mode: blocks until every lane has drained its queue, then
-    /// releases every alert the advanced watermarks have finalized (alerts
-    /// are otherwise released opportunistically, with bounded lag, as
-    /// lanes report progress). No-op in single-threaded mode, where alerts
-    /// emit inline during Push.
+    /// A no-op kept for callers written against asynchronous lanes: every
+    /// `Push` and `AdvanceWatermark` returns with its lanes finished and
+    /// every alert the advanced watermark finalized already released.
     Status Flush();
 
     /// Parses, analyzes, compiles, and attaches a query mid-stream. The
@@ -204,7 +205,7 @@ class SaqlEngine {
     /// dispatch index re-registered), the group's shared ConstraintIndex
     /// is rebuilt over the widened member list, and — in sharded mode —
     /// lane replicas plus (for stateful queries) a merge-stage
-    /// registration are created across all lanes at a quiesced point. The
+    /// registration are created across all lanes. The
     /// query sees only events pushed after this call, and belongs to
     /// this session alone (concurrent sessions are isolated tenants; use
     /// `SaqlEngine::AddQuery` between sessions for queries every later
@@ -239,7 +240,7 @@ class SaqlEngine {
     QueryHandle* handle(const std::string& name);
 
     /// Ends the stream: every live query flushes end-of-stream state,
-    /// sharded lanes are joined and buffered alerts released, and the
+    /// lane workers are joined and buffered alerts released, and the
     /// run's statistics are published to the engine accessors. Idempotent
     /// error: closing twice returns FailedPrecondition.
     Status Close();
@@ -264,8 +265,7 @@ class SaqlEngine {
     /// the crash-loss bound is `recorded_events() - durable_events()`.
     uint64_t durable_events() const;
 
-    // Live statistics. In sharded mode these quiesce the lane pipeline
-    // briefly to read consistent values.
+    // Live statistics, consistent between calls: no lane runs then.
     ExecutorStats executor_stats() const;
     size_t num_active_queries() const;
     size_t num_groups() const;

@@ -40,11 +40,12 @@ struct EngineOptions {
   /// index.
   bool enable_member_index = true;
   /// Executor lanes per session (clamped to [1, kMaxShards] of
-  /// `ShardedStreamExecutor`). 1 = one lane run inline on the session's
-  /// thread: every query executes single-threaded over the ordered
-  /// stream and alerts as it fires. With N > 1 each session runs N lane
-  /// threads (events partitioned by subject entity key), replicating
-  /// partitionable queries per lane and merging stateful window
+  /// `ShardedStreamExecutor`). 1 = one lane on the session's thread:
+  /// every query executes single-threaded over the ordered stream and
+  /// alerts as it fires. With N > 1 each push is split over N lanes by
+  /// subject entity key (the session thread runs lane 0, N - 1 worker
+  /// threads the others, and the push returns when all are done),
+  /// replicating partitionable queries per lane and merging stateful window
   /// aggregates across lanes before alert evaluation; queries whose
   /// semantics need the full ordered stream (multi-event joins, count
   /// windows, cooldowns) run on one global lane. Alerts from all lanes

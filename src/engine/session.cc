@@ -5,18 +5,18 @@
 // of sessions run concurrently against one EngineCore, sharing only the
 // global interner and the immutable analyzed queries.
 //
-// Every session drives one execution path: it is the splitter thread of a
-// ShardedStreamExecutor and places each query on lanes — one (lane,
-// instance) pair per lane it runs on — and every open, add, remove and
-// heal is one loop over those placements. At one lane the lane runs inline
-// on the session thread and every query runs its primary there, alerting
-// straight to the sink — plain single-threaded execution. At N > 1 lanes
-// partitionable queries run a replica on each shard lane 0..N-1, and
-// queries that need the full ordered stream run their primary on the
-// global lane N; the session coordinates dynamic query add/remove across
-// the lanes + merge replica at quiesced points, and releases collected
-// lane alerts in deterministic (ts, query, group, values) order as the
-// watermark every lane applied aligns past them.
+// Every session drives one execution path: it owns a ShardedStreamExecutor,
+// whose every call is one synchronous step over all lanes, and places each
+// query on lanes — one (lane, instance) pair per lane it runs on — and
+// every open, add, remove and heal is one loop over those placements. At
+// one lane the lane runs on the session thread and every query runs its
+// primary there, alerting straight to the sink — plain single-threaded
+// execution. At N > 1 lanes partitionable queries run a replica on each
+// shard lane 0..N-1, and queries that need the full ordered stream run
+// their primary on the global lane N. Between steps no lane runs, so
+// dynamic query add/remove, rotation heals and statistics touch the lanes
+// directly; collected lane alerts are released in deterministic (ts,
+// query, group, values) order as the advanced watermark passes them.
 //
 // Live interner rotation: the top of every Push is the session's quiesce
 // point — it applies the rotation policy and, when the global generation
@@ -121,16 +121,12 @@ struct SaqlEngine::Session::SessionContext {
   // More than one lane only.
   std::unique_ptr<ShardMergeStage> merge;
 
-  /// Ordered alert release state. Lane threads append to `pending` and
-  /// update `applied` (through the progress hooks); the session thread
-  /// extracts and emits alerts whose event time every lane has aligned
-  /// past. `alert_mu` guards all of it.
+  /// Ordered alert release state. Lanes append to `pending` during an
+  /// executor step — shard lanes concurrently, so under `alert_mu`; the
+  /// session thread extracts and emits, between steps, the alerts the
+  /// advanced watermark has passed.
   std::mutex alert_mu;
   std::vector<Alert> pending;
-  /// Last watermark each executor lane applied (INT64_MAX once finished):
-  /// one entry per shard lane from open, plus lane N's from its first
-  /// subscription (which creates that lane).
-  std::vector<Timestamp> applied;
   std::set<std::pair<std::string, std::string>> distinct_seen;
   std::map<std::string, uint64_t> emitted_by_query;
 
@@ -214,8 +210,7 @@ struct SaqlEngine::Session::SessionContext {
   /// alerts straight to the sink; at more lanes the query is classified,
   /// runs its primary on the global lane or a replica per shard lane, and
   /// stateful queries register with the merge stage. Shared by session
-  /// open and mid-stream AddQuery (the caller holds the pipeline quiesced
-  /// in the latter case).
+  /// open and mid-stream AddQuery.
   Status WireQuery(SessionQuery* sq) {
     CompiledQuery* q = sq->primary.get();
     q->SetErrorReporter(core->errors());
@@ -248,9 +243,9 @@ struct SaqlEngine::Session::SessionContext {
         ShardMergeStage* m = merge.get();
         size_t handle = sq->merge_handle;
         r->ExportPartialWindows(
-            [m, handle](const TimeWindow& w,
-                        std::vector<StateMaintainer::PartialGroup>& groups) {
-              m->AddPartials(handle, w, groups);
+            [m, s, handle](const TimeWindow& w,
+                           std::vector<StateMaintainer::PartialGroup>& groups) {
+              m->AddPartials(s, handle, w, groups);
             });
       } else {
         r->SetAlertSink(CollectorSink());
@@ -327,17 +322,6 @@ struct SaqlEngine::Session::SessionContext {
     }
   }
 
-  /// Subscribes a new group to lane `lane`, first giving the lane its
-  /// `applied` entry: a subscription may create the lane (the global lane,
-  /// on its first group), whose progress then bounds the ordered release.
-  void SubscribeGroup(size_t lane, QueryGroup* group) {
-    {
-      std::lock_guard<std::mutex> lock(alert_mu);
-      if (applied.size() <= lane) applied.resize(lane + 1, INT64_MIN);
-    }
-    executor->Subscribe(lane, group);
-  }
-
   Status BuildExecution() {
     const EngineOptions& opts = core->options();
     ShardedStreamExecutor::Options exec_opts;
@@ -345,7 +329,6 @@ struct SaqlEngine::Session::SessionContext {
     exec_opts.executor = StreamExecutor::Options{opts.enable_routing};
     executor = std::make_unique<ShardedStreamExecutor>(exec_opts);
     if (num_lanes > 1) merge = std::make_unique<ShardMergeStage>(num_lanes);
-    applied.assign(num_lanes, INT64_MIN);
 
     for (auto& sq : queries) {
       Status st = WireQuery(sq.get());
@@ -373,25 +356,8 @@ struct SaqlEngine::Session::SessionContext {
       schedulers[lane]->BuildGroups();
       if (AdoptsLane0Index(lane)) AdoptLane0Index(lane);
       for (QueryGroup* g : schedulers[lane]->groups()) {
-        SubscribeGroup(lane, g);
+        executor->Subscribe(lane, g);
       }
-    }
-
-    if (merge != nullptr) {
-      // Only shard lanes feed the merge stage; every lane, the global lane
-      // included, bounds the ordered release.
-      ShardedStreamExecutor::ProgressHooks hooks;
-      hooks.watermark = [this](size_t lane, Timestamp ts) {
-        if (lane < num_lanes) merge->AdvanceShardWatermark(lane, ts);
-        std::lock_guard<std::mutex> lock(alert_mu);
-        if (ts > applied[lane]) applied[lane] = ts;
-      };
-      hooks.finished = [this](size_t lane) {
-        if (lane < num_lanes) merge->FinishShard(lane);
-        std::lock_guard<std::mutex> lock(alert_mu);
-        applied[lane] = INT64_MAX;
-      };
-      executor->SetProgressHooks(std::move(hooks));
     }
     executor->BeginStream();
     return Status::Ok();
@@ -400,15 +366,15 @@ struct SaqlEngine::Session::SessionContext {
   // -------------------------------------------------------------------
   // Live interner rotation healing.
 
-  /// The session's quiesce-point half of a live rotation: drains the lane
-  /// pipeline, re-captures every compiled constraint's symbol under the
-  /// current generation, rebuilds the ConstraintIndex probe groups (lane
-  /// 0 and the global lane rebuild, shard lanes 1..N-1 adopt lane 0's
-  /// positionally), then advances this session's reclaim barrier and lets
-  /// the core free generations every session has passed. Called from the
-  /// session thread with the generation already observed to have moved.
+  /// The session's quiesce-point half of a live rotation: re-captures
+  /// every compiled constraint's symbol under the current generation,
+  /// rebuilds the ConstraintIndex probe groups (lane 0 and the global lane
+  /// rebuild, shard lanes 1..N-1 adopt lane 0's positionally), then
+  /// advances this session's reclaim barrier and lets the core free
+  /// generations every session has passed. Called from the session thread,
+  /// between executor steps, with the generation already observed to have
+  /// moved.
   void HealRotation(uint64_t gen) {
-    executor->Quiesce();
     for (auto& sq : queries) {
       if (!sq->active) continue;
       if (sq->primary != nullptr) sq->primary->ReInternSymbols();
@@ -440,31 +406,24 @@ struct SaqlEngine::Session::SessionContext {
   // Ordered alert release (more than one lane; at one lane nothing is
   // ever collected).
 
-  /// Emits every collected alert that is final: with `all` set (after
-  /// FinishStream) everything, otherwise alerts whose event time is
-  /// strictly below what every lane has applied — no lane can still
-  /// produce an alert older than its applied watermark, so the released
-  /// prefix matches the batch run's full (ts, query, group, values) sort.
-  void ReleaseReadyAlerts(bool all) {
+  /// Emits every collected alert whose event time is strictly below
+  /// `cutoff`: the advanced watermark (every lane has applied it, so no
+  /// lane can still produce an older alert, and the released prefix
+  /// matches the batch run's full (ts, query, group, values) sort), or
+  /// INT64_MAX after FinishStream. Runs between executor steps, when no
+  /// lane appends to `pending`.
+  void ReleaseReadyAlerts(Timestamp cutoff) {
+    if (pending.empty() || cutoff == INT64_MIN) return;
     std::vector<Alert> ready;
-    {
-      std::lock_guard<std::mutex> lock(alert_mu);
-      if (pending.empty()) return;
-      Timestamp cutoff = INT64_MAX;
-      if (!all) {
-        for (Timestamp w : applied) cutoff = std::min(cutoff, w);
-        if (cutoff == INT64_MIN) return;
+    std::vector<Alert> keep;
+    for (Alert& a : pending) {
+      if (a.ts < cutoff) {
+        ready.push_back(std::move(a));
+      } else {
+        keep.push_back(std::move(a));
       }
-      std::vector<Alert> keep;
-      for (Alert& a : pending) {
-        if (all || a.ts < cutoff) {
-          ready.push_back(std::move(a));
-        } else {
-          keep.push_back(std::move(a));
-        }
-      }
-      pending = std::move(keep);
     }
+    pending = std::move(keep);
     if (ready.empty()) return;
     // Deterministic emission: order by (event time, query, group,
     // rendered values), then apply cross-shard `return distinct`.
@@ -510,19 +469,20 @@ struct SaqlEngine::Session::SessionContext {
       recording_status = recorder->Append(events, count);
     }
     executor->PushBatch(events, count);
-    ReleaseReadyAlerts(false);
+    ReleaseReadyAlerts(advanced_watermark);
     return Status::Ok();
   }
 
   Status AdvanceWatermark(Timestamp ts) {
-    if (executor->AdvanceWatermark(ts)) advanced_watermark = ts;
-    ReleaseReadyAlerts(false);
-    return Status::Ok();
-  }
-
-  Status Flush() {
-    executor->Quiesce();
-    ReleaseReadyAlerts(false);
+    if (!executor->AdvanceWatermark(ts)) return Status::Ok();
+    advanced_watermark = ts;
+    if (merge != nullptr) {
+      // The merge splits by query: every shard lane evaluates its share of
+      // the merged windows.
+      executor->RunOnShards(
+          [this, ts](size_t lane) { merge->AdvanceWatermark(lane, ts); });
+    }
+    ReleaseReadyAlerts(advanced_watermark);
     return Status::Ok();
   }
 
@@ -550,9 +510,6 @@ struct SaqlEngine::Session::SessionContext {
     sq->primary = std::move(prepared.instance);
     sq->diagnostics = *out;
 
-    // All lanes idle: replica wiring, group patching, and merge-stage
-    // registration must not race the lane threads.
-    executor->Quiesce();
     Status st = WireQuery(sq.get());
     if (!st.ok()) return st;
     // A new group means a new stream subscription: the lane's dispatch
@@ -566,14 +523,13 @@ struct SaqlEngine::Session::SessionContext {
       bool created = false;
       QueryGroup* g =
           schedulers[p.lane]->AddQueryDynamic(p.instance, &created);
-      if (created) SubscribeGroup(p.lane, g);
+      if (created) executor->Subscribe(p.lane, g);
       if (p.lane == 0) {
         lane0_group = g;
       } else if (AdoptsLane0Index(p.lane)) {
         AdoptIndexFromLane0(lane0_group, g);
       }
     }
-    ReleaseReadyAlerts(false);
 
     // Session-local attach: concurrent sessions are isolated tenants, so
     // the engine-level registry (which future sessions snapshot) is not
@@ -593,13 +549,14 @@ struct SaqlEngine::Session::SessionContext {
         sq.primary != nullptr ? sq.primary->stats()
                               : CompiledQuery::QueryStats{};
     for (const auto& r : sq.replicas) {
-      const CompiledQuery::QueryStats& rs = r->stats();
+      const CompiledQuery::QueryStats rs = r->stats();
       total.events_in += rs.events_in;
       total.events_past_global += rs.events_past_global;
       total.matches += rs.matches;
       total.windows_closed += rs.windows_closed;
       total.alerts += rs.alerts;
       total.eval_errors += rs.eval_errors;
+      total.late_matches += rs.late_matches;
     }
     return total;
   }
@@ -610,7 +567,6 @@ struct SaqlEngine::Session::SessionContext {
       return Status::FailedPrecondition("query '" + sq->name +
                                         "' was already removed");
     }
-    executor->Quiesce();
     sq->final_stats = SumStats(*sq);
     // An emptied group must leave its lane's dispatch index before it
     // dies; a patched one had its index rebuilt over the survivors.
@@ -632,7 +588,6 @@ struct SaqlEngine::Session::SessionContext {
       // partial state down.
       merge->RemoveQuery(sq->merge_handle);
     }
-    ReleaseReadyAlerts(false);
     sq->placements.clear();
     sq->replicas.clear();
     sq->primary.reset();
@@ -652,7 +607,6 @@ struct SaqlEngine::Session::SessionContext {
     if (!sq->active) {
       qs = sq->final_stats;
     } else {
-      executor->Quiesce();
       qs = SumStats(*sq);
     }
     if (num_lanes > 1 &&
@@ -660,7 +614,6 @@ struct SaqlEngine::Session::SessionContext {
       // Replicas count pre-deduplication emissions; report what actually
       // reached the sink (more may still be buffered for ordered
       // release).
-      std::lock_guard<std::mutex> lock(alert_mu);
       auto it = emitted_by_query.find(sq->name);
       qs.alerts = it == emitted_by_query.end() ? 0 : it->second;
     }
@@ -669,7 +622,6 @@ struct SaqlEngine::Session::SessionContext {
 
   std::vector<std::pair<std::string, CompiledQuery::QueryStats>>
   QueryStats() {
-    executor->Quiesce();
     std::vector<std::pair<std::string, CompiledQuery::QueryStats>> out;
     out.reserve(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -698,8 +650,7 @@ struct SaqlEngine::Session::SessionContext {
     return n;
   }
 
-  double ForwardRatio() {
-    executor->Quiesce();
+  double ForwardRatio() const {
     uint64_t in = 0, forwarded = 0;
     for (auto& sched : schedulers) {
       for (QueryGroup* g : sched->groups()) {
@@ -712,10 +663,7 @@ struct SaqlEngine::Session::SessionContext {
                          static_cast<double>(in);
   }
 
-  ExecutorStats ExecStats() {
-    executor->Quiesce();
-    return executor->merged_stats();
-  }
+  ExecutorStats ExecStats() const { return executor->merged_stats(); }
 
   // -------------------------------------------------------------------
   // Close.
@@ -729,8 +677,9 @@ struct SaqlEngine::Session::SessionContext {
       EngineCore::ReleaseRecordPath(reserved_path);
       reserved_path.clear();
     }
-    executor->FinishStream();  // joins lanes; hooks all fired
-    ReleaseReadyAlerts(true);
+    executor->FinishStream();
+    if (merge != nullptr) merge->Finish();
+    ReleaseReadyAlerts(INT64_MAX);
     // Freeze every live query's stats (the fixups in SlotStats still
     // apply — emitted_by_query is final now).
     for (auto& sq : queries) {
@@ -789,7 +738,7 @@ Status SaqlEngine::Session::AdvanceWatermark(Timestamp ts) {
 
 Status SaqlEngine::Session::Flush() {
   if (!open_) return Status::FailedPrecondition("session is closed");
-  return impl_->Flush();
+  return Status::Ok();
 }
 
 Result<SaqlEngine::QueryHandle*> SaqlEngine::Session::AddQuery(

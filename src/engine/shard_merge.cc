@@ -1,64 +1,56 @@
 #include "engine/shard_merge.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace saql {
 
-ShardMergeStage::ShardMergeStage(size_t num_shards)
-    : shard_watermarks_(num_shards, INT64_MIN) {}
-
 size_t ShardMergeStage::RegisterQuery(CompiledQuery* merge_replica) {
-  std::lock_guard<std::mutex> lock(mu_);
   QueryState qs;
   qs.replica = merge_replica;
+  qs.outboxes.resize(num_shards_);
   queries_.push_back(std::move(qs));
   return queries_.size() - 1;
 }
 
 void ShardMergeStage::RemoveQuery(size_t query) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queries_[query].replica = nullptr;
-  queries_[query].pending.clear();
+  QueryState& qs = queries_[query];
+  qs.replica = nullptr;
+  for (std::vector<Export>& outbox : qs.outboxes) outbox.clear();
+  qs.pending.clear();
 }
 
 void ShardMergeStage::AddPartials(
-    size_t query, const TimeWindow& window,
+    size_t shard, size_t query, const TimeWindow& window,
     std::vector<StateMaintainer::PartialGroup>& groups) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queries_[query].replica == nullptr) return;  // removed mid-stream
-  PendingWindow& pw =
-      queries_[query].pending[{window.end, window.start}];
-  pw.window = window;
-  for (StateMaintainer::PartialGroup& pg : groups) {
-    auto [it, inserted] = pw.groups.try_emplace(pg.group_key);
-    if (inserted) {
-      it->second = std::move(pg);
-    } else {
-      StateMaintainer::MergePartial(&it->second, pg);
+  QueryState& qs = queries_[query];
+  if (qs.replica == nullptr) return;  // removed mid-stream
+  qs.outboxes[shard].push_back(Export{window, std::move(groups)});
+}
+
+void ShardMergeStage::FoldOutboxes(QueryState& qs) {
+  for (std::vector<Export>& outbox : qs.outboxes) {
+    for (Export& e : outbox) {
+      PendingWindow& pw = qs.pending[{e.window.end, e.window.start}];
+      pw.window = e.window;
+      for (StateMaintainer::PartialGroup& pg : e.groups) {
+        auto [it, inserted] = pw.groups.try_emplace(pg.group_key);
+        if (inserted) {
+          it->second = std::move(pg);
+        } else {
+          StateMaintainer::MergePartial(&it->second, pg);
+        }
+      }
     }
+    outbox.clear();
   }
 }
 
-void ShardMergeStage::AdvanceShardWatermark(size_t shard, Timestamp ts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ts <= shard_watermarks_[shard]) return;
-  shard_watermarks_[shard] = ts;
-  DrainReadyLocked();
-}
-
-void ShardMergeStage::FinishShard(size_t shard) {
-  AdvanceShardWatermark(shard, std::numeric_limits<Timestamp>::max());
-}
-
-void ShardMergeStage::DrainReadyLocked() {
-  Timestamp aligned = std::numeric_limits<Timestamp>::max();
-  for (Timestamp wm : shard_watermarks_) aligned = std::min(aligned, wm);
-  if (aligned == INT64_MIN) return;
-  for (QueryState& qs : queries_) {
+void ShardMergeStage::AdvanceWatermark(size_t part, Timestamp ts) {
+  for (size_t q = part; q < queries_.size(); q += num_shards_) {
+    QueryState& qs = queries_[q];
     if (qs.replica == nullptr) continue;  // removed mid-stream
-    while (!qs.pending.empty() &&
-           qs.pending.begin()->first.first <= aligned) {
+    FoldOutboxes(qs);
+    while (!qs.pending.empty() && qs.pending.begin()->first.first <= ts) {
       PendingWindow pw = std::move(qs.pending.begin()->second);
       qs.pending.erase(qs.pending.begin());
       // std::map iteration gives group-key order — the same deterministic
@@ -71,6 +63,12 @@ void ShardMergeStage::DrainReadyLocked() {
       }
       qs.replica->ConsumeMergedWindow(pw.window, groups);
     }
+  }
+}
+
+void ShardMergeStage::Finish() {
+  for (size_t part = 0; part < num_shards_; ++part) {
+    AdvanceWatermark(part, std::numeric_limits<Timestamp>::max());
   }
 }
 

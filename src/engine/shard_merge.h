@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,54 +16,54 @@ namespace saql {
 /// executor. Shard replicas export *partial* window states (live
 /// aggregators, one per (window, group) cell the shard saw); this stage
 /// combines partials of the same (query, window, group) across shards with
-/// `Aggregator::Merge`, and once every shard's watermark has passed a
-/// window's end — the alignment rule — evaluates the merged window on the
-/// query's merge replica: state fields once, then the usual group history /
-/// invariant / cluster / alert pipeline, as if a single-threaded run had
-/// closed that window.
+/// `Aggregator::Merge`, and once the watermark has passed a window's end
+/// evaluates the merged window on the query's merge replica: state fields
+/// once, then the usual group history / invariant / cluster / alert
+/// pipeline, as if a single-threaded run had closed that window.
 ///
-/// Alignment: a window [s, e) is ready when min over shards of the last
-/// reported lane watermark is ≥ e. Shard lanes 0..N-1 report progress
-/// through the sharded executor's `ProgressHooks`, which fire *after* the
-/// lane's query groups processed the watermark, so every partial for
-/// windows ≤ W has been added before the lane reports W. The global lane
-/// N hosts no replicas and exports no partials, so its reports are not
-/// forwarded here. A finished lane reports +inf, so end-of-stream flushes
-/// deterministically.
+/// Alignment: the executor applies each watermark on every shard lane in
+/// one synchronous step, and a lane exports a window's partials while it
+/// applies the watermark that closes it. So once the executor's
+/// `AdvanceWatermark(W)` returned, every partial for windows ending at or
+/// before W has been exported, and the session calls `AdvanceWatermark`
+/// with W on this stage; after `FinishStream`, it calls `Finish()`.
 ///
-/// Thread safety: all entry points are called from shard lane threads and
-/// serialize on one mutex. Merged-window evaluation (and the alerts it
-/// emits) therefore runs on whichever lane thread aligned the watermark,
-/// one window at a time, in (window end, registration order) per query.
+/// Thread safety: each shard lane exports into its own outbox per query,
+/// so concurrent `AddPartials` calls take no lock. `AdvanceWatermark` is
+/// split into parts that own disjoint queries, so the session runs them
+/// on the shard lanes in one step (`ShardedStreamExecutor::RunOnShards`).
+/// A part folds its queries' outboxes in shard order — merged aggregates
+/// do not depend on thread timing — then evaluates their ready windows in
+/// (window end, start) order; alerts go to the replicas' sinks, which must
+/// be thread-safe. Registering and removing queries happen between steps.
 class ShardMergeStage {
  public:
-  explicit ShardMergeStage(size_t num_shards);
+  explicit ShardMergeStage(size_t num_shards) : num_shards_(num_shards) {}
 
   /// Registers a stateful query's merge replica (not owned). Returns the
-  /// query handle to use in `AddPartials`. Call before the stream starts,
-  /// or mid-stream while the lane pipeline is quiesced (a session adding
-  /// a query dynamically).
+  /// query handle to use in `AddPartials`. Call before the stream starts
+  /// or between steps (a session adding a query dynamically).
   size_t RegisterQuery(CompiledQuery* merge_replica);
 
   /// Tears down one query's merge state: pending (un-evaluated) partial
   /// windows are dropped — not flushed — and later AddPartials calls for
-  /// this handle are ignored. Call while the lane pipeline is quiesced;
-  /// the handle is not reused.
+  /// this handle are ignored. Call between steps; the handle is not
+  /// reused.
   void RemoveQuery(size_t query);
 
-  /// Folds one shard's partial groups for `window` into the pending merge
-  /// state. Called from lane threads (thread-safe); moves the aggregators
-  /// out of `groups`.
-  void AddPartials(size_t query, const TimeWindow& window,
+  /// Queues shard `shard`'s partial groups for `window`, moving them out
+  /// of `groups`. Called from that shard's lane during a step.
+  void AddPartials(size_t shard, size_t query, const TimeWindow& window,
                    std::vector<StateMaintainer::PartialGroup>& groups);
 
-  /// One shard lane observed watermark `ts`; evaluates every pending
-  /// window ending at or before the new aligned (min-over-shards)
-  /// watermark.
-  void AdvanceShardWatermark(size_t shard, Timestamp ts);
+  /// Every shard lane applied watermark `ts`: for the queries part `part`
+  /// (of `num_shards` parts) owns, folds their exports and evaluates every
+  /// pending window ending at or before `ts`.
+  void AdvanceWatermark(size_t part, Timestamp ts);
 
-  /// One shard lane finished its stream (watermark jumps to +inf).
-  void FinishShard(size_t shard);
+  /// Every shard lane finished its stream: evaluates everything pending,
+  /// all parts on the calling thread.
+  void Finish();
 
  private:
   struct PendingWindow {
@@ -73,18 +72,24 @@ class ShardMergeStage {
     std::map<std::string, StateMaintainer::PartialGroup> groups;
   };
 
+  /// One `AddPartials` call, queued until the query's part folds it.
+  struct Export {
+    TimeWindow window;
+    std::vector<StateMaintainer::PartialGroup> groups;
+  };
+
   struct QueryState {
     CompiledQuery* replica = nullptr;
+    /// One outbox per shard lane, written only by that lane.
+    std::vector<std::vector<Export>> outboxes;
     /// Keyed by (end, start) so draining sweeps windows in close order.
     std::map<std::pair<Timestamp, Timestamp>, PendingWindow> pending;
   };
 
-  /// Evaluates all windows ready under the aligned watermark. Requires
-  /// `mu_` held.
-  void DrainReadyLocked();
+  /// Folds `qs`'s outboxes into its pending windows, shard by shard.
+  static void FoldOutboxes(QueryState& qs);
 
-  std::mutex mu_;
-  std::vector<Timestamp> shard_watermarks_;
+  const size_t num_shards_;
   std::vector<QueryState> queries_;
 };
 

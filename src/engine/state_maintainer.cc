@@ -162,16 +162,23 @@ void StateMaintainer::AddMatch(const PatternMatch& match) {
     return;
   }
 
+  bool late = false;
   for (const TimeWindow& w : assigner_->Assign(match.last_ts)) {
+    if (w.end <= closed_through_) {
+      late = true;
+      continue;
+    }
     Bucket& bucket = open_[w.end];
     bucket.window = w;
     auto [it, inserted] = bucket.cells.try_emplace(key);
-    if (inserted) it->second = MakeCell(key_values);
+    if (inserted) {
+      it->second = MakeCell(key_values);
+      ++open_cells_;
+    }
     FoldMatch(match, &it->second);
   }
-  size_t open_cells = 0;
-  for (const auto& [end, b] : open_) open_cells += b.cells.size();
-  stats_.peak_open_cells = std::max(stats_.peak_open_cells, open_cells);
+  if (late) ++stats_.late_matches;
+  stats_.peak_open_cells = std::max(stats_.peak_open_cells, open_cells_);
 }
 
 void StateMaintainer::CloseBucket(Bucket& bucket) {
@@ -183,6 +190,7 @@ void StateMaintainer::CloseBucket(Bucket& bucket) {
   }
   std::sort(ordered.begin(), ordered.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  open_cells_ -= ordered.size();
   ++stats_.windows_closed;
   stats_.groups_closed += ordered.size();
   if (partial_cb_) {
@@ -222,7 +230,6 @@ StateMaintainer::ClosedGroup StateMaintainer::FinishPartial(
     const TimeWindow& window, PartialGroup& pg) {
   Cell cell;
   cell.aggs = std::move(pg.aggs);
-  cell.key_values = pg.key_values;
   ClosedGroup g;
   g.group_key = std::move(pg.group_key);
   g.key_values = std::move(pg.key_values);
@@ -232,6 +239,7 @@ StateMaintainer::ClosedGroup StateMaintainer::FinishPartial(
 
 void StateMaintainer::AdvanceWatermark(Timestamp watermark) {
   if (is_count_window_) return;
+  closed_through_ = std::max(closed_through_, watermark);
   while (!open_.empty() && open_.begin()->first <= watermark) {
     CloseBucket(open_.begin()->second);
     open_.erase(open_.begin());

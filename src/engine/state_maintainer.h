@@ -62,6 +62,10 @@ class StateMaintainer {
     uint64_t groups_closed = 0;
     uint64_t eval_errors = 0;
     size_t peak_open_cells = 0;
+    /// Time-window matches behind the watermark: each match that was not
+    /// folded into at least one of its windows because that window had
+    /// closed already.
+    uint64_t late_matches = 0;
   };
 
   explicit StateMaintainer(AnalyzedQueryPtr aq);
@@ -87,7 +91,9 @@ class StateMaintainer {
   /// been folded into this maintainer. Requires `Init()`.
   ClosedGroup FinishPartial(const TimeWindow& window, PartialGroup& pg);
 
-  /// Folds one pattern match into its window(s) and group.
+  /// Folds one pattern match into its window(s) and group. A time window
+  /// the watermark has closed is never reopened: the match skips it and
+  /// counts in `Stats::late_matches`.
   void AddMatch(const PatternMatch& match);
 
   /// Closes all time windows ending at or before `watermark`.
@@ -142,6 +148,11 @@ class StateMaintainer {
   /// Open time windows keyed by window end (ordered so closing sweeps in
   /// time order).
   std::map<Timestamp, Bucket> open_;
+  /// Cells across `open_`, kept as buckets gain cells and close.
+  size_t open_cells_ = 0;
+  /// Highest watermark every window ending at or before it has closed
+  /// through.
+  Timestamp closed_through_ = INT64_MIN;
   /// Open count windows per group.
   std::unordered_map<std::string, CountCell> count_cells_;
 

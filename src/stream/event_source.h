@@ -51,7 +51,7 @@ class VectorEventSource : public EventSource {
 
   /// Hands out blocks borrowing slices of the owned vector — no per-event
   /// copies. Interned symbol memos (`Event::syms`) persist across
-  /// `Reset`, so a replay through an inline lane interns each compared
+  /// `Reset`, so a replay through a session interns each compared
   /// slot at most once.
   EventBlock* NextBlock(size_t max_events) override;
 

@@ -1,24 +1,49 @@
 #include "stream/sharded_executor.h"
 
 #include <algorithm>
+#include <chrono>
 
 namespace saql {
+
+namespace {
+
+/// How long a waiting side of the fork-join keeps polling before it sleeps:
+/// longer than the session thread's usual work between two steps (hashing
+/// a push, merging closed windows), so a busy stream never pays a wake-up.
+constexpr std::chrono::microseconds kSpinBudget{1000};
+
+/// Returns the first value of `a` that satisfies `ready`. Polls for up to
+/// kSpinBudget — yielding, so a poller never holds a core another lane
+/// needs when lanes outnumber cores — then sleeps on the atomic until it
+/// changes.
+template <typename Ready>
+uint32_t Await(const std::atomic<uint32_t>& a, Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (uint32_t i = 1;; ++i) {
+    const uint32_t v = a.load();
+    if (ready(v)) return v;
+    if (i % 16 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      a.wait(v);
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+}  // namespace
 
 ShardedStreamExecutor::ShardedStreamExecutor(Options options)
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.num_shards > kMaxShards) options_.num_shards = kMaxShards;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  inline_ = options_.num_shards == 1;
   lanes_.reserve(options_.num_shards + 1);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(options_.executor, i, &hooks_));
+    lanes_.push_back(std::make_unique<Lane>(options_.executor, i));
   }
-  if (!inline_) staged_.resize(options_.num_shards + 1);
 }
 
 ShardedStreamExecutor::~ShardedStreamExecutor() {
-  // A session that dies mid-stream must not leak running lane threads.
+  // A session that dies mid-stream must not leak running workers.
   if (streaming_) FinishStream();
 }
 
@@ -42,14 +67,10 @@ size_t ShardedStreamExecutor::SubjectKeyShard(const Event& event,
 void ShardedStreamExecutor::Subscribe(size_t lane,
                                       EventProcessor* processor) {
   if (lane == options_.num_shards && lanes_.size() == lane) {
-    lanes_.push_back(std::make_unique<Lane>(options_.executor, lane, &hooks_));
+    lanes_.push_back(std::make_unique<Lane>(options_.executor, lane));
+    if (streaming_) lanes_[lane]->executor.BeginStream();
   }
-  Lane* l = lanes_[lane].get();
-  // Subscribe before a new lane's thread can exist: its BeginStream reads
-  // the subscriber list unsynchronized, so the thread must start strictly
-  // after (thread creation is the happens-before edge).
-  l->executor.Subscribe(processor);
-  if (streaming_ && !l->started) StartLane(l);
+  lanes_[lane]->executor.Subscribe(processor);
 }
 
 void ShardedStreamExecutor::Unsubscribe(size_t lane,
@@ -57,117 +78,93 @@ void ShardedStreamExecutor::Unsubscribe(size_t lane,
   if (lane < lanes_.size()) lanes_[lane]->executor.Unsubscribe(processor);
 }
 
-void ShardedStreamExecutor::SetProgressHooks(ProgressHooks hooks) {
-  hooks_ = std::move(hooks);
-}
-
-void ShardedStreamExecutor::StartLane(Lane* lane) {
-  lane->started = true;
-  if (inline_) {
-    lane->executor.BeginStream();
-  } else {
-    threads_.emplace_back([lane] { lane->ThreadMain(); });
-  }
-}
-
-void ShardedStreamExecutor::Lane::Push(LaneBatch&& batch, size_t capacity) {
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    can_push.wait(lock, [&] { return queue.size() < capacity; });
-    queue.push_back(std::move(batch));
-  }
-  can_pop.notify_one();
-}
-
-void ShardedStreamExecutor::Lane::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    closed = true;
-  }
-  can_pop.notify_all();
-}
-
-void ShardedStreamExecutor::Lane::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu);
-  idle.wait(lock, [&] { return queue.empty() && !busy; });
-}
-
-void ShardedStreamExecutor::Lane::ThreadMain() {
-  executor.BeginStream();
-  LaneBatch batch;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      can_pop.wait(lock, [&] { return !queue.empty() || closed; });
-      if (queue.empty()) break;  // closed and drained
-      batch = std::move(queue.front());
-      queue.pop_front();
-      busy = true;
-    }
-    can_push.notify_one();
-    executor.ProcessBatch(batch.events.data(), batch.events.size());
-    ApplyWatermark(batch.watermark);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      busy = false;
-      if (queue.empty()) idle.notify_all();
-    }
-  }
-  Finish();
-}
-
-void ShardedStreamExecutor::Lane::ApplyWatermark(Timestamp ts) {
-  // The *input* watermark, not the lane's own max event time — see the
-  // watermark rule in the class comment.
-  if (!executor.AdvanceWatermark(ts)) return;
-  if (hooks->watermark) hooks->watermark(index, ts);
-}
-
-void ShardedStreamExecutor::Lane::Finish() {
-  executor.FinishStream();
-  if (hooks->finished) hooks->finished(index);
-}
-
 void ShardedStreamExecutor::BeginStream() {
   if (streaming_ || ran_) return;
   streaming_ = true;
-  threads_.reserve(options_.num_shards + 1);
-  for (auto& lane : lanes_) StartLane(lane.get());
+  // Every lane begins on this thread; thread creation then publishes the
+  // built dispatch indexes to the workers.
+  for (auto& lane : lanes_) lane->executor.BeginStream();
+  workers_.reserve(options_.num_shards - 1);
+  for (size_t s = 1; s < options_.num_shards; ++s) {
+    Lane* lane = lanes_[s].get();
+    workers_.emplace_back([this, lane] { WorkerMain(lane); });
+  }
+}
+
+void ShardedStreamExecutor::WorkerMain(Lane* lane) {
+  uint32_t seen = 0;
+  for (;;) {
+    seen = Await(step_seq_, [seen](uint32_t v) { return v != seen; });
+    const StepKind kind = step_;
+    RunLane(*lane, /*whole_batch=*/false);
+    if (running_.fetch_sub(1) == 1) {
+      running_.notify_one();
+    }
+    if (kind == StepKind::kFinish) return;
+  }
+}
+
+void ShardedStreamExecutor::RunLane(Lane& lane, bool whole_batch) {
+  switch (step_) {
+    case StepKind::kBatch:
+      if (whole_batch) {
+        lane.executor.ProcessBatch(batch_, batch_size_);
+      } else {
+        lane.executor.ProcessRefs(lane.refs);
+      }
+      break;
+    case StepKind::kWatermark:
+      // The *input* watermark, not the lane's own max event time — see the
+      // watermark rule in the class comment.
+      lane.executor.AdvanceWatermark(pushed_watermark_);
+      break;
+    case StepKind::kFinish:
+      lane.executor.FinishStream();
+      break;
+    case StepKind::kCall:
+      (*call_)(lane.index);
+      break;
+  }
+}
+
+void ShardedStreamExecutor::RunStep(StepKind kind) {
+  step_ = kind;
+  if (!workers_.empty()) {
+    running_.store(static_cast<uint32_t>(workers_.size()));
+    step_seq_.fetch_add(1);
+    step_seq_.notify_all();
+  }
+  RunLane(*lanes_[0], /*whole_batch=*/workers_.empty());
+  if (!workers_.empty()) {
+    Await(running_, [](uint32_t v) { return v == 0; });
+  }
+  // Lane N runs only once the shard lanes are done with the batch: no two
+  // lanes ever fill one event's symbol memo at the same time.
+  const size_t n = options_.num_shards;
+  if (lanes_.size() <= n || kind == StepKind::kCall) return;
+  if (kind != StepKind::kBatch || lanes_[n]->executor.num_subscribers() > 0) {
+    RunLane(*lanes_[n], /*whole_batch=*/true);
+  }
 }
 
 void ShardedStreamExecutor::PushBatch(Event* events, size_t count) {
   if (!streaming_ || count == 0) return;
   ++splitter_stats_.input_batches;
   splitter_stats_.input_events += count;
-  if (inline_) {
-    // The caller's buffer is every lane's batch.
-    for (auto& lane : lanes_) lane->executor.ProcessBatch(events, count);
-    input_max_ts_ =
-        std::max(input_max_ts_, lanes_[0]->executor.max_event_ts());
-    return;
-  }
   const size_t n = options_.num_shards;
-  // The splitter only hashes and copies: each lane interns, on first
-  // read, the symbols its queries compare, in its own copies. A lane with
-  // no subscribers is staged nothing: it gets no copies, only watermarks.
-  for (EventBatch& s : staged_) s.clear();
-  for (size_t k = 0; k < count; ++k) {
-    const Event& e = events[k];
-    if (e.ts > input_max_ts_) input_max_ts_ = e.ts;
-    const size_t s = SubjectKeyShard(e, n);
-    if (lanes_[s]->subscribed()) staged_[s].push_back(e);
+  if (n > 1) {
+    // The splitter only hashes: each shard lane reads its events in place.
+    for (size_t s = 0; s < n; ++s) lanes_[s]->refs.clear();
+    for (size_t k = 0; k < count; ++k) {
+      lanes_[SubjectKeyShard(events[k], n)]->refs.push_back(&events[k]);
+    }
   }
-  // Lane N sees the whole batch.
-  if (lanes_.size() > n && lanes_[n]->subscribed()) {
-    staged_[n].assign(events, events + count);
-  }
-  // The batch carries the last *advanced* watermark (a no-op for the
-  // lane's executor): watermark progress is explicit, via
-  // AdvanceWatermark, which also reaches lanes this batch skipped.
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    if (staged_[i].empty()) continue;
-    lanes_[i]->Push(LaneBatch{std::move(staged_[i]), pushed_watermark_},
-                    options_.queue_capacity);
+  batch_ = events;
+  batch_size_ = count;
+  RunStep(StepKind::kBatch);
+  for (size_t s = 0; s < n; ++s) {
+    input_max_ts_ =
+        std::max(input_max_ts_, lanes_[s]->executor.max_event_ts());
   }
 }
 
@@ -177,34 +174,26 @@ bool ShardedStreamExecutor::AdvanceWatermark(Timestamp ts) {
   }
   pushed_watermark_ = ts;
   // Every lane gets the advanced input watermark, even when it received
-  // no events — a quiet shard must keep closing windows so the merge
-  // stage's alignment can progress.
-  for (auto& lane : lanes_) {
-    if (inline_) {
-      lane->ApplyWatermark(ts);
-    } else {
-      lane->Push(LaneBatch{EventBatch{}, ts}, options_.queue_capacity);
-    }
-  }
+  // no events — a quiet shard must keep closing windows.
+  RunStep(StepKind::kWatermark);
   return true;
-}
-
-void ShardedStreamExecutor::Quiesce() {
-  if (!streaming_ || inline_) return;
-  for (auto& lane : lanes_) lane->WaitIdle();
 }
 
 void ShardedStreamExecutor::FinishStream() {
   if (!streaming_) return;
   streaming_ = false;
   ran_ = true;
-  if (inline_) {
-    for (auto& lane : lanes_) lane->Finish();
-    return;
-  }
-  for (auto& lane : lanes_) lane->Close();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
+  RunStep(StepKind::kFinish);  // the workers return after this step
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
+}
+
+void ShardedStreamExecutor::RunOnShards(
+    const std::function<void(size_t lane)>& fn) {
+  if (!streaming_) return;
+  call_ = &fn;
+  RunStep(StepKind::kCall);
+  call_ = nullptr;
 }
 
 void ShardedStreamExecutor::PushBlock(EventBlock* block) {

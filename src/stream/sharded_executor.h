@@ -1,12 +1,10 @@
 #ifndef SAQL_STREAM_SHARDED_EXECUTOR_H_
 #define SAQL_STREAM_SHARDED_EXECUTOR_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -17,54 +15,52 @@
 
 namespace saql {
 
-/// Hash-partitioned parallel stream execution: the caller's thread (the
-/// splitter — a session's push thread) routes each event of the totally
-/// ordered input by its subject entity key to one of N shard lanes, and
-/// each lane runs its own `StreamExecutor` — with its own subscriber
-/// replicas — on a dedicated thread.
+/// Hash-partitioned parallel stream execution: the caller's thread (a
+/// session's push thread) splits each batch of the totally ordered input
+/// by subject entity key across N shard lanes, and each lane runs its own
+/// `StreamExecutor` — with its own subscriber replicas — over its part.
+///
+/// **Every call is one synchronous step.** `PushBatch`, `AdvanceWatermark`
+/// and `FinishStream` return only after every lane has finished that step,
+/// so between calls no lane runs and the caller may subscribe, unsubscribe
+/// and read subscriber state freely. Persistent worker threads run shard
+/// lanes 1..N-1; one fork-join releases them per step while the caller's
+/// thread runs lane 0. At N > 1 `PushBatch` only hashes: each shard lane
+/// gets a list of addresses into the caller's buffer (`EventRefs`, reused
+/// across pushes) and no event is copied. With `num_shards == 1` there are
+/// no workers and no hashing: lane 0 reads the caller's buffer directly on
+/// the caller's thread.
 ///
 /// **Lane N is the global lane.** Lanes are indexed 0..N: shard lanes
 /// 0..N-1 each receive their partition, and lane N — created on the first
 /// subscription to that index — receives every event in input order, for
 /// subscribers whose semantics cannot be partitioned (multi-event joins
-/// across entities, count windows, alert cooldowns). Apart from what it is
-/// handed, lane N is an ordinary lane: same subscribe calls, same
-/// watermarks, same progress hooks, same statistics.
-///
-/// **One shard runs inline.** With `num_shards == 1` there is nothing to
-/// partition: the lanes (lane 0, and lane 1 if subscribed) run on the
-/// caller's thread, with no thread, no queue and no copy. `PushBatch`
-/// hands the caller's own buffer to each lane's `ProcessBatch`;
-/// `AdvanceWatermark` and `FinishStream` apply at once and fire the
-/// progress hooks on the caller's thread; `Quiesce` has nothing to wait
-/// for. The mode follows from the shard count alone.
+/// across entities, count windows, alert cooldowns). Lane N runs on the
+/// caller's thread *after* the shard lanes joined, over the whole caller
+/// batch. That ordering is what keeps the buffer race-free without atomics:
+/// lanes fill each event's symbol memo (`Event::syms`) on first read, each
+/// event belongs to exactly one shard lane, and lane N never reads an event
+/// while a shard lane can still write its memo. A lane N with no
+/// subscribers is handed no events; it still receives watermarks. Apart
+/// from that, lane N is an ordinary lane: same subscribe calls, same
+/// watermarks, same statistics.
 ///
 /// Watermark rule: every lane is advanced with the watermark of the
-/// *input* stream — the max event time the splitter has pushed — not with
-/// the lane's own max event time. Each shard substream is a
-/// timestamp-ordered subsequence of the input, so the input watermark is
-/// always ≥ any lane-local watermark and closes the same windows, just
-/// without lag on shards that go quiet. This is also what lets a
-/// downstream merge stage align per-shard window closes: when every shard
-/// lane has observed watermark W, every window ending at or before W has
-/// closed on every shard.
-///
-/// With threaded lanes, the splitter copies events into per-lane batches
-/// (the caller may reuse its buffer as soon as `PushBatch` returns, while
-/// lanes are still draining earlier batches). A threaded lane with no
-/// subscribers is handed no events at all; it still receives watermarks.
-/// Within a lane, delivery is the same routed zero-copy path as the
-/// single-threaded executor. The splitter interns nothing: each lane's
-/// queries intern, on first read, the symbols they compare, in that lane's
-/// own copies.
+/// *input* stream — the max event time pushed — not with the lane's own
+/// max event time. Each shard substream is a timestamp-ordered subsequence
+/// of the input, so the input watermark is always ≥ any lane-local
+/// watermark and closes the same windows, just without lag on shards that
+/// go quiet. When `AdvanceWatermark(W)` returns, every window ending at or
+/// before W has closed on every lane, which is what lets a downstream merge
+/// stage evaluate the cross-shard windows it covers.
 ///
 /// Alert ordering and cross-shard aggregate merging are the subscriber
 /// layer's concern (see `SaqlEngine::Session`); this class only guarantees
 /// per-lane event order, the watermark rule above, and that each event
-/// reaches exactly one shard lane (plus lane N when present).
+/// reaches exactly one shard lane (plus lane N when subscribed).
 class ShardedStreamExecutor {
  public:
-  /// Upper bound on lanes: each lane of a multi-lane executor is a real
+  /// Upper bound on lanes: each shard lane beyond the first is a real
   /// thread; a runaway shard count must not abort the process on thread
   /// exhaustion. Drivers (engine, CLI) clamp with the same constant so
   /// replica wiring and lane count always agree.
@@ -72,13 +68,10 @@ class ShardedStreamExecutor {
 
   struct Options {
     /// Number of hash partitions (shard lanes); clamped to
-    /// [1, kMaxShards]. 1 = inline lanes (see the class comment).
+    /// [1, kMaxShards].
     size_t num_shards = 2;
     /// Per-lane executor options.
     StreamExecutor::Options executor;
-    /// Max queued batches per threaded lane before the splitter blocks
-    /// (backpressure, bounds memory when one shard lags).
-    size_t queue_capacity = 8;
   };
 
   explicit ShardedStreamExecutor(Options options);
@@ -90,48 +83,27 @@ class ShardedStreamExecutor {
   /// Registers a processor on lane `lane`: a shard lane in
   /// [0, num_shards()), or the global lane num_shards(), which is created
   /// by its first subscription. Processors must be distinct per lane
-  /// (lanes run on different threads) and outlive the stream (or their
-  /// `Unsubscribe`). Legal before `BeginStream`, or mid-stream under
-  /// `Quiesce` (see below): the lane rebuilds its dispatch index before
-  /// the next batch, so a processor attached at time T sees only events
-  /// pushed after T. A lane created mid-stream starts on the spot.
+  /// (shard lanes run on different threads) and outlive the stream (or
+  /// their `Unsubscribe`). Legal before `BeginStream` or between any two
+  /// steps: the lane rebuilds its dispatch index before its next batch, so
+  /// a processor attached at time T sees only events pushed after T.
   void Subscribe(size_t lane, EventProcessor* processor);
 
-  /// Removes a processor from its lane. Mid-stream removal is legal only
-  /// while the pipeline is quiesced (`Quiesce` returned and nothing has
-  /// been pushed since). The lane itself stays. No-op for a lane that
-  /// does not exist.
+  /// Removes a processor from its lane (between steps). The lane itself
+  /// stays. No-op for a lane that does not exist.
   void Unsubscribe(size_t lane, EventProcessor* processor);
 
-  /// Observers of lane progress, invoked on the lane's thread (the
-  /// caller's thread for inline lanes) *after* the subscribers' callbacks
-  /// returned: `watermark(lane, ts)` when a lane applied an advanced input
-  /// watermark (every window close for windows ≤ ts has already fired),
-  /// `finished(lane)` after a lane flushed end-of-stream. Both fire for
-  /// every lane, lane N included; a cross-shard merge stage aligns on the
-  /// shard lanes' reports, a session's ordered alert release on all of
-  /// them. Hooks are not subscribers, so they never appear in the lanes'
-  /// delivery/skip accounting. Either hook is optional.
-  struct ProgressHooks {
-    std::function<void(size_t lane, Timestamp ts)> watermark;
-    std::function<void(size_t lane)> finished;
-  };
-  void SetProgressHooks(ProgressHooks hooks);
-
   // Streaming (push-driven) interface, driven by the engine's session
-  // API. All of it must be called from one thread (the splitter/session
-  // thread).
+  // API. All of it must be called from one thread.
 
-  /// Starts the lanes (threads, unless they run inline). Call once, after
-  /// the initial Subscribe calls.
+  /// Starts the shard lanes' worker threads. Call once, after the initial
+  /// Subscribe calls.
   void BeginStream();
 
-  /// Hash-partitions one batch onto the shard lanes' queues, plus the
-  /// whole batch to lane N when present. Inline lanes read the caller's
-  /// buffer and fill its symbol memos (`Event::syms`) in place; threaded
-  /// lanes receive copies and leave the caller's events untouched. The
-  /// buffer may be reused as soon as the call returns. Blocks when a lane
-  /// queue is full (backpressure).
+  /// Delivers one batch: each shard lane its partition, then lane N (when
+  /// subscribed) the whole batch. Lanes read the caller's buffer and fill
+  /// its symbol memos in place; the buffer is free again when the call
+  /// returns.
   void PushBatch(Event* events, size_t count);
 
   /// Block-native push: materializes the block's rows (columnar blocks
@@ -139,22 +111,19 @@ class ShardedStreamExecutor {
   /// Empty blocks are ignored.
   void PushBlock(EventBlock* block);
 
-  /// Enqueues watermark `ts` to every lane (lane N included) when it
-  /// advances the input watermark; returns whether it did. Inline lanes
-  /// apply it before returning.
+  /// Applies watermark `ts` on every lane (lane N included) when it
+  /// advances the input watermark; returns whether it did.
   bool AdvanceWatermark(Timestamp ts);
 
-  /// Blocks until every lane has drained its queue and gone idle (inline
-  /// lanes always are). While quiesced — i.e. until the next
-  /// PushBatch/AdvanceWatermark — the caller may mutate lane subscriptions
-  /// (Subscribe/Unsubscribe) and subscriber state without racing the lane
-  /// threads.
-  void Quiesce();
-
-  /// Closes the lane queues, joins all lane threads (each lane flushes
-  /// end-of-stream first; inline lanes flush on the caller's thread).
-  /// Call once; the instance cannot be restarted.
+  /// Flushes end-of-stream on every lane and joins the workers. Call once;
+  /// the instance cannot be restarted.
   void FinishStream();
+
+  /// Runs `fn(lane)` for every shard lane 0..num_shards()-1 in one step
+  /// (lane 0 on this thread, the others on their workers) and returns when
+  /// all are done: spreads work that splits by lane, such as a session's
+  /// cross-shard window merge, over the same workers. While streaming.
+  void RunOnShards(const std::function<void(size_t lane)>& fn);
 
   /// Max event timestamp pushed so far (INT64_MIN before any).
   Timestamp input_max_ts() const { return input_max_ts_; }
@@ -181,63 +150,55 @@ class ShardedStreamExecutor {
   ExecutorStats merged_stats() const;
 
  private:
-  /// One batch handed to a lane: the events (owned) and the input-stream
-  /// watermark as of the end of the batch.
-  struct LaneBatch {
-    EventBatch events;
-    Timestamp watermark = INT64_MIN;
-  };
+  enum class StepKind { kBatch, kWatermark, kFinish, kCall };
 
-  /// A lane: executor + (for threaded lanes) a bounded queue. The thread
-  /// pops batches until the queue closes, then finishes the stream; an
-  /// inline lane is driven directly. Progress is reported under `index`.
   struct Lane {
-    Lane(StreamExecutor::Options opts, size_t lane_index,
-         const ProgressHooks* progress)
-        : executor(opts), index(lane_index), hooks(progress) {}
-
-    void Push(LaneBatch&& batch, size_t capacity);
-    void Close();
-    /// Blocks until the queue is empty and the thread is between batches.
-    void WaitIdle();
-    void ThreadMain();
-    /// Applies input watermark `ts`; reports it when it advanced.
-    void ApplyWatermark(Timestamp ts);
-    /// Flushes end-of-stream and reports it.
-    void Finish();
-    bool subscribed() const { return executor.num_subscribers() > 0; }
+    Lane(StreamExecutor::Options opts, size_t lane_index)
+        : executor(opts), index(lane_index) {}
 
     StreamExecutor executor;
-    std::mutex mu;
-    std::condition_variable can_push;
-    std::condition_variable can_pop;
-    std::condition_variable idle;
-    std::deque<LaneBatch> queue;
-    bool closed = false;
-    bool busy = false;  ///< thread currently processing a popped batch
     const size_t index;
-    bool started = false;  ///< thread spawned, or inline stream begun
-    const ProgressHooks* const hooks;
+    /// This push's partition (shard lanes at N > 1): addresses into the
+    /// caller's buffer, reused across pushes.
+    EventRefs refs;
   };
 
-  /// Begins the lane's stream: on a new thread, or at once when inline.
-  void StartLane(Lane* lane);
+  /// Runs the current step on shard lanes 0..N-1 (lane 0 on this thread,
+  /// the others on their workers), then — unless it is a call — on lane N.
+  void RunStep(StepKind kind);
+  /// Runs the current step on one lane: over the whole caller batch, or
+  /// over the lane's `refs`.
+  void RunLane(Lane& lane, bool whole_batch);
+  /// A shard lane's worker: runs each released step until the finish.
+  void WorkerMain(Lane* lane);
 
   Options options_;
-  /// One shard: lanes run on the caller's thread (see the class comment).
-  bool inline_ = false;
-  ProgressHooks hooks_;
   /// Shard lanes 0..N-1, then lane N once subscribed.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> threads_;
-  /// Per-lane staging buffers of threaded lanes (lanes 0..N), reused
-  /// across PushBatch calls.
-  std::vector<EventBatch> staged_;
+
+  // The current step: written by the caller's thread before the fork,
+  // read by the workers after it.
+  StepKind step_ = StepKind::kBatch;
+  Event* batch_ = nullptr;
+  size_t batch_size_ = 0;
+  const std::function<void(size_t)>* call_ = nullptr;
+
+  // Fork-join: the caller bumps `step_seq_` to start a step on the
+  // workers and waits until `running_` is back to zero. Both sides poll
+  // for up to a millisecond before they sleep on the atomic: consecutive
+  // steps of a busy stream follow each other faster than a sleeping
+  // thread wakes up.
+  std::atomic<uint32_t> step_seq_{0};
+  std::atomic<uint32_t> running_{0};
+
   SplitterStats splitter_stats_;
   Timestamp input_max_ts_ = INT64_MIN;
   Timestamp pushed_watermark_ = INT64_MIN;
   bool streaming_ = false;  ///< between BeginStream and FinishStream
   bool ran_ = false;
+  /// Run shard lanes 1..N-1 (none at one shard); declared last, after
+  /// everything they read.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace saql

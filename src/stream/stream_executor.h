@@ -79,12 +79,12 @@ class EventProcessor {
 /// benchmarks (paper §II-C: the master-dependent-query scheme reduces
 /// per-query data copies).
 struct ExecutorStats {
-  /// Events handed to `ProcessBatch`. Summed over a sharded executor's
-  /// lanes, an event counts on its shard lane and again on the global
-  /// lane. Edge: a threaded lane with no subscribers is handed no events
-  /// and counts none, so once a multi-lane session removed its last
-  /// global-lane query, later pushes count once. Inline lanes (one shard)
-  /// count every pushed event.
+  /// Events handed to `ProcessBatch`/`ProcessRefs`. Summed over a sharded
+  /// executor's lanes, an event counts on its shard lane and again on the
+  /// global lane. Edge: the global lane is handed no events while it has
+  /// no subscribers, so once a multi-lane session removed its last
+  /// global-lane query, later pushes count once. Shard lanes count every
+  /// event of their partition, subscribed or not.
   uint64_t events = 0;
   /// Event deliveries = sum over events of subscribers it was handed to.
   /// With N independent queries this is N * events; with grouped queries it
@@ -154,6 +154,10 @@ class StreamExecutor {
   /// time seen so far is tracked internally.
   void ProcessBatch(Event* batch, size_t count);
 
+  /// The same delivery over the events `refs` points at, in order: a shard
+  /// lane's partition of a caller's buffer.
+  void ProcessRefs(const EventRefs& refs);
+
   /// Block-native delivery: materializes the block's rows (a no-op for
   /// row-backed blocks; columnar blocks arrive with `Event::syms`
   /// pre-stamped from their dictionary, so every symbol read is a memo
@@ -179,6 +183,11 @@ class StreamExecutor {
   /// Builds table_[type][op] → subscriber indices from the subscribers'
   /// declared interests, and sizes the per-subscriber routing scratch.
   void BuildRoutingTable();
+
+  /// The one routing loop behind `ProcessBatch` and `ProcessRefs`:
+  /// `at(k)` is the batch's k-th event.
+  template <typename EventAt>
+  void Route(size_t count, EventAt at);
 
   Options options_;
   std::vector<EventProcessor*> processors_;

@@ -570,6 +570,56 @@ TEST(SessionDynamicRemoveTest, IdleGlobalLaneGetsNoEventCopies) {
 }
 
 // ---------------------------------------------------------------------
+// Late events: a closed window never reopens.
+
+// An event behind the advanced watermark must not re-create the window the
+// watermark closed: [0, 10 s) alerts once, with both in-time events, and
+// the late match is counted. At two lanes the late event reaches one shard
+// replica, which must not export a second partial for the merged window.
+TEST(SessionLateEventTest, LateMatchDoesNotReopenClosedWindow) {
+  for (size_t lanes : {1u, 2u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    SaqlEngine::Options opts;
+    opts.num_shards = lanes;
+    SaqlEngine engine(opts);
+    ASSERT_TRUE(engine
+                    .AddQuery("proc p write file f as e #time(10 s) "
+                              "state ss { n := count() } group by p "
+                              "alert ss.n >= 1 return p, ss.n",
+                              "late")
+                    .ok());
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto write_at = [](Timestamp ts) {
+      EventBatch out;
+      out.push_back(EventBuilder()
+                        .At(ts)
+                        .OnHost("h1")
+                        .Subject("app.exe", 100)
+                        .Op(EventOp::kWrite)
+                        .FileObject("/data/f")
+                        .Build());
+      return out;
+    };
+    EventBatch first = write_at(1 * kSecond);
+    EventBatch second = write_at(2 * kSecond);
+    EventBatch late = write_at(3 * kSecond);
+    ASSERT_TRUE((*session)->Push(first).ok());
+    ASSERT_TRUE((*session)->Push(second).ok());
+    ASSERT_TRUE((*session)->AdvanceWatermark(20 * kSecond).ok());
+    ASSERT_TRUE((*session)->Push(late).ok());
+    ASSERT_TRUE((*session)->AdvanceWatermark(30 * kSecond).ok());
+    EXPECT_EQ((*session)->handle("late")->stats().late_matches, 1u);
+    ASSERT_TRUE((*session)->Close().ok());
+
+    std::vector<Alert> alerts = engine.alerts();
+    ASSERT_EQ(alerts.size(), 1u);
+    ASSERT_EQ(alerts[0].values.size(), 2u);
+    EXPECT_EQ(alerts[0].values[1].second.AsInt(), 2);
+  }
+}
+
+// ---------------------------------------------------------------------
 // ConstraintIndex rebuild parity under churn.
 
 class SessionIndexChurn : public ::testing::TestWithParam<size_t> {};
@@ -969,28 +1019,31 @@ TEST(SessionInternerTest, LikeOnlySessionInternsNothing) {
   EXPECT_EQ(engine.alerts().size(), events.size());
 }
 
-// Threaded lanes read copies: the splitter interns nothing, so the
-// caller's buffer comes back with its symbol memos untouched, although
-// the lanes' exact-equality compares interned their own copies.
-TEST(SessionInternerTest, ThreadedPushLeavesCallerMemosUntouched) {
-  SaqlEngine::Options opts;
-  opts.num_shards = 2;
-  SaqlEngine engine(opts);
-  ASSERT_TRUE(
-      engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
-          .ok());
-  auto session = engine.OpenSession();
-  ASSERT_TRUE(session.ok()) << session.status();
-  EventBatch events;
-  for (int i = 0; i < 16; ++i) {
-    events.push_back(NetWrite(i % 2 == 0 ? "a.exe" : "b.exe", "1.1.1.1", 1,
-                              (i + 1) * kSecond, "h1", 100 + i));
+// Lanes read the caller's events, never copies: at one lane and at two,
+// the exact-equality compares fill the pushed buffer's symbol memos.
+TEST(SessionInternerTest, TwoLanePushFillsCallerMemos) {
+  for (size_t lanes : {1u, 2u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    SaqlEngine::Options opts;
+    opts.num_shards = lanes;
+    SaqlEngine engine(opts);
+    ASSERT_TRUE(
+        engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
+            .ok());
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    EventBatch events;
+    for (int i = 0; i < 16; ++i) {
+      events.push_back(NetWrite(i % 2 == 0 ? "a.exe" : "b.exe", "1.1.1.1",
+                                1, (i + 1) * kSecond, "h1", 100 + i));
+    }
+    ASSERT_TRUE((*session)->Push(events).ok());
+    for (const Event& e : events) {
+      EXPECT_EQ(e.syms.gen, Interner::Global().generation());
+    }
+    ASSERT_TRUE((*session)->Close().ok());
+    EXPECT_EQ(engine.alerts().size(), 8u);
   }
-  ASSERT_TRUE((*session)->Push(events).ok());
-  ASSERT_TRUE((*session)->Flush().ok());
-  for (const Event& e : events) EXPECT_EQ(e.syms.gen, 0u);
-  ASSERT_TRUE((*session)->Close().ok());
-  EXPECT_EQ(engine.alerts().size(), 8u);
 }
 
 TEST(SessionInternerTest, NoRotationWhenDisabled) {

@@ -84,53 +84,48 @@ TEST(ShardedExecutorTest, EveryEventReachesExactlyOneShard) {
   EXPECT_GT(sharded.num_shards(), 1u);
 }
 
+/// Records what a lane delivered: event addresses, watermarks, the finish,
+/// and the threads it ran on. Guarded, so that a lane still running after
+/// the executor call returned fails the checks instead of racing them.
+class AddressRecorder final : public EventProcessor {
+ public:
+  void OnBatch(const EventRefs& events) override {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.insert(seen.end(), events.begin(), events.end());
+    threads.push_back(std::this_thread::get_id());
+  }
+  void OnEvent(const Event&) override {}
+  void OnWatermark(Timestamp ts) override {
+    std::lock_guard<std::mutex> lock(mu);
+    watermarks.push_back(ts);
+    threads.push_back(std::this_thread::get_id());
+  }
+  void OnFinish() override {
+    std::lock_guard<std::mutex> lock(mu);
+    finished = true;
+    threads.push_back(std::this_thread::get_id());
+  }
+
+  std::mutex mu;
+  std::vector<const Event*> seen;
+  std::vector<Timestamp> watermarks;
+  bool finished = false;
+  std::vector<std::thread::id> threads;
+};
+
 TEST(ShardedExecutorTest, OneLaneRunsInline) {
   // One lane has nothing to partition: it runs on the caller's thread over
-  // the caller's buffer — no thread, no queue, no copy. Everything below
-  // is guarded so that a threaded lane fails the checks instead of
-  // racing them.
-  class AddressRecorder final : public EventProcessor {
-   public:
-    void OnBatch(const EventRefs& events) override {
-      std::lock_guard<std::mutex> lock(mu);
-      seen.insert(seen.end(), events.begin(), events.end());
-    }
-    void OnEvent(const Event&) override {}
-    void OnWatermark(Timestamp) override {}
-    void OnFinish() override {}
-
-    std::mutex mu;
-    std::vector<const Event*> seen;
-  };
-
+  // the caller's buffer — no worker, no hashing, no copy.
   ShardedStreamExecutor::Options opts;
   opts.num_shards = 1;
   ShardedStreamExecutor sharded(opts);
   AddressRecorder proc;
   sharded.Subscribe(0, &proc);
-  std::mutex hook_mu;
-  std::vector<std::thread::id> hook_threads;
-  std::vector<Timestamp> hook_marks;
-  bool finished = false;
-  ShardedStreamExecutor::ProgressHooks hooks;
-  hooks.watermark = [&](size_t, Timestamp ts) {
-    std::lock_guard<std::mutex> lock(hook_mu);
-    hook_threads.push_back(std::this_thread::get_id());
-    hook_marks.push_back(ts);
-  };
-  hooks.finished = [&](size_t) {
-    std::lock_guard<std::mutex> lock(hook_mu);
-    hook_threads.push_back(std::this_thread::get_id());
-    finished = true;
-  };
-  sharded.SetProgressHooks(std::move(hooks));
   sharded.BeginStream();
 
   EventBatch events = MixedHostStream(100);
   sharded.PushBatch(events.data(), events.size());
   {
-    // The whole batch, seen before PushBatch returned (no Quiesce), at
-    // the caller's own addresses.
     std::lock_guard<std::mutex> lock(proc.mu);
     ASSERT_EQ(proc.seen.size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
@@ -138,21 +133,65 @@ TEST(ShardedExecutorTest, OneLaneRunsInline) {
     }
   }
   EXPECT_EQ(sharded.input_max_ts(), events.back().ts);
-
   ASSERT_TRUE(sharded.AdvanceWatermark(events.back().ts));
-  {
-    std::lock_guard<std::mutex> lock(hook_mu);
-    ASSERT_EQ(hook_marks.size(), 1u);  // applied before the call returned
-    EXPECT_EQ(hook_marks[0], events.back().ts);
-  }
   sharded.FinishStream();
-  std::lock_guard<std::mutex> lock(hook_mu);
-  EXPECT_TRUE(finished);
-  ASSERT_EQ(hook_threads.size(), 2u);
-  for (std::thread::id id : hook_threads) {
+  std::lock_guard<std::mutex> lock(proc.mu);
+  EXPECT_TRUE(proc.finished);
+  ASSERT_EQ(proc.threads.size(), 3u);  // batch, watermark, finish
+  for (std::thread::id id : proc.threads) {
     EXPECT_EQ(id, std::this_thread::get_id());
   }
   EXPECT_EQ(sharded.lane_stats(0)->events, events.size());
+}
+
+TEST(ShardedExecutorTest, SynchronousStep) {
+  // Every executor call is one step that returns only after every lane
+  // finished it: there is nothing to wait for afterwards.
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedStreamExecutor::Options opts;
+    opts.num_shards = shards;
+    ShardedStreamExecutor sharded(opts);
+    std::vector<AddressRecorder> lanes(shards + 1);  // lane N is last
+    for (size_t lane = 0; lane <= shards; ++lane) {
+      sharded.Subscribe(lane, &lanes[lane]);
+    }
+    sharded.BeginStream();
+
+    EventBatch events = MixedHostStream(200);
+    sharded.PushBatch(events.data(), events.size());
+    // Each shard lane saw exactly its partition, in order, at the caller's
+    // own addresses; lane N saw the whole batch in order.
+    std::vector<std::vector<const Event*>> expected(shards + 1);
+    for (const Event& e : events) {
+      expected[ShardedStreamExecutor::SubjectKeyShard(e, shards)].push_back(
+          &e);
+      expected[shards].push_back(&e);
+    }
+    for (size_t lane = 0; lane <= shards; ++lane) {
+      std::lock_guard<std::mutex> lock(lanes[lane].mu);
+      EXPECT_EQ(lanes[lane].seen, expected[lane]) << "lane " << lane;
+    }
+
+    const Timestamp wm = events.back().ts;
+    ASSERT_TRUE(sharded.AdvanceWatermark(wm));
+    for (size_t lane = 0; lane <= shards; ++lane) {
+      std::lock_guard<std::mutex> lock(lanes[lane].mu);
+      EXPECT_EQ(lanes[lane].watermarks, std::vector<Timestamp>{wm})
+          << "lane " << lane;
+    }
+
+    // A call step runs once on every shard lane (not on lane N).
+    std::vector<int> calls(shards, 0);  // each slot written by its lane
+    sharded.RunOnShards([&calls](size_t lane) { ++calls[lane]; });
+    EXPECT_EQ(calls, std::vector<int>(shards, 1));
+
+    sharded.FinishStream();
+    for (size_t lane = 0; lane <= shards; ++lane) {
+      std::lock_guard<std::mutex> lock(lanes[lane].mu);
+      EXPECT_TRUE(lanes[lane].finished) << "lane " << lane;
+    }
+  }
 }
 
 TEST(ShardedExecutorTest, SameSubjectKeyAlwaysSameShard) {
@@ -203,74 +242,85 @@ TEST(ShardedExecutorTest, GlobalLaneSeesFullOrderedStream) {
   }
 }
 
-/// Global-lane progress: lane N reports through the same two hooks as a
-/// shard lane, each report *after* lane N's subscriber has seen that
-/// watermark / end of stream — on a lane thread when threaded, on the
-/// caller's thread when the shard count is 1 (inline).
-void ExpectGlobalLaneHooksFollowSubscriber(size_t shards) {
+/// Global-lane progress: a watermark or finish step returns only *after*
+/// lane N's subscriber has seen that watermark / end of stream, and lane N
+/// runs on the caller's thread whether the shard lanes are threaded or
+/// inline (shard count 1).
+void ExpectGlobalLaneStepFollowsSubscriber(size_t shards) {
   std::mutex mu;
-  std::vector<std::string> log;  // lane N's subscriber and hook calls
-  std::vector<std::thread::id> hook_threads;
+  std::vector<std::string> log;  // lane N's subscriber and step returns
+  std::vector<std::thread::id> sub_threads;
   class GlobalLogger final : public EventProcessor {
    public:
-    GlobalLogger(std::mutex* mu, std::vector<std::string>* log)
-        : mu_(mu), log_(log) {}
+    GlobalLogger(std::mutex* mu, std::vector<std::string>* log,
+                 std::vector<std::thread::id>* threads)
+        : mu_(mu), log_(log), threads_(threads) {}
     void OnEvent(const Event&) override {}
     void OnWatermark(Timestamp ts) override {
       std::lock_guard<std::mutex> lock(*mu_);
       log_->push_back("sub wm " + std::to_string(ts));
+      threads_->push_back(std::this_thread::get_id());
     }
     void OnFinish() override {
       std::lock_guard<std::mutex> lock(*mu_);
       log_->push_back("sub finish");
+      threads_->push_back(std::this_thread::get_id());
     }
 
    private:
     std::mutex* mu_;
     std::vector<std::string>* log_;
+    std::vector<std::thread::id>* threads_;
   };
 
   ShardedStreamExecutor::Options opts;
   opts.num_shards = shards;
   ShardedStreamExecutor sharded(opts);
-  std::vector<RecordingProcessor> procs(shards);
+  std::vector<AddressRecorder> procs(shards);
   for (size_t s = 0; s < shards; ++s) sharded.Subscribe(s, &procs[s]);
-  GlobalLogger global(&mu, &log);
+  GlobalLogger global(&mu, &log, &sub_threads);
   sharded.Subscribe(shards, &global);
-  ShardedStreamExecutor::ProgressHooks hooks;
-  hooks.watermark = [&](size_t lane, Timestamp ts) {
-    if (lane != shards) return;
-    std::lock_guard<std::mutex> lock(mu);
-    log.push_back("hook wm " + std::to_string(ts));
-    hook_threads.push_back(std::this_thread::get_id());
-  };
-  hooks.finished = [&](size_t lane) {
-    if (lane != shards) return;
-    std::lock_guard<std::mutex> lock(mu);
-    log.push_back("hook finish");
-    hook_threads.push_back(std::this_thread::get_id());
-  };
-  sharded.SetProgressHooks(std::move(hooks));
 
   VectorEventSource source(MixedHostStream(200));
-  testing::DriveToEnd(&sharded, &source, /*batch_size=*/50);
+  sharded.BeginStream();
+  while (EventBlock* block = source.NextBlock(/*max_events=*/50)) {
+    sharded.PushBlock(block);
+    const Timestamp wm = sharded.input_max_ts();
+    ASSERT_TRUE(sharded.AdvanceWatermark(wm));
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back("step wm " + std::to_string(wm));
+  }
+  sharded.FinishStream();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back("step finish");
+  }
 
   std::vector<std::string> expected;
   for (int b = 1; b <= 4; ++b) {
     const std::string ts = std::to_string(b * 50 * kSecond);
     expected.push_back("sub wm " + ts);
-    expected.push_back("hook wm " + ts);
+    expected.push_back("step wm " + ts);
   }
   expected.push_back("sub finish");
-  expected.push_back("hook finish");
+  expected.push_back("step finish");
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(log, expected);
-  ASSERT_EQ(hook_threads.size(), expected.size() / 2);
-  for (std::thread::id id : hook_threads) {
-    if (shards == 1) {
-      EXPECT_EQ(id, std::this_thread::get_id());
-    } else {
-      EXPECT_NE(id, std::this_thread::get_id());
+  ASSERT_EQ(sub_threads.size(), expected.size() / 2);
+  for (std::thread::id id : sub_threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  // Shard lane 0 runs on the caller's thread; any other shard lane on its
+  // own worker.
+  for (size_t s = 0; s < shards; ++s) {
+    std::lock_guard<std::mutex> lane_lock(procs[s].mu);
+    EXPECT_TRUE(procs[s].finished) << "lane " << s;
+    for (std::thread::id id : procs[s].threads) {
+      if (s == 0) {
+        EXPECT_EQ(id, std::this_thread::get_id()) << "lane " << s;
+      } else {
+        EXPECT_NE(id, std::this_thread::get_id()) << "lane " << s;
+      }
     }
   }
   ASSERT_NE(sharded.lane_stats(shards), nullptr);
@@ -279,11 +329,11 @@ void ExpectGlobalLaneHooksFollowSubscriber(size_t shards) {
 }
 
 TEST(ShardedExecutorTest, GlobalLaneHooksFollowSubscriberThreaded) {
-  ExpectGlobalLaneHooksFollowSubscriber(2);
+  ExpectGlobalLaneStepFollowsSubscriber(2);
 }
 
 TEST(ShardedExecutorTest, GlobalLaneHooksFollowSubscriberInline) {
-  ExpectGlobalLaneHooksFollowSubscriber(1);
+  ExpectGlobalLaneStepFollowsSubscriber(1);
 }
 
 TEST(ShardedExecutorTest, MergedStatsKeepRoutedSkipParity) {

@@ -189,6 +189,28 @@ TEST(StateMaintainerTest, StatsTrackPeakCells) {
   EXPECT_EQ(h->stats().matches_in, 5u);
   h->Finish();
   EXPECT_EQ(h->stats().groups_closed, 5u);
+
+  // Overlapping sliding windows, several groups: each match at 45 s lands
+  // in [0, 60 s) and [30 s, 90 s), so 3 groups hold 6 cells; closing
+  // [0, 60 s) frees 3, and a 4th group at 70 s opens cells in [30 s, 90 s)
+  // and [60 s, 120 s) — 5 open, below the peak of 6.
+  Harness sliding(
+      "proc p write ip i as e #time(1 min, 30 s) "
+      "state ss { c := count() } group by p "
+      "alert ss.c > 0 return p, ss.c");
+  for (int g = 0; g < 3; ++g) {
+    sliding.Add(NetWrite("p" + std::to_string(g) + ".exe", 1, 45 * kSecond));
+  }
+  sliding.Add(NetWrite("p0.exe", 1, 50 * kSecond));  // no new cell
+  EXPECT_EQ(sliding->stats().peak_open_cells, 6u);
+  sliding->AdvanceWatermark(60 * kSecond);
+  sliding.Add(NetWrite("p3.exe", 1, 70 * kSecond));
+  EXPECT_EQ(sliding->stats().peak_open_cells, 6u);
+  sliding.Add(NetWrite("p4.exe", 1, 75 * kSecond));
+  sliding.Add(NetWrite("p5.exe", 1, 80 * kSecond));
+  EXPECT_EQ(sliding->stats().peak_open_cells, 9u);
+  sliding->Finish();
+  EXPECT_EQ(sliding->stats().groups_closed, 3u + 6u + 3u);
 }
 
 TEST(StateMaintainerTest, InitRejectsStatelessQuery) {
