@@ -7,13 +7,6 @@
 //   A4 1-D DBSCAN fast path — covered in bench_dbscan (1D vs 2D).
 //   A5 Op/entity dispatch routing — events reach only groups whose master
 //      pattern can match them vs broadcast to every group.
-//   A6 Shard scaling — the hash-partitioned executor at 1/2/4/8 lanes over
-//      the 8-query stateful workload (per-shard replicas + cross-shard
-//      window merge). The 1-lane point runs on the caller's thread — no
-//      worker, hashing or merge stage, i.e. the unsharded baseline — so
-//      the sweep prices the fork-join lanes against it. Interpret
-//      events/s against the `cores` counter — on a 1-core container the
-//      sweep can only show synchronization overhead, not speedup.
 //   A7 Member-side matching — the shared per-group ConstraintIndex vs
 //      brute-force member loops at 8/32/128/512 queries over a
 //      multi-tenant few-shapes workload (exact-equality tenant
@@ -41,7 +34,7 @@
 //      every slot; sessions no longer pay it per push, they intern only
 //      the slots their queries compare, on first read.
 //   Baseline file: run with
-//     --benchmark_filter='Routing|ShardScaling|MemberIndex|DynamicChurn|ConcurrentSessions|InternEventSpan'
+//     --benchmark_filter='Routing|MemberIndex|DynamicChurn|ConcurrentSessions|InternEventSpan'
 //     --benchmark_out=BENCH_throughput.json --benchmark_out_format=json
 //   to refresh the checked-in throughput baseline.
 
@@ -600,12 +593,10 @@ BENCHMARK(BM_DynamicChurn)
 // ---------------------------------------------------------------------------
 
 /// K sessions of one engine, each driven from its own thread over its own
-/// copy of the full multi-tenant stream (16 tenant queries, single-lane
-/// sessions so the sweep measures session concurrency, not shard
-/// parallelism). A session's Push fills the symbol memos of the buffer it
-/// is handed, so threads must not share one: each copy's memos are reset,
-/// untimed, before every iteration, and every session pays its own
-/// interning. Items processed = K * stream size per iteration, so
+/// copy of the full multi-tenant stream (16 tenant queries). A session's
+/// Push fills the symbol memos of the buffer it is handed, so threads must
+/// not share one: each copy's memos are reset, untimed, before every
+/// iteration, and every session pays its own interning. Items processed = K * stream size per iteration, so
 /// events/s is the *aggregate* across tenants. `rotate_bytes != 0`
 /// forces the live interner rotation policy (1 byte = rotate at every
 /// quiesce check): every push rotates the global table and every session
@@ -738,72 +729,6 @@ void BM_InternEventSpan(benchmark::State& state) {
       static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_InternEventSpan)->Unit(benchmark::kMillisecond)->UseManualTime();
-
-// ---------------------------------------------------------------------------
-// A6: shard scaling (hash-partitioned executor, 1/2/4/8 lanes).
-// ---------------------------------------------------------------------------
-
-/// 8 stateful single-pattern queries, one per structural shape of the
-/// concurrent workload: per-process sum of op volume in 10-second tumbling
-/// windows. Stateful + time-windowed = the shard-mergeable class, so every
-/// query runs replicated across all lanes with cross-shard window merging
-/// (no global lane in this sweep).
-std::vector<std::string> ShardScalingQueries() {
-  static const char* const kShapes[][2] = {
-      {"write", "ip i"},    {"connect", "ip i"},  {"recv", "ip i"},
-      {"read", "file f"},   {"write", "file f"},  {"delete", "file f"},
-      {"start", "proc q"},  {"kill", "proc q"},
-  };
-  std::vector<std::string> out;
-  out.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    const auto& shape = kShapes[i];
-    out.push_back(std::string("proc p ") + shape[0] + " " + shape[1] +
-                  " as e #time(10 s) "
-                  "state ss { amt := sum(e.amount) } group by p "
-                  "alert ss.amt > 1000000000000 return p, ss.amt");
-  }
-  return out;
-}
-
-void BM_ShardScaling(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
-  static VectorEventSource* source =
-      new VectorEventSource(ConcurrentWorkloadStream());
-  const size_t stream_size = source->size();
-  std::vector<std::string> queries = ShardScalingQueries();
-  for (auto _ : state) {
-    SaqlEngine::Options opts;
-    opts.num_shards = shards;
-    SaqlEngine engine(opts);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Status st = engine.AddQuery(queries[i], "q" + std::to_string(i));
-      if (!st.ok()) {
-        state.SkipWithError(st.ToString().c_str());
-        return;
-      }
-    }
-    engine.SetAlertSink([](const Alert&) {});
-    source->Reset();
-    Status st = engine.Run(source);
-    if (!st.ok()) {
-      state.SkipWithError(st.ToString().c_str());
-      return;
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream_size));
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["cores"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace saql

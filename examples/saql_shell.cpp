@@ -3,10 +3,10 @@
 // as one-shot batch runs, or against a live push-driven engine session
 // that queries can join and leave mid-stream (the deployed-monitor mode).
 //
-//   $ ./saql_shell [--shards=N] [--member-index=on|off]
+//   $ ./saql_shell [--member-index=on|off]
 //   saql> load queries/query1_rule.saql exfil
 //   saql> simulate 30                  # one-shot batch run
-//   saql> open --shards=2              # ... or go live
+//   saql> open                         # ... or go live
 //   saql> push 16                      # stream simulated traffic in
 //   saql> add lateral proc p["%osql.exe"] start proc q as e return p, q
 //   saql> push 16                      # 'lateral' sees only these events
@@ -15,12 +15,9 @@
 //   saql> close
 //   saql> quit
 //
-// --shards=N runs every simulate/replay/open on N hash-partitioned
-// executor lanes (also settable per session with the `shards` command).
 // --member-index=off falls back to brute-force member matching (the
 // ablation baseline; also settable per session with the `index` command).
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -30,16 +27,7 @@ int main(int argc, char** argv) {
   saql::QueryShell shell(std::cin, std::cout);
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--shards=", 0) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(arg.c_str() + 9, &end, 10);
-      if (n <= 0 || end == nullptr || *end != '\0') {
-        std::cerr << "invalid value in '" << arg
-                  << "' (expected --shards=N with N >= 1)\n";
-        return 2;
-      }
-      shell.SetNumShards(static_cast<size_t>(n));
-    } else if (arg.rfind("--member-index=", 0) == 0) {
+    if (arg.rfind("--member-index=", 0) == 0) {
       std::string v = arg.substr(15);
       if (v != "on" && v != "off") {
         std::cerr << "invalid value in '" << arg
@@ -49,7 +37,7 @@ int main(int argc, char** argv) {
       shell.SetMemberIndex(v == "on");
     } else {
       std::cerr << "unknown flag '" << arg
-                << "' (supported: --shards=N, --member-index=on|off)\n";
+                << "' (supported: --member-index=on|off)\n";
       return 2;
     }
   }

@@ -17,7 +17,7 @@ namespace saql {
 /// constructs that still have defined behaviour (vacuous windows, aggregates
 /// over constants); warnings attach to the query handle but never reject.
 /// `kHint` suggests equivalent simplifications; `kNote` carries informational
-/// facts such as the shard-placement rationale.
+/// facts.
 enum class Severity : uint8_t {
   kError = 0,
   kWarning = 1,
@@ -41,8 +41,6 @@ const char* SeverityName(Severity severity);
 ///   SA012 warning invariant model over an empty group key
 ///   SA020 hint    always-true or redundant predicate
 ///   SA021 hint    constant alert condition
-///   SA030 note    shard-placement classification
-///   SA031 note    join-key partitionability
 ///   SA040 error   cross-type comparison/constraint (never holds)
 ///   SA041 warning unused pattern variable
 ///   SA042 warning never-read state field

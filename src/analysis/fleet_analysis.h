@@ -30,7 +30,7 @@ struct FleetRelation {
 };
 
 /// One routing-envelope cell: the (object type, operation) dispatch bucket
-/// the sharded executor routes on, with every member whose patterns cover
+/// the stream executor routes on, with every member whose patterns cover
 /// it. Cells shared by several queries predict scheduler group sharing (one
 /// event fan-in serving multiple queries).
 struct RoutingCell {

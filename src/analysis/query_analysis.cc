@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 
 #include "analysis/dataflow.h"
 #include "core/like_matcher.h"
@@ -575,106 +574,6 @@ void CheckRedundancy(const Query& q, std::vector<Diagnostic>* out) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Placement classification
-// ---------------------------------------------------------------------------
-
-const char* PlacementRationale::ModeName() const {
-  switch (mode) {
-    case CompiledQuery::ShardMode::kPartitionable:
-      return "partitionable";
-    case CompiledQuery::ShardMode::kPartitionableWithMerge:
-      return "partitionable+merge";
-    case CompiledQuery::ShardMode::kGlobal:
-      return "global";
-  }
-  return "?";
-}
-
-std::string PlacementRationale::ToString() const {
-  std::ostringstream os;
-  os << "placement: " << ModeName() << " — " << reason;
-  if (is_join) os << "\njoin-key analysis: " << join_detail;
-  return os.str();
-}
-
-PlacementRationale QueryAnalysis::ExplainPlacement(
-    const CompiledQuery& query) {
-  PlacementRationale r;
-  r.mode = query.shard_mode();
-  const AnalyzedQuery& aq = query.analyzed();
-  const Query& q = *aq.query;
-  size_t npat = q.patterns.size();
-  r.is_join = npat > 1;
-
-  switch (r.mode) {
-    case CompiledQuery::ShardMode::kGlobal:
-      if (npat > 1) {
-        r.reason = "multi-event join over " + std::to_string(npat) +
-                   " patterns: partial matches correlate events that "
-                   "subject-key sharding may route to different lanes";
-      } else if (q.state.has_value() && q.window.has_value() &&
-                 q.window->kind == WindowSpec::Kind::kCount) {
-        r.reason = "count-based window: the every-N-events boundary only "
-                   "exists on the globally ordered stream";
-      } else {
-        r.reason = "alert cooldown suppresses across the whole stream, so "
-                   "alerts must be emitted from one lane";
-      }
-      break;
-    case CompiledQuery::ShardMode::kPartitionableWithMerge:
-      r.reason = "windowed aggregation groups by entity key: lanes "
-                 "aggregate their partition and window results merge "
-                 "downstream";
-      break;
-    case CompiledQuery::ShardMode::kPartitionable:
-      r.reason = "stateless single-pattern filter: each event is evaluated "
-                 "independently, on whichever lane it hashes to";
-      break;
-  }
-
-  if (r.is_join) {
-    // A variable that is the *subject* of every pattern pins all
-    // contributing events to one (agent, pid) partition — exactly the key
-    // the sharded executor hashes on — so the join is partitionable.
-    for (const auto& [var, bindings] : aq.entity_vars) {
-      std::vector<bool> covered(npat, false);
-      bool all_subject = true;
-      for (const EntityBinding& b : bindings) {
-        if (b.role != EntityRole::kSubject) {
-          all_subject = false;
-          break;
-        }
-        if (b.pattern_index >= 0 &&
-            static_cast<size_t>(b.pattern_index) < npat) {
-          covered[b.pattern_index] = true;
-        }
-      }
-      if (!all_subject) continue;
-      if (std::all_of(covered.begin(), covered.end(),
-                      [](bool c) { return c; })) {
-        r.join_partitionable = true;
-        r.join_key_var = var;
-        break;
-      }
-    }
-    if (r.join_partitionable) {
-      r.join_detail =
-          "variable '" + r.join_key_var +
-          "' is the subject of every pattern, so all contributing events "
-          "share one (agent, pid) partition key — this join is eligible "
-          "for sharded subject-key execution (see ROADMAP: partitioned "
-          "joins)";
-    } else {
-      r.join_detail =
-          "no variable is the subject of every pattern, so contributing "
-          "events have no common partition key and the join needs the "
-          "global lane";
-    }
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // Lint driver
 // ---------------------------------------------------------------------------
 
@@ -688,17 +587,6 @@ std::vector<Diagnostic> QueryAnalysis::Lint(const CompiledQuery& query) {
   CheckAggregates(q, &out);
   CheckRedundancy(q, &out);
   RunDataflowChecks(query.analyzed(), &out);
-
-  PlacementRationale placement = ExplainPlacement(query);
-  SourceSpan query_span =
-      q.patterns.empty() ? SourceSpan{} : q.patterns.front().span;
-  Emit(&out, "SA030", Severity::kNote, query_span,
-       "placement: " + std::string(placement.ModeName()) + " — " +
-           placement.reason);
-  if (placement.is_join) {
-    Emit(&out, "SA031", Severity::kNote, query_span,
-         "join-key analysis: " + placement.join_detail);
-  }
 
   std::stable_sort(out.begin(), out.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

@@ -16,33 +16,6 @@ namespace saql {
 /// normalization.
 FieldId CanonicalEntityFieldId(EntityType type, FieldId id);
 
-/// Why a query landed on its `CompiledQuery::shard_mode()`, derived from the
-/// same facts the scheduler uses (pattern count, statefulness, window kind,
-/// alert cooldown) — `mode` is read straight from the compiled query, so the
-/// rationale can never disagree with the actual placement.
-///
-/// For multi-event joins, the join-key analysis reports whether the shared
-/// entity variables imply a consistent subject-key partition: a variable that
-/// is the *subject* of every pattern pins all contributing events to one
-/// (agent, pid) partition, so such a join could run on the sharded lanes with
-/// subject-key routing instead of the serializing global lane. This is the
-/// planning fact the partitioned-join roadmap item consumes.
-struct PlacementRationale {
-  CompiledQuery::ShardMode mode = CompiledQuery::ShardMode::kPartitionable;
-  std::string reason;  ///< one sentence: why this mode
-
-  bool is_join = false;            ///< more than one event pattern
-  bool join_partitionable = false; ///< a shared subject var covers all patterns
-  std::string join_key_var;        ///< that variable, when partitionable
-  std::string join_detail;         ///< one sentence on the join-key outcome
-
-  /// "partitionable" / "partitionable+merge" / "global".
-  const char* ModeName() const;
-
-  /// Multi-line rendering for the shell's `explain` command.
-  std::string ToString() const;
-};
-
 /// Static analysis over one compiled query: runs after the semantic analyzer
 /// and compilation, before scheduling. All passes are conservative — an
 /// error-severity diagnostic is only emitted when the query is *provably*
@@ -51,12 +24,9 @@ struct PlacementRationale {
 /// false), so rejecting on errors can never lose a query that could alert.
 class QueryAnalysis {
  public:
-  /// Runs every lint pass and returns the findings, errors first. Includes
-  /// the placement notes (SA030/SA031); see `Diagnostic` for the code table.
+  /// Runs every lint pass and returns the findings, errors first; see
+  /// `Diagnostic` for the code table.
   static std::vector<Diagnostic> Lint(const CompiledQuery& query);
-
-  /// Placement classification only (the `explain` command's payload).
-  static PlacementRationale ExplainPlacement(const CompiledQuery& query);
 };
 
 }  // namespace saql

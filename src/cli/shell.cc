@@ -12,7 +12,6 @@
 #include "storage/durable_log.h"
 #include "storage/recovery.h"
 #include "storage/replayer.h"
-#include "stream/sharded_executor.h"
 
 namespace saql {
 
@@ -101,8 +100,6 @@ bool QueryShell::Execute(const std::string& line) {
     CmdClose(args);
   } else if (cmd == "alerts") {
     CmdAlerts(args);
-  } else if (cmd == "shards") {
-    CmdShards(args);
   } else if (cmd == "index") {
     CmdIndex(args);
   } else if (cmd == "stats") {
@@ -129,8 +126,7 @@ void QueryShell::CmdHelp() {
           "                          registered set: duplicates (SA050),\n"
           "                          subsumption (SA051), and routing-\n"
           "                          envelope overlap per (type, op) cell\n"
-       << "  explain <name>          placement rationale + lint findings\n"
-          "                          for a registered query\n"
+       << "  explain <name>          lint findings for a registered query\n"
        << "  simulate [minutes]      run enterprise sim + APT attack\n"
        << "  replay <log> [host...]  replay a stored columnar v2 event log\n"
        << "  record <log> [minutes]  simulate and store events to a log\n"
@@ -152,7 +148,7 @@ void QueryShell::CmdHelp() {
           "                          tail replay (torn records dropped by\n"
           "                          CRC), then compact back to a pure\n"
           "                          columnar log\n"
-       << "  open [--shards=N]       open a live push-driven session;\n"
+       << "  open                    open a live push-driven session;\n"
           "                          repeatable — sessions run as\n"
           "                          isolated concurrent tenants, and the\n"
           "                          newest one becomes current\n"
@@ -173,7 +169,6 @@ void QueryShell::CmdHelp() {
        << "  sessions                list all open sessions\n"
        << "  close [#id]             close a session\n"
        << "  alerts [n]              show last n alerts\n"
-       << "  shards [n]              show or set executor shard lanes\n"
        << "  index [on|off]          show or toggle member-match indexing\n"
        << "  stats                   statistics (live session or last "
           "run)\n"
@@ -318,12 +313,7 @@ void QueryShell::CmdExplain(const std::vector<std::string>& args) {
     out_ << "compile error: " << query.status() << "\n";
     return;
   }
-  out_ << QueryAnalysis::ExplainPlacement(**query).ToString() << "\n";
-  std::vector<Diagnostic> findings = QueryAnalysis::Lint(**query);
-  if (!findings.empty()) {
-    out_ << "findings:\n";
-    PrintDiagnostics(findings);
-  }
+  PrintDiagnostics(QueryAnalysis::Lint(**query));
 }
 
 void QueryShell::ConsumeSyncFlag(std::vector<std::string>* args,
@@ -341,39 +331,6 @@ void QueryShell::ConsumeSyncFlag(std::vector<std::string>* args,
       ++it;
     }
   }
-}
-
-size_t QueryShell::ClampShards(size_t n) {
-  constexpr size_t kMax = ShardedStreamExecutor::kMaxShards;
-  if (n > kMax) {
-    out_ << "note: " << n << " shard lanes exceed the maximum of " << kMax
-         << "; using " << kMax << "\n";
-    return kMax;
-  }
-  return n == 0 ? 1 : n;
-}
-
-void QueryShell::SetNumShards(size_t n) { num_shards_ = ClampShards(n); }
-
-size_t QueryShell::ConsumeShardsFlag(std::vector<std::string>* args) {
-  size_t shards = num_shards_;
-  for (auto it = args->begin(); it != args->end();) {
-    if (it->rfind("--shards=", 0) == 0) {
-      char* end = nullptr;
-      long n = std::strtol(it->c_str() + 9, &end, 10);
-      if (n <= 0 || end == nullptr || *end != '\0') {
-        out_ << "ignoring '" << *it
-             << "' (expected --shards=N with N >= 1); using " << shards
-             << "\n";
-      } else {
-        shards = ClampShards(static_cast<size_t>(n));
-      }
-      it = args->erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return shards;
 }
 
 std::string QueryShell::FormatStats(
@@ -395,18 +352,14 @@ std::string QueryShell::FormatStats(
   return stats.str();
 }
 
-void QueryShell::RunEngine(EventSource* source, size_t num_shards) {
+void QueryShell::RunEngine(EventSource* source) {
   if (queries_.empty()) {
     out_ << "no queries registered — use 'load' or 'query' first\n";
     return;
   }
   SaqlEngine::Options opts;
-  opts.num_shards = num_shards;
   opts.enable_member_index = member_index_;
   SaqlEngine engine(opts);
-  if (num_shards > 1) {
-    out_ << "executing on " << num_shards << " shard lanes\n";
-  }
   for (const auto& [name, text] : queries_) {
     Status st = engine.AddQuery(text, name);
     if (!st.ok()) {
@@ -432,37 +385,42 @@ void QueryShell::RunEngine(EventSource* source, size_t num_shards) {
 }
 
 void QueryShell::CmdSimulate(const std::vector<std::string>& args) {
-  std::vector<std::string> rest = args;
-  size_t shards = ConsumeShardsFlag(&rest);
   EnterpriseSimulator::Options opts;
-  if (!rest.empty()) {
-    opts.duration = std::strtol(rest[0].c_str(), nullptr, 10) * kMinute;
+  if (!args.empty()) {
+    opts.duration = std::strtol(args[0].c_str(), nullptr, 10) * kMinute;
     if (opts.duration <= 0) opts.duration = 30 * kMinute;
   }
   EnterpriseSimulator sim(opts);
   auto source = sim.MakeSource();
   out_ << "simulating " << FormatDuration(opts.duration) << " across "
        << sim.hosts().size() << " hosts (APT attack injected)...\n";
-  RunEngine(source.get(), shards);
+  RunEngine(source.get());
 }
 
 void QueryShell::CmdReplay(const std::vector<std::string>& args) {
-  std::vector<std::string> rest = args;
-  size_t shards = ConsumeShardsFlag(&rest);
-  if (rest.empty()) {
-    out_ << "usage: replay <log> [host...] [--shards=N]\n";
+  if (args.empty()) {
+    out_ << "usage: replay <log> [host...]\n";
     return;
   }
   StreamReplayer::Filter filter;
-  for (size_t i = 1; i < rest.size(); ++i) filter.hosts.insert(rest[i]);
-  StreamReplayer replayer(rest[0], filter);
+  for (size_t i = 1; i < args.size(); ++i) {
+    // A flag here would otherwise filter on a host that never exists and
+    // replay nothing.
+    if (args[i].rfind("--", 0) == 0) {
+      out_ << "unknown flag '" << args[i] << "' — usage: replay <log> "
+           << "[host...]\n";
+      return;
+    }
+    filter.hosts.insert(args[i]);
+  }
+  StreamReplayer replayer(args[0], filter);
   if (!replayer.status().ok()) {
     out_ << "replay failed: " << replayer.status() << "\n";
     return;
   }
-  out_ << "replaying " << rest[0] << " (format v"
+  out_ << "replaying " << args[0] << " (format v"
        << replayer.format_version() << ", columnar)\n";
-  RunEngine(&replayer, shards);
+  RunEngine(&replayer);
 }
 
 void QueryShell::CmdRecord(const std::vector<std::string>& args) {
@@ -555,7 +513,6 @@ QueryShell::LiveSession* QueryShell::ConsumeSessionRef(
 
 void QueryShell::CmdOpen(const std::vector<std::string>& args) {
   std::vector<std::string> rest = args;
-  size_t shards = ConsumeShardsFlag(&rest);
   std::string record_path;
   SyncPolicy record_sync;
   bool record_force = false;
@@ -593,7 +550,6 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
             "— use 'add' to attach newer queries mid-stream\n";
   }
   SessionOptions sopts;
-  sopts.num_shards = shards;
   sopts.record_path = record_path;
   sopts.record_sync = record_sync;
   sopts.record_force = record_force;
@@ -606,13 +562,11 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
   const uint64_t id = (*session)->id();
   LiveSession& ls = live_sessions_[id];
   ls.session = std::move(session).value();
-  ls.shards = shards;
   ls.clock = EnterpriseSimulator::Options{}.start;
   ls.record_path = record_path;
   current_session_ = id;
-  out_ << "session open on " << shards << " shard lane"
-       << (shards == 1 ? "" : "s") << " with "
-       << ls.session->num_active_queries() << " quer"
+  out_ << "session open with " << ls.session->num_active_queries()
+       << " quer"
        << (ls.session->num_active_queries() == 1 ? "y" : "ies") << " (#"
        << id << (live_sessions_.size() > 1 ? ", now current" : "")
        << ") — 'push' streams data, 'add'/'remove' change the query set\n";
@@ -719,11 +673,8 @@ void QueryShell::CmdAdd(const std::string& rest) {
     }
     return;
   }
-  for (const Diagnostic& d : diags) {
-    // Surface actionable findings on success; placement notes stay in
-    // 'explain' where they were asked for.
-    if (d.severity != Severity::kNote) out_ << "  " << d.ToString() << "\n";
-  }
+  // Surface the findings on success too: they are all actionable.
+  for (const Diagnostic& d : diags) out_ << "  " << d.ToString() << "\n";
   queries_[name] = text;
   out_ << "attached query '" << name
        << "' mid-stream (sees events from this point on";
@@ -783,9 +734,7 @@ void QueryShell::CmdRemove(const std::vector<std::string>& args) {
 
 void QueryShell::PrintSessionStatus(uint64_t id, LiveSession& ls) {
   out_ << "session #" << id << (id == current_session_ ? " (current)" : "")
-       << ": open, " << ls.shards << " shard lane"
-       << (ls.shards == 1 ? "" : "s") << ", "
-       << ls.session->num_active_queries() << " active quer"
+       << ": open, " << ls.session->num_active_queries() << " active quer"
        << (ls.session->num_active_queries() == 1 ? "y" : "ies") << ", "
        << ls.events << " events pushed";
   if (ls.session->watermark() != INT64_MIN) {
@@ -891,28 +840,6 @@ void QueryShell::CmdAlerts(const std::vector<std::string>& args) {
     table.AddRow({FormatTimestamp(a.ts), a.query_name, a.group, values});
   }
   out_ << table.Render();
-}
-
-void QueryShell::CmdShards(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    out_ << "shards = " << num_shards_
-         << (num_shards_ == 1 ? " (single-threaded)\n" : "\n");
-    return;
-  }
-  char* end = nullptr;
-  long n = std::strtol(args[0].c_str(), &end, 10);
-  if (n <= 0 || end == nullptr || *end != '\0') {
-    out_ << "usage: shards <n>  (n >= 1)\n";
-    return;
-  }
-  SetNumShards(static_cast<size_t>(n));
-  out_ << "shards = " << num_shards_ << "\n";
-  if (session_open()) {
-    out_ << "note: open sessions keep their lane counts; the new setting "
-            "applies from the next 'open' or batch run\n";
-  } else {
-    out_ << "(applies to the next 'open' or batch run)\n";
-  }
 }
 
 void QueryShell::CmdIndex(const std::vector<std::string>& args) {

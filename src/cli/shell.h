@@ -39,11 +39,11 @@ namespace saql {
 /// Live-session commands (the deployed-monitor mode: long-lived
 /// push-driven engine sessions that queries can join and leave
 /// mid-stream). Any number of sessions can be open at once — they are
-/// isolated tenants of one engine, each with its own lane count, clock,
-/// query set, and optional recording. `open` makes the new session
+/// isolated tenants of one engine, each with its own clock, query set,
+/// and optional recording. `open` makes the new session
 /// *current*; every session-addressed command targets the current session
 /// unless given an explicit `#<id>`:
-///   open [--shards=N]        open another live session over the
+///   open                     open another live session over the
 ///                            registered queries (`--record=<log>
 ///                            [--sync=P] [--force]` also records every
 ///                            pushed event durably; `--force` discards
@@ -71,18 +71,15 @@ namespace saql {
 ///                            (SA051), and routing-envelope overlap per
 ///                            (object type, op) cell
 ///   alerts [n]               show the last n alerts (default 10)
-///   shards [n]               show or set executor shard lanes (1 = off)
 ///   index [on|off]           show or toggle shared member-match indexing
 ///   stats                    engine statistics (live session or last run)
 ///   errors                   error-reporter contents
 ///   help                     command summary
 ///   quit                     leave the shell
 ///
-/// `simulate` and `replay` also accept a `--shards=N` flag to override the
-/// lane count for that run only. `shards`/`index` apply to the *next*
-/// engine build: batch runs pick them up immediately (each builds a fresh
-/// engine); an open live session keeps its configuration and the shell
-/// says so explicitly.
+/// `index` applies to the *next* engine build: batch runs pick it up
+/// immediately (each builds a fresh engine); an open live session keeps
+/// its configuration and the shell says so explicitly.
 class QueryShell {
  public:
   QueryShell(std::istream& in, std::ostream& out);
@@ -93,12 +90,6 @@ class QueryShell {
 
   /// Executes one command line; returns false when the shell should exit.
   bool Execute(const std::string& line);
-
-  /// Sets the default number of executor shard lanes (the `--shards=N`
-  /// flag of the `saql_shell` binary; 1 = single-threaded), clamped to
-  /// the lanes a session can run (printing a note when clamped).
-  void SetNumShards(size_t n);
-  size_t num_shards() const { return num_shards_; }
 
   /// Enables/disables the shared member-matching ConstraintIndex for
   /// subsequent runs (the `index on|off` command; on by default — off is
@@ -136,7 +127,6 @@ class QueryShell {
   void CmdRecord(const std::vector<std::string>& args);
   void CmdRecover(const std::vector<std::string>& args);
   void CmdAlerts(const std::vector<std::string>& args);
-  void CmdShards(const std::vector<std::string>& args);
   void CmdIndex(const std::vector<std::string>& args);
   void CmdStats();
   void CmdErrors();
@@ -161,15 +151,6 @@ class QueryShell {
       const std::vector<std::pair<std::string, CompiledQuery::QueryStats>>&
           query_stats) const;
 
-  /// Strips a `--shards=N` flag out of `args`, returning the lane count to
-  /// use for this run (the session default when absent; malformed values
-  /// are reported and ignored; too large ones are clamped, with a note).
-  size_t ConsumeShardsFlag(std::vector<std::string>* args);
-
-  /// Clamps a requested lane count to
-  /// [1, ShardedStreamExecutor::kMaxShards], noting a clamp in the output.
-  size_t ClampShards(size_t n);
-
   /// Strips a `--sync=P` flag out of `args` into `policy` (untouched when
   /// the flag is absent; malformed values are reported and ignored).
   void ConsumeSyncFlag(std::vector<std::string>* args, SyncPolicy* policy);
@@ -178,7 +159,6 @@ class QueryShell {
   /// drive state (the per-session simulator clock and counters).
   struct LiveSession {
     std::unique_ptr<SaqlEngine::Session> session;
-    size_t shards = 1;
     Timestamp clock = 0;        ///< next push's simulator start time
     uint64_t pushes = 0;        ///< varies the per-push simulator seed
     uint64_t events = 0;        ///< events pushed so far
@@ -196,7 +176,7 @@ class QueryShell {
   void PrintSessionStatus(uint64_t id, LiveSession& ls);
 
   /// Runs all registered queries against `source`, capturing alerts.
-  void RunEngine(class EventSource* source, size_t num_shards);
+  void RunEngine(class EventSource* source);
 
   std::istream& in_;
   std::ostream& out_;
@@ -204,7 +184,6 @@ class QueryShell {
   std::vector<Alert> alerts_;
   std::string last_stats_;
   std::string last_errors_;
-  size_t num_shards_ = 1;
   bool member_index_ = true;
   int exit_code_ = 0;
 

@@ -19,13 +19,6 @@ class SumAggregator : public Aggregator {
     if (!d.ok()) return;
     sum_ += *d;
     all_int_ = all_int_ && v.is_int();
-    ++count_;
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = static_cast<const SumAggregator&>(other);
-    sum_ += o.sum_;
-    all_int_ = all_int_ && o.all_int_;
-    count_ += o.count_;
   }
   Value Finish() const override {
     if (all_int_) return Value(static_cast<int64_t>(sum_));
@@ -35,7 +28,6 @@ class SumAggregator : public Aggregator {
  private:
   double sum_ = 0;
   bool all_int_ = true;
-  size_t count_ = 0;
 };
 
 class AvgAggregator : public Aggregator {
@@ -45,11 +37,6 @@ class AvgAggregator : public Aggregator {
     if (!d.ok()) return;
     sum_ += *d;
     ++count_;
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = static_cast<const AvgAggregator&>(other);
-    sum_ += o.sum_;
-    count_ += o.count_;
   }
   Value Finish() const override {
     if (count_ == 0) return Value::Null();
@@ -65,9 +52,6 @@ class CountAggregator : public Aggregator {
  public:
   void Add(const Value& v) override {
     if (!v.is_null()) ++count_;
-  }
-  void Merge(const Aggregator& other) override {
-    count_ += static_cast<const CountAggregator&>(other).count_;
   }
   Value Finish() const override {
     return Value(static_cast<int64_t>(count_));
@@ -88,9 +72,6 @@ class MinAggregator : public Aggregator {
     Result<int> c = v.Compare(best_);
     if (c.ok() && *c < 0) best_ = v;
   }
-  void Merge(const Aggregator& other) override {
-    Add(static_cast<const MinAggregator&>(other).best_);
-  }
   Value Finish() const override { return best_; }
 
  private:
@@ -108,9 +89,6 @@ class MaxAggregator : public Aggregator {
     Result<int> c = v.Compare(best_);
     if (c.ok() && *c > 0) best_ = v;
   }
-  void Merge(const Aggregator& other) override {
-    Add(static_cast<const MaxAggregator&>(other).best_);
-  }
   Value Finish() const override { return best_; }
 
  private:
@@ -126,22 +104,6 @@ class StdDevAggregator : public Aggregator {
     double delta = *d - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (*d - mean_);
-  }
-  void Merge(const Aggregator& other) override {
-    // Chan et al. parallel Welford combine.
-    const auto& o = static_cast<const StdDevAggregator&>(other);
-    if (o.count_ == 0) return;
-    if (count_ == 0) {
-      *this = o;
-      return;
-    }
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(o.count_);
-    double delta = o.mean_ - mean_;
-    double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += o.m2_ + delta * delta * na * nb / n;
-    count_ += o.count_;
   }
   Value Finish() const override {
     if (count_ < 2) return Value(0.0);
@@ -160,10 +122,6 @@ class SetAggregator : public Aggregator {
     if (v.is_null()) return;
     set_.insert(v.ToString());
   }
-  void Merge(const Aggregator& other) override {
-    const auto& o = static_cast<const SetAggregator&>(other);
-    set_.insert(o.set_.begin(), o.set_.end());
-  }
   Value Finish() const override { return Value(set_); }
 
  private:
@@ -175,10 +133,6 @@ class CountDistinctAggregator : public Aggregator {
   void Add(const Value& v) override {
     if (v.is_null()) return;
     set_.insert(v.ToString());
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = static_cast<const CountDistinctAggregator&>(other);
-    set_.insert(o.set_.begin(), o.set_.end());
   }
   Value Finish() const override {
     return Value(static_cast<int64_t>(set_.size()));
@@ -194,10 +148,6 @@ class MedianAggregator : public Aggregator {
     Result<double> d = v.ToDouble();
     if (!d.ok()) return;
     samples_.push_back(*d);
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = static_cast<const MedianAggregator&>(other);
-    samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
   }
   Value Finish() const override {
     if (samples_.empty()) return Value::Null();
@@ -223,12 +173,6 @@ class TopAggregator : public Aggregator {
   void Add(const Value& v) override {
     if (v.is_null()) return;
     ++counts_[v.ToString()];
-  }
-  void Merge(const Aggregator& other) override {
-    for (const auto& [value, count] :
-         static_cast<const TopAggregator&>(other).counts_) {
-      counts_[value] += count;
-    }
   }
   Value Finish() const override {
     if (counts_.empty()) return Value::Null();

@@ -12,12 +12,6 @@ namespace saql {
 /// Incremental aggregate over the events matched into one (group, window)
 /// cell of the state maintainer. One instance per aggregate call site per
 /// cell; `Add` runs on the stream path, `Finish` at window close.
-///
-/// Every aggregator also carries a *mergeable* form: `Merge` absorbs the
-/// state of another instance of the same concrete type, such that
-/// merge(A, B).Finish() equals feeding A's and B's inputs into one
-/// instance. This is what lets a sharded executor fold per-shard partial
-/// window states into one global state before alert evaluation.
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
@@ -25,10 +19,6 @@ class Aggregator {
   /// Folds one input value in. Null inputs are ignored (an event without
   /// the attribute contributes nothing).
   virtual void Add(const Value& v) = 0;
-
-  /// Absorbs `other`, which must be the same concrete aggregator type
-  /// (instances of the same call site from different shards always are).
-  virtual void Merge(const Aggregator& other) = 0;
 
   /// The aggregate result for the window. Empty windows produce the
   /// aggregate's natural zero (0 for count/sum, null for avg/min/max,

@@ -77,39 +77,6 @@ RoutingInterest CompiledQuery::Interest() const {
   return interest;
 }
 
-CompiledQuery::ShardMode CompiledQuery::shard_mode() const {
-  // Multi-event joins correlate entities that may hash to different
-  // shards; count windows close on match counts a single shard cannot
-  // observe globally. Both need the full ordered stream.
-  if (matcher_ != nullptr) return ShardMode::kGlobal;
-  if (state_ != nullptr &&
-      aq_->query->window->kind == WindowSpec::Kind::kCount) {
-    return ShardMode::kGlobal;
-  }
-  if (state_ != nullptr) return ShardMode::kPartitionableWithMerge;
-  // A stateless cooldown suppresses by global alert spacing, which
-  // per-shard replicas cannot reproduce. (Stateful cooldowns run on the
-  // merge replica and stay global by construction.)
-  if (options_.alert_cooldown > 0) return ShardMode::kGlobal;
-  return ShardMode::kPartitionable;
-}
-
-void CompiledQuery::ExportPartialWindows(
-    StateMaintainer::PartialCallback cb) {
-  if (state_ != nullptr) state_->SetPartialCallback(std::move(cb));
-}
-
-StateMaintainer::ClosedGroup CompiledQuery::FinishPartialGroup(
-    const TimeWindow& window, StateMaintainer::PartialGroup& pg) {
-  return state_->FinishPartial(window, pg);
-}
-
-void CompiledQuery::ConsumeMergedWindow(
-    const TimeWindow& window,
-    std::vector<StateMaintainer::ClosedGroup>& groups) {
-  OnWindowClose(window, groups);
-}
-
 void CompiledQuery::ReInternSymbols() {
   for (CompiledConstraint& c : global_constraints_) c.ReIntern();
   for (CompiledPattern& p : patterns_) p.ReInternSymbols();

@@ -115,46 +115,6 @@ class CompiledQuery final : public EventProcessor {
   /// thread-safe against concurrent OnEvent on the same instance.
   void ReInternSymbols();
 
-  // Sharded execution support -----------------------------------------
-
-  /// How this query can run under a sharded executor that hash-partitions
-  /// events by subject entity key.
-  enum class ShardMode {
-    /// Pure per-event semantics: independent replicas per shard emit
-    /// alerts directly (`return distinct` is re-deduplicated centrally by
-    /// the alert collector).
-    kPartitionable,
-    /// Stateful over a time window: shard replicas fold per-shard partial
-    /// window aggregates; a merge stage combines them across shards and
-    /// evaluates history/invariant/cluster/alert once, globally.
-    kPartitionableWithMerge,
-    /// Must observe the full ordered stream on a single lane: multi-event
-    /// joins (shared entities may span shards), count windows (close on
-    /// global match counts), stateless alert cooldowns.
-    kGlobal,
-  };
-  ShardMode shard_mode() const;
-
-  /// The analyzed query, shareable across shard replicas (immutable).
-  const AnalyzedQueryPtr& analyzed_ptr() const { return aq_; }
-  const Options& options() const { return options_; }
-  bool return_distinct() const { return aq_->query->return_distinct; }
-
-  /// Turns this instance into a shard replica: stateful window closes emit
-  /// partial aggregate state through `cb` (from the shard lane)
-  /// instead of evaluating alerts locally. Stateful queries only.
-  void ExportPartialWindows(StateMaintainer::PartialCallback cb);
-
-  /// Merge-replica side: evaluates the state fields of one cross-shard
-  /// merged partial group.
-  StateMaintainer::ClosedGroup FinishPartialGroup(
-      const TimeWindow& window, StateMaintainer::PartialGroup& pg);
-
-  /// Merge-replica side: runs history/invariant/cluster/alert evaluation
-  /// over one merged window, exactly as a local window close would have.
-  void ConsumeMergedWindow(const TimeWindow& window,
-                           std::vector<StateMaintainer::ClosedGroup>& groups);
-
  private:
   CompiledQuery(AnalyzedQueryPtr aq, std::string name, Options options);
 

@@ -85,14 +85,14 @@ std::string SlotKey(ConstraintIndex::Side side, const CompiledConstraint& c) {
 
 }  // namespace
 
-std::shared_ptr<const ConstraintIndex> ConstraintIndex::Build(
+std::unique_ptr<const ConstraintIndex> ConstraintIndex::Build(
     const std::vector<CompiledQuery*>& members) {
   if (members.size() < 2) return nullptr;  // nothing to share
   for (const CompiledQuery* q : members) {
     if (q->patterns().size() != 1) return nullptr;  // multievent matcher
   }
 
-  std::shared_ptr<ConstraintIndex> index(new ConstraintIndex());
+  std::unique_ptr<ConstraintIndex> index(new ConstraintIndex());
   index->num_members_ = members.size();
   index->built_gen_ = Interner::Global().generation();
   const size_t words = WordsFor(members.size());

@@ -42,9 +42,8 @@ class CompiledQuery;
 /// statistics (`QueryStats::events_past_global`) must stay identical to
 /// brute-force evaluation.
 ///
-/// An index is immutable after `Build` and `Match` is const and touches
-/// only the event plus caller-owned scratch, so sharded executor lanes
-/// share one instance (each lane's `QueryGroup` keeps its own
+/// An index is immutable after `Build`, and `Match` is const and touches
+/// only the event plus caller-owned scratch (the owning `QueryGroup`'s
 /// `MatchResult`).
 ///
 /// Semantics contract, pinned by tests/constraint_index_diff_test.cc: for
@@ -73,7 +72,7 @@ class ConstraintIndex {
   /// two members (nothing to share) or any member with multiple event
   /// patterns (those route through the multievent matcher, whose
   /// per-pattern candidate logic the index does not model).
-  static std::shared_ptr<const ConstraintIndex> Build(
+  static std::unique_ptr<const ConstraintIndex> Build(
       const std::vector<CompiledQuery*>& members);
 
   /// Evaluates every distinct slot once against `event` and fills

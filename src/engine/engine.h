@@ -45,21 +45,19 @@ namespace saql {
 /// threads, one driving thread per session (each session's own methods
 /// keep their single-caller-thread contract). Sessions are fully isolated
 /// tenants — each owns its query registry snapshot, scheduler and groups,
-/// dispatch index, executor (optionally sharded) lanes, statistics, alert
-/// ordering state, and recording pipeline — and share exactly the
-/// process-wide pieces that are safe to share: the global string
-/// `Interner` (lock-free read path) and the immutable analyzed-query
-/// handles. Each session's alert sequence and per-query `QueryStats` are
-/// bit-identical to the same session run solo. Per-session options
-/// (`SessionOptions`: lane count, record path, alert sink) override the
-/// engine defaults at `OpenSession`; two live sessions must not record to
-/// the same path (the second open fails cleanly).
+/// dispatch index, executor, statistics, and recording pipeline — and
+/// share exactly the process-wide pieces that are safe to share: the
+/// global string `Interner` (lock-free read path) and the immutable
+/// analyzed-query handles. Each session's alert sequence and per-query
+/// `QueryStats` are bit-identical to the same session run solo.
+/// Per-session options (`SessionOptions`: record path, alert sink)
+/// override the engine defaults at `OpenSession`; two live sessions must
+/// not record to the same path (the second open fails cleanly).
 ///
-/// Sessions honor every engine option: with `Options::num_shards > 1` a
-/// session runs the full hash-partitioned lane pipeline (pushes are split
-/// across lanes, watermark alignment and the cross-shard window merge work
-/// exactly as in a batch run, and dynamic add/remove is coordinated across
-/// all lane replicas plus the merge replica). A session opened after
+/// Each session runs one lane: its own thread delivers every pushed batch
+/// to its query groups over the totally ordered stream, and every query
+/// alerts as it fires. Parallelism comes from running sessions side by
+/// side, not from splitting one session's stream. A session opened after
 /// others closed starts from fresh stream state, recompiling the
 /// registered queries.
 ///
@@ -101,9 +99,8 @@ class SaqlEngine {
     /// session is closed.
     bool active() const;
 
-    /// Statistics for this query: live while active (in sharded mode the
-    /// sum over the query's lane replicas plus its merge replica), frozen
-    /// at their final values after removal.
+    /// Statistics for this query: live while active, frozen at their
+    /// final values after removal.
     CompiledQuery::QueryStats stats() const;
 
     /// Additional per-query alert tap: every alert this query emits is
@@ -118,8 +115,8 @@ class SaqlEngine {
     Status Cancel();
 
     /// Non-error static-analysis findings recorded when the query was
-    /// attached (warnings, hints, and placement notes — error findings
-    /// reject at AddQuery and never produce a handle).
+    /// attached (warnings, hints, and notes — error findings reject at
+    /// AddQuery and never produce a handle).
     const std::vector<Diagnostic>& diagnostics() const;
 
    private:
@@ -134,8 +131,7 @@ class SaqlEngine {
 
   /// A push-driven run over the engine's query set. Obtained from
   /// `OpenSession`; all methods must be called from one thread (the
-  /// session thread — in sharded mode it splits each push and runs lane 0
-  /// and the global lane itself).
+  /// session thread, which runs every query of the session itself).
   /// Different sessions of one engine run from different threads
   /// concurrently.
   ///
@@ -144,17 +140,16 @@ class SaqlEngine {
   /// query added mid-stream sees only events pushed after its attach
   /// point and belongs to this session only; a removed query's state is
   /// torn down and its final stats retained); `Close` flushes
-  /// end-of-stream (open windows, partial matches), emits any buffered
-  /// sharded alerts, and publishes the run's statistics to the engine
-  /// accessors (last close wins). The destructor closes an open session.
+  /// end-of-stream (open windows, partial matches) and publishes the run's
+  /// statistics to the engine accessors (last close wins). The destructor
+  /// closes an open session.
   ///
   /// Watermark contract: `AdvanceWatermark(ts)` finalizes windows ending
   /// at or before `ts`. Callers must push events in non-decreasing
   /// timestamp order and not push events older than an advanced
-  /// watermark; under that contract a sharded session's alert sequence is
-  /// identical to the batch `Run` ordering (alerts are released in
-  /// (ts, query, group, values) order once the advanced watermark has
-  /// passed them). A closed time window never reopens: a stateful query
+  /// watermark; under that contract a session's alert sequence is
+  /// identical to the batch `Run` ordering with any batch split. A closed
+  /// time window never reopens: a stateful query
   /// folds a late match only into its windows still open and counts it in
   /// `QueryStats::late_matches`.
   class Session {
@@ -168,15 +163,15 @@ class SaqlEngine {
     /// concurrently open sessions.
     uint64_t id() const;
 
-    /// Delivers one batch of events to the live query set and returns once
-    /// every lane has processed it; the buffer may be reused after the
-    /// call returns.
+    /// Delivers one batch of events to the live query set, on the calling
+    /// thread, and returns once every query has processed it; the buffer
+    /// may be reused after the call returns.
     ///
-    /// Push writes into the caller's buffer: at any lane count the
-    /// session's queries fill each event's symbol memo (`Event::syms`) in
-    /// place as they compare attributes — lanes read the caller's events,
-    /// never copies. So one buffer must not be pushed to two sessions at
-    /// once, from two threads; give each thread its own copy.
+    /// Push writes into the caller's buffer: the session's queries fill
+    /// each event's symbol memo (`Event::syms`) in place as they compare
+    /// attributes — they read the caller's events, never copies. So one
+    /// buffer must not be pushed to two sessions at once, from two
+    /// threads; give each thread its own copy.
     Status Push(Event* events, size_t count);
     Status Push(EventBatch& batch) {
       return Push(batch.data(), batch.size());
@@ -195,17 +190,15 @@ class SaqlEngine {
     /// Values that do not advance the watermark are ignored.
     Status AdvanceWatermark(Timestamp ts);
 
-    /// A no-op kept for callers written against asynchronous lanes: every
-    /// `Push` and `AdvanceWatermark` returns with its lanes finished and
-    /// every alert the advanced watermark finalized already released.
+    /// A no-op kept for callers written against asynchronous sessions:
+    /// every `Push` and `AdvanceWatermark` returns with its work done and
+    /// every alert it produced already delivered to the sink.
     Status Flush();
 
     /// Parses, analyzes, compiles, and attaches a query mid-stream. The
     /// query joins its compatibility group (or starts a new one, with the
-    /// dispatch index re-registered), the group's shared ConstraintIndex
-    /// is rebuilt over the widened member list, and — in sharded mode —
-    /// lane replicas plus (for stateful queries) a merge-stage
-    /// registration are created across all lanes. The
+    /// dispatch index re-registered) and the group's shared
+    /// ConstraintIndex is rebuilt over the widened member list. The
     /// query sees only events pushed after this call, and belongs to
     /// this session alone (concurrent sessions are isolated tenants; use
     /// `SaqlEngine::AddQuery` between sessions for queries every later
@@ -229,20 +222,19 @@ class SaqlEngine {
                                               diagnostics = nullptr);
 
     /// Retracts a live query: its group membership, routing/constraint
-    /// index slots, lane replicas, and partial window state are torn down
-    /// (pending unmerged windows are dropped, not flushed); alerts it
-    /// already emitted stay queued for ordered delivery. Final
-    /// `QueryStats` remain readable via its handle and `query_stats()`.
+    /// index slots, and partial window state are torn down (open windows
+    /// are dropped, not flushed); alerts it already emitted were delivered
+    /// as they fired. Final `QueryStats` remain readable via its handle and
+    /// `query_stats()`.
     Status RemoveQuery(const std::string& name);
 
     /// The handle for `name`, or nullptr when no such query was ever part
     /// of this session. Removed queries keep their (inactive) handle.
     QueryHandle* handle(const std::string& name);
 
-    /// Ends the stream: every live query flushes end-of-stream state,
-    /// lane workers are joined and buffered alerts released, and the
-    /// run's statistics are published to the engine accessors. Idempotent
-    /// error: closing twice returns FailedPrecondition.
+    /// Ends the stream: every live query flushes end-of-stream state and
+    /// the run's statistics are published to the engine accessors.
+    /// Idempotent error: closing twice returns FailedPrecondition.
     Status Close();
 
     bool open() const { return open_; }
@@ -265,7 +257,7 @@ class SaqlEngine {
     /// the crash-loss bound is `recorded_events() - durable_events()`.
     uint64_t durable_events() const;
 
-    // Live statistics, consistent between calls: no lane runs then.
+    // Live statistics, consistent between calls: nothing runs then.
     ExecutorStats executor_stats() const;
     size_t num_active_queries() const;
     size_t num_groups() const;
@@ -282,8 +274,8 @@ class SaqlEngine {
 
     Session(SaqlEngine* engine, SessionOptions options);
 
-    /// Builds the session's execution state (schedulers, executors, lane
-    /// replicas); called by OpenSession before the session is handed out.
+    /// Builds the session's execution state (scheduler, executor); called
+    /// by OpenSession before the session is handed out.
     Status OpenInternal();
 
     struct SessionContext;
@@ -331,8 +323,8 @@ class SaqlEngine {
     return OpenSession(SessionOptions{});
   }
 
-  /// Opens a session with per-session overrides (lane count, record
-  /// path, alert sink — see SessionOptions).
+  /// Opens a session with per-session overrides (record path, alert sink
+  /// — see SessionOptions).
   Result<std::unique_ptr<Session>> OpenSession(SessionOptions options);
 
   /// Convenience batch wrapper: opens a session, pushes `source` to
@@ -351,19 +343,15 @@ class SaqlEngine {
   size_t session_count() const { return core_.session_count(); }
 
   // Statistics of the last *closed* session (which `Run` wraps): executor
-  // accounting, group structure, and per-query stats. In sharded mode the
-  // executor stats are the element-wise sum over all lanes and each
-  // query's stats are summed over its replicas (alerts for partitionable
-  // queries count centrally emitted, post-deduplication alerts). With
-  // concurrent sessions the last `Close` wins; read per-session live
-  // values from the sessions instead.
+  // accounting, group structure, and per-query stats. With concurrent
+  // sessions the last `Close` wins; read per-session live values from the
+  // sessions instead.
   const ExecutorStats& executor_stats() const {
     return core_.last_run().exec;
   }
   size_t num_queries() const { return core_.num_queries(); }
   size_t num_groups() const { return core_.last_run().num_groups; }
-  /// Groups whose member matching ran through a shared ConstraintIndex
-  /// (sharded mode counts each distinct index once, not per lane).
+  /// Groups whose member matching ran through a shared ConstraintIndex.
   size_t num_indexed_groups() const {
     return core_.last_run().indexed_groups;
   }

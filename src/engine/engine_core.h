@@ -39,20 +39,6 @@ struct EngineOptions {
   /// way. Dynamic session add/remove rebuilds the affected group's
   /// index.
   bool enable_member_index = true;
-  /// Executor lanes per session (clamped to [1, kMaxShards] of
-  /// `ShardedStreamExecutor`). 1 = one lane on the session's thread:
-  /// every query executes single-threaded over the ordered stream and
-  /// alerts as it fires. With N > 1 each push is split over N lanes by
-  /// subject entity key (the session thread runs lane 0, N - 1 worker
-  /// threads the others, and the push returns when all are done),
-  /// replicating partitionable queries per lane and merging stateful window
-  /// aggregates across lanes before alert evaluation; queries whose
-  /// semantics need the full ordered stream (multi-event joins, count
-  /// windows, cooldowns) run on one global lane. Alerts from all lanes
-  /// funnel through one deterministically ordered sink; the alert
-  /// multiset is identical to the 1-lane run. Sessions can override per
-  /// session.
-  size_t num_shards = 1;
   /// Interner rotation policy for long-running deployments: when the
   /// global interner's payload bytes reach this threshold, the engine
   /// rotates the table — at `OpenSession` when no stream is live, and
@@ -95,10 +81,12 @@ struct EngineOptions {
 };
 
 /// Per-session overrides of the engine-wide defaults, for multi-tenant
-/// deployments where concurrently open sessions need different lane
-/// counts, recording destinations, or alert destinations.
+/// deployments where concurrently open sessions need different recording
+/// or alert destinations.
 struct SessionOptions {
-  /// Shard lanes for this session; 0 = the engine default.
+  /// Accepted and ignored: every session runs one lane, on the thread
+  /// that drives it. Kept so callers written against multi-lane sessions
+  /// still compile; their sessions behave exactly like default ones.
   size_t num_shards = 0;
   /// Recording destination for this session; empty = the engine
   /// default. Two live sessions must not record to the same path.
@@ -123,7 +111,7 @@ struct SessionOptions {
 /// session registry with the live interner-rotation machinery. Every
 /// mutable member is guarded — any number of sessions may run against one
 /// core from independent threads. Per-session execution state (scheduler,
-/// groups, executor lanes, dispatch index, stats, recording) lives in the
+/// groups, executor, dispatch index, stats, recording) lives in the
 /// session's own `SessionContext` (session.cc) and is never shared.
 class EngineCore {
  public:

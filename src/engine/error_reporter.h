@@ -16,8 +16,7 @@ namespace saql {
 /// errors are deduplicated with a count; the table is bounded so a
 /// pathological query cannot exhaust memory with distinct messages.
 ///
-/// Thread-safe: shard replicas running on different lanes of a sharded
-/// executor share one reporter.
+/// Thread-safe: the concurrent sessions of one engine share one reporter.
 class ErrorReporter {
  public:
   struct Entry {

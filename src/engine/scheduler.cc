@@ -170,10 +170,8 @@ QueryGroup* ConcurrentQueryScheduler::AddQueryDynamic(CompiledQuery* query,
 }
 
 bool ConcurrentQueryScheduler::RemoveQuery(
-    CompiledQuery* query, std::unique_ptr<QueryGroup>* emptied,
-    QueryGroup** patched) {
+    CompiledQuery* query, std::unique_ptr<QueryGroup>* emptied) {
   emptied->reset();
-  *patched = nullptr;
   auto qit = std::find(queries_.begin(), queries_.end(), query);
   if (qit == queries_.end()) return false;
   queries_.erase(qit);
@@ -186,7 +184,6 @@ bool ConcurrentQueryScheduler::RemoveQuery(
       groups_.erase(git);
     } else {
       ReindexGroup(g);
-      *patched = g;
     }
     return true;
   }

@@ -45,10 +45,9 @@ class QueryGroup final : public EventProcessor {
 
   /// Removes a member (a session retracting a query mid-stream); returns
   /// whether it was present. The caller owns index consistency: call
-  /// `BuildIndex`/`DropIndex` (or `AdoptIndex` on replica lanes) after the
-  /// membership change — the previous index still reflects the old member
-  /// list and is dropped here to fail safe (brute force is always
-  /// correct).
+  /// `BuildIndex`/`DropIndex` after the membership change — the previous
+  /// index still reflects the old member list and is dropped here to fail
+  /// safe (brute force is always correct).
   bool RemoveMember(CompiledQuery* query) {
     for (auto it = members_.begin(); it != members_.end(); ++it) {
       if (*it == query) {
@@ -69,20 +68,8 @@ class QueryGroup final : public EventProcessor {
   /// Reverts to brute-force member delivery.
   void DropIndex() { index_.reset(); }
 
-  /// Adopts an index built for an identical member list (a sharded lane
-  /// reusing the first lane's immutable index). Ignores nullptr; rejects a
-  /// member-count mismatch by keeping brute-force delivery.
-  void AdoptIndex(std::shared_ptr<const ConstraintIndex> index) {
-    if (index != nullptr && index->num_members() == members_.size()) {
-      index_ = std::move(index);
-    }
-  }
-
   /// The shared index, or nullptr when this group delivers brute-force.
   const ConstraintIndex* index() const { return index_.get(); }
-  std::shared_ptr<const ConstraintIndex> shared_index() const {
-    return index_;
-  }
 
   void OnEvent(const Event& event) override;
   void OnBatch(const EventRefs& events) override;
@@ -110,7 +97,7 @@ class QueryGroup final : public EventProcessor {
   /// Scratch for batched member forwarding, reused across batches.
   EventRefs forward_scratch_;
   /// Shared constraint discrimination index (nullptr = brute force).
-  std::shared_ptr<const ConstraintIndex> index_;
+  std::unique_ptr<const ConstraintIndex> index_;
   // Reused index-delivery scratch.
   ConstraintIndex::MatchResult match_scratch_;
   std::vector<EventRefs> member_matches_;
@@ -163,11 +150,8 @@ class ConcurrentQueryScheduler {
   /// dropping, below `min_index_members`) the group's index over the
   /// remaining members. When the group becomes empty its ownership moves
   /// into `*emptied` (so the caller can unsubscribe it from the executor
-  /// before letting it die); otherwise `*patched` points at the surviving
-  /// group (so sharded lane replicas can re-adopt lane 0's rebuilt
-  /// index). Returns whether the query was registered.
-  bool RemoveQuery(CompiledQuery* query, std::unique_ptr<QueryGroup>* emptied,
-                   QueryGroup** patched);
+  /// before letting it die). Returns whether the query was registered.
+  bool RemoveQuery(CompiledQuery* query, std::unique_ptr<QueryGroup>* emptied);
 
   /// Re-derives one group's index policy after a dynamic membership
   /// change: index when enabled and the group has at least

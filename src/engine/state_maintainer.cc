@@ -193,21 +193,6 @@ void StateMaintainer::CloseBucket(Bucket& bucket) {
   open_cells_ -= ordered.size();
   ++stats_.windows_closed;
   stats_.groups_closed += ordered.size();
-  if (partial_cb_) {
-    // Sharded mode: hand off the live aggregators; the merge stage combines
-    // them with the other shards' partials before evaluating state fields.
-    std::vector<PartialGroup> partials;
-    partials.reserve(ordered.size());
-    for (auto& [key, cell] : ordered) {
-      PartialGroup pg;
-      pg.group_key = *key;
-      pg.key_values = std::move(cell->key_values);
-      pg.aggs = std::move(cell->aggs);
-      partials.push_back(std::move(pg));
-    }
-    partial_cb_(bucket.window, partials);
-    return;
-  }
   std::vector<ClosedGroup> groups;
   groups.reserve(ordered.size());
   for (auto& [key, cell] : ordered) {
@@ -218,23 +203,6 @@ void StateMaintainer::CloseBucket(Bucket& bucket) {
     groups.push_back(std::move(g));
   }
   if (close_cb_) close_cb_(bucket.window, groups);
-}
-
-void StateMaintainer::MergePartial(PartialGroup* dst, PartialGroup& src) {
-  for (size_t i = 0; i < dst->aggs.size() && i < src.aggs.size(); ++i) {
-    dst->aggs[i]->Merge(*src.aggs[i]);
-  }
-}
-
-StateMaintainer::ClosedGroup StateMaintainer::FinishPartial(
-    const TimeWindow& window, PartialGroup& pg) {
-  Cell cell;
-  cell.aggs = std::move(pg.aggs);
-  ClosedGroup g;
-  g.group_key = std::move(pg.group_key);
-  g.key_values = std::move(pg.key_values);
-  g.state = FinishCell(window, cell);
-  return g;
 }
 
 void StateMaintainer::AdvanceWatermark(Timestamp watermark) {

@@ -40,22 +40,6 @@ class StateMaintainer {
   using CloseCallback =
       std::function<void(const TimeWindow&, std::vector<ClosedGroup>&)>;
 
-  /// One group's *unfinished* state for a closing window: the live
-  /// aggregators, state fields not yet evaluated. This is the shard-local
-  /// partial a sharded executor ships to its merge stage; partials of the
-  /// same (window, group) from different shards combine with `MergePartial`
-  /// and the state fields are evaluated once, globally, by `FinishPartial`.
-  struct PartialGroup {
-    std::string group_key;          ///< canonical key (join of key values)
-    std::vector<Value> key_values;  ///< by AnalyzedQuery::group_keys order
-    std::vector<std::unique_ptr<Aggregator>> aggs;  ///< by agg site index
-  };
-
-  /// Invoked once per closing time window with every group's partial state.
-  /// `groups` is mutable so the caller can move the aggregators out.
-  using PartialCallback =
-      std::function<void(const TimeWindow&, std::vector<PartialGroup>&)>;
-
   struct Stats {
     uint64_t matches_in = 0;
     uint64_t windows_closed = 0;
@@ -74,22 +58,6 @@ class StateMaintainer {
   Status Init();
 
   void SetCloseCallback(CloseCallback cb) { close_cb_ = std::move(cb); }
-
-  /// Diverts time-window closes into partial form: when set, a closing
-  /// window emits `PartialGroup`s through `cb` instead of finalized
-  /// `ClosedGroup`s through the close callback. Count windows (`#count(N)`)
-  /// close on per-group match counts and are not shard-partitionable; they
-  /// keep using the regular close callback regardless.
-  void SetPartialCallback(PartialCallback cb) { partial_cb_ = std::move(cb); }
-
-  /// Merges `src` into `dst`, aggregate by aggregate (both must come from
-  /// the same query, so call-site order agrees).
-  static void MergePartial(PartialGroup* dst, PartialGroup& src);
-
-  /// Evaluates the state fields of a (merged) partial group — exactly what
-  /// a local window close would have produced had all the partials' inputs
-  /// been folded into this maintainer. Requires `Init()`.
-  ClosedGroup FinishPartial(const TimeWindow& window, PartialGroup& pg);
 
   /// Folds one pattern match into its window(s) and group. A time window
   /// the watermark has closed is never reopened: the match skips it and
@@ -135,7 +103,6 @@ class StateMaintainer {
 
   AnalyzedQueryPtr aq_;
   CloseCallback close_cb_;
-  PartialCallback partial_cb_;
   /// Aggregate call sites across all state fields, in field order.
   std::vector<const Expr*> agg_sites_;
   /// Aggregate function name per site (lowercase).

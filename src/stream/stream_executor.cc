@@ -44,15 +44,14 @@ void StreamExecutor::BeginStream() {
   emitted_watermark_ = INT64_MIN;
 }
 
-template <typename EventAt>
-void StreamExecutor::Route(size_t count, EventAt at) {
+void StreamExecutor::ProcessBatch(Event* batch, size_t count) {
   if (count == 0) return;
   if (routing_dirty_) BuildRoutingTable();
   const size_t n = processors_.size();
   ++stats_.batches;
   for (EventRefs& r : routed_) r.clear();
   for (size_t k = 0; k < count; ++k) {
-    const Event& e = at(k);
+    const Event& e = batch[k];
     ++stats_.events;
     if (e.ts > max_event_ts_) max_event_ts_ = e.ts;
     if (options_.enable_routing) {
@@ -75,14 +74,6 @@ void StreamExecutor::Route(size_t count, EventAt at) {
       processors_[i]->OnRoutedSkip(skipped);
     }
   }
-}
-
-void StreamExecutor::ProcessBatch(Event* batch, size_t count) {
-  Route(count, [batch](size_t k) -> const Event& { return batch[k]; });
-}
-
-void StreamExecutor::ProcessRefs(const EventRefs& refs) {
-  Route(refs.size(), [&refs](size_t k) -> const Event& { return *refs[k]; });
 }
 
 bool StreamExecutor::AdvanceWatermark(Timestamp ts) {

@@ -79,12 +79,7 @@ class EventProcessor {
 /// benchmarks (paper §II-C: the master-dependent-query scheme reduces
 /// per-query data copies).
 struct ExecutorStats {
-  /// Events handed to `ProcessBatch`/`ProcessRefs`. Summed over a sharded
-  /// executor's lanes, an event counts on its shard lane and again on the
-  /// global lane. Edge: the global lane is handed no events while it has
-  /// no subscribers, so once a multi-lane session removed its last
-  /// global-lane query, later pushes count once. Shard lanes count every
-  /// event of their partition, subscribed or not.
+  /// Events handed to `ProcessBatch`, subscribed to or not.
   uint64_t events = 0;
   /// Event deliveries = sum over events of subscribers it was handed to.
   /// With N independent queries this is N * events; with grouped queries it
@@ -105,8 +100,8 @@ struct ExecutorStats {
 /// stream and watermarks, and it delivers each event to the subscribed
 /// processors. (The paper's deployment parallelizes across hosts before
 /// the central feed; the engine itself observes one totally-ordered feed,
-/// which this models.) Every session drives one per lane through
-/// `ShardedStreamExecutor`.
+/// which this models.) Every session owns one and drives it from the
+/// session's thread.
 ///
 /// Delivery is routed, not broadcast: at stream start the executor indexes
 /// subscribers by the (object type, operation) combinations they declare
@@ -140,10 +135,7 @@ class StreamExecutor {
   /// ProcessBatch themselves). No-op when the processor is not subscribed.
   void Unsubscribe(EventProcessor* processor);
 
-  // Step-wise driving interface. A sharded executor drives each per-lane
-  // instance so that watermarks come from the *global* input stream (which
-  // every shard substream is a subsequence of) instead of the lane's own
-  // events.
+  // Step-wise driving interface.
 
   /// Builds the dispatch index and resets per-run watermark state. Call
   /// once after all Subscribe calls, before the first ProcessBatch.
@@ -153,10 +145,6 @@ class StreamExecutor {
   /// the events' memos in place. Does not emit a watermark; the max event
   /// time seen so far is tracked internally.
   void ProcessBatch(Event* batch, size_t count);
-
-  /// The same delivery over the events `refs` points at, in order: a shard
-  /// lane's partition of a caller's buffer.
-  void ProcessRefs(const EventRefs& refs);
 
   /// Block-native delivery: materializes the block's rows (a no-op for
   /// row-backed blocks; columnar blocks arrive with `Event::syms`
@@ -175,19 +163,12 @@ class StreamExecutor {
   /// Max event timestamp seen since BeginStream (INT64_MIN before any).
   Timestamp max_event_ts() const { return max_event_ts_; }
 
-  size_t num_subscribers() const { return processors_.size(); }
-
   const ExecutorStats& stats() const { return stats_; }
 
  private:
   /// Builds table_[type][op] → subscriber indices from the subscribers'
   /// declared interests, and sizes the per-subscriber routing scratch.
   void BuildRoutingTable();
-
-  /// The one routing loop behind `ProcessBatch` and `ProcessRefs`:
-  /// `at(k)` is the batch's k-th event.
-  template <typename EventAt>
-  void Route(size_t count, EventAt at);
 
   Options options_;
   std::vector<EventProcessor*> processors_;

@@ -1,8 +1,7 @@
-// Static-analysis (QueryAnalysis::Lint / ExplainPlacement) tests: one
-// pinned positive per diagnostic code, the corpus-stays-clean gate, the
-// placement-matches-scheduler check, the engine/session rejection paths,
-// and a no-false-positive property harness over generated satisfiable
-// queries.
+// Static-analysis (QueryAnalysis::Lint) tests: one pinned positive per
+// diagnostic code, the corpus-stays-clean gate, the engine/session
+// rejection paths, and a no-false-positive property harness over
+// generated satisfiable queries.
 
 #include <random>
 #include <sstream>
@@ -242,42 +241,8 @@ TEST(AnalysisLintTest, SA021ConstantAlertCondition) {
   EXPECT_EQ(d->severity, Severity::kHint);
 }
 
-TEST(AnalysisLintTest, SA030PlacementNoteOnEveryQuery) {
-  auto diags = Lint("proc p write ip i as e return p");
-  const Diagnostic* d = Find(diags, "SA030");
-  ASSERT_NE(d, nullptr) << Render(diags);
-  EXPECT_EQ(d->severity, Severity::kNote);
-  EXPECT_NE(d->message.find("partitionable"), std::string::npos);
-}
-
-TEST(AnalysisLintTest, SA031PartitionableJoinKey) {
-  // p1 is the *subject* of both patterns: every contributing event shares
-  // p1's (agent, pid) partition, so the join could run sharded.
-  auto diags = Lint(
-      "proc p1[\"%x.exe\"] write file f1 as e1\n"
-      "proc p1 read ip i1 as e2\n"
-      "with e1 -> e2\n"
-      "return distinct p1");
-  const Diagnostic* d = Find(diags, "SA031");
-  ASSERT_NE(d, nullptr) << Render(diags);
-  EXPECT_EQ(d->severity, Severity::kNote);
-  EXPECT_NE(d->message.find("'p1'"), std::string::npos);
-  EXPECT_NE(d->message.find("eligible"), std::string::npos);
-}
-
-TEST(AnalysisLintTest, SA031NonPartitionableJoin) {
-  // r1-style join: the two patterns bind different subjects, so there is
-  // no common partition key.
-  auto diags = Lint(ReadQueryFile("apt/r1_initial_compromise.saql"));
-  const Diagnostic* d = Find(diags, "SA031");
-  ASSERT_NE(d, nullptr) << Render(diags);
-  EXPECT_NE(d->message.find("no variable is the subject of every pattern"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
-// Corpus gates: every checked-in query stays clean, and the rendered
-// placement matches what the scheduler actually does.
+// Corpus gates: every checked-in query stays clean.
 // ---------------------------------------------------------------------------
 
 TEST(AnalysisCorpusTest, AllCorpusQueriesLintWithoutErrorsOrWarnings) {
@@ -289,8 +254,6 @@ TEST(AnalysisCorpusTest, AllCorpusQueriesLintWithoutErrorsOrWarnings) {
         << file << "\n" << Render(diags);
     EXPECT_EQ(CountSeverity(diags, Severity::kWarning), 0u)
         << file << "\n" << Render(diags);
-    // The placement note is always present.
-    EXPECT_NE(Find(diags, "SA030"), nullptr) << file;
   }
 }
 
@@ -324,51 +287,6 @@ TEST(AnalysisCorpusTest, FixturePairDrawsSA050) {
   ASSERT_EQ(report.relations.size(), 1u) << report.ToString();
   EXPECT_EQ(report.relations[0].kind, FleetRelation::Kind::kDuplicate);
   EXPECT_NE(Find(report.findings[1], "SA050"), nullptr);
-}
-
-TEST(AnalysisCorpusTest, ExplainPlacementMatchesSchedulerForEveryQuery) {
-  for (const char* file : kCorpusFiles) {
-    auto q = CompileQuery(ReadQueryFile(file), file);
-    ASSERT_NE(q, nullptr) << file;
-    PlacementRationale r = QueryAnalysis::ExplainPlacement(*q);
-    EXPECT_EQ(r.mode, q->shard_mode()) << file;
-    EXPECT_FALSE(r.reason.empty()) << file;
-    EXPECT_EQ(r.is_join, q->analyzed().query->patterns.size() > 1) << file;
-  }
-}
-
-TEST(AnalysisCorpusTest, PlacementModesPinned) {
-  auto rule = CompileQuery(ReadQueryFile("query1_rule.saql"), "q1");
-  ASSERT_NE(rule, nullptr);
-  EXPECT_EQ(QueryAnalysis::ExplainPlacement(*rule).mode,
-            CompiledQuery::ShardMode::kGlobal);
-  EXPECT_FALSE(QueryAnalysis::ExplainPlacement(*rule).join_partitionable);
-
-  auto agg = CompileQuery(ReadQueryFile("query2_timeseries.saql"), "q2");
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(QueryAnalysis::ExplainPlacement(*agg).mode,
-            CompiledQuery::ShardMode::kPartitionableWithMerge);
-
-  auto filter =
-      CompileQuery("proc p[\"%cmd.exe\"] write file f as e return p", "f");
-  ASSERT_NE(filter, nullptr);
-  EXPECT_EQ(QueryAnalysis::ExplainPlacement(*filter).mode,
-            CompiledQuery::ShardMode::kPartitionable);
-}
-
-TEST(AnalysisCorpusTest, PartitionableJoinRationaleNamesTheKey) {
-  auto join = CompileQuery(
-      "proc p1[\"%x.exe\"] write file f1 as e1\n"
-      "proc p1 read ip i1 as e2\n"
-      "with e1 -> e2\n"
-      "return distinct p1",
-      "join");
-  ASSERT_NE(join, nullptr);
-  PlacementRationale r = QueryAnalysis::ExplainPlacement(*join);
-  EXPECT_EQ(r.mode, CompiledQuery::ShardMode::kGlobal);  // today's scheduler
-  EXPECT_TRUE(r.is_join);
-  EXPECT_TRUE(r.join_partitionable);
-  EXPECT_EQ(r.join_key_var, "p1");
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +361,6 @@ TEST(AnalysisEnforcementTest, WarningsAttachToQueryHandle) {
   ASSERT_TRUE(handle.ok()) << handle.status();
   const std::vector<Diagnostic>& attached = (*handle)->diagnostics();
   EXPECT_NE(Find(attached, "SA003"), nullptr) << Render(attached);
-  EXPECT_NE(Find(attached, "SA030"), nullptr) << Render(attached);
   EXPECT_FALSE(HasErrors(attached));
   EXPECT_TRUE((*session)->Close().ok());
 }

@@ -93,11 +93,12 @@ TEST(QueryShellTest, LintCommandReportsDiagnostics) {
   ShellHarness h;
   std::string out = h.Run("lint");
   EXPECT_NE(out.find("usage: lint"), std::string::npos);
-  // Corpus file: clean except the placement note.
+  // Corpus file: clean.
   std::string path = std::string(SAQL_QUERY_DIR) + "/query1_rule.saql";
   out = h.Run("lint " + path);
-  EXPECT_NE(out.find("SA030"), std::string::npos);
-  EXPECT_NE(out.find("0 error(s), 0 warning(s)"), std::string::npos);
+  EXPECT_NE(out.find("0 error(s), 0 warning(s), 0 note(s)"),
+            std::string::npos)
+      << out;
   EXPECT_NE(h.Run("lint /no/such.saql").find("cannot open"),
             std::string::npos);
 }
@@ -123,29 +124,31 @@ TEST(QueryShellTest, LintAndExplainPinTheirLines) {
                       0),
             0u)
       << out;
-  EXPECT_NE(out.find("\n  0 error(s), 1 warning(s), 1 note(s)\n"),
+  EXPECT_NE(out.find("\n  0 error(s), 1 warning(s), 0 note(s)\n"),
             std::string::npos)
       << out;
   out = h.Run("explain x");
-  EXPECT_EQ(out.rfind("placement: partitionable", 0), 0u) << out;
-  EXPECT_NE(out.find("\nfindings:\n  warning SA041 at 1:14-20: "),
+  EXPECT_EQ(out.rfind("  warning SA041 at 1:14-20: unused pattern "
+                      "variable 'f'",
+                      0),
+            0u)
+      << out;
+  EXPECT_NE(out.find("\n  0 error(s), 1 warning(s), 0 note(s)\n"),
             std::string::npos)
       << out;
 }
 
-TEST(QueryShellTest, ExplainShowsPlacementRationale) {
+// `explain` prints one registered query's lint findings.
+TEST(QueryShellTest, ExplainShowsLintFindings) {
   ShellHarness h;
   EXPECT_NE(h.Run("explain nothere").find("no query named"),
             std::string::npos);
   h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
         "return distinct p, i");
-  std::string out = h.Run("explain exfil");
-  EXPECT_NE(out.find("placement: partitionable"), std::string::npos);
+  EXPECT_EQ(h.Run("explain exfil"), "  0 error(s), 0 warning(s), 0 note(s)\n");
   std::string path = std::string(SAQL_QUERY_DIR) + "/query1_rule.saql";
   h.Run("load " + path + " q1");
-  out = h.Run("explain q1");
-  EXPECT_NE(out.find("placement: global"), std::string::npos);
-  EXPECT_NE(out.find("join-key analysis"), std::string::npos);
+  EXPECT_EQ(h.Run("explain q1"), "  0 error(s), 0 warning(s), 0 note(s)\n");
 }
 
 TEST(QueryShellTest, HelpListsLintFleetAndExplain) {
@@ -236,6 +239,11 @@ TEST(QueryShellTest, RecordAndReplayRoundTrip) {
         "return p");
   out = h.Run("replay " + log);
   EXPECT_NE(out.find("run complete"), std::string::npos);
+  // A flag is not a host name: `replay` refuses it instead of replaying
+  // nothing.
+  out = h.Run("replay " + log + " --shards=2");
+  EXPECT_NE(out.find("unknown flag '--shards=2'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("run complete"), std::string::npos) << out;
 }
 
 TEST(QueryShellTest, QuitStopsLoop) {
@@ -267,7 +275,8 @@ TEST(QueryShellLiveTest, FullLifecycleScript) {
         "return distinct p, i");
 
   std::string out = h.Run("open");
-  EXPECT_NE(out.find("session open"), std::string::npos);
+  EXPECT_NE(out.find("session open with 1 query (#1)"), std::string::npos)
+      << out;
   EXPECT_TRUE(h.shell().session_open());
 
   // A second concurrent open succeeds, becomes current, and closes
@@ -323,23 +332,12 @@ TEST(QueryShellLiveTest, FullLifecycleScript) {
   EXPECT_NE(out.find("exfil:"), std::string::npos);
 }
 
-TEST(QueryShellLiveTest, ShardedSessionViaFlag) {
-  ShellHarness h;
-  h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
-        "return distinct p, i");
-  std::string out = h.Run("open --shards=2");
-  EXPECT_NE(out.find("2 shard lanes"), std::string::npos);
-  out = h.Run("push 16");
-  EXPECT_NE(out.find("ALERT exfil"), std::string::npos);
-  EXPECT_NE(h.Run("close").find("session closed"), std::string::npos);
-}
-
 TEST(QueryShellLiveTest, SessionAddressingTargetsById) {
   ShellHarness h;
   h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
         "return distinct p, i");
   h.Run("open");
-  h.Run("open --shards=2");
+  h.Run("open");
   EXPECT_EQ(h.shell().open_session_count(), 2u);
 
   // Explicit #1 pushes into the first session and selects it as current.
@@ -407,57 +405,24 @@ TEST(QueryShellLiveTest, AddWithWarningPrintsFindingAndAttaches) {
   h.Run("close");
 }
 
-// The settings satellite: `shards`/`index` changed while a live session
-// runs must say they do not reconfigure it — and say when they do apply.
-TEST(QueryShellLiveTest, ShardsAndIndexReportAgainstLiveSession) {
+// `index` changed while a live session runs must say it does not
+// reconfigure it — and say when it does apply.
+TEST(QueryShellLiveTest, IndexReportsAgainstLiveSession) {
   ShellHarness h;
   h.Run("query q proc p write ip i as e return p");
 
   // No session: the report says the setting applies to the next run.
-  std::string out = h.Run("shards 2");
-  EXPECT_NE(out.find("applies to the next"), std::string::npos);
-  out = h.Run("index off");
+  std::string out = h.Run("index off");
   EXPECT_NE(out.find("applies to the next"), std::string::npos);
   h.Run("index on");
 
   h.Run("open");
   ASSERT_TRUE(h.shell().session_open());
-  out = h.Run("shards 4");
-  EXPECT_NE(out.find("open sessions keep their lane counts"),
-            std::string::npos);
-  EXPECT_EQ(h.shell().num_shards(), 4u);  // setting recorded nonetheless
   out = h.Run("index off");
   EXPECT_NE(out.find("live session keeps its member-matching mode"),
             std::string::npos);
   EXPECT_FALSE(h.shell().member_index());
   h.Run("close");
-}
-
-// A lane count beyond what a session runs is clamped to
-// ShardedStreamExecutor::kMaxShards with a note, so the shell never
-// reports lanes the session does not have.
-TEST(QueryShellLiveTest, ShardCountsClampToMaxLanes) {
-  ShellHarness h;
-  h.Run("query q proc p write ip i as e return p");
-  std::string out = h.Run("shards 5000");
-  EXPECT_NE(out.find("note: 5000 shard lanes exceed the maximum of 256"),
-            std::string::npos)
-      << out;
-  EXPECT_EQ(h.shell().num_shards(), 256u);
-
-  h.Run("shards 1");
-  out = h.Run("open --shards=1000");
-  EXPECT_NE(out.find("note: 1000 shard lanes exceed the maximum of 256"),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("session open on 256 shard lanes"), std::string::npos)
-      << out;
-  EXPECT_NE(h.Run("session").find("256 shard lanes"), std::string::npos);
-  EXPECT_EQ(h.shell().num_shards(), 1u);  // the flag is per-open only
-  h.Run("close");
-
-  h.shell().SetNumShards(1000);  // the saql_shell --shards=N flag
-  EXPECT_EQ(h.shell().num_shards(), 256u);
 }
 
 TEST(QueryShellLiveTest, LoadDuringSessionPointsAtAdd) {

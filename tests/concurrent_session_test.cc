@@ -66,7 +66,6 @@ const EventBatch& SimCorpus() {
 /// One session's deterministic drive schedule and its observed output.
 struct SessionRun {
   // Schedule.
-  size_t shards = 1;        ///< SessionOptions::num_shards
   size_t push_size = 512;   ///< events per Push
   size_t watermark_every = 1;
   size_t stop_after = 0;    ///< 0 = whole corpus; else close mid-run
@@ -85,7 +84,6 @@ struct SessionRun {
 void DriveSession(SaqlEngine* engine, const EventBatch& events,
                   SessionRun* run) {
   SessionOptions sopts;
-  sopts.num_shards = run->shards;
   sopts.alert_sink = [run](const Alert& a) {
     run->alerts.push_back(a.ToString());
   };
@@ -159,14 +157,13 @@ std::unique_ptr<SaqlEngine> MakeEngine(SaqlEngine::Options opts) {
 
 TEST(ConcurrentSessionTest, ParallelSessionsMatchSoloRuns) {
   const EventBatch& events = SimCorpus();
-  // Mixed tenancy: different lane counts, push splits, and watermark
-  // cadences per session; one session closes mid-run.
+  // Mixed tenancy: different push splits and watermark cadences per
+  // session; one session closes mid-run.
   std::vector<SessionRun> schedules = {
-      {.shards = 1, .push_size = 257, .watermark_every = 1},
-      {.shards = 2, .push_size = 512, .watermark_every = 2},
-      {.shards = 4, .push_size = 1024, .watermark_every = 1},
-      {.shards = 2,
-       .push_size = 333,
+      {.push_size = 257, .watermark_every = 1},
+      {.push_size = 512, .watermark_every = 2},
+      {.push_size = 1024, .watermark_every = 1},
+      {.push_size = 333,
        .watermark_every = 3,
        .stop_after = events.size() / 2},
   };
@@ -214,7 +211,6 @@ TEST(ConcurrentSessionTest, DynamicChurnStaysSessionLocal) {
 
   auto drive_churn = [&events](SaqlEngine* engine, SessionRun* run) {
     SessionOptions sopts;
-    sopts.num_shards = run->shards;
     sopts.alert_sink = [run](const Alert& a) {
       run->alerts.push_back(a.ToString());
     };
@@ -255,13 +251,13 @@ TEST(ConcurrentSessionTest, DynamicChurnStaysSessionLocal) {
   };
 
   // Solo references.
-  SessionRun churn_solo{.shards = 2};
+  SessionRun churn_solo;
   {
     auto engine = MakeEngine(SaqlEngine::Options{});
     drive_churn(engine.get(), &churn_solo);
     ASSERT_TRUE(churn_solo.status.ok()) << churn_solo.status;
   }
-  SessionRun plain_solo{.shards = 1, .push_size = 400, .watermark_every = 2};
+  SessionRun plain_solo{.push_size = 400, .watermark_every = 2};
   {
     auto engine = MakeEngine(SaqlEngine::Options{});
     DriveSession(engine.get(), events, &plain_solo);
@@ -270,8 +266,8 @@ TEST(ConcurrentSessionTest, DynamicChurnStaysSessionLocal) {
 
   // Concurrently: the churning session + a plain session.
   auto engine = MakeEngine(SaqlEngine::Options{});
-  SessionRun churn_got{.shards = 2};
-  SessionRun plain_got{.shards = 1, .push_size = 400, .watermark_every = 2};
+  SessionRun churn_got;
+  SessionRun plain_got{.push_size = 400, .watermark_every = 2};
   {
     std::thread a([&] { drive_churn(engine.get(), &churn_got); });
     std::thread b([&] { DriveSession(engine.get(), events, &plain_got); });
@@ -292,9 +288,9 @@ TEST(ConcurrentSessionTest, ForcedMidStreamRotationPreservesAlerts) {
 
   // References: no rotation policy at all.
   std::vector<SessionRun> schedules = {
-      {.shards = 1, .push_size = 512, .watermark_every = 1},
-      {.shards = 2, .push_size = 512, .watermark_every = 1},
-      {.shards = 4, .push_size = 777, .watermark_every = 2},
+      {.push_size = 512, .watermark_every = 1},
+      {.push_size = 640, .watermark_every = 1},
+      {.push_size = 777, .watermark_every = 2},
   };
   std::vector<SessionRun> solo = schedules;
   for (SessionRun& run : solo) {

@@ -6,9 +6,8 @@
 //   - the per-event member *set* (which members' full conjunctions pass),
 //   - every member's QueryStats transitions, and
 //   - the emitted alert sequence,
-// across ≥1000 generated cases, and end-to-end through `SaqlEngine` —
-// including the sharded pipeline at 1/2/4 lanes — on a sampled subset
-// plus the full checked-in query corpus.
+// across ≥1000 generated cases, and end-to-end through `SaqlEngine` on a
+// sampled subset plus the full checked-in query corpus.
 
 #include "engine/constraint_index.h"
 
@@ -375,14 +374,13 @@ TEST(ConstraintIndexDiffTest, MemberSetsMatchBruteForcePerEvent) {
 }
 
 // ---------------------------------------------------------------------------
-// Part B: engine-level differential, including the sharded pipeline.
+// Part B: engine-level differential.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> RunEngineCase(const GeneratedCase& c,
-                                       bool member_index, size_t shards) {
+                                       bool member_index) {
   SaqlEngine::Options opts;
   opts.enable_member_index = member_index;
-  opts.num_shards = shards;
   SaqlEngine engine(opts);
   for (size_t i = 0; i < c.queries.size(); ++i) {
     Status st = engine.AddQuery(c.queries[i], "q" + std::to_string(i));
@@ -393,27 +391,22 @@ std::vector<std::string> RunEngineCase(const GeneratedCase& c,
   EXPECT_TRUE(st.ok()) << st;
   std::vector<std::string> alerts;
   for (const Alert& a : engine.alerts()) alerts.push_back(a.ToString());
-  std::sort(alerts.begin(), alerts.end());
   return alerts;
 }
 
-TEST(ConstraintIndexDiffTest, EngineLevelIncludingShards) {
+TEST(ConstraintIndexDiffTest, EngineLevel) {
   uint64_t total_alerts = 0;
   for (uint64_t seed = 3000; seed < 3060; ++seed) {
     GeneratedCase c = MakeCase(seed);
-    std::vector<std::string> brute = RunEngineCase(c, false, 1);
-    ASSERT_EQ(RunEngineCase(c, true, 1), brute) << "seed " << seed;
-    ASSERT_EQ(RunEngineCase(c, true, 2), brute)
-        << "seed " << seed << " (2 shards)";
-    ASSERT_EQ(RunEngineCase(c, true, 4), brute)
-        << "seed " << seed << " (4 shards)";
+    std::vector<std::string> brute = RunEngineCase(c, false);
+    ASSERT_EQ(RunEngineCase(c, true), brute) << "seed " << seed;
     total_alerts += brute.size();
   }
   EXPECT_GT(total_alerts, 50u);
 }
 
 // ---------------------------------------------------------------------------
-// Checked-in corpus differential at 1 and 4 shards.
+// Checked-in corpus differential.
 // ---------------------------------------------------------------------------
 
 const char* const kCorpusQueries[][2] = {
@@ -430,7 +423,7 @@ const char* const kCorpusQueries[][2] = {
     {"a8-outlier-dbscan", "apt/a8_outlier_dbscan.saql"},
 };
 
-std::vector<std::string> RunCorpus(bool member_index, size_t shards) {
+std::vector<std::string> RunCorpus(bool member_index) {
   EnterpriseSimulator::Options sopts;
   sopts.num_workstations = 2;
   sopts.duration = 15 * kMinute;
@@ -443,7 +436,6 @@ std::vector<std::string> RunCorpus(bool member_index, size_t shards) {
 
   SaqlEngine::Options eopts;
   eopts.enable_member_index = member_index;
-  eopts.num_shards = shards;
   SaqlEngine engine(eopts);
   for (const auto& [name, file] : kCorpusQueries) {
     Status st = engine.AddQuery(testing::ReadQueryFile(file), name);
@@ -454,16 +446,13 @@ std::vector<std::string> RunCorpus(bool member_index, size_t shards) {
   EXPECT_EQ(engine.errors().ToString(), "(no errors)");
   std::vector<std::string> alerts;
   for (const Alert& a : engine.alerts()) alerts.push_back(a.ToString());
-  std::sort(alerts.begin(), alerts.end());
   return alerts;
 }
 
-TEST(ConstraintIndexDiffTest, CheckedInCorpusIndexOnOffOneAndFourShards) {
-  std::vector<std::string> baseline = RunCorpus(false, 1);
+TEST(ConstraintIndexDiffTest, CheckedInCorpusIndexOnOff) {
+  std::vector<std::string> baseline = RunCorpus(false);
   EXPECT_FALSE(baseline.empty());
-  EXPECT_EQ(RunCorpus(true, 1), baseline);
-  EXPECT_EQ(RunCorpus(true, 4), baseline);
-  EXPECT_EQ(RunCorpus(false, 4), baseline);
+  EXPECT_EQ(RunCorpus(true), baseline);
 }
 
 }  // namespace

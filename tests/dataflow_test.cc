@@ -324,15 +324,6 @@ TEST(GoldenSpanTest, EveryPerQueryCodePinsItsSpan) {
        "alert 2 > 1\n"
        "return p",
        4, 7, 4, 12},
-      // SA030 anchors the first event pattern.
-      {"SA030", "proc p write ip as e\nreturn p", 1, 1, 1, 21},
-      // SA031 anchors the first event pattern of the join.
-      {"SA031",
-       "proc p1[\"%x.exe\"] write file f1[\"%.log\"] as e1\n"
-       "proc p1 read ip as e2\n"
-       "with e1 -> e2\n"
-       "return distinct p1",
-       1, 1, 1, 47},
       // SA040 (expression form) anchors the comparison node.
       {"SA040",
        "proc p write ip i as evt\n"

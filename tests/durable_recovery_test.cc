@@ -10,9 +10,9 @@
 //   none    — durability only at segment/close barriers.
 //
 // The differential half of the matrix replays each recovered stream
-// through the engine at 1/2/4 shards and requires the alert sequence to
-// be identical to an uncrashed run over the same prefix — recovery must
-// be invisible to queries.
+// through the engine and requires the alert sequence to be identical to
+// an uncrashed run over the same prefix — recovery must be invisible to
+// queries.
 
 #include <algorithm>
 #include <cstdint>
@@ -109,16 +109,11 @@ constexpr char kSumQuery[] =
     "state ss { amt := sum(e.amount) } group by p "
     "alert ss.amt > 0 return p, ss.amt";
 
-/// Runs the two standing queries over `events` at `shards` lanes —
-/// pushed in chunks with the watermark advanced between them — and
-/// returns the rendered alerts, sorted. (Sorted because the comparison
-/// contract is multiset equality: a single-shard session emits match
-/// alerts inline during Push, sharded sessions release them in global
-/// (ts, query, group) order — same alerts, different interleaving.)
-std::vector<std::string> AlertsFor(const EventBatch& events, size_t shards) {
-  SaqlEngine::Options opts;
-  opts.num_shards = shards;
-  SaqlEngine engine(opts);
+/// Runs the two standing queries over `events` — pushed in chunks with
+/// the watermark advanced between them — and returns the rendered alerts
+/// in emission order.
+std::vector<std::string> AlertsFor(const EventBatch& events) {
+  SaqlEngine engine;
   EXPECT_TRUE(engine.AddQuery(kExfilQuery, "exfil").ok());
   EXPECT_TRUE(engine.AddQuery(kSumQuery, "sum").ok());
   auto session = engine.OpenSession();
@@ -134,7 +129,6 @@ std::vector<std::string> AlertsFor(const EventBatch& events, size_t shards) {
   std::vector<std::string> out;
   out.reserve(engine.alerts().size());
   for (const Alert& a : engine.alerts()) out.push_back(a.ToString());
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -384,8 +378,7 @@ TEST(DurableSessionTest, StaleWalDegradesRecordingUnlessForced) {
 // The crash matrix (tentpole acceptance): kill the pipeline at every
 // trip point under sync=always, recover, and check both halves of the
 // contract — no acked event lost, and the recovered stream replays
-// through the engine (1/2/4 shards) exactly like an uncrashed run over
-// the same prefix.
+// through the engine exactly like an uncrashed run over the same prefix.
 
 struct CrashCase {
   std::string name;
@@ -462,16 +455,12 @@ TEST(DurableRecoveryTest, CrashMatrixRecoversAckedPrefixAtEveryTripPoint) {
     EXPECT_GE(rec->events.size(), crash.durable);
 
     // Differential replay: the recovered stream must be
-    // indistinguishable from the never-crashed prefix, at every shard
-    // count.
+    // indistinguishable from the never-crashed prefix.
     EventBatch prefix(corpus.begin(),
                       corpus.begin() + static_cast<long>(rec->events.size()));
-    const std::vector<std::string> want = AlertsFor(prefix, 1);
+    const std::vector<std::string> want = AlertsFor(prefix);
     EXPECT_FALSE(want.empty());
-    for (size_t shards : {1u, 2u, 4u}) {
-      EXPECT_EQ(AlertsFor(rec->events, shards), want)
-          << c.name << " shards=" << shards;
-    }
+    EXPECT_EQ(AlertsFor(rec->events), want) << c.name;
   }
 }
 
@@ -534,8 +523,8 @@ TEST(DurableRecoveryTest, CompactionRewritesCrashedLogAsPureColumnar) {
 // (4096) and checks the chunking. Per batch size and crash point: a torn
 // record drops exactly its chunk, `always` recovers at least the acked
 // events and at most the failing call's events more (one chunk when
-// n <= segment_events), and the recovered stream alerts at 1/2/4 shards
-// exactly like the uncrashed prefix.
+// n <= segment_events), and the recovered stream alerts exactly like the
+// uncrashed prefix.
 TEST(DurableRecoveryTest, BatchedAppendCrashMatrix) {
   const EventBatch corpus = Corpus(16000);
   constexpr size_t kSegmentEvents = 4096;
@@ -590,11 +579,7 @@ TEST(DurableRecoveryTest, BatchedAppendCrashMatrix) {
       if (rec->events.empty()) continue;
       EventBatch prefix(corpus.begin(),
                         corpus.begin() + static_cast<long>(rec->events.size()));
-      const std::vector<std::string> want = AlertsFor(prefix, 1);
-      for (size_t shards : {1u, 2u, 4u}) {
-        EXPECT_EQ(AlertsFor(rec->events, shards), want)
-            << label << " shards=" << shards;
-      }
+      EXPECT_EQ(AlertsFor(rec->events), AlertsFor(prefix)) << label;
     }
   }
 }
@@ -660,47 +645,42 @@ TEST(DurableLogTest, BatchLargerThanQueueCapacityNeverDeadlocks) {
 
 TEST(DurableSessionTest, RecordingSessionPersistsPushedEvents) {
   const EventBatch corpus = Corpus(12000);
-  // Push sizes below, at and above `segment_events` (4096), direct and
-  // sharded: a whole Push is one recorded batch.
-  for (size_t shards : {1u, 2u}) {
-    for (size_t push : {1u, 7u, 256u, 5000u}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " push=" + std::to_string(push);
-      SCOPED_TRACE(label);
-      const size_t n = push == 1 ? 1200 : corpus.size();
-      std::string path = TestDir("session_record") + "/log";
-      SaqlEngine::Options opts;
-      opts.num_shards = shards;
-      opts.record_path = path;
-      opts.record_sync = ParseSyncPolicy("group").value();
-      SaqlEngine engine(opts);
-      ASSERT_TRUE(engine.AddQuery(kExfilQuery, "exfil").ok());
-      auto session = engine.OpenSession();
-      ASSERT_TRUE(session.ok()) << session.status();
-      EventBatch copy(corpus.begin(), corpus.begin() + static_cast<long>(n));
-      for (size_t off = 0; off < n; off += push) {
-        ASSERT_TRUE(
-            (*session)->Push(copy.data() + off, std::min(push, n - off))
-                .ok());
-      }
-      EXPECT_TRUE((*session)->recording_status().ok());
-      EXPECT_EQ((*session)->recorded_events(), n);
-      ASSERT_TRUE((*session)->Close().ok());
-      EXPECT_EQ((*session)->durable_events(), n);
-
-      // The recording is the stream: replayable, field-identical.
-      auto direct = ReadColumnarEventLog(path);
-      ASSERT_TRUE(direct.ok()) << direct.status();
-      ASSERT_EQ(direct->size(), n);
-      ExpectIsCorpusPrefix(*direct, corpus, label);
-      EXPECT_TRUE(WalFilesNextTo(path).empty());
+  // Push sizes below, at and above `segment_events` (4096): a whole Push
+  // is one recorded batch.
+  for (size_t push : {1u, 7u, 256u, 5000u}) {
+    const std::string label = "push=" + std::to_string(push);
+    SCOPED_TRACE(label);
+    const size_t n = push == 1 ? 1200 : corpus.size();
+    std::string path = TestDir("session_record") + "/log";
+    SaqlEngine::Options opts;
+    opts.record_path = path;
+    opts.record_sync = ParseSyncPolicy("group").value();
+    SaqlEngine engine(opts);
+    ASSERT_TRUE(engine.AddQuery(kExfilQuery, "exfil").ok());
+    auto session = engine.OpenSession();
+    ASSERT_TRUE(session.ok()) << session.status();
+    EventBatch copy(corpus.begin(), corpus.begin() + static_cast<long>(n));
+    for (size_t off = 0; off < n; off += push) {
+      ASSERT_TRUE(
+          (*session)->Push(copy.data() + off, std::min(push, n - off)).ok());
     }
+    EXPECT_TRUE((*session)->recording_status().ok());
+    EXPECT_EQ((*session)->recorded_events(), n);
+    ASSERT_TRUE((*session)->Close().ok());
+    EXPECT_EQ((*session)->durable_events(), n);
+
+    // The recording is the stream: replayable, field-identical.
+    auto direct = ReadColumnarEventLog(path);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_EQ(direct->size(), n);
+    ExpectIsCorpusPrefix(*direct, corpus, label);
+    EXPECT_TRUE(WalFilesNextTo(path).empty());
   }
 }
 
 TEST(DurableSessionTest, RecordingFailureDegradesGracefully) {
   const EventBatch corpus = Corpus(2000);
-  const std::vector<std::string> want = AlertsFor(corpus, 1);
+  const std::vector<std::string> want = AlertsFor(corpus);
   ASSERT_FALSE(want.empty());
 
   FaultInjectionFileBackend fs;
@@ -732,7 +712,6 @@ TEST(DurableSessionTest, RecordingFailureDegradesGracefully) {
   std::vector<std::string> got;
   got.reserve(engine.alerts().size());
   for (const Alert& a : engine.alerts()) got.push_back(a.ToString());
-  std::sort(got.begin(), got.end());
   EXPECT_EQ(got, want);
 }
 

@@ -3,7 +3,7 @@
 // differential soundness harness — the analyzer's cross-query claims are
 // *executable*, so every claimed relation is checked against the engine:
 // SA050 pairs must raise identical alert multisets and SA051 pairs must
-// raise a subset, over randomized streams at 1 and 4 shards. A single
+// raise a subset, over randomized streams. A single
 // counterexample means the canonicalizer is unsound, not merely noisy.
 
 #include <algorithm>
@@ -335,7 +335,7 @@ TEST(FleetAnalysisTest, EngineCooldownDisablesSubsumptionOnly) {
 // construction (constraint dropping, pattern widening, op widening,
 // numeric-bound loosening), and unrelated controls — asserts the analyzer
 // claims exactly the constructed relation, then executes every claimed
-// pair over a randomized event stream at 1 and 4 shards and checks the
+// pair over a randomized event stream and checks the
 // semantic contract the diagnostic text promises:
 //
 //   SA050  identical alert multisets, keyed (ts, group, values)
@@ -480,10 +480,8 @@ EventBatch RandomStream(std::mt19937* rng, size_t n) {
 /// Runs both queries of a pair over `stream` and returns the two keyed
 /// alert multisets (sorted), labels excluded.
 std::pair<std::vector<std::string>, std::vector<std::string>> RunPair(
-    const GenPair& pair, const EventBatch& stream, size_t shards) {
-  SaqlEngine::Options opts;
-  opts.num_shards = shards;
-  SaqlEngine engine(opts);
+    const GenPair& pair, const EventBatch& stream) {
+  SaqlEngine engine;
   EXPECT_TRUE(engine.AddQuery(pair.a, "qa").ok()) << pair.a;
   EXPECT_TRUE(engine.AddQuery(pair.b, "qb").ok()) << pair.b;
   VectorEventSource source(stream);
@@ -530,26 +528,23 @@ TEST(FleetDifferentialTest, ClaimedRelationsHoldUnderExecution) {
       EXPECT_EQ(report.relations[0].a, 0u);  // tight side is subsumed
     }
 
-    // 2. The claim must hold on a real stream, at 1 and at 4 shards.
+    // 2. The claim must hold on a real stream.
     EventBatch stream = RandomStream(&rng, 250);
-    for (size_t shards : {1u, 4u}) {
-      auto [ka, kb] = RunPair(pair, stream, shards);
-      if (pair.kind == GenPair::kDuplicate) {
-        EXPECT_EQ(ka, kb) << "duplicate pair diverged at " << shards
-                          << " shard(s)";
-      } else {
-        EXPECT_TRUE(std::includes(kb.begin(), kb.end(), ka.begin(), ka.end()))
-            << "tight query alerted outside the wide query at " << shards
-            << " shard(s): |tight|=" << ka.size() << " |wide|=" << kb.size();
-      }
-      if (!ka.empty() || !kb.empty()) ++alerting_pairs;
+    auto [ka, kb] = RunPair(pair, stream);
+    if (pair.kind == GenPair::kDuplicate) {
+      EXPECT_EQ(ka, kb) << "duplicate pair diverged";
+    } else {
+      EXPECT_TRUE(std::includes(kb.begin(), kb.end(), ka.begin(), ka.end()))
+          << "tight query alerted outside the wide query: |tight|="
+          << ka.size() << " |wide|=" << kb.size();
     }
+    if (!ka.empty() || !kb.empty()) ++alerting_pairs;
     ++executed;
   }
   // The harness is only meaningful if the claims were actually exercised:
   // every claimed pair ran, and a healthy fraction produced alerts.
   EXPECT_EQ(executed, 220u);
-  EXPECT_GT(alerting_pairs, 100u);
+  EXPECT_GT(alerting_pairs, 50u);
 }
 
 

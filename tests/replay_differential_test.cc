@@ -3,7 +3,7 @@
 // stream comes from memory (VectorEventSource), a log recorded through
 // the durable WAL pipeline (pushed batches merged into segments), a v2
 // columnar log written directly (mmap'd zero-copy blocks), or a v2 log
-// read buffered — at 1, 2, and 4 shards.
+// read buffered.
 
 #include <algorithm>
 #include <memory>
@@ -68,10 +68,8 @@ void RecordDurable(const std::string& path, const EventBatch& corpus) {
 
 /// Runs the full corpus over `source`; returns the alert sequence (Run's
 /// deterministic output order) plus per-query stats lines.
-std::vector<std::string> RunEngineOver(EventSource* source, size_t shards) {
-  SaqlEngine::Options eopts;
-  eopts.num_shards = shards;
-  SaqlEngine engine(eopts);
+std::vector<std::string> RunEngineOver(EventSource* source) {
+  SaqlEngine engine;
   for (const auto& [name, file] : kCorpusQueries) {
     Status st = engine.AddQuery(testing::ReadQueryFile(file), name);
     EXPECT_TRUE(st.ok()) << name << ": " << st;
@@ -90,7 +88,7 @@ std::vector<std::string> RunEngineOver(EventSource* source, size_t shards) {
   return out;
 }
 
-TEST(ReplayDifferentialTest, AllFormatsAllShardCountsBitIdentical) {
+TEST(ReplayDifferentialTest, AllFormatsBitIdentical) {
   EventBatch corpus = Corpus();
   std::string recorded_path = TempPath("diff_recorded.saqllog");
   std::string v2_path = TempPath("diff_v2.saqllog");
@@ -99,31 +97,28 @@ TEST(ReplayDifferentialTest, AllFormatsAllShardCountsBitIdentical) {
   wopts.segment_events = 2048;  // several segments over this corpus
   ASSERT_TRUE(WriteColumnarEventLog(v2_path, corpus, wopts).ok());
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
-    VectorEventSource vec(corpus);
-    std::vector<std::string> baseline = RunEngineOver(&vec, shards);
-    ASSERT_FALSE(baseline.empty());
+  VectorEventSource vec(corpus);
+  std::vector<std::string> baseline = RunEngineOver(&vec);
+  ASSERT_FALSE(baseline.empty());
 
-    StreamReplayer recorded(recorded_path, StreamReplayer::Filter{});
-    ASSERT_TRUE(recorded.status().ok());
-    ASSERT_EQ(recorded.format_version(), 2);
-    EXPECT_EQ(RunEngineOver(&recorded, shards), baseline) << "recorded log";
-    EXPECT_EQ(recorded.replayed(), corpus.size());
+  StreamReplayer recorded(recorded_path, StreamReplayer::Filter{});
+  ASSERT_TRUE(recorded.status().ok());
+  ASSERT_EQ(recorded.format_version(), 2);
+  EXPECT_EQ(RunEngineOver(&recorded), baseline) << "recorded log";
+  EXPECT_EQ(recorded.replayed(), corpus.size());
 
-    StreamReplayer::Filter mmap_filter;
-    StreamReplayer v2(v2_path, mmap_filter);
-    ASSERT_TRUE(v2.status().ok());
-    ASSERT_EQ(v2.format_version(), 2);
-    EXPECT_EQ(RunEngineOver(&v2, shards), baseline) << "v2 mmap";
-    EXPECT_EQ(v2.replayed(), corpus.size());
+  StreamReplayer::Filter mmap_filter;
+  StreamReplayer v2(v2_path, mmap_filter);
+  ASSERT_TRUE(v2.status().ok());
+  ASSERT_EQ(v2.format_version(), 2);
+  EXPECT_EQ(RunEngineOver(&v2), baseline) << "v2 mmap";
+  EXPECT_EQ(v2.replayed(), corpus.size());
 
-    StreamReplayer::Filter buffered_filter;
-    buffered_filter.use_mmap = false;
-    StreamReplayer v2b(v2_path, buffered_filter);
-    ASSERT_TRUE(v2b.status().ok());
-    EXPECT_EQ(RunEngineOver(&v2b, shards), baseline) << "v2 buffered";
-  }
+  StreamReplayer::Filter buffered_filter;
+  buffered_filter.use_mmap = false;
+  StreamReplayer v2b(v2_path, buffered_filter);
+  ASSERT_TRUE(v2b.status().ok());
+  EXPECT_EQ(RunEngineOver(&v2b), baseline) << "v2 buffered";
 }
 
 // The filtered replay paths must agree across write paths too (the host

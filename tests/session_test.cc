@@ -2,12 +2,13 @@
 // observationally equivalent to the batch facade (Run is a thin wrapper
 // over a session), and the dynamic query lifecycle — AddQuery mid-stream,
 // RemoveQuery / QueryHandle::Cancel — must keep group membership,
-// dispatch-index routing, and the shared ConstraintIndex consistent, in
-// single-threaded and sharded mode alike.
+// dispatch-index routing, and the shared ConstraintIndex consistent.
 //
 //   - Differential over the checked-in corpus: interleaved
-//     Push/AdvanceWatermark schedules at 1/2/4 shards produce the same
-//     alert sequence and per-query stats as Run(source).
+//     Push/AdvanceWatermark schedules produce the same alert sequence and
+//     per-query stats as Run(source).
+//   - One lane: `SessionOptions::num_shards` is accepted and ignored — the
+//     session runs on the caller's thread and starts none of its own.
 //   - Attach-point semantics: a query added mid-stream sees only events
 //     pushed after its attach point.
 //   - Removal: state torn down, final stats retained, survivors
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,11 +100,20 @@ void ExpectStatsEq(const RunResult& a, const RunResult& b,
   }
 }
 
-SaqlEngine::Options EngineOptions(size_t shards, size_t batch_size) {
+SaqlEngine::Options EngineOptions(size_t batch_size) {
   SaqlEngine::Options opts;
-  opts.num_shards = shards;
   opts.batch_size = batch_size;
   return opts;
+}
+
+/// The process's thread count (the `Threads:` line of /proc/self/status).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 RunResult RunBatch(
@@ -168,80 +179,81 @@ Event NetWrite(const std::string& exe, const std::string& dst,
 // ---------------------------------------------------------------------
 // Differential: session vs batch over the checked-in corpus.
 
-class SessionCorpusDiff : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SessionCorpusDiff, MatchesBatchRunAcrossSchedules) {
-  const size_t shards = GetParam();
+// Alerts emit inline, so the sequence depends on where watermarks land
+// relative to events: compare schedules that batch identically to Run.
+TEST(SessionCorpusDiff, MatchesBatchRunAcrossSchedules) {
   auto queries = CorpusQueries();
   ASSERT_GE(queries.size(), 10u);
   const EventBatch& events = SimCorpus();
-
-  if (shards == 1) {
-    // Single-threaded alerts emit inline, so the sequence depends on
-    // where watermarks land relative to events: compare schedules that
-    // batch identically to Run.
-    for (size_t batch : {257u, 1024u}) {
-      RunResult ref = RunBatch(queries, events, EngineOptions(1, batch));
-      RunResult got =
-          RunSession(queries, events, EngineOptions(1, batch), batch, 1);
-      EXPECT_EQ(got.alerts, ref.alerts) << "batch=" << batch;
-      ExpectStatsEq(got, ref, "batch=" + std::to_string(batch));
-    }
-    // Per-query stats are schedule-independent even when the interleaving
-    // of window-close vs stateless alerts is not.
-    RunResult ref = RunBatch(queries, events, EngineOptions(1, 1024));
-    RunResult sparse =
-        RunSession(queries, events, EngineOptions(1, 1024), 333, 4);
-    ExpectStatsEq(sparse, ref, "sparse-watermarks");
-    return;
+  for (size_t batch : {257u, 1024u}) {
+    RunResult ref = RunBatch(queries, events, EngineOptions(batch));
+    RunResult got =
+        RunSession(queries, events, EngineOptions(batch), batch, 1);
+    EXPECT_EQ(got.alerts, ref.alerts) << "batch=" << batch;
+    ExpectStatsEq(got, ref, "batch=" + std::to_string(batch));
   }
-
-  // Sharded alerts are released in deterministic (ts, query, group,
-  // values) order, so the sequence is independent of the push split and
-  // watermark cadence.
-  RunResult ref = RunBatch(queries, events, EngineOptions(shards, 1024));
+  // Per-query stats are schedule-independent even when the interleaving
+  // of window-close vs stateless alerts is not.
+  RunResult ref = RunBatch(queries, events, EngineOptions(1024));
   for (auto [push, wm_every] :
-       {std::pair<size_t, size_t>{1024, 1}, {513, 3}, {4096, 2}}) {
-    RunResult got = RunSession(queries, events, EngineOptions(shards, 1024),
-                               push, wm_every);
-    EXPECT_EQ(got.alerts, ref.alerts)
-        << "shards=" << shards << " push=" << push << "/" << wm_every;
+       {std::pair<size_t, size_t>{333, 4}, {513, 3}, {4096, 2}}) {
+    RunResult got =
+        RunSession(queries, events, EngineOptions(1024), push, wm_every);
     ExpectStatsEq(got, ref,
-                  "shards=" + std::to_string(shards) +
-                      " push=" + std::to_string(push));
+                  "push=" + std::to_string(push) + "/" +
+                      std::to_string(wm_every));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, SessionCorpusDiff,
-                         ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
-
-// The threaded 2-lane pipeline (splitter + lanes + merge + ordered sink)
-// through the session path, against plain single-threaded Run: alert
-// multiset identity (sharded emission is globally sorted).
-TEST(SessionShardedTest, TwoLaneSessionMatchesSingleThreadedMultiset) {
+// `SessionOptions::num_shards` is accepted and ignored: a session asked
+// for four lanes produces the default session's alert sequence and
+// per-query stats, delivers every alert on the pushing thread, and starts
+// no thread of its own.
+TEST(SessionTest, LaneCountOptionRunsOneLane) {
   auto queries = CorpusQueries();
   const EventBatch& events = SimCorpus();
-  RunResult single = RunBatch(queries, events, EngineOptions(1, 1024));
-  RunResult sharded =
-      RunSession(queries, events, EngineOptions(2, 1024), 777, 2);
-  std::vector<std::string> a = single.alerts;
-  std::vector<std::string> b = sharded.alerts;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
-  ExpectStatsEq(sharded, single, "two-lane");
+  SaqlEngine engine;
+  for (const auto& [name, text] : queries) {
+    ASSERT_TRUE(engine.AddQuery(text, name).ok()) << name;
+  }
+  auto run = [&](size_t num_shards) {
+    RunResult out;
+    bool off_thread = false;
+    const std::thread::id caller = std::this_thread::get_id();
+    SessionOptions so;
+    so.num_shards = num_shards;
+    so.alert_sink = [&](const Alert& a) {
+      off_thread |= std::this_thread::get_id() != caller;
+      out.alerts.push_back(a.ToString());
+    };
+    const int threads_before = ProcessThreads();
+    auto session = engine.OpenSession(std::move(so));
+    EXPECT_TRUE(session.ok()) << session.status();
+    EventBatch copy = events;
+    for (size_t pos = 0; pos < copy.size(); pos += 1024) {
+      const size_t n = std::min<size_t>(1024, copy.size() - pos);
+      EXPECT_TRUE((*session)->Push(copy.data() + pos, n).ok());
+      EXPECT_TRUE(
+          (*session)->AdvanceWatermark((*session)->max_event_ts()).ok());
+    }
+    EXPECT_LE(ProcessThreads(), threads_before)
+        << "num_shards=" << num_shards;
+    EXPECT_TRUE((*session)->Close().ok());
+    EXPECT_FALSE(off_thread) << "num_shards=" << num_shards;
+    out.stats = engine.query_stats();
+    return out;
+  };
+  RunResult one = run(0);
+  RunResult four = run(4);
+  EXPECT_FALSE(one.alerts.empty());
+  EXPECT_EQ(four.alerts, one.alerts);
+  ExpectStatsEq(four, one, "num_shards=4");
 }
 
 // ---------------------------------------------------------------------
 // Dynamic add: attach-point semantics.
 
-class SessionDynamicAdd : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SessionDynamicAdd, AddedQuerySeesOnlyEventsAfterAttach) {
-  const size_t shards = GetParam();
+TEST(SessionDynamicAddTest, AddedQuerySeesOnlyEventsAfterAttach) {
   EventBatch events;
   for (int i = 0; i < 100; ++i) {
     events.push_back(NetWrite(i % 2 == 0 ? "evil.exe" : "ok.exe",
@@ -251,9 +263,7 @@ TEST_P(SessionDynamicAdd, AddedQuerySeesOnlyEventsAfterAttach) {
   const std::string text =
       "proc p[\"%evil.exe\"] write ip i as e return p, i";
 
-  SaqlEngine::Options opts;
-  opts.num_shards = shards;
-  SaqlEngine engine(opts);
+  SaqlEngine engine;
   ASSERT_TRUE(engine.AddQuery(text, "before").ok());
   auto session = engine.OpenSession();
   ASSERT_TRUE(session.ok()) << session.status();
@@ -276,9 +286,9 @@ TEST_P(SessionDynamicAdd, AddedQuerySeesOnlyEventsAfterAttach) {
   EXPECT_EQ(stats[0].second.alerts, 50u);
   EXPECT_EQ(stats[1].first, "after");
   EXPECT_EQ(stats[1].second.alerts, 25u);
-  // The attach point bounds what the new query was ever shown: both
-  // replicas saw exactly the second half (events_in counts routed-away
-  // events too, so it equals the post-attach event count).
+  // The attach point bounds what the new query was ever shown: exactly
+  // the second half (events_in counts routed-away events too, so it
+  // equals the post-attach event count).
   EXPECT_EQ(stats[1].second.events_in, 50u);
   EXPECT_EQ((*handle)->stats().alerts, 25u);
 
@@ -294,15 +304,9 @@ TEST_P(SessionDynamicAdd, AddedQuerySeesOnlyEventsAfterAttach) {
   EXPECT_EQ(after_alerts, 25u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, SessionDynamicAdd,
-                         ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
-
-// A stateful (cross-shard merged) query added mid-stream: windows before
-// the attach point never existed for it; windows after close normally.
-TEST(SessionDynamicAddTest, StatefulQueryAttachesMidStreamSharded) {
+// A stateful query added mid-stream: windows before the attach point
+// never existed for it; windows after close normally.
+TEST(SessionDynamicAddTest, StatefulQueryAttachesMidStream) {
   EventBatch events;
   for (int w = 0; w < 8; ++w) {
     for (int i = 0; i < 5; ++i) {
@@ -317,9 +321,7 @@ TEST(SessionDynamicAddTest, StatefulQueryAttachesMidStreamSharded) {
       "state ss { amt := sum(e.amount) } group by p "
       "alert ss.amt > 0 return p, ss.amt";
 
-  SaqlEngine::Options opts;
-  opts.num_shards = 2;
-  SaqlEngine engine(opts);
+  SaqlEngine engine;
   auto session = engine.OpenSession();
   ASSERT_TRUE(session.ok()) << session.status();
 
@@ -348,9 +350,9 @@ TEST(SessionDynamicAddTest, StatefulQueryAttachesMidStreamSharded) {
   }
 }
 
-// A global-lane query (multi-event join) added mid-stream spins the
-// global lane up on the spot and only joins post-attach events.
-TEST(SessionDynamicAddTest, GlobalLaneQueryAttachesMidStreamSharded) {
+// A multi-event join added mid-stream starts a new group (and dispatch
+// subscription) on the spot and only joins post-attach events.
+TEST(SessionDynamicAddTest, JoinQueryAttachesMidStream) {
   auto seq = [](Timestamp base, const std::string& host) {
     EventBatch out;
     out.push_back(EventBuilder()
@@ -375,10 +377,8 @@ TEST(SessionDynamicAddTest, GlobalLaneQueryAttachesMidStreamSharded) {
       "proc c[\"%sqlservr.exe\"] write file f as e2 "
       "with e1 -> e2 return a, b, f";
 
-  SaqlEngine::Options opts;
-  opts.num_shards = 2;
-  SaqlEngine engine(opts);
-  // Open with a partitionable query only — no global lane yet.
+  SaqlEngine engine;
+  // Open with a single-pattern query only — no join group yet.
   ASSERT_TRUE(engine
                   .AddQuery("proc p write ip i as e return p", "net")
                   .ok());
@@ -414,19 +414,14 @@ TEST(SessionDynamicAddTest, GlobalLaneQueryAttachesMidStreamSharded) {
 // ---------------------------------------------------------------------
 // Dynamic remove.
 
-class SessionDynamicRemove : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SessionDynamicRemove, RemovalFreezesStatsAndSparesSurvivors) {
-  const size_t shards = GetParam();
+TEST(SessionDynamicRemoveTest, RemovalFreezesStatsAndSparesSurvivors) {
   EventBatch events;
   for (int i = 0; i < 120; ++i) {
     events.push_back(NetWrite(i % 3 == 0 ? "a.exe" : "b.exe", "1.1.1.1",
                               100, (i + 1) * kSecond, "h1", 100 + i % 5));
   }
 
-  SaqlEngine::Options opts;
-  opts.num_shards = shards;
-  SaqlEngine engine(opts);
+  SaqlEngine engine;
   ASSERT_TRUE(
       engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "qa")
           .ok());
@@ -479,18 +474,10 @@ TEST_P(SessionDynamicRemove, RemovalFreezesStatsAndSparesSurvivors) {
   EXPECT_EQ(qa_alerts, 20u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, SessionDynamicRemove,
-                         ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
-
-// Removing a stateful query drops its pending (unmerged) windows instead
-// of flushing them.
-TEST(SessionDynamicRemoveTest, StatefulRemovalDropsOpenWindowsSharded) {
-  SaqlEngine::Options opts;
-  opts.num_shards = 2;
-  SaqlEngine engine(opts);
+// Removing a stateful query drops its open windows instead of flushing
+// them.
+TEST(SessionDynamicRemoveTest, StatefulRemovalDropsOpenWindows) {
+  SaqlEngine engine;
   ASSERT_TRUE(engine
                   .AddQuery("proc p write ip i as e #time(1 min) "
                             "state ss { amt := sum(e.amount) } group by p "
@@ -514,59 +501,8 @@ TEST(SessionDynamicRemoveTest, StatefulRemovalDropsOpenWindowsSharded) {
   EXPECT_TRUE(engine.alerts().empty());
   auto stats = engine.query_stats();
   ASSERT_EQ(stats.size(), 1u);
-  // Each event reached exactly one lane's replica.
   EXPECT_EQ(stats[0].second.events_in, 10u);
   EXPECT_EQ(stats[0].second.alerts, 0u);
-}
-
-// Once the only join is cancelled the global lane has no subscribers: it
-// must not be handed copies of later pushes (it still gets watermarks).
-// The merged `events` stat then counts each pushed event once — on its
-// shard lane — instead of twice.
-TEST(SessionDynamicRemoveTest, IdleGlobalLaneGetsNoEventCopies) {
-  SaqlEngine::Options opts;
-  opts.num_shards = 2;
-  SaqlEngine engine(opts);
-  ASSERT_TRUE(engine
-                  .AddQuery("proc p write ip i as e return p", "net")
-                  .ok());
-  ASSERT_TRUE(engine
-                  .AddQuery("proc a start proc b as e1 "
-                            "proc c write ip i as e2 "
-                            "with e1 -> e2 return a, c",
-                            "join")
-                  .ok());
-  auto session = engine.OpenSession();
-  ASSERT_TRUE(session.ok()) << session.status();
-
-  auto batch = [](Timestamp base) {
-    EventBatch out;
-    for (int i = 0; i < 100; ++i) {
-      out.push_back(NetWrite("app.exe", "1.1.1.1", 100, base + i * kSecond,
-                             "h" + std::to_string(i % 3), 100 + i % 7));
-    }
-    return out;
-  };
-  EventBatch first = batch(kSecond);
-  ASSERT_TRUE((*session)->Push(first).ok());
-  // Both lanes subscribed: every event counts on its shard lane and on
-  // the global lane.
-  EXPECT_EQ((*session)->executor_stats().events, 200u);
-
-  SaqlEngine::QueryHandle* join = (*session)->handle("join");
-  ASSERT_NE(join, nullptr);
-  ASSERT_TRUE(join->Cancel().ok());
-  const uint64_t before = (*session)->executor_stats().events;
-  EventBatch second = batch(200 * kSecond);
-  ASSERT_TRUE((*session)->Push(second).ok());
-  EXPECT_EQ((*session)->executor_stats().events - before, 100u);
-
-  // Watermarks still reach the idle lane, so the ordered release keeps
-  // draining: every partitionable alert arrives.
-  ASSERT_TRUE(
-      (*session)->AdvanceWatermark((*session)->max_event_ts()).ok());
-  ASSERT_TRUE((*session)->Close().ok());
-  EXPECT_EQ(engine.alerts().size(), 200u);
 }
 
 // ---------------------------------------------------------------------
@@ -574,58 +510,49 @@ TEST(SessionDynamicRemoveTest, IdleGlobalLaneGetsNoEventCopies) {
 
 // An event behind the advanced watermark must not re-create the window the
 // watermark closed: [0, 10 s) alerts once, with both in-time events, and
-// the late match is counted. At two lanes the late event reaches one shard
-// replica, which must not export a second partial for the merged window.
+// the late match is counted.
 TEST(SessionLateEventTest, LateMatchDoesNotReopenClosedWindow) {
-  for (size_t lanes : {1u, 2u}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    SaqlEngine::Options opts;
-    opts.num_shards = lanes;
-    SaqlEngine engine(opts);
-    ASSERT_TRUE(engine
-                    .AddQuery("proc p write file f as e #time(10 s) "
-                              "state ss { n := count() } group by p "
-                              "alert ss.n >= 1 return p, ss.n",
-                              "late")
-                    .ok());
-    auto session = engine.OpenSession();
-    ASSERT_TRUE(session.ok()) << session.status();
-    auto write_at = [](Timestamp ts) {
-      EventBatch out;
-      out.push_back(EventBuilder()
-                        .At(ts)
-                        .OnHost("h1")
-                        .Subject("app.exe", 100)
-                        .Op(EventOp::kWrite)
-                        .FileObject("/data/f")
-                        .Build());
-      return out;
-    };
-    EventBatch first = write_at(1 * kSecond);
-    EventBatch second = write_at(2 * kSecond);
-    EventBatch late = write_at(3 * kSecond);
-    ASSERT_TRUE((*session)->Push(first).ok());
-    ASSERT_TRUE((*session)->Push(second).ok());
-    ASSERT_TRUE((*session)->AdvanceWatermark(20 * kSecond).ok());
-    ASSERT_TRUE((*session)->Push(late).ok());
-    ASSERT_TRUE((*session)->AdvanceWatermark(30 * kSecond).ok());
-    EXPECT_EQ((*session)->handle("late")->stats().late_matches, 1u);
-    ASSERT_TRUE((*session)->Close().ok());
+  SaqlEngine engine;
+  ASSERT_TRUE(engine
+                  .AddQuery("proc p write file f as e #time(10 s) "
+                            "state ss { n := count() } group by p "
+                            "alert ss.n >= 1 return p, ss.n",
+                            "late")
+                  .ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto write_at = [](Timestamp ts) {
+    EventBatch out;
+    out.push_back(EventBuilder()
+                      .At(ts)
+                      .OnHost("h1")
+                      .Subject("app.exe", 100)
+                      .Op(EventOp::kWrite)
+                      .FileObject("/data/f")
+                      .Build());
+    return out;
+  };
+  EventBatch first = write_at(1 * kSecond);
+  EventBatch second = write_at(2 * kSecond);
+  EventBatch late = write_at(3 * kSecond);
+  ASSERT_TRUE((*session)->Push(first).ok());
+  ASSERT_TRUE((*session)->Push(second).ok());
+  ASSERT_TRUE((*session)->AdvanceWatermark(20 * kSecond).ok());
+  ASSERT_TRUE((*session)->Push(late).ok());
+  ASSERT_TRUE((*session)->AdvanceWatermark(30 * kSecond).ok());
+  EXPECT_EQ((*session)->handle("late")->stats().late_matches, 1u);
+  ASSERT_TRUE((*session)->Close().ok());
 
-    std::vector<Alert> alerts = engine.alerts();
-    ASSERT_EQ(alerts.size(), 1u);
-    ASSERT_EQ(alerts[0].values.size(), 2u);
-    EXPECT_EQ(alerts[0].values[1].second.AsInt(), 2);
-  }
+  std::vector<Alert> alerts = engine.alerts();
+  ASSERT_EQ(alerts.size(), 1u);
+  ASSERT_EQ(alerts[0].values.size(), 2u);
+  EXPECT_EQ(alerts[0].values[1].second.AsInt(), 2);
 }
 
 // ---------------------------------------------------------------------
 // ConstraintIndex rebuild parity under churn.
 
-class SessionIndexChurn : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SessionIndexChurn, IndexedChurnMatchesBruteForce) {
-  const size_t shards = GetParam();
+TEST(SessionIndexChurnTest, IndexedChurnMatchesBruteForce) {
   // One structural shape, exact-equality tenants: an indexed group.
   auto tenant_query = [](int t) {
     return "proc p[exe_name = \"tenant" + std::to_string(t) +
@@ -640,7 +567,6 @@ TEST_P(SessionIndexChurn, IndexedChurnMatchesBruteForce) {
 
   auto churn = [&](bool member_index) {
     SaqlEngine::Options opts;
-    opts.num_shards = shards;
     opts.enable_member_index = member_index;
     SaqlEngine engine(opts);
     for (int t = 0; t < 4; ++t) {
@@ -674,17 +600,10 @@ TEST_P(SessionIndexChurn, IndexedChurnMatchesBruteForce) {
   RunResult indexed = churn(true);
   RunResult brute = churn(false);
   EXPECT_EQ(indexed.alerts, brute.alerts);
-  ExpectStatsEq(indexed, brute, "index-churn shards=" +
-                                    std::to_string(shards));
+  ExpectStatsEq(indexed, brute, "index-churn");
   // Sanity: the workload produced something in every phase.
   EXPECT_GT(indexed.alerts.size(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, SessionIndexChurn,
-                         ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 // The indexed-group count reflects dynamic membership (index appears when
 // the group crosses min_index_members, disappears when it shrinks).
@@ -720,13 +639,8 @@ TEST(SessionIndexChurnTest, IndexedGroupCountTracksMembership) {
 // ---------------------------------------------------------------------
 // Per-handle alert sinks.
 
-class SessionHandleSink : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SessionHandleSink, TapReceivesOnlyItsQuery) {
-  const size_t shards = GetParam();
-  SaqlEngine::Options opts;
-  opts.num_shards = shards;
-  SaqlEngine engine(opts);
+TEST(SessionHandleSinkTest, TapReceivesOnlyItsQuery) {
+  SaqlEngine engine;
   ASSERT_TRUE(
       engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "qa")
           .ok());
@@ -758,12 +672,6 @@ TEST_P(SessionHandleSink, TapReceivesOnlyItsQuery) {
   EXPECT_EQ(tapped, expected);
   EXPECT_EQ(tapped.size(), 20u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, SessionHandleSink,
-                         ::testing::Values(1, 2),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "shards" + std::to_string(info.param);
-                         });
 
 // ---------------------------------------------------------------------
 // Lifecycle contract (the documented FailedPrecondition surface).
@@ -1019,31 +927,26 @@ TEST(SessionInternerTest, LikeOnlySessionInternsNothing) {
   EXPECT_EQ(engine.alerts().size(), events.size());
 }
 
-// Lanes read the caller's events, never copies: at one lane and at two,
-// the exact-equality compares fill the pushed buffer's symbol memos.
-TEST(SessionInternerTest, TwoLanePushFillsCallerMemos) {
-  for (size_t lanes : {1u, 2u}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    SaqlEngine::Options opts;
-    opts.num_shards = lanes;
-    SaqlEngine engine(opts);
-    ASSERT_TRUE(
-        engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
-            .ok());
-    auto session = engine.OpenSession();
-    ASSERT_TRUE(session.ok()) << session.status();
-    EventBatch events;
-    for (int i = 0; i < 16; ++i) {
-      events.push_back(NetWrite(i % 2 == 0 ? "a.exe" : "b.exe", "1.1.1.1",
-                                1, (i + 1) * kSecond, "h1", 100 + i));
-    }
-    ASSERT_TRUE((*session)->Push(events).ok());
-    for (const Event& e : events) {
-      EXPECT_EQ(e.syms.gen, Interner::Global().generation());
-    }
-    ASSERT_TRUE((*session)->Close().ok());
-    EXPECT_EQ(engine.alerts().size(), 8u);
+// Queries read the caller's events, never copies: the exact-equality
+// compares fill the pushed buffer's symbol memos.
+TEST(SessionInternerTest, PushFillsCallerMemos) {
+  SaqlEngine engine;
+  ASSERT_TRUE(
+      engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
+          .ok());
+  auto session = engine.OpenSession();
+  ASSERT_TRUE(session.ok()) << session.status();
+  EventBatch events;
+  for (int i = 0; i < 16; ++i) {
+    events.push_back(NetWrite(i % 2 == 0 ? "a.exe" : "b.exe", "1.1.1.1",
+                              1, (i + 1) * kSecond, "h1", 100 + i));
   }
+  ASSERT_TRUE((*session)->Push(events).ok());
+  for (const Event& e : events) {
+    EXPECT_EQ(e.syms.gen, Interner::Global().generation());
+  }
+  ASSERT_TRUE((*session)->Close().ok());
+  EXPECT_EQ(engine.alerts().size(), 8u);
 }
 
 TEST(SessionInternerTest, NoRotationWhenDisabled) {

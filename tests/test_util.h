@@ -13,7 +13,6 @@
 #include "core/event.h"
 #include "engine/compiled_query.h"
 #include "stream/event_source.h"
-#include "stream/sharded_executor.h"
 #include "stream/stream_executor.h"
 
 namespace saql {
@@ -128,17 +127,6 @@ inline void DriveToEnd(StreamExecutor* exec, EventSource* source,
   while (EventBlock* block = source->NextBlock(batch_size)) {
     exec->ProcessBlock(block);
     exec->AdvanceWatermark(exec->max_event_ts());
-  }
-  exec->FinishStream();
-}
-
-/// The same drive through a sharded executor's streaming interface.
-inline void DriveToEnd(ShardedStreamExecutor* exec, EventSource* source,
-                       size_t batch_size = 1024) {
-  exec->BeginStream();
-  while (EventBlock* block = source->NextBlock(batch_size)) {
-    exec->PushBlock(block);
-    exec->AdvanceWatermark(exec->input_max_ts());
   }
   exec->FinishStream();
 }
