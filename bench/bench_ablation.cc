@@ -26,20 +26,12 @@
 //      the rotation hiccup: the same drive with the live interner
 //      rotation policy forced on at every quiesce point, so each push
 //      pays the re-intern/re-index heal.
-//   A13 Interning — `InternEventSpan` over an EnterpriseSimulator stream
-//      in 256-event spans (a pushed batch), symbols reset between
-//      iterations so every event pays the lock-free hit path: one
-//      case-folded hash and compare per interned string. Reported as
-//      `ns_per_event`. This is the eager helper, the cost of stamping
-//      every slot; sessions no longer pay it per push, they intern only
-//      the slots their queries compare, on first read.
 //   Baseline file: run with
-//     --benchmark_filter='Routing|MemberIndex|DynamicChurn|ConcurrentSessions|InternEventSpan'
+//     --benchmark_filter='Routing|MemberIndex|DynamicChurn|ConcurrentSessions'
 //     --benchmark_out=BENCH_throughput.json --benchmark_out_format=json
 //   to refresh the checked-in throughput baseline.
 
 #include <atomic>
-#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
@@ -687,48 +679,6 @@ BENCHMARK(BM_ConcurrentSessionsRotating)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-// ---------------------------------------------------------------------------
-// A13: interning hot path.
-// ---------------------------------------------------------------------------
-
-/// Interns every symbol slot of the simulator's stream, span by span
-/// (the eager helper; a session interns lazily, only the slots its
-/// queries compare). Only the `InternEventSpan` calls are timed; the
-/// symbol reset that makes the next iteration intern again is not.
-void BM_InternEventSpan(benchmark::State& state) {
-  static constexpr size_t kSpan = 256;
-  static EventBatch* stream = [] {
-    EnterpriseSimulator::Options opts;
-    opts.num_workstations = 8;
-    opts.duration = 10 * kMinute;
-    opts.seed = 20200227;
-    return new EventBatch(EnterpriseSimulator(opts).Generate());
-  }();
-  double total_ns = 0;
-  for (auto _ : state) {
-    for (Event& e : *stream) e.syms = EventSymbols{};
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t pos = 0; pos < stream->size(); pos += kSpan) {
-      InternEventSpan(stream->data() + pos,
-                      std::min(kSpan, stream->size() - pos));
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    benchmark::DoNotOptimize(stream->data());
-    benchmark::ClobberMemory();
-    state.SetIterationTime(elapsed.count());
-    total_ns += elapsed.count() * 1e9;
-  }
-  const double events = static_cast<double>(state.iterations()) *
-                        static_cast<double>(stream->size());
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.counters["ns_per_event"] = total_ns / events;
-  state.counters["events"] = static_cast<double>(stream->size());
-  state.counters["cores"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_InternEventSpan)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 }  // namespace
 }  // namespace saql

@@ -333,6 +333,17 @@ void QueryShell::ConsumeSyncFlag(std::vector<std::string>* args,
   }
 }
 
+bool QueryShell::RejectUnknownFlag(const std::vector<std::string>& args,
+                                   const char* usage) {
+  for (const std::string& arg : args) {
+    if (arg.rfind("--", 0) == 0) {
+      out_ << "unknown flag '" << arg << "' — usage: " << usage << "\n";
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string QueryShell::FormatStats(
     const ExecutorStats& exec, size_t num_queries, size_t num_groups,
     size_t indexed_groups, bool member_indexed, size_t num_alerts,
@@ -385,6 +396,7 @@ void QueryShell::RunEngine(EventSource* source) {
 }
 
 void QueryShell::CmdSimulate(const std::vector<std::string>& args) {
+  if (RejectUnknownFlag(args, "simulate [minutes]")) return;
   EnterpriseSimulator::Options opts;
   if (!args.empty()) {
     opts.duration = std::strtol(args[0].c_str(), nullptr, 10) * kMinute;
@@ -398,37 +410,32 @@ void QueryShell::CmdSimulate(const std::vector<std::string>& args) {
 }
 
 void QueryShell::CmdReplay(const std::vector<std::string>& args) {
+  static constexpr const char* kUsage = "replay <log> [host...]";
+  if (RejectUnknownFlag(args, kUsage)) return;
   if (args.empty()) {
-    out_ << "usage: replay <log> [host...]\n";
+    out_ << "usage: " << kUsage << "\n";
     return;
   }
   StreamReplayer::Filter filter;
-  for (size_t i = 1; i < args.size(); ++i) {
-    // A flag here would otherwise filter on a host that never exists and
-    // replay nothing.
-    if (args[i].rfind("--", 0) == 0) {
-      out_ << "unknown flag '" << args[i] << "' — usage: replay <log> "
-           << "[host...]\n";
-      return;
-    }
-    filter.hosts.insert(args[i]);
-  }
+  filter.hosts.insert(args.begin() + 1, args.end());
   StreamReplayer replayer(args[0], filter);
   if (!replayer.status().ok()) {
     out_ << "replay failed: " << replayer.status() << "\n";
     return;
   }
-  out_ << "replaying " << args[0] << " (format v"
-       << replayer.format_version() << ", columnar)\n";
+  out_ << "replaying " << args[0] << " (format v2, columnar)\n";
   RunEngine(&replayer);
 }
 
 void QueryShell::CmdRecord(const std::vector<std::string>& args) {
+  static constexpr const char* kUsage =
+      "record <log> [minutes] [--sync=always|group|none]";
   std::vector<std::string> rest = args;
   SyncPolicy sync;
   ConsumeSyncFlag(&rest, &sync);
+  if (RejectUnknownFlag(rest, kUsage)) return;
   if (rest.empty()) {
-    out_ << "usage: record <log> [minutes] [--sync=always|group|none]\n";
+    out_ << "usage: " << kUsage << "\n";
     return;
   }
   EnterpriseSimulator::Options opts;
@@ -528,6 +535,9 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
       ++it;
     }
   }
+  if (RejectUnknownFlag(rest, "open [--record=<log> [--sync=P] [--force]]")) {
+    return;
+  }
   // One engine hosts every concurrently open session; it is built at the
   // first open (snapshotting the registered queries) and torn down when
   // the last session closes.
@@ -585,6 +595,7 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
 }
 
 void QueryShell::CmdPush(const std::vector<std::string>& args) {
+  if (RejectUnknownFlag(args, "push [#id] [minutes]")) return;
   std::vector<std::string> rest = args;
   LiveSession* ls = ConsumeSessionRef(&rest);
   if (ls == nullptr) return;

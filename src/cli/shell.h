@@ -155,6 +155,13 @@ class QueryShell {
   /// the flag is absent; malformed values are reported and ignored).
   void ConsumeSyncFlag(std::vector<std::string>* args, SyncPolicy* policy);
 
+  /// Refuses the first `--` argument left in `args` (call it once the
+  /// command's known flags are consumed): prints it with `usage` and
+  /// returns true. A stray flag would otherwise be read as a positional
+  /// argument, or dropped.
+  bool RejectUnknownFlag(const std::vector<std::string>& args,
+                         const char* usage);
+
   /// One open live session of the shared engine, with the shell-side
   /// drive state (the per-session simulator clock and counters).
   struct LiveSession {

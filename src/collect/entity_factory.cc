@@ -4,22 +4,6 @@
 
 namespace saql {
 
-const char* HostRoleName(HostRole role) {
-  switch (role) {
-    case HostRole::kWorkstation:
-      return "workstation";
-    case HostRole::kMailServer:
-      return "mail-server";
-    case HostRole::kDatabaseServer:
-      return "db-server";
-    case HostRole::kDomainController:
-      return "domain-controller";
-    case HostRole::kWebServer:
-      return "web-server";
-  }
-  return "?";
-}
-
 namespace {
 
 std::vector<std::string> RoleExecutables(HostRole role) {

@@ -21,8 +21,6 @@ enum class HostRole {
   kWebServer,
 };
 
-const char* HostRoleName(HostRole role);
-
 /// Static description of one simulated host.
 struct HostProfile {
   std::string agent_id;  ///< "ws-03", "db-server-01", ...

@@ -203,8 +203,6 @@ bool SymbolsComplete(const Event& event, uint32_t gen) {
   return false;
 }
 
-}  // namespace
-
 void InternEventStrings(Event* event) {
   // A rotation between two reads clears the slots read before it; read
   // again (rare) until one generation covers every slot.
@@ -217,6 +215,8 @@ void InternEventStrings(Event* event) {
     GetEventSymbol(*event, FieldId::kObjectPath);
   } while (!SymbolsComplete(*event, event->syms.gen));
 }
+
+}  // namespace
 
 void InternEventSpan(Event* events, size_t count) {
   Interner& interner = Interner::Global();

@@ -186,23 +186,21 @@ class Interner {
   Entry sentinel_;  ///< id 0: the empty spelling, never retired
 };
 
-/// Eagerly fills every slot of `event->syms` that applies to its object
-/// type: agent id, subject exe_name/user, and the object's exe_name/user
-/// (process) or path (file). Each slot is read through the lazy symbol
-/// readers (core/field_access), so both share one slot-to-string mapping.
-/// Network endpoint strings are deliberately not interned — their
-/// cardinality is unbounded and equality on them is rare. On return every
-/// applicable slot is filled under one generation, even when a rotation
-/// races the call.
+/// Eagerly fills, for each event of a contiguous span, every slot of
+/// `syms` that applies to its object type: agent id, subject
+/// exe_name/user, and the object's exe_name/user (process) or path (file).
+/// Each slot is read through the lazy symbol readers (core/field_access),
+/// so both share one slot-to-string mapping. Network endpoint strings are
+/// deliberately not interned — their cardinality is unbounded and equality
+/// on them is rare. An event whose applicable slots are all filled under
+/// the current generation (a memoized replay, or a row materialized from a
+/// columnar block) is skipped; on return every applicable slot of every
+/// event is filled under one generation, even when a rotation races the
+/// call.
 ///
 /// Off the hot path: the executors intern nothing up front, a query's
 /// exact-equality compare interns the one slot it reads. Tests and the
-/// interning benchmarks use this to stamp a whole event.
-void InternEventStrings(Event* event);
-
-/// `InternEventStrings` over a contiguous span in place, skipping events
-/// whose applicable slots are all filled under the current generation (a
-/// memoized replay, or a row materialized from a columnar block).
+/// end-to-end benchmark's interning probe use this to stamp whole events.
 void InternEventSpan(Event* events, size_t count);
 
 }  // namespace saql

@@ -40,11 +40,6 @@ class Result {
   const T* operator->() const { return &*value_; }
   T* operator->() { return &*value_; }
 
-  /// Returns the contained value or `fallback` when in the error state.
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   Status status_;
   std::optional<T> value_;

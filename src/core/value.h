@@ -52,7 +52,6 @@ class Value {
   double AsFloat() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
   const StringSet& AsSet() const { return std::get<StringSet>(data_); }
-  StringSet& MutableSet() { return std::get<StringSet>(data_); }
 
   /// Numeric coercion: int and float read as double; bool reads as 0/1.
   /// Returns an error for strings, sets, and null.

@@ -69,14 +69,6 @@ bool CompiledQuery::StructuralMatchAny(const Event& event) const {
   return false;
 }
 
-RoutingInterest CompiledQuery::Interest() const {
-  RoutingInterest interest;
-  for (const CompiledPattern& p : patterns_) {
-    interest.Add(p.object_type(), p.ops());
-  }
-  return interest;
-}
-
 void CompiledQuery::ReInternSymbols() {
   for (CompiledConstraint& c : global_constraints_) c.ReIntern();
   for (CompiledPattern& p : patterns_) p.ReInternSymbols();

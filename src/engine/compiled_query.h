@@ -21,10 +21,10 @@ namespace saql {
 
 /// An executable SAQL query: the full pipeline from stream events to
 /// alerts. Wraps the multievent matcher, state maintainer, invariant
-/// trainer, cluster stage, and alert evaluation behind the
-/// `EventProcessor` interface so it can subscribe to a `StreamExecutor`
-/// directly or through a scheduler group.
-class CompiledQuery final : public EventProcessor {
+/// trainer, cluster stage, and alert evaluation. A query never subscribes
+/// to the `StreamExecutor` itself: its `QueryGroup` (scheduler.h) is the
+/// subscriber and hands it events, watermarks and end of stream.
+class CompiledQuery final {
  public:
   struct Options {
     /// Horizon for rule-query partial matches without a window.
@@ -65,17 +65,13 @@ class CompiledQuery final : public EventProcessor {
   /// stats regardless).
   void SetErrorReporter(ErrorReporter* reporter) { reporter_ = reporter; }
 
-  // EventProcessor:
-  void OnEvent(const Event& event) override;
-  void OnWatermark(Timestamp ts) override;
-  void OnFinish() override;
-  /// Structural envelope for the executor's dispatch index: the union of
-  /// this query's pattern shapes (same shapes a scheduler group built from
-  /// this query would declare).
-  RoutingInterest Interest() const override;
-  /// Keeps `QueryStats::events_in` comparable to broadcast delivery when
-  /// the query subscribes to a routed executor directly (without a group).
-  void OnRoutedSkip(uint64_t count) override { stats_.events_in += count; }
+  /// One stream event, in timestamp order (brute-force member delivery).
+  void OnEvent(const Event& event);
+  /// Event time has advanced to `ts`: prunes expired partial matches and
+  /// closes the windows ending at or before it.
+  void OnWatermark(Timestamp ts);
+  /// End of stream: flushes the open windows.
+  void OnFinish();
 
   /// True when `event` matches the structural shape of any pattern (used by
   /// the concurrent-query scheduler's shared master filter).
@@ -109,10 +105,9 @@ class CompiledQuery final : public EventProcessor {
   std::string GroupSignature() const;
 
   /// Re-captures every constraint's interned symbol from the current
-  /// interner generation. Called by the owning session at its quiesce
-  /// point after a live rotation; until then matching falls back to the
-  /// (always correct) string paths on the generation mismatch. Not
-  /// thread-safe against concurrent OnEvent on the same instance.
+  /// interner generation. Called by the owning session between batches
+  /// after a live rotation; until then matching falls back to the (always
+  /// correct) string paths on the generation mismatch.
   void ReInternSymbols();
 
  private:

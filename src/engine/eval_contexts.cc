@@ -134,11 +134,10 @@ Result<Value> AggFinishContext::ResolveRef(const Expr& ref) const {
 }
 
 Result<Value> AggFinishContext::ResolveAggregate(const Expr& call) const {
-  auto it = agg_values_->find(&call);
-  if (it == agg_values_->end()) {
-    return Status::Internal("aggregate site missing at window close");
+  for (size_t i = 0; i < sites_->size(); ++i) {
+    if ((*sites_)[i] == &call) return (*values_)[i];
   }
-  return it->second;
+  return Status::Internal("aggregate site missing at window close");
 }
 
 void CollectAggregateSites(const Expr& expr, std::vector<const Expr*>* out) {

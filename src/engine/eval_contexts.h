@@ -3,7 +3,6 @@
 
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/expr_eval.h"
@@ -74,19 +73,22 @@ class WindowEvalContext : public EvalContext {
 };
 
 /// Context that substitutes pre-computed aggregate results when evaluating
-/// state-field expressions at window close. Keyed by call-site pointer
-/// identity (each aggregate call in the AST is a distinct site).
+/// state-field expressions at window close. `values[i]` is the result of
+/// the call at `sites[i]`; a call resolves by pointer identity (each
+/// aggregate call in the AST is a distinct site), found by a scan of the
+/// handful of sites a state block has.
 class AggFinishContext : public EvalContext {
  public:
-  explicit AggFinishContext(
-      const std::unordered_map<const Expr*, Value>* agg_values)
-      : agg_values_(agg_values) {}
+  AggFinishContext(const std::vector<const Expr*>* sites,
+                   const std::vector<Value>* values)
+      : sites_(sites), values_(values) {}
 
   Result<Value> ResolveRef(const Expr& ref) const override;
   Result<Value> ResolveAggregate(const Expr& call) const override;
 
  private:
-  const std::unordered_map<const Expr*, Value>* agg_values_;
+  const std::vector<const Expr*>* sites_;
+  const std::vector<Value>* values_;
 };
 
 /// Collects the aggregate call sites of `expr` in evaluation order.

@@ -4,24 +4,6 @@
 
 namespace saql {
 
-void QueryGroup::OnEvent(const Event& event) {
-  ++stats_.events_in;
-  if (members_.empty()) return;
-  // Master filter: the structural shape is shared by every member, so the
-  // first member's patterns decide for the whole group.
-  if (!members_.front()->StructuralMatchAny(event)) return;
-  ++stats_.events_forwarded;
-  if (index_ != nullptr) {
-    single_event_scratch_.assign(1, &event);
-    DeliverIndexed(single_event_scratch_);
-    return;
-  }
-  for (CompiledQuery* q : members_) {
-    ++stats_.member_deliveries;
-    q->OnEvent(event);
-  }
-}
-
 void QueryGroup::OnBatch(const EventRefs& events) {
   stats_.events_in += events.size();
   if (members_.empty()) return;
@@ -40,7 +22,7 @@ void QueryGroup::OnBatch(const EventRefs& events) {
   }
   for (CompiledQuery* q : members_) {
     stats_.member_deliveries += forward_scratch_.size();
-    q->OnBatch(forward_scratch_);
+    for (const Event* e : forward_scratch_) q->OnEvent(*e);
   }
 }
 

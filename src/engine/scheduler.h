@@ -71,7 +71,6 @@ class QueryGroup final : public EventProcessor {
   /// The shared index, or nullptr when this group delivers brute-force.
   const ConstraintIndex* index() const { return index_.get(); }
 
-  void OnEvent(const Event& event) override;
   void OnBatch(const EventRefs& events) override;
   void OnWatermark(Timestamp ts) override;
   void OnFinish() override;
@@ -102,7 +101,6 @@ class QueryGroup final : public EventProcessor {
   ConstraintIndex::MatchResult match_scratch_;
   std::vector<EventRefs> member_matches_;
   std::vector<uint64_t> member_failed_global_;
-  EventRefs single_event_scratch_;
 };
 
 /// The paper's concurrent query scheduler: divides registered queries into

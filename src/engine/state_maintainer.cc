@@ -108,12 +108,9 @@ void StateMaintainer::FoldMatch(const PatternMatch& match, Cell* cell) {
 
 WindowState StateMaintainer::FinishCell(const TimeWindow& window,
                                         Cell& cell) {
-  std::unordered_map<const Expr*, Value> agg_values;
-  agg_values.reserve(agg_sites_.size());
-  for (size_t i = 0; i < agg_sites_.size(); ++i) {
-    agg_values.emplace(agg_sites_[i], cell.aggs[i]->Finish());
-  }
-  AggFinishContext ctx(&agg_values);
+  agg_values_.clear();
+  for (const auto& agg : cell.aggs) agg_values_.push_back(agg->Finish());
+  AggFinishContext ctx(&agg_sites_, &agg_values_);
   WindowState state;
   state.window = window;
   const StateBlock& st = *aq_->query->state;

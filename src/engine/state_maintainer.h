@@ -107,6 +107,9 @@ class StateMaintainer {
   std::vector<const Expr*> agg_sites_;
   /// Aggregate function name per site (lowercase).
   std::vector<std::string> agg_names_;
+  /// One closing cell's finished aggregates, in `agg_sites_` order; reused
+  /// across cells.
+  std::vector<Value> agg_values_;
 
   bool is_count_window_ = false;
   int64_t count_n_ = 0;

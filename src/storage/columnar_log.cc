@@ -499,9 +499,4 @@ Result<EventBatch> ReadColumnarEventLog(const std::string& path) {
   return out;
 }
 
-Result<EventBatch> ReadAnyEventLog(const std::string& path) {
-  SAQL_RETURN_IF_ERROR(DetectEventLogVersion(path).status());
-  return ReadColumnarEventLog(path);
-}
-
 }  // namespace saql

@@ -237,9 +237,6 @@ Status WriteColumnarEventLog(
 /// Convenience: reads a whole v2 log into rows.
 Result<EventBatch> ReadColumnarEventLog(const std::string& path);
 
-/// Convenience: reads a whole log after checking its format magic.
-Result<EventBatch> ReadAnyEventLog(const std::string& path);
-
 }  // namespace saql
 
 #endif  // SAQL_STORAGE_COLUMNAR_LOG_H_

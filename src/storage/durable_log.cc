@@ -171,13 +171,6 @@ Status DurableLogWriter::AppendEncodedRecord(bool apply_sync) {
   return status_;
 }
 
-Status DurableLogWriter::SyncWal() {
-  std::lock_guard<std::mutex> lock(mu_);
-  SAQL_RETURN_IF_ERROR(status_);
-  WalBarrierLocked();
-  return status_;
-}
-
 void DurableLogWriter::WalBarrierLocked() {
   if (wal_ == nullptr) return;
   const uint64_t target = next_seq_ - 1;

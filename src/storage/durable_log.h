@@ -108,10 +108,6 @@ class DurableLogWriter {
     return Append(events.data(), events.size());
   }
 
-  /// Forces a WAL durability barrier now (any policy). Everything
-  /// appended so far is durable when this returns OK.
-  Status SyncWal();
-
   /// Drains the queue into segments, fsyncs, deletes the WAL files, and
   /// closes — on success `path` is a pure v2 columnar log. On error the
   /// surviving WAL files are kept for recovery. Idempotent.

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 
 namespace saql {
 
@@ -91,22 +90,6 @@ bool HaveSse42() { return false; }
 uint32_t Crc32(const void* data, size_t size) {
   static const bool hw = HaveSse42();
   return hw ? Crc32cHardware(data, size) : Crc32cSoftware(data, size);
-}
-
-Result<int> DetectEventLogVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in) {
-    return Status::IoError("'" + path + "' is not a SAQL event log");
-  }
-  if (std::memcmp(magic, kLogMagicV2, sizeof(magic)) == 0) {
-    return static_cast<int>(kLogVersionV2);
-  }
-  return Status::IoError("'" + path + "' is not a SAQL event log");
 }
 
 }  // namespace saql

@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "core/result.h"
 
 namespace saql {
 
@@ -68,11 +65,6 @@ uint32_t Crc32(const void* data, size_t size);
 
 /// Rounds `n` up to the next multiple of 8 (payload/section alignment).
 inline constexpr size_t AlignTo8(size_t n) { return (n + 7) & ~size_t{7}; }
-
-/// Sniffs the magic at `path`: returns 2 for a v2 columnar log, or
-/// IoError for missing files and anything else (including retired v1 row
-/// logs).
-Result<int> DetectEventLogVersion(const std::string& path);
 
 }  // namespace saql
 

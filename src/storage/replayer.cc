@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "storage/log_format.h"
-
 namespace saql {
 
 namespace {
@@ -25,7 +23,6 @@ StreamReplayer::StreamReplayer(const std::string& path, Filter filter)
   reader_ = std::make_unique<ColumnarLogReader>(path, opts);
   status_ = reader_->status();
   if (!status_.ok()) return;
-  format_version_ = static_cast<int>(kLogVersionV2);
   if (filter_.start_ts > 0) {
     // Time-range seek: jump the cursor past every segment that ends
     // before the range, without touching their payloads.

@@ -50,9 +50,6 @@ class StreamReplayer : public EventSource {
 
   EventBlock* NextBlock(size_t max_events) override;
 
-  /// Log format version (2); 0 when open failed.
-  int format_version() const { return format_version_; }
-
   /// Events skipped by the filter so far (time-range segment skips count
   /// whole segments without touching their payloads).
   uint64_t filtered_out() const { return filtered_out_; }
@@ -69,7 +66,6 @@ class StreamReplayer : public EventSource {
   std::unique_ptr<ColumnarLogReader> reader_;
   Filter filter_;
   Status status_;
-  int format_version_ = 0;
   uint64_t filtered_out_ = 0;
   uint64_t replayed_ = 0;
   Timestamp first_event_ts_ = INT64_MIN;

@@ -2,9 +2,6 @@
 #define SAQL_STREAM_EVENT_SOURCE_H_
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <vector>
 
 #include "core/event.h"
 #include "core/event_block.h"
@@ -12,9 +9,10 @@
 namespace saql {
 
 /// Pull-based producer of the system event stream. In the paper events flow
-/// from per-host data collection agents to a central server; here sources
-/// are the synthetic enterprise simulator (src/collect) or the stored-event
-/// replayer (src/storage).
+/// from per-host data collection agents to a central server, which sees
+/// one time-ordered feed; here that feed is a pre-materialized vector
+/// (`VectorEventSource`, what the enterprise simulator in src/collect
+/// hands out) or the stored-event replayer (src/storage).
 ///
 /// The ingestion unit is the **block** (`EventBlock`, core/event_block.h):
 /// `NextBlock` is the one virtual every source implements. Columnar
@@ -43,8 +41,9 @@ class EventSource {
   bool NextBatch(size_t max_events, EventBatch* batch);
 };
 
-/// Source over a pre-materialized vector of events; used by tests and by
-/// benchmarks that want the generation cost out of the measured loop.
+/// Source over a pre-materialized vector of events: the simulator's
+/// `MakeSource`, and tests and benchmarks that want the generation cost
+/// out of the measured loop.
 class VectorEventSource : public EventSource {
  public:
   explicit VectorEventSource(EventBatch events);
@@ -63,48 +62,6 @@ class VectorEventSource : public EventSource {
  private:
   EventBatch events_;
   size_t pos_ = 0;
-  EventBlock block_;
-};
-
-/// Adapts a generator function into a source. The function returns false to
-/// signal end of stream.
-class CallbackEventSource : public EventSource {
- public:
-  using Generator = std::function<bool(Event*)>;
-
-  explicit CallbackEventSource(Generator gen);
-
-  EventBlock* NextBlock(size_t max_events) override;
-
- private:
-  Generator gen_;
-  bool done_ = false;
-  EventBlock block_;
-};
-
-/// Merges several timestamp-ordered sources into one ordered stream — the
-/// central server's view over all per-host agent feeds.
-class MergingEventSource : public EventSource {
- public:
-  explicit MergingEventSource(std::vector<std::unique_ptr<EventSource>> inputs);
-
-  EventBlock* NextBlock(size_t max_events) override;
-
- private:
-  struct Cursor {
-    std::unique_ptr<EventSource> source;
-    EventBatch buffer;
-    size_t pos = 0;
-    bool exhausted = false;
-  };
-
-  /// Ensures cursor `i` has a current event or is marked exhausted,
-  /// pulling at most `budget` events from the inner source (the caller's
-  /// `max_events` — inner sources must not be drained harder than the
-  /// consumer asked for, e.g. a paced replayer behind the merge).
-  void Refill(size_t i, size_t budget);
-
-  std::vector<Cursor> cursors_;
   EventBlock block_;
 };
 

@@ -95,9 +95,4 @@ void StreamExecutor::FinishStream() {
   }
 }
 
-void StreamExecutor::ProcessBlock(EventBlock* block) {
-  if (block->empty()) return;
-  ProcessBatch(block->MutableRows(), block->size());
-}
-
 }  // namespace saql

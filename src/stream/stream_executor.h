@@ -7,7 +7,6 @@
 
 #include "core/event.h"
 #include "core/time_util.h"
-#include "stream/event_source.h"
 
 namespace saql {
 
@@ -39,22 +38,18 @@ struct RoutingInterest {
   }
 };
 
-/// Consumer interface over the event stream. Compiled queries (and query
-/// groups under the master-dependent scheme) implement this.
+/// Consumer interface over the event stream. The engine subscribes one
+/// query group (master-dependent scheme, `QueryGroup`) per compatibility
+/// class; a group hands events on to its member queries itself.
 class EventProcessor {
  public:
   virtual ~EventProcessor() = default;
 
-  /// Called once per stream event, in timestamp order.
-  virtual void OnEvent(const Event& event) = 0;
-
-  /// Batch-level entry point: the events of one pulled batch routed to this
-  /// processor, in stream order. The executor calls this once per batch per
-  /// processor — one virtual dispatch amortized over the whole batch — and
-  /// the default implementation degrades to per-event `OnEvent`.
-  virtual void OnBatch(const EventRefs& events) {
-    for (const Event* e : events) OnEvent(*e);
-  }
+  /// The one delivery entry point: the events of one batch routed to this
+  /// processor, in stream (timestamp) order. The executor calls this once
+  /// per batch per processor — one virtual dispatch amortized over the
+  /// whole batch.
+  virtual void OnBatch(const EventRefs& events) = 0;
 
   /// Event time has advanced to `ts`; windows ending at or before `ts` can
   /// be finalized. Called after a batch whose events moved the watermark.
@@ -145,12 +140,6 @@ class StreamExecutor {
   /// the events' memos in place. Does not emit a watermark; the max event
   /// time seen so far is tracked internally.
   void ProcessBatch(Event* batch, size_t count);
-
-  /// Block-native delivery: materializes the block's rows (a no-op for
-  /// row-backed blocks; columnar blocks arrive with `Event::syms`
-  /// pre-stamped from their dictionary, so every symbol read is a memo
-  /// hit) and delivers them. Empty blocks are ignored.
-  void ProcessBlock(EventBlock* block);
 
   /// Emits `ts` to all subscribers if it advances the emitted watermark;
   /// returns whether it did. Drivers pass the max event time seen or any

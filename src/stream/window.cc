@@ -28,9 +28,4 @@ std::vector<TimeWindow> WindowAssigner::Assign(Timestamp ts) const {
   return out;
 }
 
-TimeWindow WindowAssigner::NewestFor(Timestamp ts) const {
-  Timestamp last_start = ts - ((ts % slide_) + slide_) % slide_;
-  return TimeWindow{last_start, last_start + length_};
-}
-
 }  // namespace saql

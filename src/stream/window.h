@@ -42,15 +42,6 @@ class WindowAssigner {
   /// All windows containing `ts`, earliest first.
   std::vector<TimeWindow> Assign(Timestamp ts) const;
 
-  /// The single window starting at or before `ts` whose slide-slot contains
-  /// it (the newest window containing ts).
-  TimeWindow NewestFor(Timestamp ts) const;
-
-  /// True when every window ending at or before `watermark` can be closed.
-  bool CanClose(const TimeWindow& w, Timestamp watermark) const {
-    return w.end <= watermark;
-  }
-
   Duration length() const { return length_; }
   Duration slide() const { return slide_; }
 

@@ -219,6 +219,29 @@ TEST(QueryShellTest, SimulateRunsAndReportsAlerts) {
   EXPECT_NE(alerts.find("exfil"), std::string::npos);
 }
 
+TEST(QueryShellTest, SimulateRefusesUnknownFlag) {
+  ShellHarness h;
+  h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
+        "return distinct p, i");
+  // Read as minutes, the flag would parse to 0 and run the 30-minute
+  // default.
+  std::string out = h.Run("simulate --shards=2");
+  EXPECT_NE(out.find("unknown flag '--shards=2'"), std::string::npos) << out;
+  EXPECT_NE(out.find("usage: simulate [minutes]"), std::string::npos) << out;
+  EXPECT_EQ(out.find("simulating"), std::string::npos) << out;
+  EXPECT_EQ(out.find("run complete"), std::string::npos) << out;
+}
+
+TEST(QueryShellTest, RecordRefusesUnknownFlag) {
+  ShellHarness h;
+  std::string log = ::testing::TempDir() + "/shell_flag.saqllog";
+  std::filesystem::remove(log);
+  std::string out = h.Run("record " + log + " 1 --bogus");
+  EXPECT_NE(out.find("unknown flag '--bogus'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("recorded"), std::string::npos) << out;
+  EXPECT_FALSE(std::filesystem::exists(log));
+}
+
 TEST(QueryShellTest, StatsAvailableAfterRun) {
   ShellHarness h;
   EXPECT_NE(h.Run("stats").find("no run yet"), std::string::npos);
@@ -267,6 +290,22 @@ TEST(QueryShellLiveTest, PushRequiresOpenSession) {
   EXPECT_NE(h.Run("push 1").find("no live session"), std::string::npos);
   EXPECT_NE(h.Run("close").find("no live session"), std::string::npos);
   EXPECT_NE(h.Run("session").find("no live session"), std::string::npos);
+}
+
+TEST(QueryShellTest, OpenAndPushRefuseUnknownFlags) {
+  ShellHarness h;
+  h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
+        "return distinct p, i");
+  std::string out = h.Run("open --bogus");
+  EXPECT_NE(out.find("unknown flag '--bogus'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("session open"), std::string::npos) << out;
+  EXPECT_NE(h.Run("sessions").find("no live sessions"), std::string::npos);
+
+  ASSERT_NE(h.Run("open").find("session open"), std::string::npos);
+  out = h.Run("push --minutes=2");
+  EXPECT_NE(out.find("unknown flag '--minutes=2'"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("pushed"), std::string::npos) << out;
 }
 
 TEST(QueryShellLiveTest, FullLifecycleScript) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/interner.h"
 #include "storage/columnar_log.h"
 #include "storage/log_format.h"
+#include "storage/replayer.h"
 #include "test_util.h"
 
 namespace saql {
@@ -145,7 +147,7 @@ TEST(ColumnarLogTest, EmptyLogReadsEmpty) {
 TEST(ColumnarLogTest, MissingFileFails) {
   EXPECT_EQ(ReadColumnarEventLog("/nonexistent/nope.saqllog").status().code(),
             StatusCode::kIoError);
-  EXPECT_EQ(DetectEventLogVersion("/nonexistent/nope.saqllog").status().code(),
+  EXPECT_EQ(StreamReplayer("/nonexistent/nope.saqllog", {}).status().code(),
             StatusCode::kIoError);
 }
 
@@ -153,7 +155,39 @@ TEST(ColumnarLogTest, RejectsNonLogFile) {
   std::string path = TempPath("v2_not_a_log.txt");
   std::ofstream(path) << "hello world, definitely not a SAQL log";
   EXPECT_EQ(ReadColumnarEventLog(path).status().code(), StatusCode::kIoError);
-  EXPECT_EQ(ReadAnyEventLog(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(StreamReplayer(path, {}).status().code(), StatusCode::kIoError);
+}
+
+// The reader's header check is the one format guard: a v2 magic with a
+// version it does not know, and a file too short to hold the 16-byte
+// header, are both refused, by the whole-log read and by the replayer in
+// either read mode.
+TEST(ColumnarLogTest, RejectsWrongVersionAndShortHeader) {
+  std::string wrong_version = TempPath("v2_wrong_version.saqllog");
+  ASSERT_TRUE(WriteColumnarEventLog(wrong_version, SampleEvents()).ok());
+  {
+    std::fstream f(wrong_version,
+                   std::ios::binary | std::ios::in | std::ios::out);
+    const uint32_t version = 3;
+    f.seekp(sizeof(kLogMagicV2));
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  std::string short_header = TempPath("v2_short_header.saqllog");
+  std::ofstream(short_header, std::ios::binary) << "SAQLLOG2" << "xy";
+  ASSERT_EQ(std::filesystem::file_size(short_header), 10u);
+
+  for (const std::string& path : {wrong_version, short_header}) {
+    EXPECT_EQ(ReadColumnarEventLog(path).status().code(),
+              StatusCode::kIoError)
+        << path;
+    for (bool use_mmap : {true, false}) {
+      StreamReplayer::Filter filter;
+      filter.use_mmap = use_mmap;
+      EXPECT_EQ(StreamReplayer(path, filter).status().code(),
+                StatusCode::kIoError)
+          << path << " use_mmap=" << use_mmap;
+    }
+  }
 }
 
 // Round-trip property: random corpora, multiple segment sizes (forcing
@@ -189,7 +223,7 @@ TEST(ColumnarLogTest, RoundTripPropertyRandomCorpora) {
 }
 
 // Blocks from the reader come with Event::syms pre-stamped from the
-// segment dictionary, exactly as InternEventStrings would stamp them.
+// segment dictionary, exactly as InternEventSpan would stamp them.
 TEST(ColumnarLogTest, ReplayedRowsArrivePreInterned) {
   std::string path = TempPath("v2_preinterned.saqllog");
   EventBatch original = SampleEvents();
@@ -203,7 +237,7 @@ TEST(ColumnarLogTest, ReplayedRowsArrivePreInterned) {
   uint32_t gen = static_cast<uint32_t>(interner.generation());
   for (size_t i = 0; i < block.size(); ++i) {
     Event expected = original[i];
-    InternEventStrings(&expected);
+    InternEventSpan(&expected, 1);
     EXPECT_EQ(rows[i].syms.gen, gen);
     EXPECT_EQ(rows[i].syms.agent, expected.syms.agent);
     EXPECT_EQ(rows[i].syms.subj_exe, expected.syms.subj_exe);

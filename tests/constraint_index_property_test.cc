@@ -71,8 +71,8 @@ TEST(ConstraintIndexPropertyTest, DuplicateConstraintsShareOneSlot) {
     Event hit = NetWrite("a.exe", "1.1.1.1");
     Event miss = NetWrite("b.exe", "1.1.1.1");
     if (intern) {
-      InternEventStrings(&hit);
-      InternEventStrings(&miss);
+      InternEventSpan(&hit, 1);
+      InternEventSpan(&miss, 1);
     }
     ExpectAgreement(*index, members, hit, intern ? "hit/int" : "hit/raw");
     ExpectAgreement(*index, members, miss, intern ? "miss/int" : "miss/raw");
@@ -102,7 +102,7 @@ TEST(ConstraintIndexPropertyTest, ContradictoryConjunctionNeverMatches) {
   for (bool intern : {false, true}) {
     for (const char* exe : {"a.exe", "b.exe", "c.exe"}) {
       Event e = NetWrite(exe, "1.1.1.1");
-      if (intern) InternEventStrings(&e);
+      if (intern) InternEventSpan(&e, 1);
       ConstraintIndex::MatchResult r;
       index->Match(e, &r);
       EXPECT_FALSE(BitAt(r.matched, 0)) << exe;  // eq contradiction
@@ -188,7 +188,7 @@ TEST(ConstraintIndexPropertyTest, CaseNormalizationAgreesWithLikeMatcher) {
   for (const char* exe : {"cmd.exe", "CMD.EXE", "CmD.exE", "cmd.exe2"}) {
     Event raw = NetWrite(exe, "1.1.1.1");
     Event interned = raw;
-    InternEventStrings(&interned);
+    InternEventSpan(&interned, 1);
     ConstraintIndex::MatchResult r_raw, r_int;
     index->Match(raw, &r_raw);
     index->Match(interned, &r_int);

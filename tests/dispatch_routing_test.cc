@@ -185,7 +185,9 @@ TEST(DispatchRoutingTest, RoutedSkipsKeepGroupIngressAccounting) {
 
 class RecordingProcessor : public EventProcessor {
  public:
-  void OnEvent(const Event& event) override { events.push_back(event); }
+  void OnBatch(const EventRefs& batch) override {
+    for (const Event* e : batch) events.push_back(*e);
+  }
   void OnWatermark(Timestamp ts) override { watermarks.push_back(ts); }
   void OnFinish() override {}
 

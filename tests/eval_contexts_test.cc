@@ -148,9 +148,9 @@ TEST(MatchEvalContextTest, EntityAndAliasResolution) {
 
 TEST(AggFinishContextTest, ResolvesBySiteIdentity) {
   ExprPtr call = Expr::MakeCall("sum", {}, SourceLoc{});
-  std::unordered_map<const Expr*, Value> values;
-  values.emplace(call.get(), Value(int64_t{42}));
-  AggFinishContext ctx(&values);
+  std::vector<const Expr*> sites{call.get()};
+  std::vector<Value> values{Value(int64_t{42})};
+  AggFinishContext ctx(&sites, &values);
   EXPECT_EQ(EvaluateExpr(*call, ctx).value().AsInt(), 42);
   // A different call node (even if identical text) is a missing site.
   ExprPtr other = Expr::MakeCall("sum", {}, SourceLoc{});

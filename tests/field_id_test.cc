@@ -178,7 +178,7 @@ TEST(InternerTest, CaseVariantsShareOneSymbol) {
 
 TEST(InternerTest, InternEventStringsFillsSlotsPerObjectType) {
   Event proc_evt = SampleEvent(EntityType::kProcess);
-  InternEventStrings(&proc_evt);
+  InternEventSpan(&proc_evt, 1);
   EXPECT_NE(proc_evt.syms.agent, 0u);
   EXPECT_NE(proc_evt.syms.subj_exe, 0u);
   EXPECT_NE(proc_evt.syms.subj_user, 0u);
@@ -187,7 +187,7 @@ TEST(InternerTest, InternEventStringsFillsSlotsPerObjectType) {
   EXPECT_EQ(proc_evt.syms.obj_path, 0u);
 
   Event file_evt = SampleEvent(EntityType::kFile);
-  InternEventStrings(&file_evt);
+  InternEventSpan(&file_evt, 1);
   EXPECT_NE(file_evt.syms.obj_path, 0u);
   EXPECT_EQ(file_evt.syms.obj_exe, 0u);
 
@@ -226,7 +226,7 @@ bool IsNetworkString(FieldId id) {
 }
 
 /// One lazy symbol read on a fresh event, checked against the eager stamp
-/// (`InternEventStrings`) of a copy: the read returns the eager id of the
+/// (`InternEventSpan`) of a copy: the read returns the eager id of the
 /// attribute's own spelling and fills exactly one slot, or returns 0 and
 /// fills none when the attribute carries no symbol. A second read is a
 /// memo hit: same id, no interner entry, no allocation.
@@ -236,7 +236,7 @@ void CheckLazyRead(EntityType type, const std::string& label,
   SCOPED_TRACE(label);
   Interner& interner = Interner::Global();
   Event eager = SampleEvent(type);
-  InternEventStrings(&eager);
+  InternEventSpan(&eager, 1);
   Event lazy = SampleEvent(type);
   const uint32_t id = read(lazy);
   if (spelling == nullptr || network_string) {
@@ -326,7 +326,7 @@ TEST(InternerTest, ExactEqualityMatchesInternedAndPlainEventsAlike) {
                        EntityType::kProcess);
   Event e = SampleEvent(EntityType::kFile);  // subject CMD.exe
   EXPECT_TRUE(c.MatchesEntity(e, EntityRole::kSubject));
-  InternEventStrings(&e);
+  InternEventSpan(&e, 1);
   EXPECT_TRUE(c.MatchesEntity(e, EntityRole::kSubject));
 
   CompiledConstraint miss("exe_name", ConstraintOp::kEq, Value("other.exe"),

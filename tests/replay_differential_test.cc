@@ -103,14 +103,12 @@ TEST(ReplayDifferentialTest, AllFormatsBitIdentical) {
 
   StreamReplayer recorded(recorded_path, StreamReplayer::Filter{});
   ASSERT_TRUE(recorded.status().ok());
-  ASSERT_EQ(recorded.format_version(), 2);
   EXPECT_EQ(RunEngineOver(&recorded), baseline) << "recorded log";
   EXPECT_EQ(recorded.replayed(), corpus.size());
 
   StreamReplayer::Filter mmap_filter;
   StreamReplayer v2(v2_path, mmap_filter);
   ASSERT_TRUE(v2.status().ok());
-  ASSERT_EQ(v2.format_version(), 2);
   EXPECT_EQ(RunEngineOver(&v2), baseline) << "v2 mmap";
   EXPECT_EQ(v2.replayed(), corpus.size());
 

@@ -57,6 +57,11 @@ TEST(SchedulerTest, SignatureIgnoresConstraintsAndReturns) {
   EXPECT_EQ(q1->GroupSignature(), q2->GroupSignature());
 }
 
+// Hands `event` to `group` as a one-event batch.
+void DeliverOne(QueryGroup* group, const Event& event) {
+  group->OnBatch({&event});
+}
+
 TEST(QueryGroupTest, MasterFilterSavesMemberDeliveries) {
   auto q1 = Compile("proc p[\"%a.exe\"] write ip i as e return p", "q1");
   auto q2 = Compile("proc p[\"%b.exe\"] write ip i as e return p", "q2");
@@ -72,7 +77,7 @@ TEST(QueryGroupTest, MasterFilterSavesMemberDeliveries) {
                          .Op(EventOp::kRead)
                          .FileObject("/x")
                          .Build();
-  group.OnEvent(file_event);
+  DeliverOne(&group, file_event);
   EXPECT_EQ(group.stats().events_in, 1u);
   EXPECT_EQ(group.stats().events_forwarded, 0u);
   EXPECT_EQ(group.stats().member_deliveries, 0u);
@@ -83,7 +88,7 @@ TEST(QueryGroupTest, MasterFilterSavesMemberDeliveries) {
                         .Op(EventOp::kWrite)
                         .NetObject("1.1.1.1")
                         .Build();
-  group.OnEvent(net_event);
+  DeliverOne(&group, net_event);
   EXPECT_EQ(group.stats().events_forwarded, 1u);
   EXPECT_EQ(group.stats().member_deliveries, 2u);
   // Both members saw the event; only q1's constraints match.
@@ -101,13 +106,13 @@ TEST(QueryGroupTest, WatermarkAndFinishForwarded) {
   q->SetAlertSink([&](const Alert& a) { alerts.push_back(a); });
   QueryGroup group("sig");
   group.AddMember(q.get());
-  group.OnEvent(EventBuilder()
-                    .At(kSecond)
-                    .Subject("p.exe")
-                    .Op(EventOp::kWrite)
-                    .NetObject("1.1.1.1")
-                    .Amount(5)
-                    .Build());
+  DeliverOne(&group, EventBuilder()
+                       .At(kSecond)
+                       .Subject("p.exe")
+                       .Op(EventOp::kWrite)
+                       .NetObject("1.1.1.1")
+                       .Amount(5)
+                       .Build());
   group.OnWatermark(2 * kMinute);  // closes the window
   group.OnFinish();
   EXPECT_EQ(alerts.size(), 1u);
@@ -121,19 +126,19 @@ TEST(SchedulerTest, ForwardRatioReflectsFiltering) {
   QueryGroup* g = sched.groups()[0];
   // 3 structurally irrelevant events, 1 relevant.
   for (int i = 0; i < 3; ++i) {
-    g->OnEvent(EventBuilder()
-                   .At(i)
-                   .Subject("x.exe")
-                   .Op(EventOp::kRead)
-                   .FileObject("/f")
-                   .Build());
+    DeliverOne(g, EventBuilder()
+                    .At(i)
+                    .Subject("x.exe")
+                    .Op(EventOp::kRead)
+                    .FileObject("/f")
+                    .Build());
   }
-  g->OnEvent(EventBuilder()
-                 .At(9)
-                 .Subject("x.exe")
-                 .Op(EventOp::kWrite)
-                 .NetObject("2.2.2.2")
-                 .Build());
+  DeliverOne(g, EventBuilder()
+                  .At(9)
+                  .Subject("x.exe")
+                  .Op(EventOp::kWrite)
+                  .NetObject("2.2.2.2")
+                  .Build());
   EXPECT_DOUBLE_EQ(sched.ForwardRatio(), 0.25);
 }
 

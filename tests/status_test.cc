@@ -57,11 +57,6 @@ TEST(ResultTest, HoldsError) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ResultTest, ValueOrFallsBack) {
-  EXPECT_EQ(ParsePositive(-1).ValueOr(42), 42);
-  EXPECT_EQ(ParsePositive(7).ValueOr(42), 7);
-}
-
 TEST(ResultTest, OkStatusConvertedToInternalError) {
   Result<int> r{Status::Ok()};
   ASSERT_FALSE(r.ok());

@@ -68,7 +68,7 @@ TEST(EventLogTest, RoundTripPreservesAllFields) {
   EventBatch original = SampleEvents();
   original[1].failed = true;
   ASSERT_TRUE(RecordLog(path, original).ok());
-  Result<EventBatch> loaded = ReadAnyEventLog(path);
+  Result<EventBatch> loaded = ReadColumnarEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -91,13 +91,13 @@ TEST(EventLogTest, RoundTripPreservesAllFields) {
 TEST(EventLogTest, EmptyLogReadsEmpty) {
   std::string path = TempPath("empty.saqllog");
   ASSERT_TRUE(RecordLog(path, {}).ok());
-  Result<EventBatch> loaded = ReadAnyEventLog(path);
+  Result<EventBatch> loaded = ReadColumnarEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->empty());
 }
 
 TEST(EventLogTest, MissingFileFails) {
-  EXPECT_EQ(ReadAnyEventLog("/nonexistent/nope.saqllog").status().code(),
+  EXPECT_EQ(ReadColumnarEventLog("/nonexistent/nope.saqllog").status().code(),
             StatusCode::kIoError);
   EXPECT_EQ(RecordLog("/nonexistent/nope.saqllog", SampleEvents()).code(),
             StatusCode::kIoError);
@@ -107,11 +107,11 @@ TEST(EventLogTest, MissingFileFails) {
 TEST(EventLogTest, RejectsNonLogFile) {
   std::string path = TempPath("not_a_log.txt");
   std::ofstream(path) << "hello world, definitely not a SAQL log";
-  EXPECT_EQ(ReadAnyEventLog(path).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadColumnarEventLog(path).status().code(), StatusCode::kIoError);
   std::string v1 = TempPath("retired_v1.saqllog");
   std::ofstream(v1, std::ios::binary)
       << "SAQLLOG1" << std::string(4, '\1') << std::string(64, 'x');
-  EXPECT_EQ(ReadAnyEventLog(v1).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadColumnarEventLog(v1).status().code(), StatusCode::kIoError);
   EXPECT_EQ(StreamReplayer(v1, StreamReplayer::Filter{}).status().code(),
             StatusCode::kIoError);
 }
@@ -129,7 +129,7 @@ TEST(EventLogTest, TruncatedTailIsCrashConsistent) {
   src.close();
   std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 
-  Result<EventBatch> loaded = ReadAnyEventLog(path);
+  Result<EventBatch> loaded = ReadColumnarEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->size(), 2u);  // last segment dropped, others intact
 }
@@ -164,7 +164,7 @@ TEST(EventLogTest, InjectedCrashMidRecordIsCrashConsistent) {
   EXPECT_TRUE(fs.crashed());
   w.Close();
 
-  Result<EventBatch> loaded = ReadAnyEventLog(path);
+  Result<EventBatch> loaded = ReadColumnarEventLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->size(), 2u);  // torn segment dropped, others intact
 }

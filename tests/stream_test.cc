@@ -46,100 +46,11 @@ TEST(VectorEventSourceTest, ResetRewinds) {
   EXPECT_EQ(batch.size(), 5u);
 }
 
-TEST(CallbackEventSourceTest, StopsWhenGeneratorEnds) {
-  int remaining = 7;
-  CallbackEventSource src([&](Event* e) {
-    if (remaining == 0) return false;
-    e->ts = 7 - remaining;
-    --remaining;
-    return true;
-  });
-  EventBatch batch;
-  size_t total = 0;
-  while (src.NextBatch(4, &batch)) total += batch.size();
-  EXPECT_EQ(total, 7u);
-}
-
-TEST(MergingEventSourceTest, MergesByTimestamp) {
-  std::vector<std::unique_ptr<EventSource>> inputs;
-  inputs.push_back(std::make_unique<VectorEventSource>(
-      MakeOrderedEvents(5, 0, 2 * kSecond)));  // ts 0,2,4,6,8
-  inputs.push_back(std::make_unique<VectorEventSource>(
-      MakeOrderedEvents(5, kSecond, 2 * kSecond)));  // ts 1,3,5,7,9
-  MergingEventSource merged(std::move(inputs));
-  EventBatch batch;
-  EventBatch all;
-  while (merged.NextBatch(3, &batch)) {
-    all.insert(all.end(), batch.begin(), batch.end());
-  }
-  ASSERT_EQ(all.size(), 10u);
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LE(all[i - 1].ts, all[i].ts);
-  }
-}
-
-/// Wraps a source and records the largest `max_events` the consumer asked
-/// it for — pins the merge fan-in against over-pulling its inputs.
-class BudgetRecordingSource : public EventSource {
- public:
-  explicit BudgetRecordingSource(EventBatch events)
-      : inner_(std::move(events)) {}
-
-  EventBlock* NextBlock(size_t max_events) override {
-    max_requested = std::max(max_requested, max_events);
-    return inner_.NextBlock(max_events);
-  }
-
-  size_t max_requested = 0;
-
- private:
-  VectorEventSource inner_;
-};
-
-// Regression: MergingEventSource used to refill its inner cursors with a
-// hardcoded 4096-event pull regardless of the caller's budget — fatal for
-// paced or windowed inner sources behind the merge. Inner pulls must not
-// exceed the consumer's max_events.
-TEST(MergingEventSourceTest, RespectsCallerBatchBudget) {
-  std::vector<std::unique_ptr<EventSource>> inputs;
-  auto a = std::make_unique<BudgetRecordingSource>(
-      MakeOrderedEvents(200, 0, 2 * kSecond));
-  auto b = std::make_unique<BudgetRecordingSource>(
-      MakeOrderedEvents(200, kSecond, 2 * kSecond));
-  BudgetRecordingSource* ra = a.get();
-  BudgetRecordingSource* rb = b.get();
-  inputs.push_back(std::move(a));
-  inputs.push_back(std::move(b));
-  MergingEventSource merged(std::move(inputs));
-  EventBatch batch, all;
-  while (merged.NextBatch(10, &batch)) {
-    EXPECT_LE(batch.size(), 10u);
-    all.insert(all.end(), batch.begin(), batch.end());
-  }
-  EXPECT_EQ(all.size(), 400u);
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LE(all[i - 1].ts, all[i].ts);
-  }
-  EXPECT_LE(ra->max_requested, 10u);
-  EXPECT_LE(rb->max_requested, 10u);
-  EXPECT_GT(ra->max_requested, 0u);
-}
-
-TEST(MergingEventSourceTest, HandlesEmptyInputs) {
-  std::vector<std::unique_ptr<EventSource>> inputs;
-  inputs.push_back(std::make_unique<VectorEventSource>(EventBatch{}));
-  inputs.push_back(
-      std::make_unique<VectorEventSource>(MakeOrderedEvents(3)));
-  MergingEventSource merged(std::move(inputs));
-  EventBatch batch;
-  size_t total = 0;
-  while (merged.NextBatch(10, &batch)) total += batch.size();
-  EXPECT_EQ(total, 3u);
-}
-
 class RecordingProcessor : public EventProcessor {
  public:
-  void OnEvent(const Event& event) override { events.push_back(event); }
+  void OnBatch(const EventRefs& batch) override {
+    for (const Event* e : batch) events.push_back(*e);
+  }
   void OnWatermark(Timestamp ts) override { watermarks.push_back(ts); }
   void OnFinish() override { finished = true; }
 

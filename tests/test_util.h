@@ -125,7 +125,7 @@ inline void DriveToEnd(StreamExecutor* exec, EventSource* source,
                        size_t batch_size = 1024) {
   exec->BeginStream();
   while (EventBlock* block = source->NextBlock(batch_size)) {
-    exec->ProcessBlock(block);
+    exec->ProcessBatch(block->MutableRows(), block->size());
     exec->AdvanceWatermark(exec->max_event_ts());
   }
   exec->FinishStream();

@@ -56,21 +56,6 @@ TEST(WindowAssignerTest, WindowsAlignToSlideGrid) {
   EXPECT_EQ(w1[0].start, w2[0].start);
 }
 
-TEST(WindowAssignerTest, NewestForMatchesAssign) {
-  WindowAssigner a(TimeSpec(10 * kMinute, 5 * kMinute));
-  Timestamp ts = 23 * kMinute;
-  TimeWindow newest = a.NewestFor(ts);
-  auto all = a.Assign(ts);
-  EXPECT_EQ(newest, all.back());
-}
-
-TEST(WindowAssignerTest, CanCloseComparesEnd) {
-  WindowAssigner a(TimeSpec(10 * kMinute));
-  TimeWindow w{0, 10 * kMinute};
-  EXPECT_FALSE(a.CanClose(w, 9 * kMinute));
-  EXPECT_TRUE(a.CanClose(w, 10 * kMinute));
-}
-
 /// Property sweep: every assigned window contains the timestamp, windows
 /// are distinct, and count == ceil(length/slide).
 class WindowSweep
