@@ -26,12 +26,17 @@
 //      the rotation hiccup: the same drive with the live interner
 //      rotation policy forced on at every quiesce point, so each push
 //      pays the re-intern/re-index heal.
+//   A14 Fleet admission — microseconds per SaqlEngine::AddQuery (parse,
+//      compile, lint, fleet check) while registering the A7 tenant fleet
+//      of 64/256/1024 queries: the indexed fleet check keeps it flat as
+//      the fleet grows, where an all-pairs check grows with it.
 //   Baseline file: run with
-//     --benchmark_filter='Routing|MemberIndex|DynamicChurn|ConcurrentSessions'
+//     --benchmark_filter='Routing|MemberIndex|DynamicChurn|ConcurrentSessions|FleetAdmission'
 //     --benchmark_out=BENCH_throughput.json --benchmark_out_format=json
 //   to refresh the checked-in throughput baseline.
 
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
@@ -679,6 +684,49 @@ BENCHMARK(BM_ConcurrentSessionsRotating)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// A14: fleet admission.
+// ---------------------------------------------------------------------------
+
+/// Registers the A7 tenant fleet of N queries into a fresh engine per
+/// iteration and reports `us_per_add`: the mean wall time of one
+/// SaqlEngine::AddQuery over the whole registration, so the late adds into
+/// a large fleet weigh as much as the early ones.
+void BM_FleetAdmission(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<std::string> queries = MemberIndexWorkloadQueries(n);
+  std::vector<std::string> names;
+  names.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  double add_us = 0;
+  for (auto _ : state) {
+    SaqlEngine engine;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i) {
+      Status st = engine.AddQuery(queries[static_cast<size_t>(i)],
+                                  names[static_cast<size_t>(i)]);
+      if (!st.ok()) {
+        state.SkipWithError(st.ToString().c_str());
+        return;
+      }
+    }
+    add_us += std::chrono::duration<double, std::micro>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  }
+  const double adds = static_cast<double>(state.iterations()) * n;
+  state.SetItemsProcessed(static_cast<int64_t>(adds));
+  state.counters["queries"] = static_cast<double>(n);
+  state.counters["us_per_add"] = add_us / adds;
+  state.counters["cores"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+}
+BENCHMARK(BM_FleetAdmission)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace saql

@@ -1,7 +1,10 @@
 #include "analysis/fleet_analysis.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -274,6 +277,12 @@ struct CanonQuery {
   /// No state/invariant/cluster: alert-set containment follows from
   /// event-set containment, so SA051 subsumption claims are sound.
   bool stateless = false;
+  /// `Fleet` index: hash of everything SA050 and SA051 require to be
+  /// equal (shape, pattern count, per-pattern subject and object type).
+  uint64_t bucket = 0;
+  /// `Fleet` index: hashes of the required keys (`RequiredKey`), sorted,
+  /// without duplicates.
+  std::vector<uint64_t> keys;
 };
 
 namespace {
@@ -347,6 +356,74 @@ std::vector<CanonConstraint> CanonEntityConstraints(const EntityPattern& ep) {
   }
   SortByKey(&out);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Fleet index keys
+// ---------------------------------------------------------------------------
+
+/// Folds `v` into the running hash `h` (splitmix64 finalizer).
+uint64_t Mix(uint64_t h, uint64_t v) {
+  uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Sets `*key` to the index key of `c` at `position` (pattern index, or -1
+/// for a global constraint) and `role`, when `c` is a constraint only an
+/// identical constraint implies (`ConstraintImplies`): wildcard-free
+/// string equality, keyed on the folded needle `LikeImplies` compares, and
+/// numeric or bool equality. Returns false for every other constraint.
+bool RequiredKey(const CanonConstraint& c, int position, int role,
+                 uint64_t* key) {
+  if (c.op != ConstraintOp::kEq) return false;
+  uint64_t value = 0;
+  switch (c.tag) {
+    case CanonConstraint::Tag::kString:
+      // `ClassifyPattern`'s kExact, whose needle is the whole string.
+      if (c.str.find_first_of("%_") != std::string::npos) return false;
+      value = std::hash<std::string>{}(c.str);
+      break;
+    case CanonConstraint::Tag::kNumber:
+    case CanonConstraint::Tag::kBool: {
+      if (std::isnan(c.num)) return false;  // implied by nothing
+      const double num = c.num + 0.0;  // -0 == +0 under `ConstraintImplies`
+      std::memcpy(&value, &num, sizeof(value));
+      break;
+    }
+    case CanonConstraint::Tag::kOther:
+      return false;
+  }
+  uint64_t h =
+      Mix(static_cast<uint64_t>(position), static_cast<uint64_t>(role));
+  h = Mix(h, static_cast<uint64_t>(c.field));
+  h = Mix(h, static_cast<uint64_t>(c.tag));
+  *key = Mix(h, value);
+  return true;
+}
+
+void AddRequiredKeys(const std::vector<CanonConstraint>& constraints,
+                     int position, int role, std::vector<uint64_t>* keys) {
+  for (const CanonConstraint& c : constraints) {
+    uint64_t key = 0;
+    if (RequiredKey(c, position, role, &key)) keys->push_back(key);
+  }
+}
+
+/// Fills `q`'s bucket and required keys from its canonical form.
+void IndexKeys(CanonQuery* q) {
+  q->bucket = Mix(std::hash<std::string>{}(q->shape), q->patterns.size());
+  for (size_t i = 0; i < q->patterns.size(); ++i) {
+    const CanonPattern& p = q->patterns[i];
+    q->bucket = Mix(q->bucket, static_cast<uint64_t>(p.subject_type));
+    q->bucket = Mix(q->bucket, static_cast<uint64_t>(p.object_type));
+    AddRequiredKeys(p.subject, static_cast<int>(i), 0, &q->keys);
+    AddRequiredKeys(p.object, static_cast<int>(i), 1, &q->keys);
+  }
+  AddRequiredKeys(q->globals, -1, 2, &q->keys);
+  std::sort(q->keys.begin(), q->keys.end());
+  q->keys.erase(std::unique(q->keys.begin(), q->keys.end()), q->keys.end());
 }
 
 CanonQuery Canonicalize(const AnalyzedQuery& aq) {
@@ -462,6 +539,7 @@ CanonQuery Canonicalize(const AnalyzedQuery& aq) {
   }
   shape << "]";
   out.shape = shape.str();
+  IndexKeys(&out);
   return out;
 }
 
@@ -526,21 +604,7 @@ SourceSpan AnchorSpan(const AnalyzedQuery& aq) {
   return SourceSpan{};
 }
 
-/// How a later-registered query relates to an earlier one. `Analyze` and
-/// `CheckQuery` decide every pair through `Relate`, so they always agree.
-enum class PairRelation { kNone, kDuplicate, kLaterTighter, kLaterWider };
-
-PairRelation Relate(const CanonQuery& earlier, const CanonQuery& later,
-                    const FleetOptions& options) {
-  if (CanonEqual(earlier, later)) return PairRelation::kDuplicate;
-  if (!options.subsumption) return PairRelation::kNone;
-  // Mutually subsuming queries (equivalent constraints that differ
-  // canonically, e.g. LIKE "ab%" and "ab%%") report the later one as the
-  // wider: both claims hold.
-  if (CanonSubsumed(earlier, later)) return PairRelation::kLaterWider;
-  if (CanonSubsumed(later, earlier)) return PairRelation::kLaterTighter;
-  return PairRelation::kNone;
-}
+using PairRelation = FleetAnalysis::PairRelation;
 
 /// The later query's finding for a related pair (`relation` != kNone).
 Diagnostic MakeFinding(PairRelation relation, const AnalyzedQuery& later,
@@ -617,31 +681,47 @@ std::string FleetReport::ToString() const {
   return os.str();
 }
 
+FleetAnalysis::PairRelation FleetAnalysis::Relate(const FleetEntry& earlier,
+                                                  const FleetEntry& later,
+                                                  const Options& options) {
+  if (CanonEqual(*earlier.canon, *later.canon)) {
+    return PairRelation::kDuplicate;
+  }
+  if (!options.subsumption) return PairRelation::kNone;
+  // Mutually subsuming queries (equivalent constraints that differ
+  // canonically, e.g. LIKE "ab%" and "ab%%") report the later one as the
+  // wider: both claims hold.
+  if (CanonSubsumed(*earlier.canon, *later.canon)) {
+    return PairRelation::kLaterWider;
+  }
+  if (CanonSubsumed(*later.canon, *earlier.canon)) {
+    return PairRelation::kLaterTighter;
+  }
+  return PairRelation::kNone;
+}
+
 FleetReport FleetAnalysis::Analyze(const std::vector<Member>& members,
                                    const Options& options) {
   FleetReport report;
   report.findings.resize(members.size());
-  std::vector<CanonQuery> canon;
-  canon.reserve(members.size());
-  for (const Member& m : members) {
-    report.names.push_back(m.name);
-    canon.push_back(Canonicalize(*m.aq));
-  }
-
+  // A fresh fleet stamps member j with seq j.
+  Fleet fleet;
   for (size_t j = 0; j < members.size(); ++j) {
-    for (size_t i = 0; i < j; ++i) {
-      PairRelation r = Relate(canon[i], canon[j], options);
+    report.names.push_back(members[j].name);
+    FleetEntry entry(members[j].name, members[j].aq);
+    for (const FleetEntry* m : fleet.Candidates(entry)) {
+      PairRelation r = Relate(*m, entry, options);
       if (r == PairRelation::kNone) continue;
+      const size_t i = m->seq;
       bool flip = r == PairRelation::kLaterTighter;  // a is the subsumed side
       report.relations.push_back(
           {flip ? j : i, flip ? i : j,
            r == PairRelation::kDuplicate ? FleetRelation::Kind::kDuplicate
                                          : FleetRelation::Kind::kSubsumes});
-      report.findings[j].push_back(
-          MakeFinding(r, *members[j].aq, members[i].name));
+      report.findings[j].push_back(MakeFinding(r, *entry.aq, m->name));
     }
+    fleet.Add(std::move(entry));
   }
-
   // Routing-envelope overlap: which (object type, op) dispatch cells each
   // member's patterns cover, and how many members share each cell.
   std::map<std::pair<int, int>, std::vector<size_t>> cells;
@@ -669,14 +749,139 @@ FleetReport FleetAnalysis::Analyze(const std::vector<Member>& members,
   return report;
 }
 
-std::vector<Diagnostic> FleetAnalysis::CheckQuery(
-    const FleetEntry& candidate, const std::vector<FleetEntry>& fleet,
-    const Options& options) {
+std::vector<Diagnostic> FleetAnalysis::CheckQuery(const FleetEntry& candidate,
+                                                  const Fleet& fleet,
+                                                  const Options& options) {
+  return fleet.Check(candidate, options);
+}
+
+// ---------------------------------------------------------------------------
+// Fleet
+// ---------------------------------------------------------------------------
+
+Fleet::Fleet(std::initializer_list<FleetEntry> entries) {
+  for (const FleetEntry& e : entries) Add(e);
+}
+
+void Fleet::Add(FleetEntry entry) {
+  entry.seq = next_seq_++;
+  const CanonQuery& c = *entry.canon;
+  Bucket& bucket = buckets_[c.bucket];
+  bucket.members.push_back(entry.seq);
+  if (c.keys.empty()) bucket.keyless.push_back(entry.seq);
+  for (uint64_t key : c.keys) {
+    // `entry.seq` is the largest yet: it goes last in the key's range.
+    const std::pair<uint64_t, uint64_t> posting(key, entry.seq);
+    bucket.postings.insert(std::upper_bound(bucket.postings.begin(),
+                                            bucket.postings.end(), posting),
+                           posting);
+  }
+  entries_.push_back(std::move(entry));
+}
+
+bool Fleet::Remove(const std::string& name) {
+  auto it = std::find_if(
+      entries_.begin(), entries_.end(),
+      [&name](const FleetEntry& e) { return e.name == name; });
+  if (it == entries_.end()) return false;
+  const uint64_t seq = it->seq;
+  const CanonQuery& c = *it->canon;
+  auto bucket = buckets_.find(c.bucket);
+  auto drop = [seq](std::vector<uint64_t>* seqs) {
+    seqs->erase(std::lower_bound(seqs->begin(), seqs->end(), seq));
+  };
+  drop(&bucket->second.members);
+  if (c.keys.empty()) drop(&bucket->second.keyless);
+  std::vector<std::pair<uint64_t, uint64_t>>& postings =
+      bucket->second.postings;
+  for (uint64_t key : c.keys) {
+    postings.erase(std::lower_bound(postings.begin(), postings.end(),
+                                    std::make_pair(key, seq)));
+  }
+  if (bucket->second.members.empty()) buckets_.erase(bucket);
+  entries_.erase(it);
+  return true;
+}
+
+const FleetEntry& Fleet::BySeq(uint64_t seq) const {
+  return *std::lower_bound(
+      entries_.begin(), entries_.end(), seq,
+      [](const FleetEntry& e, uint64_t s) { return e.seq < s; });
+}
+
+std::vector<const FleetEntry*> Fleet::Candidates(
+    const FleetEntry& candidate) const {
+  std::vector<const FleetEntry*> out;
+  auto found = buckets_.find(candidate.canon->bucket);
+  if (found == buckets_.end()) return out;
+  const Bucket& bucket = found->second;
+  const std::vector<uint64_t>& keys = candidate.canon->keys;
+  std::vector<uint64_t> seqs;
+  if (keys.empty()) {
+    // Every member holds all of no keys: the candidate may be wider than,
+    // or equal to, any member of its bucket.
+    seqs = bucket.members;
+  } else {
+    std::vector<uint64_t> hits;  // one per (member, shared key)
+    using Posting = std::pair<uint64_t, uint64_t>;
+    using Range = std::pair<std::vector<Posting>::const_iterator,
+                            std::vector<Posting>::const_iterator>;
+    Range shortest{bucket.postings.end(), bucket.postings.end()};
+    bool all_listed = true;
+    for (uint64_t key : keys) {
+      Range list = std::equal_range(
+          bucket.postings.begin(), bucket.postings.end(), Posting(key, 0),
+          [](const Posting& x, const Posting& y) { return x.first < y.first; });
+      if (list.first == list.second) {
+        all_listed = false;
+        continue;
+      }
+      for (auto it = list.first; it != list.second; ++it) {
+        hits.push_back(it->second);
+      }
+      if (shortest.first == shortest.second ||
+          list.second - list.first < shortest.second - shortest.first) {
+        shortest = list;
+      }
+    }
+    // Members that may be tighter than, or equal to, the candidate hold
+    // every one of its keys.
+    if (all_listed) {
+      for (auto it = shortest.first; it != shortest.second; ++it) {
+        const std::vector<uint64_t>& held = BySeq(it->second).canon->keys;
+        if (std::includes(held.begin(), held.end(), keys.begin(),
+                          keys.end())) {
+          seqs.push_back(it->second);
+        }
+      }
+    }
+    // Members that may be wider hold only keys of the candidate: each of
+    // their keys is a hit.
+    std::sort(hits.begin(), hits.end());
+    for (size_t i = 0; i < hits.size();) {
+      size_t end = i;
+      while (end < hits.size() && hits[end] == hits[i]) ++end;
+      if (end - i == BySeq(hits[i]).canon->keys.size()) {
+        seqs.push_back(hits[i]);
+      }
+      i = end;
+    }
+    seqs.insert(seqs.end(), bucket.keyless.begin(), bucket.keyless.end());
+    std::sort(seqs.begin(), seqs.end());
+    seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
+  }
+  out.reserve(seqs.size());
+  for (uint64_t seq : seqs) out.push_back(&BySeq(seq));
+  return out;
+}
+
+std::vector<Diagnostic> Fleet::Check(const FleetEntry& candidate,
+                                     const FleetOptions& options) const {
   std::vector<Diagnostic> out;
-  for (const FleetEntry& m : fleet) {
-    PairRelation r = Relate(*m.canon, *candidate.canon, options);
+  for (const FleetEntry* m : Candidates(candidate)) {
+    PairRelation r = FleetAnalysis::Relate(*m, candidate, options);
     if (r != PairRelation::kNone) {
-      out.push_back(MakeFinding(r, *candidate.aq, m.name));
+      out.push_back(MakeFinding(r, *candidate.aq, m->name));
     }
   }
   return out;

@@ -1,8 +1,11 @@
 #ifndef SAQL_ANALYSIS_FLEET_ANALYSIS_H_
 #define SAQL_ANALYSIS_FLEET_ANALYSIS_H_
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -74,6 +77,69 @@ struct FleetEntry {
   std::string name;
   AnalyzedQueryPtr aq;  ///< immutable, shared across sessions
   std::shared_ptr<const CanonQuery> canon;
+  /// Registration sequence, stamped by `Fleet::Add`: members are checked
+  /// and reported in this order.
+  uint64_t seq = 0;
+};
+
+/// A registered query set — the engine registry, a session's active
+/// queries, or a whole-fleet pass — with an index that finds the members a
+/// new query can relate to without visiting the others.
+///
+/// Members are bucketed by everything SA050 and SA051 require to be equal:
+/// the shape string, the pattern count, and each pattern's subject and
+/// object type. Within a bucket, every constraint that only an identical
+/// constraint can imply — wildcard-free string equality, numeric and bool
+/// equality — is a required key (a 64-bit hash of pattern or global
+/// position, role, canonical field, tag and value). In a related pair the
+/// wider query's keys are a subset of the tighter query's, and duplicates
+/// have equal key sets, so `Candidates` returns only members holding all
+/// of the candidate's keys (walked from its shortest posting list) or
+/// whose keys are all among the candidate's (hits counted over its posting
+/// lists, plus the bucket's key-less members). The index only drops pairs the
+/// relation provably calls unrelated; `FleetAnalysis::Relate` decides the
+/// rest, so findings equal an all-pairs pass.
+class Fleet {
+ public:
+  Fleet() = default;
+  Fleet(std::initializer_list<FleetEntry> entries);
+
+  /// Registers `entry` after every current member and indexes it.
+  void Add(FleetEntry entry);
+
+  /// Unregisters the first member named `name`; false when there is none.
+  bool Remove(const std::string& name);
+
+  /// The members in registration order.
+  const std::vector<FleetEntry>& entries() const { return entries_; }
+  size_t size() const { return entries_.size(); }
+
+  /// The members the index cannot rule out as related to `candidate`, in
+  /// registration order.
+  std::vector<const FleetEntry*> Candidates(const FleetEntry& candidate) const;
+
+  /// `candidate`'s SA050/SA051 findings against the members, as if it were
+  /// registered last (never errors — fleet findings warn, they do not
+  /// reject), in registration order of the related members.
+  std::vector<Diagnostic> Check(const FleetEntry& candidate,
+                                const FleetOptions& options) const;
+
+ private:
+  /// One bucket's members, flat: a few sorted vectors per bucket keep a
+  /// copy (each session snapshots the registry) small and cheap.
+  struct Bucket {
+    std::vector<uint64_t> members;  ///< seqs, ascending
+    std::vector<uint64_t> keyless;  ///< members without a key, ascending
+    /// (key hash, seq) per required key of each member, ascending: a
+    /// key's posting list is its equal range.
+    std::vector<std::pair<uint64_t, uint64_t>> postings;
+  };
+
+  const FleetEntry& BySeq(uint64_t seq) const;
+
+  std::vector<FleetEntry> entries_;  ///< ascending seq
+  std::unordered_map<uint64_t, Bucket> buckets_;
+  uint64_t next_seq_ = 0;
 };
 
 /// Cross-query static analysis over a set of compiled (analyzed) queries:
@@ -101,9 +167,13 @@ struct FleetEntry {
 /// inputs, which can *add* alerts — nor when `Options::subsumption` is off
 /// (engines with a nonzero alert cooldown, where suppression timing breaks
 /// the containment argument).
+///
+/// No pass compares every pair: `Fleet` hands `Relate` only the members its
+/// index cannot rule out (see `Fleet` for the soundness rule), so admitting
+/// a query costs its candidates, not the fleet size.
 class FleetAnalysis {
  public:
-  /// One registered query, as held by the engine registry / session.
+  /// One query of a whole-fleet pass.
   struct Member {
     std::string name;
     AnalyzedQueryPtr aq;
@@ -111,20 +181,26 @@ class FleetAnalysis {
 
   using Options = FleetOptions;
 
-  /// Full pairwise pass over `members`. Findings for a related pair attach
-  /// to the higher-indexed member (the one registered later), mirroring the
-  /// incremental AddQuery check.
+  /// How a later-registered query relates to an earlier one.
+  enum class PairRelation { kNone, kDuplicate, kLaterTighter, kLaterWider };
+
+  /// The one pair decider: `Analyze` and `Fleet::Check` decide every
+  /// candidate pair through it, so they always agree.
+  static PairRelation Relate(const FleetEntry& earlier,
+                             const FleetEntry& later,
+                             const Options& options = Options());
+
+  /// Whole-fleet pass over `members`, registered in order through a
+  /// `Fleet`. Findings for a related pair attach to the higher-indexed
+  /// member (the one registered later), mirroring the incremental AddQuery
+  /// check.
   static FleetReport Analyze(const std::vector<Member>& members,
                              const Options& options = Options());
 
-  /// Incremental form used at query admission: checks `candidate` against
-  /// the already-registered fleet and returns its SA050/SA051 findings
-  /// (never errors — fleet findings warn, they do not reject). Each pair is
-  /// decided exactly as `Analyze` decides it with `candidate` registered
-  /// last, from the entries' precomputed canonical forms.
-  static std::vector<Diagnostic> CheckQuery(
-      const FleetEntry& candidate, const std::vector<FleetEntry>& fleet,
-      const Options& options = Options());
+  /// Same as `fleet.Check(candidate, options)`.
+  static std::vector<Diagnostic> CheckQuery(const FleetEntry& candidate,
+                                            const Fleet& fleet,
+                                            const Options& options = Options());
 };
 
 }  // namespace saql

@@ -344,6 +344,26 @@ bool QueryShell::RejectUnknownFlag(const std::vector<std::string>& args,
   return false;
 }
 
+void QueryShell::BadArgument(const std::string& arg, const char* usage) {
+  out_ << "bad argument '" << arg << "' — usage: " << usage << "\n";
+}
+
+bool QueryShell::ParseMinutes(const std::string& token, const char* usage,
+                              Duration* duration) {
+  // Digits only, and few enough (< 10^8 minutes) that the duration fits
+  // in int64 nanoseconds.
+  const bool digits =
+      !token.empty() && token.size() <= 8 &&
+      token.find_first_not_of("0123456789") == std::string::npos;
+  const Duration minutes = digits ? std::stoll(token) : 0;
+  if (minutes <= 0) {
+    BadArgument(token, usage);
+    return false;
+  }
+  *duration = minutes * kMinute;
+  return true;
+}
+
 std::string QueryShell::FormatStats(
     const ExecutorStats& exec, size_t num_queries, size_t num_groups,
     size_t indexed_groups, bool member_indexed, size_t num_alerts,
@@ -396,11 +416,11 @@ void QueryShell::RunEngine(EventSource* source) {
 }
 
 void QueryShell::CmdSimulate(const std::vector<std::string>& args) {
-  if (RejectUnknownFlag(args, "simulate [minutes]")) return;
+  static constexpr const char* kUsage = "simulate [minutes]";
+  if (RejectUnknownFlag(args, kUsage)) return;
   EnterpriseSimulator::Options opts;
-  if (!args.empty()) {
-    opts.duration = std::strtol(args[0].c_str(), nullptr, 10) * kMinute;
-    if (opts.duration <= 0) opts.duration = 30 * kMinute;
+  if (!args.empty() && !ParseMinutes(args[0], kUsage, &opts.duration)) {
+    return;
   }
   EnterpriseSimulator sim(opts);
   auto source = sim.MakeSource();
@@ -439,9 +459,8 @@ void QueryShell::CmdRecord(const std::vector<std::string>& args) {
     return;
   }
   EnterpriseSimulator::Options opts;
-  if (rest.size() > 1) {
-    opts.duration = std::strtol(rest[1].c_str(), nullptr, 10) * kMinute;
-    if (opts.duration <= 0) opts.duration = 30 * kMinute;
+  if (rest.size() > 1 && !ParseMinutes(rest[1], kUsage, &opts.duration)) {
+    return;
   }
   EnterpriseSimulator sim(opts);
   EventBatch events = sim.Generate();
@@ -535,7 +554,11 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
       ++it;
     }
   }
-  if (RejectUnknownFlag(rest, "open [--record=<log> [--sync=P] [--force]]")) {
+  static constexpr const char* kUsage =
+      "open [--record=<log> [--sync=P] [--force]]";
+  if (RejectUnknownFlag(rest, kUsage)) return;
+  if (!rest.empty()) {
+    BadArgument(rest[0], kUsage);
     return;
   }
   // One engine hosts every concurrently open session; it is built at the
@@ -595,18 +618,17 @@ void QueryShell::CmdOpen(const std::vector<std::string>& args) {
 }
 
 void QueryShell::CmdPush(const std::vector<std::string>& args) {
-  if (RejectUnknownFlag(args, "push [#id] [minutes]")) return;
+  static constexpr const char* kUsage = "push [#id] [minutes]";
+  if (RejectUnknownFlag(args, kUsage)) return;
   std::vector<std::string> rest = args;
   LiveSession* ls = ConsumeSessionRef(&rest);
   if (ls == nullptr) return;
-  long minutes = 5;
-  if (!rest.empty()) {
-    minutes = std::strtol(rest[0].c_str(), nullptr, 10);
-    if (minutes <= 0) minutes = 5;
-  }
   EnterpriseSimulator::Options opts;
   opts.start = ls->clock;
-  opts.duration = minutes * kMinute;
+  opts.duration = 5 * kMinute;
+  if (!rest.empty() && !ParseMinutes(rest[0], kUsage, &opts.duration)) {
+    return;
+  }
   // Vary the seed per push so repeated pushes produce fresh traffic.
   opts.seed = 42 + ls->pushes;
   EnterpriseSimulator sim(opts);

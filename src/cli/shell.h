@@ -162,6 +162,16 @@ class QueryShell {
   bool RejectUnknownFlag(const std::vector<std::string>& args,
                          const char* usage);
 
+  /// Refuses `arg` the way `RejectUnknownFlag` refuses a flag: prints it
+  /// with `usage`.
+  void BadArgument(const std::string& arg, const char* usage);
+
+  /// Reads `token` as a minute count: the whole token must be a positive
+  /// integer. Anything else is a `BadArgument` and returns false, never a
+  /// silent default.
+  bool ParseMinutes(const std::string& token, const char* usage,
+                    Duration* duration);
+
   /// One open live session of the shared engine, with the shell-side
   /// drive state (the per-session simulator clock and counters).
   struct LiveSession {

@@ -32,8 +32,7 @@ EngineCore::EngineCore(EngineOptions options)
 
 Result<EngineCore::PreparedQuery> EngineCore::PrepareQuery(
     AnalyzedQueryPtr aq, const std::string& name,
-    const std::vector<FleetEntry>& fleet,
-    std::vector<Diagnostic>* diagnostics) const {
+    const Fleet& fleet, std::vector<Diagnostic>* diagnostics) const {
   SAQL_ASSIGN_OR_RETURN(
       std::unique_ptr<CompiledQuery> instance,
       CompiledQuery::Create(aq, name, options_.query_options));
@@ -50,8 +49,7 @@ Result<EngineCore::PreparedQuery> EngineCore::PrepareQuery(
   FleetEntry entry(name, std::move(aq));
   FleetAnalysis::Options fleet_opts;
   fleet_opts.subsumption = options_.query_options.alert_cooldown <= 0;
-  std::vector<Diagnostic> fleet_findings =
-      FleetAnalysis::CheckQuery(entry, fleet, fleet_opts);
+  std::vector<Diagnostic> fleet_findings = fleet.Check(entry, fleet_opts);
   findings.insert(findings.end(),
                   std::make_move_iterator(fleet_findings.begin()),
                   std::make_move_iterator(fleet_findings.end()));
@@ -65,17 +63,14 @@ Status EngineCore::RegisterQuery(AnalyzedQueryPtr aq, const std::string& name,
   SAQL_ASSIGN_OR_RETURN(
       PreparedQuery prepared,
       PrepareQuery(std::move(aq), name, registered_, diagnostics));
-  for (const FleetEntry& r : registered_) {
-    if (r.name == name) {
-      return Status::AlreadyExists("query '" + name +
-                                   "' is already registered");
-    }
+  if (!registered_names_.insert(name).second) {
+    return Status::AlreadyExists("query '" + name + "' is already registered");
   }
-  registered_.push_back(std::move(prepared.entry));
+  registered_.Add(std::move(prepared.entry));
   return Status::Ok();
 }
 
-std::vector<FleetEntry> EngineCore::SnapshotRegistry() const {
+Fleet EngineCore::SnapshotRegistry() const {
   std::lock_guard<std::mutex> lock(registry_mu_);
   return registered_;
 }

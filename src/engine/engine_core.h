@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -146,8 +147,7 @@ class EngineCore {
   /// reject). `diagnostics`, if set, receives every finding.
   Result<PreparedQuery> PrepareQuery(
       AnalyzedQueryPtr aq, const std::string& name,
-      const std::vector<FleetEntry>& fleet,
-      std::vector<Diagnostic>* diagnostics) const;
+      const Fleet& fleet, std::vector<Diagnostic>* diagnostics) const;
 
   /// Admits a query through `PrepareQuery` against the registered fleet
   /// and registers it under `name` (AlreadyExists, after the lint gate,
@@ -159,7 +159,7 @@ class EngineCore {
   /// The registered queries at this instant. Entries share their analyzed
   /// query and canonical form with the registry (both immutable, safe to
   /// compile from concurrently).
-  std::vector<FleetEntry> SnapshotRegistry() const;
+  Fleet SnapshotRegistry() const;
 
   size_t num_queries() const;
 
@@ -240,7 +240,9 @@ class EngineCore {
   ErrorReporter errors_;
 
   mutable std::mutex registry_mu_;
-  std::vector<FleetEntry> registered_;
+  Fleet registered_;
+  /// The names in `registered_`: the duplicate-name check without a scan.
+  std::unordered_set<std::string> registered_names_;
 
   std::mutex sink_mu_;
   AlertSink sink_;

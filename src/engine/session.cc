@@ -20,7 +20,6 @@
 // matching falls back to string comparison on the generation mismatch, so
 // alert output is independent of where the rotation lands.
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -61,8 +60,8 @@ struct SaqlEngine::Session::SessionContext {
   std::vector<std::unique_ptr<SessionQuery>> queries;
   std::unordered_map<std::string, SessionQuery*> by_name;
   /// The active queries in attach order, with their canonical forms: the
-  /// members an incoming query's fleet check compares against.
-  std::vector<FleetEntry> fleet;
+  /// fleet an incoming query is checked against.
+  Fleet fleet;
 
   /// Query grouping (master-dependent scheme) and the executor that
   /// delivers every pushed batch to the groups.
@@ -146,7 +145,7 @@ struct SaqlEngine::Session::SessionContext {
     // execution state; the analyzed queries and their canonical forms are
     // immutable and shared).
     fleet = core->SnapshotRegistry();
-    for (const FleetEntry& reg : fleet) {
+    for (const FleetEntry& reg : fleet.entries()) {
       auto sq = std::make_unique<SessionQuery>();
       sq->name = reg.name;
       SAQL_ASSIGN_OR_RETURN(
@@ -268,7 +267,7 @@ struct SaqlEngine::Session::SessionContext {
     QueryHandle* h = sq->handle.get();
     by_name[name] = sq.get();
     queries.push_back(std::move(sq));
-    fleet.push_back(std::move(prepared.entry));
+    fleet.Add(std::move(prepared.entry));
     return h;
   }
 
@@ -286,9 +285,7 @@ struct SaqlEngine::Session::SessionContext {
     if (emptied) executor->Unsubscribe(emptied.get());
     sq->instance.reset();
     sq->active = false;
-    fleet.erase(std::find_if(
-        fleet.begin(), fleet.end(),
-        [sq](const FleetEntry& e) { return e.name == sq->name; }));
+    fleet.Remove(sq->name);
     return Status::Ok();
   }
 

@@ -308,6 +308,52 @@ TEST(QueryShellTest, OpenAndPushRefuseUnknownFlags) {
   EXPECT_EQ(out.find("pushed"), std::string::npos) << out;
 }
 
+TEST(QueryShellTest, MinuteCountsMustBePositiveIntegers) {
+  ShellHarness h;
+  h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
+        "return distinct p, i");
+  // Read with strtol, "1x" ran 1 minute and "0" the 30-minute default.
+  for (const char* bad : {"1x", "0", "-2", "abc", "999999999"}) {
+    std::string out = h.Run(std::string("simulate ") + bad);
+    EXPECT_NE(out.find(std::string("bad argument '") + bad +
+                       "' — usage: simulate [minutes]"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("simulating"), std::string::npos) << out;
+  }
+
+  std::string log = ::testing::TempDir() + "/shell_minutes.saqllog";
+  std::filesystem::remove(log);
+  std::string out = h.Run("record " + log + " 2m");
+  EXPECT_NE(out.find("bad argument '2m' — usage: record"), std::string::npos)
+      << out;
+  EXPECT_FALSE(std::filesystem::exists(log));
+
+  ASSERT_NE(h.Run("open").find("session open"), std::string::npos);
+  // Read with strtol, "abc" pushed the default 5 minutes.
+  for (const char* bad : {"abc", "-3", "5.5"}) {
+    out = h.Run(std::string("push ") + bad);
+    EXPECT_NE(out.find(std::string("bad argument '") + bad +
+                       "' — usage: push [#id] [minutes]"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("pushed"), std::string::npos) << out;
+  }
+  out = h.Run("push 1");
+  EXPECT_NE(out.find("(1min of traffic"), std::string::npos) << out;
+}
+
+TEST(QueryShellTest, OpenRefusesPositionalArgument) {
+  ShellHarness h;
+  h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
+        "return distinct p, i");
+  std::string out = h.Run("open foo");
+  EXPECT_NE(out.find("bad argument 'foo' — usage: open"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("session open"), std::string::npos) << out;
+  EXPECT_NE(h.Run("sessions").find("no live sessions"), std::string::npos);
+}
+
 TEST(QueryShellLiveTest, FullLifecycleScript) {
   ShellHarness h;
   h.Run("query exfil proc p[\"%sbblv.exe\"] write ip i as e "
