@@ -22,10 +22,10 @@
 //      mid-stream.
 //   A12 Concurrent sessions — aggregate throughput when 1/2/4/8 isolated
 //      tenant sessions of one engine stream from independent threads
-//      (shared process-wide interner, per-session everything else), plus
-//      the rotation hiccup: the same drive with the live interner
-//      rotation policy forced on at every quiesce point, so each push
-//      pays the re-intern/re-index heal.
+//      (each session owns its symbol table and everything else), plus
+//      the rotation hiccup: the same drive with a 1-byte per-session
+//      table bound, so each push rotates the session's table and pays the
+//      re-bind/re-index.
 //   A14 Fleet admission — microseconds per SaqlEngine::AddQuery (parse,
 //      compile, lint, fleet check) while registering the A7 tenant fleet
 //      of 64/256/1024 queries: the indexed fleet check keeps it flat as
@@ -45,7 +45,6 @@
 
 #include "bench_util.h"
 #include "collect/enterprise_sim.h"
-#include "core/interner.h"
 #include "core/like_matcher.h"
 #include "engine/engine.h"
 #include "stream/reorder_buffer.h"
@@ -593,13 +592,14 @@ BENCHMARK(BM_DynamicChurn)
 /// copy of the full multi-tenant stream (16 tenant queries). A session's
 /// Push fills the symbol memos of the buffer it is handed, so threads must
 /// not share one: each copy's memos are reset, untimed, before every
-/// iteration, and every session pays its own interning. Items processed = K * stream size per iteration, so
-/// events/s is the *aggregate* across tenants. `rotate_bytes != 0`
-/// forces the live interner rotation policy (1 byte = rotate at every
-/// quiesce check): every push rotates the global table and every session
-/// re-interns its constraint symbols and rebuilds its probe groups at its
-/// next push — the worst-case rotation hiccup, reported via the
-/// `rotations` counter.
+/// iteration, and every session pays its own interning into its own
+/// table. Items processed = K * stream size per iteration, so events/s is
+/// the *aggregate* across tenants. `rotate_bytes != 0` sets the
+/// per-session table bound (1 byte = rotate at every push that follows
+/// one that interned anything): the session clears its table, re-binds
+/// its constraint symbols and rebuilds its probe groups — the worst-case
+/// rotation hiccup. `rotations` sums the sessions' own rotation counts
+/// (`Session::interner_stats`).
 void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
   const size_t sessions = static_cast<size_t>(state.range(0));
   static constexpr size_t kChunk = 4096;
@@ -624,12 +624,12 @@ void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
         return;
       }
     }
-    const uint64_t gen_before = Interner::Global().generation();
     std::atomic<bool> failed{false};
+    std::atomic<uint64_t> iteration_rotations{0};
     std::vector<std::thread> threads;
     threads.reserve(sessions);
     for (size_t s = 0; s < sessions; ++s) {
-      threads.emplace_back([&engine, &failed, events = &copies[s]] {
+      threads.emplace_back([&, events = &copies[s]] {
         auto session = engine.OpenSession();
         if (!session.ok()) {
           failed = true;
@@ -646,6 +646,7 @@ void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
             break;
           }
         }
+        iteration_rotations += (*session)->interner_stats().rotations;
         if (!(*session)->Close().ok()) failed = true;
       });
     }
@@ -654,7 +655,7 @@ void RunConcurrentSessions(benchmark::State& state, size_t rotate_bytes) {
       state.SkipWithError("session drive failed");
       return;
     }
-    rotations += Interner::Global().generation() - gen_before;
+    rotations += iteration_rotations.load();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(sessions) *
@@ -682,6 +683,7 @@ void BM_ConcurrentSessionsRotating(benchmark::State& state) {
 BENCHMARK(BM_ConcurrentSessionsRotating)
     ->Arg(1)
     ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -4,7 +4,7 @@
 // the bottleneck when reproducing attacks.
 //
 // A9: replay ablation — the engine-facing replay loop (NextBlock, row
-// materialization, intern pass) over the same corpus stored as a
+// materialization) over the same corpus stored as a
 // columnar v2 log, read buffered and with mmap zero-copy blocks, plus
 // the v2 write rate. Refresh BENCH_throughput.json with:
 //   ./bench_replayer --benchmark_filter='A9Replay'
@@ -69,8 +69,9 @@ BENCHMARK(BM_ReplayWithHostFilter)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // A9: replay-format ablation. Each variant drives the exact loop the
-// engine's `Run` drives — pull a block, materialize rows (every symbol
-// slot pre-stamped from the interned dictionary) — so the items/s are
+// engine's `Run` drives — pull a block, materialize rows (with empty
+// symbol memos: a session interns a slot on its first read, so that cost
+// is the session's, not the replay loop's) — so the items/s are
 // comparable end-to-end replay rates, not raw decode rates.
 // ---------------------------------------------------------------------------
 

@@ -33,14 +33,9 @@ struct CanonConstraint {
   Tag tag = Tag::kOther;
   std::string str;  ///< case-folded string / fallback rendering
   double num = 0;   ///< numeric / bool value
-
-  /// Total-order key; equal keys ⇔ equal canonical constraints.
-  std::string Key() const {
-    char buf[360];
-    std::snprintf(buf, sizeof(buf), "%d|%d|%d|%.17g|", static_cast<int>(field),
-                  static_cast<int>(op), static_cast<int>(tag), num);
-    return std::string(buf) + str;
-  }
+  /// Total-order key, rendered once from the fields above by
+  /// `MakeCanonConstraint`; equal keys ⇔ equal canonical constraints.
+  std::string key;
 };
 
 CanonConstraint MakeCanonConstraint(FieldId field, const AttrConstraint& c) {
@@ -61,13 +56,18 @@ CanonConstraint MakeCanonConstraint(FieldId field, const AttrConstraint& c) {
     out.tag = CanonConstraint::Tag::kOther;
     out.str = c.value.ToString();
   }
+  char buf[360];
+  std::snprintf(buf, sizeof(buf), "%d|%d|%d|%.17g|",
+                static_cast<int>(out.field), static_cast<int>(out.op),
+                static_cast<int>(out.tag), out.num);
+  out.key = std::string(buf) + out.str;
   return out;
 }
 
 void SortByKey(std::vector<CanonConstraint>* v) {
   std::sort(v->begin(), v->end(),
             [](const CanonConstraint& a, const CanonConstraint& b) {
-              return a.Key() < b.Key();
+              return a.key < b.key;
             });
 }
 
@@ -75,7 +75,7 @@ bool SameConstraints(const std::vector<CanonConstraint>& a,
                      const std::vector<CanonConstraint>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Key() != b[i].Key()) return false;
+    if (a[i].key != b[i].key) return false;
   }
   return true;
 }

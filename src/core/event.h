@@ -97,8 +97,8 @@ struct NetworkEntity {
 /// core/field_access) fill one slot at a time, on the first read of that
 /// slot. A slot is 0 ("not interned") until some exact-equality predicate
 /// compares its attribute by id; a slot no query compares is never
-/// interned. Rows materialized from a columnar block arrive with every
-/// slot pre-stamped from the block's interned dictionary.
+/// interned. Rows materialized from a columnar block arrive with an empty
+/// memo and fill it like any other pushed event.
 struct EventSymbols {
   uint32_t agent = 0;      ///< agent_id
   uint32_t subj_exe = 0;   ///< subject.exe_name
@@ -106,10 +106,11 @@ struct EventSymbols {
   uint32_t obj_exe = 0;    ///< obj_proc.exe_name (process objects)
   uint32_t obj_user = 0;   ///< obj_proc.user (process objects)
   uint32_t obj_path = 0;   ///< obj_file.path (file objects)
-  /// Interner generation every non-zero slot was interned under; 0 =
-  /// never interned. A reader that finds the generation stale clears
-  /// every slot before it fills its own, so replayed buffers survive an
-  /// `Interner::Rotate`.
+  /// Generation of the table every non-zero slot was interned into; 0 =
+  /// never interned. Every table, and every rotation of one, has its own
+  /// generation, so a reader whose table's generation differs clears
+  /// every slot before it fills its own: a buffer survives both an
+  /// `Interner::Rotate` and a push to another session.
   uint32_t gen = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "core/interner.h"
 #include "core/string_util.h"
 
 namespace saql {
@@ -67,10 +66,6 @@ void EventBlock::Clear() {
   dict_slots_.clear();
   dict_ = nullptr;
   dict_size_ = 0;
-  syms_owned_ = false;
-  dict_syms_own_.clear();
-  dict_syms_ = nullptr;
-  syms_gen_ = 0;
   borrowed_rows_ = nullptr;
   rows_valid_ = false;
 }
@@ -93,7 +88,6 @@ void EventBlock::EnsureOwnedColumnar() {
   if (mode_ == Mode::kOwnedColumnar) return;
   assert(mode_ == Mode::kEmpty && "AppendColumnar on a non-columnar block");
   mode_ = Mode::kOwnedColumnar;
-  syms_owned_ = true;
   dict_own_.clear();
   dict_own_.push_back(std::string_view{});  // code 0 = ""
   dict_ = dict_own_.data();
@@ -154,8 +148,6 @@ uint32_t EventBlock::DictCode(std::string_view s) {
   }
   dict_ = dict_own_.data();  // vector growth may relocate
   dict_size_ = dict_own_.size();
-  dict_syms_ = nullptr;  // dictionary grew; interned ids are stale
-  syms_gen_ = 0;
   return code;
 }
 
@@ -233,9 +225,8 @@ void EventBlock::AppendColumns(const EventBlock& src, size_t offset,
 }
 
 void EventBlock::BindColumns(const Columns& cols, size_t count,
-                             const std::string_view* dict, size_t dict_size,
-                             const uint32_t* dict_syms,
-                             uint64_t syms_generation) {
+                             const std::string_view* dict,
+                             size_t dict_size) {
   Clear();
   mode_ = Mode::kBorrowedColumnar;
   cols_ = cols;
@@ -243,9 +234,6 @@ void EventBlock::BindColumns(const Columns& cols, size_t count,
   size_ = count;
   dict_ = dict;
   dict_size_ = dict_size;
-  dict_syms_ = dict_syms;
-  syms_gen_ = syms_generation;
-  syms_owned_ = dict_syms == nullptr;
 }
 
 const EventBlock::Columns& EventBlock::columns() const {
@@ -281,31 +269,8 @@ const std::string_view* EventBlock::dict() const { return dict_; }
 
 size_t EventBlock::dict_size() const { return dict_size_; }
 
-void EventBlock::InternDictionary() const {
-  Interner& interner = Interner::Global();
-  uint64_t gen = interner.generation();
-  if (dict_syms_ != nullptr && syms_gen_ == gen) return;
-  assert(syms_owned_ &&
-         "dictionaries bound with ids are interned by their owner");
-  dict_syms_own_.resize(dict_size_);
-  for (size_t i = 0; i < dict_size_; ++i) {
-    dict_syms_own_[i] = interner.Intern(dict_[i]);
-  }
-  dict_syms_ = dict_syms_own_.data();
-  syms_gen_ = gen;
-  rows_valid_ = false;  // cached rows carry the old generation's ids
-}
-
-const uint32_t* EventBlock::dict_syms() const {
-  if (syms_owned_) InternDictionary();
-  return dict_syms_;
-}
-
 void EventBlock::Materialize() {
-  if (syms_owned_) InternDictionary();
   const Columns& c = columns();
-  const uint32_t* syms = dict_syms_;
-  uint32_t gen = static_cast<uint32_t>(syms_gen_);
   // resize + assign (not clear + push_back): surviving rows keep their
   // string capacity, so steady-state replay into a reused block stops
   // allocating once the row strings have grown to the corpus's sizes.
@@ -331,26 +296,9 @@ void EventBlock::Materialize() {
     e.obj_net.protocol.assign(dict_[c.protocol[i]]);
     e.amount = c.amount[i];
     e.failed = c.failed[i] != 0;
-    // Pre-stamp every slot straight from the interned dictionary. The
-    // dictionary is interned once per distinct spelling per block, so
-    // stamping all slots costs one load each here, cheaper than a lazy
-    // per-event probe (core/field_access) on each slot a query reads.
+    // The row may hold another event from an earlier bind, with the
+    // memo a session filled for it: drop the memo with the strings.
     e.syms = EventSymbols{};
-    e.syms.agent = syms[c.agent[i]];
-    e.syms.subj_exe = syms[c.subj_exe[i]];
-    e.syms.subj_user = syms[c.subj_user[i]];
-    switch (e.object_type) {
-      case EntityType::kProcess:
-        e.syms.obj_exe = syms[c.obj_exe[i]];
-        e.syms.obj_user = syms[c.obj_user[i]];
-        break;
-      case EntityType::kFile:
-        e.syms.obj_path = syms[c.obj_path[i]];
-        break;
-      case EntityType::kNetwork:
-        break;
-    }
-    e.syms.gen = gen;
   }
   rows_valid_ = true;
 }

@@ -20,11 +20,9 @@ namespace saql {
 /// A block holds every event attribute as its own column: numeric fields
 /// are flat arrays, and string attributes are **dictionary-encoded** — each
 /// column stores a 32-bit code into a per-block dictionary of distinct
-/// spellings (code 0 is always the empty string). The dictionary is
-/// materialized directly into the process `Interner`: one `Intern` call per
-/// *distinct* spelling per block instead of one hash probe per event, so
-/// rows materialized from a block arrive with every `Event::syms` slot
-/// already stamped and a query's symbol reads are memo hits.
+/// spellings (code 0 is always the empty string). A block knows no symbol
+/// table: rows materialized from it arrive with an empty `Event::syms`
+/// memo, which the pushed session's queries fill on first read.
 ///
 /// Three backings share this interface:
 ///  - **owned columnar** (`AppendColumnar`, `AppendColumns`): the block
@@ -133,14 +131,10 @@ class EventBlock {
   // -------------------------------------------------------------------
   // Columnar adoption (borrowed; the mmap'd log reader).
 
-  /// Binds externally owned column arrays, dictionary, and the
-  /// dictionary's interned symbol ids (parallel to `dict`, computed under
-  /// interner generation `syms_generation`). With `dict_syms == nullptr`
-  /// the block interns the dictionary itself on first use, like an owned
-  /// block. All pointers must stay valid while the block is bound.
+  /// Binds externally owned column arrays and dictionary. All pointers
+  /// must stay valid while the block is bound.
   void BindColumns(const Columns& cols, size_t count,
-                   const std::string_view* dict, size_t dict_size,
-                   const uint32_t* dict_syms, uint64_t syms_generation);
+                   const std::string_view* dict, size_t dict_size);
 
   // -------------------------------------------------------------------
   // Consumption.
@@ -153,21 +147,11 @@ class EventBlock {
   const std::string_view* dict() const;
   size_t dict_size() const;
 
-  /// Interned symbol ids parallel to `dict()`. Owned mode (and borrowed
-  /// mode bound without ids): interns the dictionary into the global
-  /// `Interner` on first use (and again after a rotation). Borrowed mode:
-  /// the ids supplied at bind time.
-  const uint32_t* dict_syms() const;
-
-  /// Interns the block's own dictionary ids into the process interner now
-  /// (no-op if already interned under the current generation).
-  /// `MutableRows` calls this implicitly.
-  void InternDictionary() const;
-
   /// Row view of the block; columnar blocks materialize (and cache) rows
-  /// with `Event::syms` pre-stamped from the interned dictionary. Returns
-  /// nullptr for an empty block. Callers may annotate rows in place; for
-  /// borrowed-row blocks the annotations land in the borrowed storage.
+  /// with an empty `Event::syms` memo — a reused row never keeps the memo
+  /// of the row it held before. Returns nullptr for an empty block.
+  /// Callers may annotate rows in place; for borrowed-row blocks the
+  /// annotations land in the borrowed storage.
   Event* MutableRows();
 
   /// Timestamp bounds over the `ts` column / rows (scans; meant for the
@@ -245,20 +229,11 @@ class EventBlock {
   /// Old-code → new-code scratch for `AppendColumns`.
   std::vector<uint32_t> remap_;
 
-  // Interned ids parallel to the dictionary: computed here (owned mode, or
-  // bound without ids) or supplied by the binder.
-  bool syms_owned_ = false;
-  mutable std::vector<uint32_t> dict_syms_own_;
-  mutable const uint32_t* dict_syms_ = nullptr;
-  mutable uint64_t syms_gen_ = 0;
-
   // Row view: borrowed span or owned vector (also the materialization
   // cache for columnar blocks).
   Event* borrowed_rows_ = nullptr;
   EventBatch owned_rows_;
-  /// Mutable: a const `InternDictionary` after a rotation invalidates the
-  /// cached rows (they carry the old generation's ids).
-  mutable bool rows_valid_ = false;
+  bool rows_valid_ = false;
 };
 
 }  // namespace saql

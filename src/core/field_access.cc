@@ -332,38 +332,35 @@ const std::string* GetEventStringFieldPtr(const Event& event, FieldId id) {
 namespace {
 
 /// Reads one `EventSymbols` slot, interning `name` into it on the first
-/// read. A memo stamped under an older generation is cleared first, so
-/// every non-zero slot always shares `syms.gen`. The hit path (slot filled
-/// under the current generation) writes nothing.
-uint32_t ReadSymbol(const Event& event, uint32_t EventSymbols::*slot,
-                    const std::string& name) {
+/// read. A memo stamped under another generation (another table, or this
+/// one before a rotation) is cleared first, so every non-zero slot always
+/// shares `syms.gen`. The hit path (slot filled under the table's
+/// generation) writes nothing.
+uint32_t ReadSymbol(Interner& interner, const Event& event,
+                    uint32_t EventSymbols::*slot, const std::string& name) {
   EventSymbols& syms = event.syms;
-  Interner& interner = Interner::Global();
-  if (syms.*slot != Interner::kUnset &&
-      syms.gen == static_cast<uint32_t>(interner.generation())) {
+  if (syms.gen != interner.generation()) {
+    syms = EventSymbols{};
+    syms.gen = interner.generation();
+  } else if (syms.*slot != Interner::kUnset) {
     return syms.*slot;
   }
-  uint64_t gen = 0;
-  const uint32_t id = interner.InternStamped(name, &gen);
-  if (syms.gen != static_cast<uint32_t>(gen)) {
-    syms = EventSymbols{};
-    syms.gen = static_cast<uint32_t>(gen);
-  }
-  syms.*slot = id;
-  return id;
+  syms.*slot = interner.Intern(name);
+  return syms.*slot;
 }
 
 }  // namespace
 
-uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id) {
+uint32_t GetEntitySymbol(Interner& interner, const Event& event,
+                         EntityRole role, FieldId id) {
   if (role == EntityRole::kSubject) {
     switch (id) {
       case FieldId::kExeName:
       case FieldId::kName:
-        return ReadSymbol(event, &EventSymbols::subj_exe,
+        return ReadSymbol(interner, event, &EventSymbols::subj_exe,
                           event.subject.exe_name);
       case FieldId::kUser:
-        return ReadSymbol(event, &EventSymbols::subj_user,
+        return ReadSymbol(interner, event, &EventSymbols::subj_user,
                           event.subject.user);
       default:
         return 0;
@@ -372,17 +369,18 @@ uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id) {
   switch (event.object_type) {
     case EntityType::kProcess:
       if (id == FieldId::kExeName || id == FieldId::kName) {
-        return ReadSymbol(event, &EventSymbols::obj_exe,
+        return ReadSymbol(interner, event, &EventSymbols::obj_exe,
                           event.obj_proc.exe_name);
       }
       if (id == FieldId::kUser) {
-        return ReadSymbol(event, &EventSymbols::obj_user,
+        return ReadSymbol(interner, event, &EventSymbols::obj_user,
                           event.obj_proc.user);
       }
       return 0;
     case EntityType::kFile:
       if (id == FieldId::kPath || id == FieldId::kName) {
-        return ReadSymbol(event, &EventSymbols::obj_path, event.obj_file.path);
+        return ReadSymbol(interner, event, &EventSymbols::obj_path,
+                          event.obj_file.path);
       }
       return 0;
     case EntityType::kNetwork:
@@ -391,22 +389,28 @@ uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id) {
   return 0;
 }
 
-uint32_t GetEventSymbol(const Event& event, FieldId id) {
+uint32_t GetEventSymbol(Interner& interner, const Event& event, FieldId id) {
   switch (id) {
     case FieldId::kAgentId:
-      return ReadSymbol(event, &EventSymbols::agent, event.agent_id);
+      return ReadSymbol(interner, event, &EventSymbols::agent, event.agent_id);
     case FieldId::kSubjectExeName:
-      return GetEntitySymbol(event, EntityRole::kSubject, FieldId::kExeName);
+      return GetEntitySymbol(interner, event, EntityRole::kSubject,
+                             FieldId::kExeName);
     case FieldId::kSubjectUser:
-      return GetEntitySymbol(event, EntityRole::kSubject, FieldId::kUser);
+      return GetEntitySymbol(interner, event, EntityRole::kSubject,
+                             FieldId::kUser);
     case FieldId::kObjectExeName:
-      return GetEntitySymbol(event, EntityRole::kObject, FieldId::kExeName);
+      return GetEntitySymbol(interner, event, EntityRole::kObject,
+                             FieldId::kExeName);
     case FieldId::kObjectUser:
-      return GetEntitySymbol(event, EntityRole::kObject, FieldId::kUser);
+      return GetEntitySymbol(interner, event, EntityRole::kObject,
+                             FieldId::kUser);
     case FieldId::kObjectPath:
-      return GetEntitySymbol(event, EntityRole::kObject, FieldId::kPath);
+      return GetEntitySymbol(interner, event, EntityRole::kObject,
+                             FieldId::kPath);
     case FieldId::kObjectName:
-      return GetEntitySymbol(event, EntityRole::kObject, FieldId::kName);
+      return GetEntitySymbol(interner, event, EntityRole::kObject,
+                             FieldId::kName);
     default:
       return 0;
   }

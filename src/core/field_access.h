@@ -10,6 +10,8 @@
 
 namespace saql {
 
+class Interner;
+
 /// Which side of the SVO triple a variable is bound to. Entity variables in
 /// SAQL queries (`p1`, `f1`, `i1`) bind to the subject or object of the
 /// events they match; event aliases (`evt1`) bind to the whole event.
@@ -101,17 +103,19 @@ const std::string* GetEntityStringFieldPtr(const Event& event,
 /// form is derived, not stored.)
 const std::string* GetEventStringFieldPtr(const Event& event, FieldId id);
 
-/// Interned symbol of a string-typed entity attribute, or Interner::kUnset
-/// (0) when the attribute carries no symbol for this event (network
-/// strings, pids, a file object asked for kExeName). Interns on first
-/// read: the attribute's `Event::syms` slot is the memo, filled through
-/// `const Event&`, and `event.syms.gen` afterwards names the generation
-/// the returned id belongs to. A later read is a memo hit.
-uint32_t GetEntitySymbol(const Event& event, EntityRole role, FieldId id);
+/// Interned symbol of a string-typed entity attribute in `interner`, or
+/// Interner::kUnset (0) when the attribute carries no symbol for this
+/// event (network strings, pids, a file object asked for kExeName).
+/// Interns on first read: the attribute's `Event::syms` slot is the memo,
+/// filled through `const Event&`, and `event.syms.gen` afterwards is
+/// `interner.generation()`. A later read through the same table is a memo
+/// hit; a read through another table, or after a rotation, refills it.
+uint32_t GetEntitySymbol(Interner& interner, const Event& event,
+                         EntityRole role, FieldId id);
 
 /// Interned symbol of a string-typed whole-event attribute, or 0; interns
 /// on first read like `GetEntitySymbol`.
-uint32_t GetEventSymbol(const Event& event, FieldId id);
+uint32_t GetEventSymbol(Interner& interner, const Event& event, FieldId id);
 
 // ---------------------------------------------------------------------------
 // String-keyed path — compile time, diagnostics, and back-compat only.

@@ -1,5 +1,7 @@
 #include "core/interner.h"
 
+#include <atomic>
+
 #include "core/field_access.h"
 #include "core/string_util.h"
 
@@ -11,175 +13,78 @@ constexpr size_t kInitialCapacity = 1024;  // power of two
 constexpr size_t kMaxLoadNum = 7;          // grow above 7/10 occupancy
 constexpr size_t kMaxLoadDen = 10;
 
+/// Draws a generation no table has had before (until the 32-bit counter
+/// wraps), never 0. Touched only when a table is created or rotates.
+uint32_t NextGeneration() {
+  static std::atomic<uint32_t> counter{0};
+  uint32_t gen;
+  do {
+    gen = counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  } while (gen == 0);
+  return gen;
+}
+
 }  // namespace
 
-Interner::Table::Table(size_t capacity_pow2)
-    : capacity(capacity_pow2),
-      mask(capacity_pow2 - 1),
-      slots(new std::atomic<Entry*>[capacity_pow2]) {
-  for (size_t i = 0; i < capacity; ++i) {
-    slots[i].store(nullptr, std::memory_order_relaxed);
+Interner::Interner()
+    : table_(kInitialCapacity, kUnset),
+      entries_(1),  // id 0 = kUnset, the empty spelling, never assigned
+      generation_(NextGeneration()) {}
+
+size_t Interner::Probe(std::string_view s, size_t hash) const {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint32_t id = table_[i];
+    if (id == kUnset) return i;
+    const Entry& e = entries_[id];
+    if (e.hash == hash && AsciiCaseEqual(e.name, s)) return i;
   }
 }
 
-Interner& Interner::Global() {
-  static Interner* instance = new Interner();
-  return *instance;
-}
-
-Interner::Interner() : table_(new Table(kInitialCapacity)) {
-  sentinel_.name = "";  // id 0 = kUnset, never assigned
-  by_id_.push_back(&sentinel_);
-}
-
-Interner::~Interner() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 1; i < by_id_.size(); ++i) delete by_id_[i];
-  delete table_.load(std::memory_order_relaxed);
-  for (Retired& r : retired_) {
-    for (Entry* e : r.entries) delete e;
+void Interner::Grow() {
+  table_.assign(table_.size() * 2, kUnset);
+  const size_t mask = table_.size() - 1;
+  for (uint32_t id = 1; id < entries_.size(); ++id) {
+    size_t i = entries_[id].hash & mask;
+    while (table_[i] != kUnset) i = (i + 1) & mask;
+    table_[i] = id;
   }
-}
-
-const Interner::Entry* Interner::Probe(const Table* t, std::string_view s,
-                                       size_t hash) const {
-  for (size_t i = hash & t->mask;; i = (i + 1) & t->mask) {
-    const Entry* e = t->slots[i].load(std::memory_order_acquire);
-    if (e == nullptr) return nullptr;
-    if (e->hash == hash && AsciiCaseEqual(e->name, s)) return e;
-  }
-}
-
-void Interner::InsertLocked(Table* t, Entry* e) {
-  for (size_t i = e->hash & t->mask;; i = (i + 1) & t->mask) {
-    if (t->slots[i].load(std::memory_order_relaxed) == nullptr) {
-      // Release: a lock-free reader that sees the pointer sees the entry.
-      t->slots[i].store(e, std::memory_order_release);
-      return;
-    }
-  }
-}
-
-void Interner::GrowLocked() {
-  Table* old = table_.load(std::memory_order_relaxed);
-  auto grown = std::make_unique<Table>(old->capacity * 2);
-  for (size_t i = 1; i < by_id_.size(); ++i) {
-    InsertLocked(grown.get(), by_id_[i]);
-  }
-  table_.store(grown.release(), std::memory_order_release);
-  // The outgrown slot array may still be probed by in-flight readers:
-  // retire it (entries are shared with the new table and stay live).
-  Retired r;
-  r.generation = generation_.load(std::memory_order_relaxed);
-  r.table.reset(old);
-  retired_.push_back(std::move(r));
 }
 
 uint32_t Interner::Intern(std::string_view s) {
   const size_t hash = AsciiCaseHash(s);
-  if (const Entry* e =
-          Probe(table_.load(std::memory_order_acquire), s, hash)) {
-    return e->id;
+  size_t slot = Probe(s, hash);
+  if (table_[slot] != kUnset) return table_[slot];
+  if ((entries_.size() + 1) * kMaxLoadDen > table_.size() * kMaxLoadNum) {
+    Grow();
+    slot = Probe(s, hash);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Re-probe under the lock: another writer (or a rotation) may have
-  // changed the table since the lock-free miss.
-  Table* t = table_.load(std::memory_order_relaxed);
-  if (const Entry* e = Probe(t, s, hash)) return e->id;
-  if ((by_id_.size() + 1) * kMaxLoadDen > t->capacity * kMaxLoadNum) {
-    GrowLocked();
-    t = table_.load(std::memory_order_relaxed);
-  }
-  Entry* e = new Entry();
-  e->name = ToLower(s);
-  e->hash = hash;
-  e->id = static_cast<uint32_t>(by_id_.size());
-  by_id_.push_back(e);
-  bytes_.fetch_add(e->name.size(), std::memory_order_relaxed);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  InsertLocked(t, e);
-  return e->id;
-}
-
-uint32_t Interner::InternStamped(std::string_view s,
-                                 uint64_t* generation_out) {
-  for (;;) {
-    const uint64_t gen = generation();
-    uint32_t id = Intern(s);
-    // A rotation between the generation read and the insert would hand
-    // out an id from a different generation than reported: retry until
-    // the pair is consistent (rotations are rare; one retry suffices in
-    // practice).
-    if (generation() == gen) {
-      if (generation_out != nullptr) *generation_out = gen;
-      return id;
-    }
-  }
+  const uint32_t id = static_cast<uint32_t>(entries_.size());
+  entries_.push_back(Entry{ToLower(s), hash});
+  bytes_ += s.size();
+  table_[slot] = id;
+  return id;
 }
 
 uint32_t Interner::Find(std::string_view s) const {
-  const Entry* e =
-      Probe(table_.load(std::memory_order_acquire), s, AsciiCaseHash(s));
-  return e == nullptr ? kUnset : e->id;
-}
-
-const std::string& Interner::NameOf(uint32_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_id_[id]->name;
-}
-
-size_t Interner::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_id_.size();
+  return table_[Probe(s, AsciiCaseHash(s))];
 }
 
 Interner::Stats Interner::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Stats st;
-  st.entries = entries_.load(std::memory_order_relaxed);
-  st.bytes = bytes_.load(std::memory_order_relaxed);
-  st.generation = generation();
-  st.retired_bytes = retired_bytes_;
+  st.entries = entries_.size() - 1;
+  st.bytes = bytes_;
+  st.generation = generation_;
+  st.rotations = rotations_;
   return st;
 }
 
 void Interner::Rotate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Retired r;
-  r.generation = generation_.load(std::memory_order_relaxed);
-  r.table.reset(table_.load(std::memory_order_relaxed));
-  r.entries.assign(by_id_.begin() + 1, by_id_.end());
-  r.bytes = bytes_.load(std::memory_order_relaxed);
-  retired_bytes_ += r.bytes;
-  retired_.push_back(std::move(r));
-
-  by_id_.clear();
-  by_id_.push_back(&sentinel_);
-  bytes_.store(0, std::memory_order_relaxed);
-  entries_.store(0, std::memory_order_relaxed);
-  // Publish the fresh table before bumping the generation: a reader that
-  // observes the new generation is then guaranteed to probe the new
-  // table, so a consistent (generation, id) pair can always be obtained
-  // by re-checking the generation after the probe (InternStamped).
-  table_.store(new Table(kInitialCapacity), std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-size_t Interner::ReclaimBefore(uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t freed = 0;
-  std::vector<Retired> keep;
-  for (Retired& r : retired_) {
-    if (r.generation < generation) {
-      for (Entry* e : r.entries) delete e;
-      freed += r.bytes;
-    } else {
-      keep.push_back(std::move(r));
-    }
-  }
-  retired_ = std::move(keep);
-  retired_bytes_ -= freed;
-  return freed;
+  table_.assign(kInitialCapacity, kUnset);
+  entries_.resize(1);
+  bytes_ = 0;
+  generation_ = NextGeneration();
+  ++rotations_;
 }
 
 namespace {
@@ -203,29 +108,24 @@ bool SymbolsComplete(const Event& event, uint32_t gen) {
   return false;
 }
 
-void InternEventStrings(Event* event) {
-  // A rotation between two reads clears the slots read before it; read
-  // again (rare) until one generation covers every slot.
-  do {
-    GetEventSymbol(*event, FieldId::kAgentId);
-    GetEventSymbol(*event, FieldId::kSubjectExeName);
-    GetEventSymbol(*event, FieldId::kSubjectUser);
-    GetEventSymbol(*event, FieldId::kObjectExeName);
-    GetEventSymbol(*event, FieldId::kObjectUser);
-    GetEventSymbol(*event, FieldId::kObjectPath);
-  } while (!SymbolsComplete(*event, event->syms.gen));
-}
-
 }  // namespace
 
-void InternEventSpan(Event* events, size_t count) {
-  Interner& interner = Interner::Global();
+void InternEventSpan(Interner& interner, Event* events, size_t count) {
   for (size_t i = 0; i < count; ++i) {
-    if (!SymbolsComplete(events[i],
-                         static_cast<uint32_t>(interner.generation()))) {
-      InternEventStrings(&events[i]);
-    }
+    Event& e = events[i];
+    if (SymbolsComplete(e, interner.generation())) continue;
+    GetEventSymbol(interner, e, FieldId::kAgentId);
+    GetEventSymbol(interner, e, FieldId::kSubjectExeName);
+    GetEventSymbol(interner, e, FieldId::kSubjectUser);
+    GetEventSymbol(interner, e, FieldId::kObjectExeName);
+    GetEventSymbol(interner, e, FieldId::kObjectUser);
+    GetEventSymbol(interner, e, FieldId::kObjectPath);
   }
+}
+
+void InternEventSpan(Event* events, size_t count) {
+  Interner local;
+  InternEventSpan(local, events, count);
 }
 
 }  // namespace saql

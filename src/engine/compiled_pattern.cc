@@ -23,19 +23,17 @@ void CompiledConstraint::CompileValue() {
   if (value_.is_string() &&
       (op_ == ConstraintOp::kEq || op_ == ConstraintOp::kNe)) {
     like_.emplace(value_.AsString());
-    // Wildcard-free equality on an internable attribute: capture the
-    // expected symbol so interned events compare ids, not strings. The
-    // generation stamp gates the fast path — after a rotation, events
-    // carry new-generation ids and the comparison must not mix eras.
-    if (like_->is_exact()) {
-      sym_ = Interner::Global().InternStamped(value_.AsString(), &sym_gen_);
-    }
   }
 }
 
-void CompiledConstraint::ReIntern() {
+void CompiledConstraint::ReIntern(Interner& interner) {
+  interner_ = &interner;
+  // Wildcard-free equality: capture the expected symbol so events compare
+  // ids, not strings. The generation stamp gates the fast path, so ids of
+  // two tables, or of two eras of one, are never compared.
   if (like_.has_value() && like_->is_exact()) {
-    sym_ = Interner::Global().InternStamped(value_.AsString(), &sym_gen_);
+    sym_ = interner.Intern(value_.AsString());
+    sym_gen_ = interner.generation();
   }
 }
 
@@ -90,8 +88,8 @@ bool CompiledConstraint::MatchesEntity(const Event& event,
   if (sym_ != 0) {
     // Read first: the read brings the event's memo to the current
     // generation, which is then the one to compare against.
-    uint32_t actual = GetEntitySymbol(event, role, field_id_);
-    if (actual != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
+    uint32_t actual = GetEntitySymbol(*interner_, event, role, field_id_);
+    if (actual != 0 && event.syms.gen == sym_gen_) {
       return op_ == ConstraintOp::kEq ? actual == sym_ : actual != sym_;
     }
   }
@@ -115,8 +113,8 @@ bool CompiledConstraint::MatchesEvent(const Event& event) const {
   if (sym_ != 0) {
     // Read first: the read brings the event's memo to the current
     // generation, which is then the one to compare against.
-    uint32_t actual = GetEventSymbol(event, field_id_);
-    if (actual != 0 && event.syms.gen == static_cast<uint32_t>(sym_gen_)) {
+    uint32_t actual = GetEventSymbol(*interner_, event, field_id_);
+    if (actual != 0 && event.syms.gen == sym_gen_) {
       return op_ == ConstraintOp::kEq ? actual == sym_ : actual != sym_;
     }
   }
@@ -153,9 +151,9 @@ bool CompiledPattern::Matches(const Event& event) const {
   return true;
 }
 
-void CompiledPattern::ReInternSymbols() {
-  for (CompiledConstraint& c : subject_constraints_) c.ReIntern();
-  for (CompiledConstraint& c : object_constraints_) c.ReIntern();
+void CompiledPattern::ReInternSymbols(Interner& interner) {
+  for (CompiledConstraint& c : subject_constraints_) c.ReIntern(interner);
+  for (CompiledConstraint& c : object_constraints_) c.ReIntern(interner);
 }
 
 std::string CompiledPattern::StructuralSignature() const {

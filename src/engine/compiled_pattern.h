@@ -13,13 +13,17 @@
 
 namespace saql {
 
+class Interner;
+
 /// One compiled attribute predicate: `field op value`. Compilation
 /// front-loads everything the per-event hot path would otherwise redo:
 ///  - the field name resolves to a `FieldId` (no string-keyed lookups),
-///  - string equality pre-compiles to a `LikeMatcher`,
-///  - exact (wildcard-free) equality on an interned attribute additionally
-///    captures the expected symbol, so matching interned events is a
-///    32-bit integer compare.
+///  - string equality pre-compiles to a `LikeMatcher`.
+/// Compiling interns nothing. Once bound to a symbol table (`ReIntern`,
+/// which a session calls when it wires the query), exact (wildcard-free)
+/// equality on an interned attribute captures the expected symbol, so
+/// matching is a 32-bit integer compare against the event's memo. An
+/// unbound constraint compares strings, which gives the same answer.
 class CompiledConstraint {
  public:
   /// Whole-event constraint (global constraint lines such as
@@ -40,18 +44,20 @@ class CompiledConstraint {
   FieldId field_id() const { return field_id_; }
   ConstraintOp op() const { return op_; }
   const Value& value() const { return value_; }
-  /// Interned expected symbol; nonzero only for exact (wildcard-free)
-  /// string eq/ne constraints.
+  /// Interned expected symbol; nonzero only for bound exact
+  /// (wildcard-free) string eq/ne constraints.
   uint32_t symbol() const { return sym_; }
-  /// Interner generation `symbol()` was captured under. The integer fast
-  /// path only fires when the event's symbols carry the same generation;
-  /// otherwise matching falls back to (always correct) string comparison.
-  uint64_t symbol_generation() const { return sym_gen_; }
+  /// Generation of the table `symbol()` was captured from. The integer
+  /// fast path only fires when the event's memo carries the same
+  /// generation; otherwise matching falls back to string comparison.
+  uint32_t symbol_generation() const { return sym_gen_; }
+  /// The table the constraint is bound to; nullptr until bound.
+  Interner* interner() const { return interner_; }
 
-  /// Re-captures the expected symbol from the current interner
-  /// generation. Sessions call this at a quiesce point after a live
-  /// rotation so the integer fast path resumes.
-  void ReIntern();
+  /// Binds the constraint to `interner` and captures the expected symbol
+  /// under its current generation. The owner calls it again after every
+  /// `Interner::Rotate` of that table.
+  void ReIntern(Interner& interner);
 
  private:
   void CompileValue();
@@ -64,8 +70,9 @@ class CompiledConstraint {
   Value value_;
   std::optional<LikeMatcher> like_;  ///< set for string eq/ne constraints
   FieldId field_id_ = FieldId::kInvalid;
+  Interner* interner_ = nullptr;  ///< the bound table; not owned
   uint32_t sym_ = 0;  ///< interned expected value for exact string equality
-  uint64_t sym_gen_ = 0;  ///< generation sym_ was interned under
+  uint32_t sym_gen_ = 0;  ///< generation sym_ was interned under
 };
 
 /// A fully compiled event pattern: structural shape (subject/object entity
@@ -99,9 +106,9 @@ class CompiledPattern {
   /// queries ("proc|start|proc").
   std::string StructuralSignature() const;
 
-  /// Re-captures every constraint's expected symbol after an interner
-  /// rotation (see CompiledConstraint::ReIntern).
-  void ReInternSymbols();
+  /// Binds every constraint to `interner` (see
+  /// CompiledConstraint::ReIntern).
+  void ReInternSymbols(Interner& interner);
 
  private:
   OpMask ops_;

@@ -69,9 +69,9 @@ bool CompiledQuery::StructuralMatchAny(const Event& event) const {
   return false;
 }
 
-void CompiledQuery::ReInternSymbols() {
-  for (CompiledConstraint& c : global_constraints_) c.ReIntern();
-  for (CompiledPattern& p : patterns_) p.ReInternSymbols();
+void CompiledQuery::ReInternSymbols(Interner& interner) {
+  for (CompiledConstraint& c : global_constraints_) c.ReIntern(interner);
+  for (CompiledPattern& p : patterns_) p.ReInternSymbols(interner);
 }
 
 std::string CompiledQuery::GroupSignature() const {

@@ -104,11 +104,11 @@ class CompiledQuery final {
   /// signatures are semantically compatible for scheduler grouping.
   std::string GroupSignature() const;
 
-  /// Re-captures every constraint's interned symbol from the current
-  /// interner generation. Called by the owning session between batches
-  /// after a live rotation; until then matching falls back to the (always
-  /// correct) string paths on the generation mismatch.
-  void ReInternSymbols();
+  /// Binds every constraint to `interner`, capturing its expected symbols
+  /// under the table's current generation: the one bind and re-bind
+  /// entry. The owning session calls it when it wires the query and after
+  /// every rotation of its table. An unbound query compares strings.
+  void ReInternSymbols(Interner& interner);
 
  private:
   CompiledQuery(AnalyzedQueryPtr aq, std::string name, Options options);

@@ -94,7 +94,6 @@ std::unique_ptr<const ConstraintIndex> ConstraintIndex::Build(
 
   std::unique_ptr<ConstraintIndex> index(new ConstraintIndex());
   index->num_members_ = members.size();
-  index->built_gen_ = Interner::Global().generation();
   const size_t words = WordsFor(members.size());
   index->all_members_.assign(words, 0);
   for (size_t i = 0; i < members.size(); ++i) {
@@ -130,13 +129,17 @@ std::unique_ptr<const ConstraintIndex> ConstraintIndex::Build(
   std::vector<ProbeGroup> probes;
   for (uint32_t s = 0; s < index->slots_.size(); ++s) {
     const Slot& slot = index->slots_[s];
+    if (index->interner_ == nullptr && slot.constraint.symbol() != 0) {
+      index->interner_ = slot.constraint.interner();  // the members' table
+      index->built_gen_ = index->interner_->generation();
+    }
     const bool probeable =
         slot.constraint.op() == ConstraintOp::kEq &&
         slot.constraint.symbol() != 0 &&
-        // A symbol from an older interner generation than the index is
-        // built against would probe against ids from the wrong era; such
-        // slots stay residual until the owning session re-interns its
-        // constraints and rebuilds.
+        // A symbol of another table, or of an older generation, would
+        // probe against ids from the wrong era; such a slot stays
+        // residual.
+        slot.constraint.interner() == index->interner_ &&
         slot.constraint.symbol_generation() == index->built_gen_ &&
         slot.constraint.field_id() != FieldId::kInvalid &&
         SymbolCapable(slot.side, slot.constraint.field_id());
@@ -207,13 +210,13 @@ void ConstraintIndex::ApplyProbeGroup(const ProbeGroup& group,
   // Read first: the read interns the slot on first touch and brings the
   // event's memo to the current generation.
   uint32_t sym = group.side == Side::kEvent
-                     ? GetEventSymbol(event, group.field)
-                     : GetEntitySymbol(event,
+                     ? GetEventSymbol(*interner_, event, group.field)
+                     : GetEntitySymbol(*interner_, event,
                                        group.side == Side::kSubject
                                            ? EntityRole::kSubject
                                            : EntityRole::kObject,
                                        group.field);
-  if (event.syms.gen != static_cast<uint32_t>(built_gen_)) sym = 0;
+  if (event.syms.gen != built_gen_) sym = 0;
   if (sym == 0) {
     // The field carries no symbol for this object type, or the index was
     // built under an older generation: fall back to the constraints' own

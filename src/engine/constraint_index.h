@@ -42,9 +42,12 @@ class CompiledQuery;
 /// statistics (`QueryStats::events_past_global`) must stay identical to
 /// brute-force evaluation.
 ///
-/// An index is immutable after `Build`, and `Match` is const and touches
-/// only the event plus caller-owned scratch (the owning `QueryGroup`'s
-/// `MatchResult`).
+/// Probe groups read the event's symbols through the table the members'
+/// constraints are bound to (`CompiledQuery::ReInternSymbols`); members
+/// that are not bound give the index no probe groups, only residual
+/// slots. An index is immutable after `Build`, and `Match` is const and
+/// touches only the event, the bound table, and caller-owned scratch (the
+/// owning `QueryGroup`'s `MatchResult`).
 ///
 /// Semantics contract, pinned by tests/constraint_index_diff_test.cc: for
 /// every event and every member, `Match` agrees exactly with evaluating
@@ -94,12 +97,6 @@ class ConstraintIndex {
   /// (num_members + 63) / 64.
   const std::vector<uint64_t>& all_members() const { return all_members_; }
 
-  /// Interner generation the probe groups were built against. Events
-  /// stamped under any other generation bypass the symbol probes and take
-  /// the per-slot fallback (always correct); sessions rebuild their
-  /// indexes at the quiesce point after a live rotation.
-  uint64_t built_generation() const { return built_gen_; }
-
  private:
   /// One distinct predicate shared by every member whose bit is set.
   struct Slot {
@@ -136,7 +133,12 @@ class ConstraintIndex {
   size_t num_members_ = 0;
   size_t probe_slots_ = 0;
   size_t total_constraints_ = 0;
-  uint64_t built_gen_ = 0;
+  /// The table the probe groups read symbols from, and its generation at
+  /// build time. A session that rotates its table rebuilds its indexes
+  /// before the next event; until then the generation check sends every
+  /// event down the per-slot fallback (always correct).
+  Interner* interner_ = nullptr;
+  uint32_t built_gen_ = 0;
   std::vector<uint64_t> all_members_;
   std::vector<Slot> slots_;
   // Evaluation plan: global (whole-event) predicates first — their joint

@@ -42,11 +42,6 @@ Result<std::unique_ptr<SaqlEngine::Session>> SaqlEngine::OpenSession(
         "engine already ran: Run() is one-shot and final; use sessions "
         "from the start for multi-run lifecycles");
   }
-  // Interner rotation policy, no-stream edition: rotating here (instead
-  // of at this session's first push) lets the fresh compilations below
-  // capture current-generation symbols directly. Rotation under other
-  // live sessions is safe — they heal at their own next push.
-  core_.MaybeRotate();
   auto session =
       std::unique_ptr<Session>(new Session(this, std::move(options)));
   Status st = session->OpenInternal();

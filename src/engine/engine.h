@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "core/interner.h"
 #include "engine/alert.h"
 #include "engine/compiled_query.h"
 #include "engine/engine_core.h"
@@ -44,12 +45,12 @@ namespace saql {
 /// times; the resulting sessions run simultaneously from independent
 /// threads, one driving thread per session (each session's own methods
 /// keep their single-caller-thread contract). Sessions are fully isolated
-/// tenants — each owns its query registry snapshot, scheduler and groups,
-/// dispatch index, executor, statistics, and recording pipeline — and
-/// share exactly the process-wide pieces that are safe to share: the
-/// global string `Interner` (lock-free read path) and the immutable
-/// analyzed-query handles. Each session's alert sequence and per-query
-/// `QueryStats` are bit-identical to the same session run solo.
+/// tenants — each owns its symbol table (`Interner`), query registry
+/// snapshot, scheduler and groups, dispatch index, executor, statistics,
+/// and recording pipeline — and share only the immutable analyzed-query
+/// handles and the serialized engine-wide alert sink. Each session's
+/// alert sequence and per-query `QueryStats` are bit-identical to the
+/// same session run solo.
 /// Per-session options (`SessionOptions`: record path, alert sink)
 /// override the engine defaults at `OpenSession`; two live sessions must
 /// not record to the same path (the second open fails cleanly).
@@ -61,13 +62,11 @@ namespace saql {
 /// others closed starts from fresh stream state, recompiling the
 /// registered queries.
 ///
-/// Interner rotation (`Options::interner_rotate_bytes`) runs live: when
-/// the global table's payload crosses the threshold — checked at
-/// `OpenSession` and at every session push — the table rotates *under*
-/// open sessions. Each open session re-interns its compiled constraint
-/// symbols and rebuilds its index probe groups at its own next quiesce
-/// point (the top of its next push); until then matching falls back to
-/// string comparison on the generation mismatch, so alert output is
+/// Symbol-table rotation (`Options::interner_rotate_bytes`) is a
+/// per-session bound: when a session's own table has reached it at the
+/// top of a push, that session rotates its table, re-binds its queries'
+/// symbols and rebuilds its index probe groups before the batch is
+/// processed. No other session is touched, and alert output is
 /// unaffected by where the rotation lands in the stream.
 ///
 /// `Run(source)` is retained as a thin convenience wrapper: it opens a
@@ -169,18 +168,20 @@ class SaqlEngine {
     ///
     /// Push writes into the caller's buffer: the session's queries fill
     /// each event's symbol memo (`Event::syms`) in place as they compare
-    /// attributes — they read the caller's events, never copies. So one
-    /// buffer must not be pushed to two sessions at once, from two
-    /// threads; give each thread its own copy.
+    /// attributes — they read the caller's events, never copies. The memo
+    /// is stamped with the session table's generation, so a buffer pushed
+    /// to session A and then to session B is refilled in B, never misread.
+    /// But one buffer must not be pushed to two sessions at once, from
+    /// two threads; give each thread its own copy.
     Status Push(Event* events, size_t count);
     Status Push(EventBatch& batch) {
       return Push(batch.data(), batch.size());
     }
 
-    /// Block-native ingest: pushes the block's rows. Columnar blocks
-    /// (the v2 event-log replayer's) arrive with `Event::syms` already
-    /// stamped from the block dictionary, so every symbol read is a memo
-    /// hit. `Run` feeds sources through this.
+    /// Block-native ingest: pushes the block's rows. Rows materialized
+    /// from a columnar block (the v2 event-log replayer's) arrive with an
+    /// empty symbol memo and fill it on first read, like any pushed
+    /// buffer. `Run` feeds sources through this.
     Status Push(EventBlock& block) {
       if (block.empty()) return Status::Ok();
       return Push(block.MutableRows(), block.size());
@@ -263,6 +264,9 @@ class SaqlEngine {
     size_t num_groups() const;
     size_t num_indexed_groups() const;
     double forward_ratio() const;
+    /// The session's symbol table: entries, payload bytes, generation,
+    /// and the rotations `interner_rotate_bytes` has made.
+    Interner::Stats interner_stats() const;
     /// Per-query statistics in registration order, including removed
     /// queries (their final retained stats).
     std::vector<std::pair<std::string, CompiledQuery::QueryStats>>
@@ -317,8 +321,8 @@ class SaqlEngine {
   /// be empty; queries can be added mid-stream). Any number of sessions
   /// may be open concurrently, each driven from its own thread; every
   /// session compiles its own query instances against fresh stream
-  /// state. Applies the interner rotation policy. The returned session
-  /// must not outlive the engine.
+  /// state and its own empty symbol table. The returned session must not
+  /// outlive the engine.
   Result<std::unique_ptr<Session>> OpenSession() {
     return OpenSession(SessionOptions{});
   }

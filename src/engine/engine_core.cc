@@ -1,10 +1,9 @@
 #include "engine/engine_core.h"
 
-#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "analysis/query_analysis.h"
-#include "core/interner.h"
 
 namespace saql {
 
@@ -90,21 +89,17 @@ void EngineCore::Emit(const Alert& a) {
   sink_(a);
 }
 
-EngineCore::SessionSlot* EngineCore::RegisterSession() {
+uint64_t EngineCore::RegisterSession() {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  auto slot = std::make_unique<SessionSlot>();
-  slot->id = next_session_id_++;
-  slot->gen_seen.store(Interner::Global().generation(),
-                       std::memory_order_relaxed);
-  SessionSlot* out = slot.get();
-  sessions_.emplace(out->id, std::move(slot));
+  const uint64_t id = next_session_id_++;
+  sessions_.insert(id);
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-  return out;
+  return id;
 }
 
-void EngineCore::UnregisterSession(SessionSlot* slot) {
+void EngineCore::UnregisterSession(uint64_t id) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  sessions_.erase(slot->id);
+  sessions_.erase(id);
 }
 
 size_t EngineCore::session_count() const {
@@ -114,34 +109,6 @@ size_t EngineCore::session_count() const {
 
 uint64_t EngineCore::sessions_opened() const {
   return sessions_opened_.load(std::memory_order_relaxed);
-}
-
-bool EngineCore::MaybeRotate() {
-  if (options_.interner_rotate_bytes == 0) return false;
-  Interner& interner = Interner::Global();
-  if (interner.payload_bytes() < options_.interner_rotate_bytes) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(rotate_mu_);
-  // Re-check under the lock: another session may have rotated between
-  // the lock-free check and here — don't rotate a just-emptied table.
-  if (interner.payload_bytes() < options_.interner_rotate_bytes) {
-    return false;
-  }
-  interner.Rotate();
-  return true;
-}
-
-size_t EngineCore::MaybeReclaim() {
-  uint64_t min_gen = Interner::Global().generation();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& [id, slot] : sessions_) {
-      min_gen = std::min(
-          min_gen, slot->gen_seen.load(std::memory_order_acquire));
-    }
-  }
-  return Interner::Global().ReclaimBefore(min_gen);
 }
 
 Status EngineCore::ReserveRecordPath(const std::string& path) {

@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -40,15 +40,13 @@ struct EngineOptions {
   /// way. Dynamic session add/remove rebuilds the affected group's
   /// index.
   bool enable_member_index = true;
-  /// Interner rotation policy for long-running deployments: when the
-  /// global interner's payload bytes reach this threshold, the engine
-  /// rotates the table — at `OpenSession` when no stream is live, and
-  /// **under live sessions** at the next push (each open session then
-  /// re-interns its compiled constraint symbols and rebuilds its index
-  /// probe groups at its own next quiesce point; events and constraints
-  /// carry the generation their symbol ids were issued under, so
-  /// matching stays correct through the transition via the string
-  /// fallback). 0 disables the policy.
+  /// Per-session bound on symbol-table bytes for long-running
+  /// deployments: each session owns its table, and when the table's
+  /// payload bytes have reached this bound at the top of a `Push`, the
+  /// session rotates it there — clears it, draws a new generation,
+  /// re-binds its queries' symbols and rebuilds its index probe groups —
+  /// before the batch is processed. Other sessions are unaffected.
+  /// 0 (the default) leaves the table unbounded.
   size_t interner_rotate_bytes = 0;
   /// Compiled-query tuning.
   CompiledQuery::Options query_options;
@@ -109,11 +107,11 @@ struct SessionOptions {
 
 /// The process-wide, concurrency-safe half of the engine: options, the
 /// query registry, compilation, the shared alert funnel, and the open
-/// session registry with the live interner-rotation machinery. Every
-/// mutable member is guarded — any number of sessions may run against one
-/// core from independent threads. Per-session execution state (scheduler,
-/// groups, executor, dispatch index, stats, recording) lives in the
-/// session's own `SessionContext` (session.cc) and is never shared.
+/// session registry. Every mutable member is guarded — any number of
+/// sessions may run against one core from independent threads.
+/// Per-session execution state (symbol table, scheduler, groups,
+/// executor, dispatch index, stats, recording) lives in the session's own
+/// `SessionContext` (session.cc) and is never shared.
 class EngineCore {
  public:
   /// A query that passed admission: its fleet entry (canonical form
@@ -121,15 +119,6 @@ class EngineCore {
   struct PreparedQuery {
     FleetEntry entry;
     std::unique_ptr<CompiledQuery> instance;
-  };
-
-  /// Liveness record of one open session. Owned by the core; handed to
-  /// the session at open. `gen_seen` is the interner generation the
-  /// session has provably healed past (re-interned constraints, rebuilt
-  /// indexes) — the reclaim barrier for retired interner generations.
-  struct SessionSlot {
-    uint64_t id = 0;
-    std::atomic<uint64_t> gen_seen{0};
   };
 
   explicit EngineCore(EngineOptions options);
@@ -180,33 +169,17 @@ class EngineCore {
 
   // Session registry --------------------------------------------------
 
-  /// Registers a new open session: assigns its id and stamps its
-  /// `gen_seen` with the current interner generation.
-  SessionSlot* RegisterSession();
+  /// Registers a new open session and returns its id.
+  uint64_t RegisterSession();
 
-  /// Removes a closed session from the registry (its slot dies here).
-  void UnregisterSession(SessionSlot* slot);
+  /// Removes a closed session from the registry.
+  void UnregisterSession(uint64_t id);
 
   /// Open sessions right now.
   size_t session_count() const;
 
   /// Sessions ever opened (the Run() freshness guard).
   uint64_t sessions_opened() const;
-
-  // Live interner rotation --------------------------------------------
-
-  /// Applies the rotation policy: rotates the global interner when its
-  /// payload bytes have reached `interner_rotate_bytes`. Called by every
-  /// session at the top of each push and by `OpenSession`; the fast path
-  /// (policy off or under budget) is two atomic loads. Returns whether a
-  /// rotation happened.
-  bool MaybeRotate();
-
-  /// Frees retired interner generations every open session has healed
-  /// past (min over the slots' `gen_seen`; with no sessions open,
-  /// everything below the current generation). Called by sessions after
-  /// advancing their own `gen_seen`. Returns the payload bytes freed.
-  size_t MaybeReclaim();
 
   // Record-path collision guard ---------------------------------------
 
@@ -249,11 +222,9 @@ class EngineCore {
   std::vector<Alert> alerts_;
 
   mutable std::mutex sessions_mu_;
-  std::map<uint64_t, std::unique_ptr<SessionSlot>> sessions_;
+  std::set<uint64_t> sessions_;
   uint64_t next_session_id_ = 1;
   std::atomic<uint64_t> sessions_opened_{0};
-
-  std::mutex rotate_mu_;  ///< serializes policy checks against Rotate
 
   mutable std::mutex stats_mu_;
   RunStats last_run_;

@@ -156,9 +156,8 @@ class ConcurrentQueryScheduler {
   /// `min_index_members` members, brute force otherwise.
   void ReindexGroup(QueryGroup* group);
 
-  /// Rebuilds every group's index against the current interner generation
-  /// (the quiesce-point half of a live rotation — the session re-interns
-  /// its queries' symbols first, then calls this so probe groups pick the
+  /// Rebuilds every group's index (a session's rotation: it re-binds its
+  /// queries' symbols first, then calls this so probe groups pick the
   /// fresh ids up). Same policy as ReindexGroup per group.
   void ReindexAllGroups() {
     for (auto& g : groups_) ReindexGroup(g.get());

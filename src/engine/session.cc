@@ -1,24 +1,23 @@
 // SaqlEngine::Session / QueryHandle: the push-driven streaming lifecycle
 // behind the engine facade. Each session owns a SessionContext — its
-// private query registry, scheduler and groups, executor, statistics, and
-// recording pipeline — so any number of sessions run concurrently against
-// one EngineCore, sharing only the global interner and the immutable
+// private symbol table, query registry, scheduler and groups, executor,
+// statistics, and recording pipeline — so any number of sessions run
+// concurrently against one EngineCore, sharing only the immutable
 // analyzed queries.
 //
 // Every session drives one execution path on its own thread: one
 // ConcurrentQueryScheduler groups its queries, one StreamExecutor delivers
 // each pushed batch to the groups, and every query alerts straight to the
 // sink as it fires. Between calls nothing runs, so dynamic query
-// add/remove, rotation heals and statistics touch the executor and the
-// groups directly.
+// add/remove, rotation and statistics touch the executor and the groups
+// directly.
 //
-// Live interner rotation: the top of every Push is the session's quiesce
-// point — it applies the rotation policy and, when the global generation
-// moved (by this or any other session), re-interns every compiled
-// constraint symbol and rebuilds the ConstraintIndex probe groups before
-// the batch is processed. Between a rotation and a session's next push,
-// matching falls back to string comparison on the generation mismatch, so
-// alert output is independent of where the rotation lands.
+// Symbol table: the session's queries are bound to its own Interner when
+// they are wired, and read every event's symbols through it. Rotation is
+// local and synchronous: at the top of a Push whose table has reached
+// `interner_rotate_bytes`, the session clears the table (a new
+// generation), re-binds every query and rebuilds its index probe groups
+// before the batch is processed.
 
 #include <cstdint>
 #include <unordered_map>
@@ -52,9 +51,12 @@ struct SaqlEngine::Session::SessionContext {
   EngineCore* core = nullptr;
   Session* session = nullptr;
   SessionOptions sopts;  ///< per-session overrides, resolved in Open
-  /// The core's liveness record for this session; null until Open
-  /// succeeds and after Close.
-  EngineCore::SessionSlot* slot = nullptr;
+  /// The core's id for this session; 0 until Open succeeds and after
+  /// Close.
+  uint64_t id = 0;
+  /// The session's symbol table: every query of the session is bound to
+  /// it, and only this session's thread touches it.
+  Interner interner;
   Timestamp advanced_watermark = INT64_MIN;
 
   std::vector<std::unique_ptr<SessionQuery>> queries;
@@ -84,7 +86,7 @@ struct SaqlEngine::Session::SessionContext {
     if (!reserved_path.empty()) {
       EngineCore::ReleaseRecordPath(reserved_path);
     }
-    if (slot != nullptr) core->UnregisterSession(slot);
+    if (id != 0) core->UnregisterSession(id);
   }
 
   // -------------------------------------------------------------------
@@ -100,11 +102,13 @@ struct SaqlEngine::Session::SessionContext {
     }
   }
 
-  /// Points one query's errors and alerts at the session: every alert goes
-  /// to the session's sink, then to the query's own tap. Shared by session
-  /// open and mid-stream AddQuery.
+  /// Points one query's symbols, errors and alerts at the session: its
+  /// constraints bind to the session's table, every alert goes to the
+  /// session's sink, then to the query's own tap. Shared by session open
+  /// and mid-stream AddQuery.
   void WireQuery(SessionQuery* sq) {
     CompiledQuery* q = sq->instance.get();
+    q->ReInternSymbols(interner);
     q->SetErrorReporter(core->errors());
     q->SetAlertSink([this, sq](const Alert& a) {
       EmitAlert(a);
@@ -158,7 +162,7 @@ struct SaqlEngine::Session::SessionContext {
     }
 
     BuildExecution();
-    slot = core->RegisterSession();
+    id = core->RegisterSession();
     return Status::Ok();
   }
 
@@ -180,39 +184,23 @@ struct SaqlEngine::Session::SessionContext {
   }
 
   // -------------------------------------------------------------------
-  // Live interner rotation healing.
-
-  /// The session's quiesce-point half of a live rotation: re-captures
-  /// every compiled constraint's symbol under the current generation,
-  /// rebuilds the ConstraintIndex probe groups, then advances this
-  /// session's reclaim barrier and lets the core free generations every
-  /// session has passed. Called from the session thread, between batches,
-  /// with the generation already observed to have moved.
-  void HealRotation(uint64_t gen) {
-    for (auto& sq : queries) {
-      if (sq->active) sq->instance->ReInternSymbols();
-    }
-    scheduler->ReindexAllGroups();
-    slot->gen_seen.store(gen, std::memory_order_release);
-    core->MaybeReclaim();
-  }
-
-  /// Applies the rotation policy and heals if the generation moved (by
-  /// this session's own rotation or another session's). The steady-state
-  /// cost is two atomic loads.
-  void RotationCheckpoint() {
-    core->MaybeRotate();
-    const uint64_t gen = Interner::Global().generation();
-    if (gen != slot->gen_seen.load(std::memory_order_relaxed)) {
-      HealRotation(gen);
-    }
-  }
-
-  // -------------------------------------------------------------------
   // Streaming.
 
+  /// Rotates the symbol table once it holds `interner_rotate_bytes`, then
+  /// re-binds every live query and rebuilds the index probe groups, so
+  /// the next event is compared under the new generation throughout.
+  void MaybeRotate() {
+    const size_t bound = core->options().interner_rotate_bytes;
+    if (bound == 0 || interner.payload_bytes() < bound) return;
+    interner.Rotate();
+    for (auto& sq : queries) {
+      if (sq->active) sq->instance->ReInternSymbols(interner);
+    }
+    scheduler->ReindexAllGroups();
+  }
+
   Status Push(Event* events, size_t count) {
-    RotationCheckpoint();
+    MaybeRotate();
     if (count == 0) return Status::Ok();
     // Record-ahead: persist before query processing sees the batch, so a
     // crash never alerts on an event the log lost.
@@ -334,8 +322,8 @@ struct SaqlEngine::Session::SessionContext {
     run.query_stats = QueryStats();
     core->PublishRun(std::move(run));
     for (auto& sq : queries) sq->active = false;
-    core->UnregisterSession(slot);
-    slot = nullptr;
+    core->UnregisterSession(id);
+    id = 0;
     return Status::Ok();
   }
 };
@@ -357,9 +345,7 @@ SaqlEngine::Session::~Session() {
 
 Status SaqlEngine::Session::OpenInternal() { return impl_->Open(); }
 
-uint64_t SaqlEngine::Session::id() const {
-  return impl_->slot != nullptr ? impl_->slot->id : 0;
-}
+uint64_t SaqlEngine::Session::id() const { return impl_->id; }
 
 Timestamp SaqlEngine::Session::max_event_ts() const {
   return impl_->executor->max_event_ts();
@@ -453,6 +439,10 @@ size_t SaqlEngine::Session::num_indexed_groups() const {
 
 double SaqlEngine::Session::forward_ratio() const {
   return impl_->scheduler->ForwardRatio();
+}
+
+Interner::Stats SaqlEngine::Session::interner_stats() const {
+  return impl_->interner.stats();
 }
 
 std::vector<std::pair<std::string, CompiledQuery::QueryStats>>

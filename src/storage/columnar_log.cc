@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/interner.h"
 
 namespace saql {
 
@@ -438,33 +437,14 @@ Status ColumnarLogReader::LoadSegment(size_t i) {
   status_ = DecodeSegmentPayload(payload, info.payload_bytes, info.count,
                                  info.dict_count, &loaded_);
   SAQL_RETURN_IF_ERROR(status_);
-
-  // Materialize the dictionary into the process interner: one probe per
-  // distinct spelling for the whole segment.
-  Interner& interner = Interner::Global();
-  loaded_syms_gen_ = interner.generation();
-  loaded_dict_syms_.resize(loaded_.dict.size());
-  for (size_t d = 0; d < loaded_.dict.size(); ++d) {
-    loaded_dict_syms_[d] = interner.Intern(loaded_.dict[d]);
-  }
   loaded_index_ = i;
   return Status::Ok();
 }
 
 void ColumnarLogReader::BindRange(EventBlock* block, size_t offset,
                                   size_t count) {
-  Interner& interner = Interner::Global();
-  if (interner.generation() != loaded_syms_gen_) {
-    // The interner rotated under us (legal only between runs, but blocks
-    // may be handed out across that boundary): refresh the dictionary ids.
-    loaded_syms_gen_ = interner.generation();
-    for (size_t d = 0; d < loaded_.dict.size(); ++d) {
-      loaded_dict_syms_[d] = interner.Intern(loaded_.dict[d]);
-    }
-  }
   block->BindColumns(loaded_.cols.Slice(offset), count, loaded_.dict.data(),
-                     loaded_.dict.size(), loaded_dict_syms_.data(),
-                     loaded_syms_gen_);
+                     loaded_.dict.size());
 }
 
 Status ColumnarLogReader::ReadSegment(size_t i, EventBlock* block) {

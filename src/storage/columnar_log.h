@@ -137,9 +137,9 @@ class ColumnarLogWriter {
 /// Payload CRCs are verified once per segment when it is first loaded;
 /// a mismatch is corruption and fails the read.
 ///
-/// Each loaded segment's dictionary is interned into the process
-/// `Interner` (one probe per distinct spelling), so blocks handed out
-/// here materialize rows with `Event::syms` pre-stamped.
+/// The reader interns nothing: it knows no session's symbol table, so the
+/// rows its blocks materialize fill their `Event::syms` memos on first
+/// read, in whichever session they are pushed to.
 class ColumnarLogReader {
  public:
   struct Options {
@@ -184,7 +184,7 @@ class ColumnarLogReader {
   size_t FirstSegmentAtOrAfter(Timestamp ts) const;
 
   /// Loads segment `i`: verifies the CRC (first load), decodes the
-  /// dictionary, interns it, and bound-checks the code/enum columns. The
+  /// dictionary, and bound-checks the code/enum columns. The
   /// loaded segment stays valid until the next Load or destruction.
   Status LoadSegment(size_t i);
 
@@ -192,9 +192,7 @@ class ColumnarLogReader {
   size_t loaded_segment() const { return loaded_index_; }
 
   /// Binds `[offset, offset+count)` of the loaded segment into `block` —
-  /// zero-copy column views plus the segment dictionary and its interned
-  /// ids. Re-interns the dictionary first if the global interner rotated
-  /// since the segment was loaded.
+  /// zero-copy column views plus the segment dictionary.
   void BindRange(EventBlock* block, size_t offset, size_t count);
 
   /// Convenience: loads segment `i` and binds it whole.
@@ -224,8 +222,6 @@ class ColumnarLogReader {
   // Loaded-segment state.
   size_t loaded_index_;  // = SIZE_MAX sentinel until first load
   SegmentPayload loaded_;
-  std::vector<uint32_t> loaded_dict_syms_;
-  uint64_t loaded_syms_gen_ = 0;
   std::vector<bool> crc_checked_;
 };
 

@@ -26,8 +26,8 @@ namespace saql {
 /// `ColumnarLogReader` — the time range seeks (and skips) whole segments
 /// via the segment index, and when no per-event work is needed (no host
 /// filter, no pacing, segment fully inside the time range) the replayer
-/// hands out zero-copy columnar blocks whose rows materialize
-/// pre-interned.
+/// hands out zero-copy columnar blocks (one reused block, whose rows are
+/// rebound segment after segment).
 class StreamReplayer : public EventSource {
  public:
   struct Filter {

@@ -88,7 +88,7 @@ Status BindWalRecord(const WalRecord& record, SegmentPayload* payload,
       b + kWalRecordHeaderSize, record.bytes.size() - kWalRecordHeaderSize,
       record.count, Load<uint32_t>(b + kDictCountOffset), payload));
   block->BindColumns(payload->cols, payload->count, payload->dict.data(),
-                     payload->dict.size(), /*dict_syms=*/nullptr, 0);
+                     payload->dict.size());
   return Status::Ok();
 }
 

@@ -30,9 +30,8 @@ class EventSource {
   /// Primary pull: returns the next block of up to `max_events` events, or
   /// nullptr at end of stream. The block is owned by the source and stays
   /// valid until the next pull; callers may annotate its rows in place
-  /// (queries fill symbol memos as they compare — columnar blocks arrive
-  /// with them pre-stamped). Sources should not hand out empty blocks;
-  /// consumers tolerate them.
+  /// (queries fill symbol memos as they compare). Sources should not hand
+  /// out empty blocks; consumers tolerate them.
   virtual EventBlock* NextBlock(size_t max_events) = 0;
 
   /// Row adapter: fills `batch` with a copy of the next block's rows

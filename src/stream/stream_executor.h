@@ -104,8 +104,9 @@ struct ExecutorStats {
 /// subscribers — the op/entity dispatch index that makes the shared pass
 /// scale with the number of *matching* queries instead of all of them.
 /// Nothing is interned up front: an exact-equality predicate interns the
-/// one attribute it compares on first read (`GetEntitySymbol`), memoized in
-/// `Event::syms`, and compares symbol ids from then on.
+/// one attribute it compares on first read (`GetEntitySymbol`, into its
+/// session's table), memoized in `Event::syms`, and compares symbol ids
+/// from then on.
 class StreamExecutor {
  public:
   struct Options {

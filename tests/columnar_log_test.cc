@@ -1,9 +1,8 @@
 // Format v2 (columnar segments) coverage: exact round trips including a
-// randomized property corpus (empty attributes, all object types, rotated
-// interner generations), crash-consistent truncation recovery at segment
-// granularity, CRC corruption detection, time-range seeks over the
-// segment index, pre-interned symbol stamping, and the writer's
-// destruction-path flush semantics.
+// randomized property corpus (empty attributes, all object types),
+// crash-consistent truncation recovery at segment granularity, CRC
+// corruption detection, time-range seeks over the segment index, and the
+// writer's destruction-path flush semantics.
 
 #include <cstdint>
 #include <cstdio>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/interner.h"
 #include "storage/columnar_log.h"
 #include "storage/log_format.h"
 #include "storage/replayer.h"
@@ -220,66 +218,6 @@ TEST(ColumnarLogTest, RoundTripPropertyRandomCorpora) {
       }
     }
   }
-}
-
-// Blocks from the reader come with Event::syms pre-stamped from the
-// segment dictionary, exactly as InternEventSpan would stamp them.
-TEST(ColumnarLogTest, ReplayedRowsArrivePreInterned) {
-  std::string path = TempPath("v2_preinterned.saqllog");
-  EventBatch original = SampleEvents();
-  ASSERT_TRUE(WriteColumnarEventLog(path, original).ok());
-  ColumnarLogReader reader(path);
-  ASSERT_TRUE(reader.status().ok());
-  EventBlock block;
-  ASSERT_TRUE(reader.ReadSegment(0, &block).ok());
-  Event* rows = block.MutableRows();
-  Interner& interner = Interner::Global();
-  uint32_t gen = static_cast<uint32_t>(interner.generation());
-  for (size_t i = 0; i < block.size(); ++i) {
-    Event expected = original[i];
-    InternEventSpan(&expected, 1);
-    EXPECT_EQ(rows[i].syms.gen, gen);
-    EXPECT_EQ(rows[i].syms.agent, expected.syms.agent);
-    EXPECT_EQ(rows[i].syms.subj_exe, expected.syms.subj_exe);
-    EXPECT_EQ(rows[i].syms.subj_user, expected.syms.subj_user);
-    EXPECT_EQ(rows[i].syms.obj_exe, expected.syms.obj_exe);
-    EXPECT_EQ(rows[i].syms.obj_user, expected.syms.obj_user);
-    EXPECT_EQ(rows[i].syms.obj_path, expected.syms.obj_path);
-  }
-}
-
-// Rotating the interner between reads re-interns the dictionary under the
-// new generation; spellings and field values are unaffected.
-TEST(ColumnarLogTest, RotatedInternerGenerationsReintern) {
-  std::string path = TempPath("v2_rotate.saqllog");
-  EventBatch original = RandomCorpus(99, 120);
-  ColumnarLogWriter::Options wopts;
-  wopts.segment_events = 32;
-  ASSERT_TRUE(WriteColumnarEventLog(path, original, wopts).ok());
-
-  ColumnarLogReader reader(path);
-  ASSERT_TRUE(reader.status().ok());
-  EventBlock block;
-  ASSERT_TRUE(reader.ReadSegment(0, &block).ok());
-  (void)block.MutableRows();
-
-  Interner::Global().Rotate();
-  uint32_t gen_after = static_cast<uint32_t>(Interner::Global().generation());
-
-  // Re-bind the already-loaded segment and read the rest: every row must
-  // carry the fresh generation and ids consistent with the new table.
-  EventBatch loaded;
-  for (size_t i = 0; i < reader.num_segments(); ++i) {
-    ASSERT_TRUE(reader.ReadSegment(i, &block).ok());
-    Event* rows = block.MutableRows();
-    for (size_t r = 0; r < block.size(); ++r) {
-      EXPECT_EQ(rows[r].syms.gen, gen_after);
-      EXPECT_EQ(rows[r].syms.agent,
-                Interner::Global().Find(rows[r].agent_id));
-      loaded.push_back(rows[r]);
-    }
-  }
-  ExpectSameEvents(original, loaded);
 }
 
 // Truncating mid-segment recovers to the last complete segment — the

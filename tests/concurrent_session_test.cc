@@ -1,14 +1,15 @@
 // Concurrent multi-tenant sessions: N sessions of one engine, driven from
 // N independent threads, must behave as fully isolated tenants — each
 // session's alert sequence and per-query stats bit-identical to the same
-// session run solo — while sharing the process-wide interner, including
-// under forced live interner rotation. Also pins the record-path
-// collision guard (two live sessions must not record to one path).
+// session run solo — each with its own symbol table, including under a
+// forced rotation of every session's table at every push. Also pins the
+// record-path collision guard (two live sessions must not record to one
+// path).
 //
 // These tests run under TSan in CI (the thread-sanitize job's filter
-// matches every *Session* suite): the lock-free interner read path, the
-// rotation/heal handshake, and the engine-core registries are exactly the
-// code a data race would live in.
+// matches every *Session* suite): K sessions that each own a table, the
+// process-wide generation counter, and the engine-core registries are
+// exactly the code a data race would live in.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "collect/enterprise_sim.h"
-#include "core/interner.h"
 #include "engine/engine.h"
 #include "test_util.h"
 
@@ -75,6 +75,7 @@ struct SessionRun {
   uint64_t session_id = 0;
   std::vector<std::string> alerts;
   std::vector<std::pair<std::string, CompiledQuery::QueryStats>> stats;
+  uint64_t rotations = 0;  ///< the session's own symbol-table rotations
 };
 
 /// Opens one session with a per-session alert sink and drives it over
@@ -120,6 +121,7 @@ void DriveSession(SaqlEngine* engine, const EventBatch& events,
     return;
   }
   run->stats = (*session)->query_stats();
+  run->rotations = (*session)->interner_stats().rotations;
   run->status = (*session)->Close();
 }
 
@@ -281,7 +283,7 @@ TEST(ConcurrentSessionTest, DynamicChurnStaysSessionLocal) {
 }
 
 // ---------------------------------------------------------------------
-// Live interner rotation under open sessions.
+// Symbol-table rotation inside concurrently driven sessions.
 
 TEST(ConcurrentSessionTest, ForcedMidStreamRotationPreservesAlerts) {
   const EventBatch& events = SimCorpus();
@@ -299,10 +301,9 @@ TEST(ConcurrentSessionTest, ForcedMidStreamRotationPreservesAlerts) {
     ASSERT_TRUE(run.status.ok()) << run.status;
   }
 
-  // Rotation at every push: payload_bytes > 1 the moment anything is
-  // interned, so every session's every push rotates the global table and
-  // every other session heals at its next quiesce point.
-  const uint64_t gen_before = Interner::Global().generation();
+  // A 1-byte bound: every push after one that interned anything rotates
+  // that session's own table, re-binds its queries and rebuilds its
+  // index probe groups, while the other sessions run on untouched.
   SaqlEngine::Options opts;
   opts.interner_rotate_bytes = 1;
   auto engine = MakeEngine(opts);
@@ -315,8 +316,9 @@ TEST(ConcurrentSessionTest, ForcedMidStreamRotationPreservesAlerts) {
     }
     for (std::thread& t : threads) t.join();
   }
-  EXPECT_GT(Interner::Global().generation(), gen_before);
   for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(solo[i].rotations, 0u);
+    EXPECT_GT(got[i].rotations, 0u) << "rotated session " << i;
     ExpectRunEq(got[i], solo[i], "rotated session " + std::to_string(i));
   }
 }

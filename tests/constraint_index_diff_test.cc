@@ -242,7 +242,7 @@ struct CompiledSide {
 };
 
 void CompileSide(const std::vector<std::string>& texts, bool member_index,
-                 CompiledSide* side) {
+                 Interner& interner, CompiledSide* side) {
   ConcurrentQueryScheduler::Options opts;
   opts.enable_member_index = member_index;
   opts.min_index_members = 2;  // maximal index coverage for the harness
@@ -255,6 +255,7 @@ void CompileSide(const std::vector<std::string>& texts, bool member_index,
     Result<std::unique_ptr<CompiledQuery>> q =
         CompiledQuery::Create(aq.value(), name);
     ASSERT_TRUE(q.ok()) << q.status();
+    (*q)->ReInternSymbols(interner);
     (*q)->SetAlertSink([alerts, name](const Alert& a) {
       alerts->emplace_back(name, a.ToString());
     });
@@ -288,19 +289,27 @@ TEST(ConstraintIndexDiffTest, ThousandGeneratedCasesGroupLevel) {
   uint64_t total_alerts = 0;
   uint64_t total_matches = 0;
   uint64_t indexed_groups = 0;
+  uint64_t interned_probe_slots = 0;
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     GeneratedCase c = MakeCase(seed);
+    Interner interner;
     CompiledSide brute, indexed;
-    ASSERT_NO_FATAL_FAILURE(CompileSide(c.queries, false, &brute));
-    ASSERT_NO_FATAL_FAILURE(CompileSide(c.queries, true, &indexed));
+    ASSERT_NO_FATAL_FAILURE(CompileSide(c.queries, false, interner, &brute));
+    ASSERT_NO_FATAL_FAILURE(
+        CompileSide(c.queries, true, interner, &indexed));
     ASSERT_EQ(brute.scheduler->num_indexed_groups(), 0u);
     indexed_groups += indexed.scheduler->num_indexed_groups();
 
     EventBatch brute_events = c.events;  // separate buffers on purpose
     EventBatch index_events = c.events;
     if (c.intern) {
-      InternEventSpan(brute_events.data(), brute_events.size());
-      InternEventSpan(index_events.data(), index_events.size());
+      InternEventSpan(interner, brute_events.data(), brute_events.size());
+      InternEventSpan(interner, index_events.data(), index_events.size());
+      for (QueryGroup* g : indexed.scheduler->groups()) {
+        if (g->index() != nullptr) {
+          interned_probe_slots += g->index()->num_probe_slots();
+        }
+      }
     }
     DriveGroups(brute.scheduler.get(), brute_events);
     DriveGroups(indexed.scheduler.get(), index_events);
@@ -329,6 +338,7 @@ TEST(ConstraintIndexDiffTest, ThousandGeneratedCasesGroupLevel) {
   EXPECT_GT(total_alerts, 1000u);
   EXPECT_GT(total_matches, 10000u);
   EXPECT_GT(indexed_groups, 500u);
+  EXPECT_GT(interned_probe_slots, 0u);
 }
 
 TEST(ConstraintIndexDiffTest, MemberSetsMatchBruteForcePerEvent) {
@@ -338,9 +348,10 @@ TEST(ConstraintIndexDiffTest, MemberSetsMatchBruteForcePerEvent) {
   uint64_t checked_events = 0;
   for (uint64_t seed = 2000; seed < 2200; ++seed) {
     GeneratedCase c = MakeCase(seed);
+    Interner interner;
     CompiledSide side;
-    ASSERT_NO_FATAL_FAILURE(CompileSide(c.queries, true, &side));
-    if (c.intern) InternEventSpan(c.events.data(), c.events.size());
+    ASSERT_NO_FATAL_FAILURE(CompileSide(c.queries, true, interner, &side));
+    if (c.intern) InternEventSpan(interner, c.events.data(), c.events.size());
 
     // Recover each group's member list exactly like the scheduler built
     // it: registration order within equal signatures.

@@ -22,6 +22,7 @@ namespace {
 
 using testing::EventBuilder;
 
+using testing::BindQueries;
 using testing::BitAt;
 using testing::BruteForceMatches;
 using testing::CompileQuery;
@@ -61,6 +62,8 @@ TEST(ConstraintIndexPropertyTest, DuplicateConstraintsShareOneSlot) {
       "return p",
       "q3");
   std::vector<CompiledQuery*> members = {q1.get(), q2.get(), q3.get()};
+  Interner interner;
+  BindQueries(members, interner);
   auto index = ConstraintIndex::Build(members);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->num_slots(), 1u);
@@ -71,8 +74,8 @@ TEST(ConstraintIndexPropertyTest, DuplicateConstraintsShareOneSlot) {
     Event hit = NetWrite("a.exe", "1.1.1.1");
     Event miss = NetWrite("b.exe", "1.1.1.1");
     if (intern) {
-      InternEventSpan(&hit, 1);
-      InternEventSpan(&miss, 1);
+      InternEventSpan(interner, &hit, 1);
+      InternEventSpan(interner, &miss, 1);
     }
     ExpectAgreement(*index, members, hit, intern ? "hit/int" : "hit/raw");
     ExpectAgreement(*index, members, miss, intern ? "miss/int" : "miss/raw");
@@ -97,12 +100,14 @@ TEST(ConstraintIndexPropertyTest, ContradictoryConjunctionNeverMatches) {
   auto q3 = CompileQuery("proc p[exe_name = \"a.exe\"] write ip i as e return p",
                     "q3");
   std::vector<CompiledQuery*> members = {q1.get(), q2.get(), q3.get()};
+  Interner interner;
+  BindQueries(members, interner);
   auto index = ConstraintIndex::Build(members);
   ASSERT_NE(index, nullptr);
   for (bool intern : {false, true}) {
     for (const char* exe : {"a.exe", "b.exe", "c.exe"}) {
       Event e = NetWrite(exe, "1.1.1.1");
-      if (intern) InternEventSpan(&e, 1);
+      if (intern) InternEventSpan(interner, &e, 1);
       ConstraintIndex::MatchResult r;
       index->Match(e, &r);
       EXPECT_FALSE(BitAt(r.matched, 0)) << exe;  // eq contradiction
@@ -150,20 +155,22 @@ TEST(ConstraintIndexPropertyTest, RotatedGenerationEventsReinternAndAgree) {
   EventBatch events;
   events.push_back(NetWrite("a.exe", "1.1.1.1"));
   events.push_back(NetWrite("b.exe", "1.1.1.1"));
-  InternEventSpan(events.data(), events.size());
+  Interner interner;
+  InternEventSpan(interner, events.data(), events.size());
 
-  Interner::Global().Rotate();
+  interner.Rotate();
   // Recompile after rotation (compiled constraints capture symbol ids).
   auto q1 = CompileQuery("proc p[exe_name = \"a.exe\"] write ip i as e return p",
                     "q1");
   auto q2 = CompileQuery("proc p[user = \"u\"] write ip i as e return p", "q2");
   std::vector<CompiledQuery*> members = {q1.get(), q2.get()};
+  BindQueries(members, interner);
   auto index = ConstraintIndex::Build(members);
   ASSERT_NE(index, nullptr);
 
   // Stale-generation buffers re-intern in place, as the executor would.
-  InternEventSpan(events.data(), events.size());
-  EXPECT_EQ(events[0].syms.gen, Interner::Global().generation());
+  InternEventSpan(interner, events.data(), events.size());
+  EXPECT_EQ(events[0].syms.gen, interner.generation());
   ConstraintIndex::MatchResult r;
   index->Match(events[0], &r);
   EXPECT_TRUE(BitAt(r.matched, 0));
@@ -183,12 +190,14 @@ TEST(ConstraintIndexPropertyTest, CaseNormalizationAgreesWithLikeMatcher) {
   auto ne = CompileQuery("proc p[exe_name != \"cmd.EXE\"] write ip i as e return p",
                     "ne");
   std::vector<CompiledQuery*> members = {eq.get(), ne.get()};
+  Interner interner;
+  BindQueries(members, interner);
   auto index = ConstraintIndex::Build(members);
   ASSERT_NE(index, nullptr);
   for (const char* exe : {"cmd.exe", "CMD.EXE", "CmD.exE", "cmd.exe2"}) {
     Event raw = NetWrite(exe, "1.1.1.1");
     Event interned = raw;
-    InternEventSpan(&interned, 1);
+    InternEventSpan(interner, &interned, 1);
     ConstraintIndex::MatchResult r_raw, r_int;
     index->Match(raw, &r_raw);
     index->Match(interned, &r_int);
@@ -243,6 +252,8 @@ TEST(ConstraintIndexPropertyTest,
                     "return p",
                     "q2");
   std::vector<CompiledQuery*> members = {q1.get(), q2.get()};
+  Interner interner;
+  BindQueries(members, interner);
   auto index = ConstraintIndex::Build(members);
   ASSERT_NE(index, nullptr);
   ConstraintIndex::MatchResult r;

@@ -164,7 +164,7 @@ TEST(FieldIdTest, TypeMismatchedReadsReportNotFound) {
 }
 
 TEST(InternerTest, CaseVariantsShareOneSymbol) {
-  Interner& interner = Interner::Global();
+  Interner interner;
   uint32_t a = interner.Intern("CMD.exe");
   uint32_t b = interner.Intern("cmd.EXE");
   uint32_t c = interner.Intern("cmd.exe");
@@ -177,8 +177,9 @@ TEST(InternerTest, CaseVariantsShareOneSymbol) {
 }
 
 TEST(InternerTest, InternEventStringsFillsSlotsPerObjectType) {
+  Interner interner;
   Event proc_evt = SampleEvent(EntityType::kProcess);
-  InternEventSpan(&proc_evt, 1);
+  InternEventSpan(interner, &proc_evt, 1);
   EXPECT_NE(proc_evt.syms.agent, 0u);
   EXPECT_NE(proc_evt.syms.subj_exe, 0u);
   EXPECT_NE(proc_evt.syms.subj_user, 0u);
@@ -187,13 +188,13 @@ TEST(InternerTest, InternEventStringsFillsSlotsPerObjectType) {
   EXPECT_EQ(proc_evt.syms.obj_path, 0u);
 
   Event file_evt = SampleEvent(EntityType::kFile);
-  InternEventSpan(&file_evt, 1);
+  InternEventSpan(interner, &file_evt, 1);
   EXPECT_NE(file_evt.syms.obj_path, 0u);
   EXPECT_EQ(file_evt.syms.obj_exe, 0u);
 
   // Same exe name (case-insensitively) → same symbol.
   EXPECT_EQ(proc_evt.syms.subj_exe, file_evt.syms.subj_exe);
-  EXPECT_EQ(GetEntitySymbol(file_evt, EntityRole::kSubject,
+  EXPECT_EQ(GetEntitySymbol(interner, file_evt, EntityRole::kSubject,
                             FieldId::kExeName),
             file_evt.syms.subj_exe);
 }
@@ -232,13 +233,14 @@ bool IsNetworkString(FieldId id) {
 /// memo hit: same id, no interner entry, no allocation.
 void CheckLazyRead(EntityType type, const std::string& label,
                    const std::string* spelling, bool network_string,
-                   const std::function<uint32_t(const Event&)>& read) {
+                   const std::function<uint32_t(Interner&, const Event&)>&
+                       read) {
   SCOPED_TRACE(label);
-  Interner& interner = Interner::Global();
+  Interner interner;
   Event eager = SampleEvent(type);
-  InternEventSpan(&eager, 1);
+  InternEventSpan(interner, &eager, 1);
   Event lazy = SampleEvent(type);
-  const uint32_t id = read(lazy);
+  const uint32_t id = read(interner, lazy);
   if (spelling == nullptr || network_string) {
     EXPECT_EQ(id, 0u);
     EXPECT_EQ(FilledSlots(lazy.syms), 0u);
@@ -256,7 +258,7 @@ void CheckLazyRead(EntityType type, const std::string& label,
   }
   const size_t entries = interner.size();
   const size_t allocs = testing::HeapAllocs();
-  const uint32_t again = read(lazy);
+  const uint32_t again = read(interner, lazy);
   EXPECT_EQ(testing::HeapAllocs(), allocs);
   EXPECT_EQ(interner.size(), entries);
   EXPECT_EQ(again, id);
@@ -278,7 +280,9 @@ TEST(InternerTest, LazyReadFillsExactlyItsSlotForEveryField) {
                 std::to_string(static_cast<int>(role)) + " type " +
                 std::to_string(static_cast<int>(type)),
             GetEntityStringFieldPtr(sample, role, id), IsNetworkString(id),
-            [&](const Event& e) { return GetEntitySymbol(e, role, id); });
+            [&](Interner& interner, const Event& e) {
+              return GetEntitySymbol(interner, e, role, id);
+            });
       }
     }
     for (int raw = static_cast<int>(FieldId::kAmount);
@@ -288,24 +292,27 @@ TEST(InternerTest, LazyReadFillsExactlyItsSlotForEveryField) {
                     "event field " + std::to_string(raw) + " type " +
                         std::to_string(static_cast<int>(type)),
                     GetEventStringFieldPtr(sample, id), IsNetworkString(id),
-                    [&](const Event& e) { return GetEventSymbol(e, id); });
+                    [&](Interner& interner, const Event& e) {
+                      return GetEventSymbol(interner, e, id);
+                    });
     }
   }
 }
 
 TEST(InternerTest, LazyReadAfterRotationRefreshesTheMemo) {
-  Interner& interner = Interner::Global();
+  Interner interner;
   Event e = SampleEvent(EntityType::kFile);
-  ASSERT_NE(GetEventSymbol(e, FieldId::kAgentId), 0u);
-  ASSERT_NE(GetEntitySymbol(e, EntityRole::kObject, FieldId::kPath), 0u);
+  ASSERT_NE(GetEventSymbol(interner, e, FieldId::kAgentId), 0u);
+  ASSERT_NE(GetEntitySymbol(interner, e, EntityRole::kObject, FieldId::kPath),
+            0u);
   const uint32_t gen_before = e.syms.gen;
   ASSERT_EQ(FilledSlots(e.syms), 2u);
 
   interner.Rotate();
-  const uint32_t exe = GetEntitySymbol(e, EntityRole::kSubject,
+  const uint32_t exe = GetEntitySymbol(interner, e, EntityRole::kSubject,
                                        FieldId::kExeName);
-  EXPECT_EQ(e.syms.gen, static_cast<uint32_t>(interner.generation()));
-  EXPECT_EQ(e.syms.gen, gen_before + 1);
+  EXPECT_EQ(e.syms.gen, interner.generation());
+  EXPECT_NE(e.syms.gen, gen_before);
   EXPECT_EQ(exe, interner.Find("cmd.exe"));
   EXPECT_NE(exe, 0u);
   // The stale agent and path ids are gone, not mixed into the new memo.
@@ -313,7 +320,7 @@ TEST(InternerTest, LazyReadAfterRotationRefreshesTheMemo) {
   EXPECT_EQ(e.syms.obj_path, 0u);
   EXPECT_EQ(FilledSlots(e.syms), 1u);
   // Re-reading a cleared slot interns it under the current generation.
-  const uint32_t agent = GetEventSymbol(e, FieldId::kAgentId);
+  const uint32_t agent = GetEventSymbol(interner, e, FieldId::kAgentId);
   EXPECT_EQ(agent, interner.Find("host-1"));
   EXPECT_NE(agent, 0u);
   EXPECT_EQ(FilledSlots(e.syms), 2u);
@@ -322,22 +329,29 @@ TEST(InternerTest, LazyReadAfterRotationRefreshesTheMemo) {
 TEST(InternerTest, ExactEqualityMatchesInternedAndPlainEventsAlike) {
   // Exact constraint → symbol compare on interned events, string fallback
   // otherwise; both must agree with LIKE semantics (case-insensitive).
+  // An unbound constraint compares strings; a bound one compares symbols.
+  Interner interner;
   CompiledConstraint c("exe_name", ConstraintOp::kEq, Value("cmd.exe"),
                        EntityType::kProcess);
   Event e = SampleEvent(EntityType::kFile);  // subject CMD.exe
   EXPECT_TRUE(c.MatchesEntity(e, EntityRole::kSubject));
-  InternEventSpan(&e, 1);
+  c.ReIntern(interner);
+  EXPECT_NE(c.symbol(), Interner::kUnset);
+  InternEventSpan(interner, &e, 1);
   EXPECT_TRUE(c.MatchesEntity(e, EntityRole::kSubject));
 
   CompiledConstraint miss("exe_name", ConstraintOp::kEq, Value("other.exe"),
                           EntityType::kProcess);
+  miss.ReIntern(interner);
   EXPECT_FALSE(miss.MatchesEntity(e, EntityRole::kSubject));
 
   CompiledConstraint ne("exe_name", ConstraintOp::kNe, Value("other.exe"),
                         EntityType::kProcess);
+  ne.ReIntern(interner);
   EXPECT_TRUE(ne.MatchesEntity(e, EntityRole::kSubject));
 
   CompiledConstraint agent("agentid", ConstraintOp::kEq, Value("host-1"));
+  agent.ReIntern(interner);
   EXPECT_TRUE(agent.MatchesEvent(e));
 }
 

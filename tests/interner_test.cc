@@ -1,16 +1,13 @@
 // Interner lifecycle: size accounting for high-cardinality fields and the
 // rotation hook for long-running deployments; the case-fold properties of
-// the word-at-a-time probe, its allocation-free hit path, and concurrent
-// interning.
+// the word-at-a-time probe and its allocation-free hit path.
 
 #include "core/interner.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,7 +55,7 @@ TEST(InternerTest, AccountingMatchesInsertedSpellings) {
 
 TEST(InternerTest, RotateResetsTableAndBumpsGeneration) {
   Interner interner;
-  uint64_t gen0 = interner.stats().generation;
+  const uint32_t gen0 = interner.stats().generation;
   uint32_t id = interner.Intern("stale-path");
   EXPECT_NE(id, Interner::kUnset);
   EXPECT_EQ(interner.Find("stale-path"), id);
@@ -67,7 +64,8 @@ TEST(InternerTest, RotateResetsTableAndBumpsGeneration) {
   Interner::Stats st = interner.stats();
   EXPECT_EQ(st.entries, 0u);
   EXPECT_EQ(st.bytes, 0u);
-  EXPECT_EQ(st.generation, gen0 + 1);
+  EXPECT_NE(st.generation, gen0);  // drawn anew from the process counter
+  EXPECT_EQ(st.rotations, 1u);
   EXPECT_EQ(interner.Find("stale-path"), Interner::kUnset);
 
   // Ids restart densely after rotation.
@@ -76,7 +74,9 @@ TEST(InternerTest, RotateResetsTableAndBumpsGeneration) {
 
 TEST(InternerTest, EventSpanReinternsAfterGlobalRotation) {
   // Event buffers survive a rotation: InternEventSpan re-interns events
-  // stamped with an older generation instead of trusting stale ids.
+  // stamped with an older generation instead of trusting stale ids. A
+  // second table sees the first table's memos as stale too.
+  Interner interner;
   EventBatch events;
   events.push_back(EventBuilder()
                        .At(1)
@@ -85,21 +85,27 @@ TEST(InternerTest, EventSpanReinternsAfterGlobalRotation) {
                        .Op(EventOp::kWrite)
                        .FileObject("/backup1.dmp")
                        .Build());
-  InternEventSpan(events.data(), events.size());
+  InternEventSpan(interner, events.data(), events.size());
   uint32_t gen_before = events[0].syms.gen;
   uint32_t path_before = events[0].syms.obj_path;
   ASSERT_NE(path_before, Interner::kUnset);
-  EXPECT_EQ(Interner::Global().NameOf(path_before), "/backup1.dmp");
+  EXPECT_EQ(interner.NameOf(path_before), "/backup1.dmp");
 
   // Memoized: a second pass does not re-stamp.
-  InternEventSpan(events.data(), events.size());
+  InternEventSpan(interner, events.data(), events.size());
   EXPECT_EQ(events[0].syms.gen, gen_before);
 
-  Interner::Global().Rotate();
-  InternEventSpan(events.data(), events.size());
-  EXPECT_EQ(events[0].syms.gen, gen_before + 1);
-  EXPECT_EQ(Interner::Global().NameOf(events[0].syms.obj_path),
-            "/backup1.dmp");
+  interner.Rotate();
+  InternEventSpan(interner, events.data(), events.size());
+  EXPECT_EQ(events[0].syms.gen, interner.generation());
+  EXPECT_NE(events[0].syms.gen, gen_before);
+  EXPECT_EQ(interner.NameOf(events[0].syms.obj_path), "/backup1.dmp");
+
+  Interner other;
+  other.Intern("unrelated");  // shifts the ids other assigns next
+  InternEventSpan(other, events.data(), events.size());
+  EXPECT_EQ(events[0].syms.gen, other.generation());
+  EXPECT_EQ(other.NameOf(events[0].syms.obj_path), "/backup1.dmp");
 }
 
 /// Reference fold, byte by byte: only 'A'..'Z' change.
@@ -229,51 +235,15 @@ TEST(InternerTest, HitPathDoesNotAllocate) {
   const size_t before = testing::HeapAllocs();
   for (int round = 0; round < 100; ++round) {
     for (size_t i = 0; i < spellings.size(); ++i) {
-      uint64_t gen = 0;
       same += interner.Intern(spellings[i]) == ids[i];
       same += interner.Intern(upper[i]) == ids[i];
-      same += interner.InternStamped(upper[i], &gen) == ids[i];
+      same += interner.Find(spellings[i]) == ids[i];
       same += interner.Find(upper[i]) == ids[i];
     }
   }
   const size_t after = testing::HeapAllocs();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(same, 100u * 4u * spellings.size());
-}
-
-TEST(InternerTest, ConcurrentCaseVariantsAgreeOnIds) {
-  // Four threads intern the same fresh spellings at once, each in its own
-  // case pattern: misses race to insert, and every thread must come back
-  // with the same id for the same name.
-  constexpr int kThreads = 4;
-  Interner interner;
-  const std::vector<std::string> spellings = RandomSpellings(3000, 4242);
-  std::vector<std::vector<uint32_t>> ids(kThreads);
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<uint32_t>& mine = ids[t];
-      mine.reserve(spellings.size());
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      for (const std::string& s : spellings) {
-        std::string variant = s;
-        for (size_t i = 0; i < variant.size(); ++i) {
-          if ((i + t) % kThreads != 0) continue;
-          char& c = variant[i];
-          if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-        }
-        mine.push_back(interner.Intern(variant));
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]) << t;
-  for (size_t i = 0; i < spellings.size(); ++i) {
-    EXPECT_EQ(interner.NameOf(ids[0][i]), RefLower(spellings[i]));
-  }
 }
 
 }  // namespace

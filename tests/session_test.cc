@@ -30,6 +30,8 @@
 #include "collect/enterprise_sim.h"
 #include "core/interner.h"
 #include "engine/engine.h"
+#include "storage/columnar_log.h"
+#include "storage/replayer.h"
 #include "test_util.h"
 
 namespace saql {
@@ -867,10 +869,12 @@ TEST(SessionLifecycleTest, DestructorClosesOpenSession) {
 }
 
 // ---------------------------------------------------------------------
-// Interner rotation between sessions.
+// The session's own symbol table.
 
+// Rotation is a per-session bound, checked at the top of every push: the
+// session rotates its own table there, keeps matching under the new
+// generation, and a session opened afterwards starts from a fresh table.
 TEST(SessionInternerTest, RotationPolicyFiresBetweenSessions) {
-  Interner& interner = Interner::Global();
   SaqlEngine::Options opts;
   opts.interner_rotate_bytes = 1;  // any payload triggers rotation
   SaqlEngine engine(opts);
@@ -880,33 +884,45 @@ TEST(SessionInternerTest, RotationPolicyFiresBetweenSessions) {
       engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
           .ok());
 
-  auto run_once = [&engine] {
-    auto session = engine.OpenSession();
-    ASSERT_TRUE(session.ok()) << session.status();
+  auto push_pair = [](SaqlEngine::Session* session, Timestamp t) {
     EventBatch events;
-    events.push_back(NetWrite("a.exe", "1.1.1.1", 1, kSecond));
-    events.push_back(NetWrite("b.exe", "1.1.1.1", 1, 2 * kSecond));
-    ASSERT_TRUE((*session)->Push(events).ok());
-    ASSERT_TRUE((*session)->Close().ok());
+    events.push_back(NetWrite("a.exe", "1.1.1.1", 1, t));
+    events.push_back(NetWrite("b.exe", "1.1.1.1", 1, t + kSecond));
+    ASSERT_TRUE(session->Push(events).ok());
   };
 
-  run_once();
-  uint64_t gen_after_first = interner.generation();
-  size_t alerts_after_first = engine.alerts().size();
-  EXPECT_EQ(alerts_after_first, 1u);
+  auto first = engine.OpenSession();
+  ASSERT_TRUE(first.ok()) << first.status();
+  // Binding the query interned its literal, so the first push rotates.
+  const Interner::Stats opened = (*first)->interner_stats();
+  EXPECT_EQ(opened.rotations, 0u);
+  EXPECT_GT(opened.bytes, 0u);
+  push_pair(first->get(), kSecond);
+  const Interner::Stats after_one = (*first)->interner_stats();
+  EXPECT_EQ(after_one.rotations, 1u);
+  EXPECT_NE(after_one.generation, opened.generation);
+  EXPECT_EQ(engine.alerts().size(), 1u);
 
-  // The first session interned event strings, so the policy must rotate
-  // on reopen — and the recompiled query must keep matching (fresh ids).
-  run_once();
-  EXPECT_GT(interner.generation(), gen_after_first);
-  EXPECT_EQ(engine.alerts().size(), alerts_after_first + 1);
+  // The first push interned event strings, so the next one rotates
+  // again — and the re-bound query keeps matching (fresh ids).
+  push_pair(first->get(), 10 * kSecond);
+  EXPECT_EQ((*first)->interner_stats().rotations, 2u);
+  EXPECT_EQ(engine.alerts().size(), 2u);
+  ASSERT_TRUE((*first)->Close().ok());
+
+  auto second = engine.OpenSession();
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ((*second)->interner_stats().rotations, 0u);
+  EXPECT_NE((*second)->interner_stats().generation,
+            (*first)->interner_stats().generation);
+  push_pair(second->get(), kSecond);
+  EXPECT_EQ(engine.alerts().size(), 3u);
 }
 
 // Symbols are interned on first read, by the comparisons that need
 // them: a session whose only query matches by wildcard LIKE interns no
 // event string, however many fresh spellings it is pushed.
 TEST(SessionInternerTest, LikeOnlySessionInternsNothing) {
-  Interner& interner = Interner::Global();
   SaqlEngine engine;
   ASSERT_TRUE(
       engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "q")
@@ -919,9 +935,9 @@ TEST(SessionInternerTest, LikeOnlySessionInternsNothing) {
                               "1.1.1.1", 1, (i + 1) * kSecond,
                               "fresh-host-" + std::to_string(i)));
   }
-  const size_t bytes_before = interner.payload_bytes();
+  const size_t bytes_before = (*session)->interner_stats().bytes;
   ASSERT_TRUE((*session)->Push(events).ok());
-  EXPECT_EQ(interner.payload_bytes(), bytes_before);
+  EXPECT_EQ((*session)->interner_stats().bytes, bytes_before);
   for (const Event& e : events) EXPECT_EQ(e.syms.gen, 0u);
   ASSERT_TRUE((*session)->Close().ok());
   EXPECT_EQ(engine.alerts().size(), events.size());
@@ -943,7 +959,7 @@ TEST(SessionInternerTest, PushFillsCallerMemos) {
   }
   ASSERT_TRUE((*session)->Push(events).ok());
   for (const Event& e : events) {
-    EXPECT_EQ(e.syms.gen, Interner::Global().generation());
+    EXPECT_EQ(e.syms.gen, (*session)->interner_stats().generation);
   }
   ASSERT_TRUE((*session)->Close().ok());
   EXPECT_EQ(engine.alerts().size(), 8u);
@@ -952,13 +968,110 @@ TEST(SessionInternerTest, PushFillsCallerMemos) {
 TEST(SessionInternerTest, NoRotationWhenDisabled) {
   SaqlEngine engine;  // interner_rotate_bytes = 0
   ASSERT_TRUE(
-      engine.AddQuery("proc p[\"%a.exe\"] write ip i as e return p", "q")
+      engine.AddQuery("proc p[\"a.exe\"] write ip i as e return p", "q")
           .ok());
-  uint64_t gen = Interner::Global().generation();
   auto session = engine.OpenSession();
   ASSERT_TRUE(session.ok()) << session.status();
+  const uint32_t gen = (*session)->interner_stats().generation;
+  for (int i = 0; i < 4; ++i) {
+    EventBatch events;
+    events.push_back(NetWrite("host" + std::to_string(i) + ".exe",
+                              "1.1.1.1", 1, (i + 1) * kSecond));
+    ASSERT_TRUE((*session)->Push(events).ok());
+  }
+  EXPECT_EQ((*session)->interner_stats().generation, gen);
+  EXPECT_EQ((*session)->interner_stats().rotations, 0u);
   ASSERT_TRUE((*session)->Close().ok());
-  EXPECT_EQ(Interner::Global().generation(), gen);
+}
+
+// One buffer pushed to session A, then to session B: A's memos carry A's
+// generation, so B refills every memo it reads instead of trusting ids
+// from A's table. The two sessions intern in opposite orders, so A's ids
+// read in B would swap "a.exe" and "b.exe".
+TEST(SessionInternerTest, BufferPushedToTwoSessionsIsRefilledInTheSecond) {
+  EventBatch buffer;
+  for (int i = 0; i < 16; ++i) {
+    buffer.push_back(NetWrite(i % 3 == 0 ? "a.exe" : "b.exe", "1.1.1.1", 1,
+                              (i + 1) * kSecond, "h1", 100 + i));
+  }
+  const std::string kQueryA = "proc p[\"b.exe\"] write ip i as e return p";
+  const std::string kQueryB = "proc p[\"a.exe\"] write ip i as e return p";
+
+  // B's reference: a solo session over a fresh copy of the events.
+  std::vector<std::string> solo;
+  {
+    SaqlEngine engine;
+    SessionOptions so;
+    so.alert_sink = [&solo](const Alert& a) { solo.push_back(a.ToString()); };
+    auto b = engine.OpenSession(std::move(so));
+    ASSERT_TRUE(b.ok()) << b.status();
+    ASSERT_TRUE((*b)->AddQuery(kQueryB, "qb").ok());
+    EventBatch fresh = buffer;
+    ASSERT_TRUE((*b)->Push(fresh).ok());
+    ASSERT_TRUE((*b)->Close().ok());
+  }
+  ASSERT_FALSE(solo.empty());
+
+  SaqlEngine engine;
+  std::vector<std::string> got_a, got_b;
+  SessionOptions so_a, so_b;
+  so_a.alert_sink = [&got_a](const Alert& a) { got_a.push_back(a.ToString()); };
+  so_b.alert_sink = [&got_b](const Alert& a) { got_b.push_back(a.ToString()); };
+  auto a = engine.OpenSession(std::move(so_a));
+  auto b = engine.OpenSession(std::move(so_b));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE((*a)->AddQuery(kQueryA, "qa").ok());
+  ASSERT_TRUE((*b)->AddQuery(kQueryB, "qb").ok());
+  ASSERT_TRUE((*a)->Push(buffer).ok());
+  for (const Event& e : buffer) {
+    ASSERT_EQ(e.syms.gen, (*a)->interner_stats().generation);
+  }
+  ASSERT_TRUE((*b)->Push(buffer).ok());
+
+  EXPECT_EQ(got_b, solo);
+  EXPECT_EQ(got_a.size(), 10u);  // the b.exe writes
+  for (const Event& e : buffer) {
+    EXPECT_EQ(e.syms.gen, (*b)->interner_stats().generation);
+  }
+  ASSERT_TRUE((*a)->Close().ok());
+  ASSERT_TRUE((*b)->Close().ok());
+}
+
+// A replayed log arrives through one reused block: the zero-copy path
+// rebinds the same rows segment after segment. Each rebind must drop the
+// row's memo with its strings — here the same row of consecutive
+// segments alternates between a matching and a non-matching exe, so a
+// kept memo would flip the query's answer.
+TEST(SessionInternerTest, ReplayThroughReusedBlockMatchesVectorRun) {
+  constexpr size_t kSegment = 16;
+  EventBatch events;
+  for (size_t i = 0; i < 4 * kSegment; ++i) {
+    const bool match = (i % kSegment + i / kSegment) % 2 == 0;
+    events.push_back(NetWrite(match ? "a.exe" : "b.exe", "1.1.1.1", 1,
+                              static_cast<Timestamp>(i + 1) * kSecond, "h1",
+                              static_cast<int64_t>(100 + i)));
+  }
+  const std::string path =
+      ::testing::TempDir() + "/saql_session_reused_block.saqllog";
+  ColumnarLogWriter::Options wopts;
+  wopts.segment_events = kSegment;
+  ASSERT_TRUE(WriteColumnarEventLog(path, events, wopts).ok());
+  const std::string query = "proc p[\"a.exe\"] write ip i as e return p";
+
+  SaqlEngine reference;
+  ASSERT_TRUE(reference.AddQuery(query, "q").ok());
+  VectorEventSource vector_source(events);
+  ASSERT_TRUE(reference.Run(&vector_source).ok());
+
+  SaqlEngine replayed;
+  ASSERT_TRUE(replayed.AddQuery(query, "q").ok());
+  StreamReplayer replayer(path, StreamReplayer::Filter{});
+  ASSERT_TRUE(replayer.status().ok()) << replayer.status();
+  ASSERT_TRUE(replayed.Run(&replayer).ok());
+
+  ASSERT_EQ(reference.alerts().size(), events.size() / 2);
+  EXPECT_EQ(Render(replayed.alerts()), Render(reference.alerts()));
+  std::filesystem::remove(path);
 }
 
 }  // namespace

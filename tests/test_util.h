@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/event.h"
+#include "core/interner.h"
 #include "engine/compiled_query.h"
 #include "stream/event_source.h"
 #include "stream/stream_executor.h"
@@ -91,6 +92,12 @@ inline std::unique_ptr<CompiledQuery> CompileQuery(const std::string& text,
   EXPECT_TRUE(q.ok()) << q.status();
   if (!q.ok()) return nullptr;
   return std::move(q).value();
+}
+
+/// Binds every query to `interner`, as a session does when it wires them.
+inline void BindQueries(const std::vector<CompiledQuery*>& queries,
+                        Interner& interner) {
+  for (CompiledQuery* q : queries) q->ReInternSymbols(interner);
 }
 
 // Brute-force member-matching oracle shared by the ConstraintIndex
