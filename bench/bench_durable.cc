@@ -109,9 +109,8 @@ bool WriteWal(const std::string& path, const EventBatch& events,
   WalRecord record;
   for (size_t i = from; i < events.size(); i += 256) {
     block.Clear();
-    for (size_t j = i; j < std::min(events.size(), i + 256); ++j) {
-      block.AppendColumnar(events[j]);
-    }
+    block.AppendRows(events.data() + i,
+                     std::min<size_t>(256, events.size() - i));
     EncodeWalRecord(i + 1, block, &record);
     if (!wal.Append(record).ok()) return false;
   }

@@ -4,9 +4,58 @@
 #include <cassert>
 #include <cstring>
 
-#include "core/string_util.h"
-
 namespace saql {
+
+namespace {
+
+uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Load32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// 64x64 -> 128-bit multiply, folded back to 64 bits.
+uint64_t Mum(uint64_t a, uint64_t b) {
+  const __uint128_t r = static_cast<__uint128_t>(a) * b;
+  return static_cast<uint64_t>(r) ^ static_cast<uint64_t>(r >> 64);
+}
+
+constexpr uint64_t kHashMul0 = 0xa0761d6478bd642fULL;
+constexpr uint64_t kHashMul1 = 0xe7037ed1a0b428dbULL;
+
+/// Exact (case-preserving) 32-bit hash of a non-empty spelling, with
+/// overlapping loads: 8-byte words with the last word ending at the last
+/// byte, two 4-byte loads for 4..7 bytes, and the first, middle and last
+/// byte below 4. Every byte is loaded and none outside
+/// `[data, data + size)`; the length is mixed in, since short spellings
+/// of different lengths can load the same bytes.
+uint32_t DictHash(std::string_view s) {
+  const char* p = s.data();
+  const size_t n = s.size();
+  uint64_t h = kHashMul0 ^ n;
+  if (n >= 8) {
+    for (size_t i = 0; i + 8 < n; i += 8) {
+      h = Mum(h ^ Load64(p + i), kHashMul1);
+    }
+    h = Mum(h ^ Load64(p + n - 8), kHashMul1);
+  } else if (n >= 4) {
+    h = Mum(h ^ (Load32(p) << 32 | Load32(p + n - 4)), kHashMul1);
+  } else {
+    const uint64_t b = uint64_t{static_cast<uint8_t>(p[0])} << 16 |
+                       uint64_t{static_cast<uint8_t>(p[n / 2])} << 8 |
+                       uint64_t{static_cast<uint8_t>(p[n - 1])};
+    h = Mum(h ^ b, kHashMul1);
+  }
+  return static_cast<uint32_t>(Mum(h, kHashMul0));
+}
+
+}  // namespace
 
 EventBlock::Columns EventBlock::Columns::Slice(size_t offset) const {
   Columns out = *this;
@@ -32,37 +81,15 @@ EventBlock::Columns EventBlock::Columns::Slice(size_t offset) const {
   return out;
 }
 
-void EventBlock::ColumnStore::clear() {
-  id.clear();
-  ts.clear();
-  subj_pid.clear();
-  obj_pid.clear();
-  src_port.clear();
-  dst_port.clear();
-  amount.clear();
-  agent.clear();
-  subj_exe.clear();
-  subj_user.clear();
-  obj_exe.clear();
-  obj_user.clear();
-  obj_path.clear();
-  src_ip.clear();
-  dst_ip.clear();
-  protocol.clear();
-  op.clear();
-  object_type.clear();
-  failed.clear();
-}
-
 void EventBlock::Clear() {
   mode_ = Mode::kEmpty;
   size_ = 0;
-  store_.clear();
+  store_.ForEach([](auto& col) { col.clear(); });
   cols_valid_ = false;
   arena_chunk_ = 0;
   arena_used_ = 0;
   dict_own_.clear();
-  for (uint32_t slot : dict_slots_) dict_table_[slot] = kEmptyCode;
+  for (uint32_t slot : dict_slots_) dict_table_[slot] = DictSlot{};
   dict_slots_.clear();
   dict_ = nullptr;
   dict_size_ = 0;
@@ -86,13 +113,13 @@ EventBatch& EventBlock::ResetOwnedRows() {
 
 void EventBlock::EnsureOwnedColumnar() {
   if (mode_ == Mode::kOwnedColumnar) return;
-  assert(mode_ == Mode::kEmpty && "AppendColumnar on a non-columnar block");
+  assert(mode_ == Mode::kEmpty && "columnar append to a non-columnar block");
   mode_ = Mode::kOwnedColumnar;
   dict_own_.clear();
   dict_own_.push_back(std::string_view{});  // code 0 = ""
   dict_ = dict_own_.data();
   dict_size_ = 1;
-  if (dict_table_.empty()) dict_table_.assign(kDictFirstSlots, kEmptyCode);
+  if (dict_table_.empty()) dict_table_.resize(kDictFirstSlots);
 }
 
 std::string_view EventBlock::ArenaCopy(std::string_view s) {
@@ -116,63 +143,70 @@ std::string_view EventBlock::ArenaCopy(std::string_view s) {
 }
 
 void EventBlock::GrowDictTable() {
-  dict_table_.assign(dict_table_.size() * 2, kEmptyCode);
-  dict_slots_.clear();
+  std::vector<DictSlot> old(dict_table_.size() * 2);
+  old.swap(dict_table_);
   const size_t mask = dict_table_.size() - 1;
-  for (size_t code = 1; code < dict_own_.size(); ++code) {
-    size_t slot = AsciiCaseHash(dict_own_[code]) & mask;
-    while (dict_table_[slot] != kEmptyCode) slot = (slot + 1) & mask;
-    dict_table_[slot] = static_cast<uint32_t>(code);
-    dict_slots_.push_back(static_cast<uint32_t>(slot));
+  for (uint32_t& slot : dict_slots_) {
+    const DictSlot entry = old[slot];
+    slot = entry.tag & mask;
+    while (dict_table_[slot].code != kEmptyCode) slot = (slot + 1) & mask;
+    dict_table_[slot] = entry;
   }
 }
 
 uint32_t EventBlock::DictCode(std::string_view s) {
   if (s.empty()) return kEmptyCode;
+  const uint32_t tag = DictHash(s);
   const size_t mask = dict_table_.size() - 1;
-  size_t slot = AsciiCaseHash(s) & mask;
+  size_t slot = tag & mask;
   for (;; slot = (slot + 1) & mask) {
-    const uint32_t code = dict_table_[slot];
-    if (code == kEmptyCode) break;
-    if (dict_own_[code] == s) return code;
+    const DictSlot& entry = dict_table_[slot];
+    if (entry.code == kEmptyCode) break;
+    if (entry.tag == tag && dict_own_[entry.code] == s) return entry.code;
   }
-  // A miss ends on the free slot the new code takes, unless the table
-  // must grow first.
+  // A miss ends on the free slot the new code takes; the table grows
+  // after it is placed, re-placing it by its tag.
   const uint32_t code = static_cast<uint32_t>(dict_own_.size());
   dict_own_.push_back(ArenaCopy(s));
-  if (2 * dict_own_.size() > dict_table_.size()) {
-    GrowDictTable();
-  } else {
-    dict_table_[slot] = code;
-    dict_slots_.push_back(static_cast<uint32_t>(slot));
-  }
+  dict_table_[slot] = DictSlot{tag, code};
+  dict_slots_.push_back(static_cast<uint32_t>(slot));
+  if (2 * dict_own_.size() > dict_table_.size()) GrowDictTable();
   dict_ = dict_own_.data();  // vector growth may relocate
   dict_size_ = dict_own_.size();
   return code;
 }
 
-void EventBlock::AppendColumnar(const Event& e) {
+void EventBlock::AppendRows(const Event* rows, size_t count) {
   EnsureOwnedColumnar();
-  store_.id.push_back(e.id);
-  store_.ts.push_back(e.ts);
-  store_.subj_pid.push_back(e.subject.pid);
-  store_.obj_pid.push_back(e.obj_proc.pid);
-  store_.src_port.push_back(e.obj_net.src_port);
-  store_.dst_port.push_back(e.obj_net.dst_port);
-  store_.amount.push_back(e.amount);
-  store_.agent.push_back(DictCode(e.agent_id));
-  store_.subj_exe.push_back(DictCode(e.subject.exe_name));
-  store_.subj_user.push_back(DictCode(e.subject.user));
-  store_.obj_exe.push_back(DictCode(e.obj_proc.exe_name));
-  store_.obj_user.push_back(DictCode(e.obj_proc.user));
-  store_.obj_path.push_back(DictCode(e.obj_file.path));
-  store_.src_ip.push_back(DictCode(e.obj_net.src_ip));
-  store_.dst_ip.push_back(DictCode(e.obj_net.dst_ip));
-  store_.protocol.push_back(DictCode(e.obj_net.protocol));
-  store_.op.push_back(static_cast<uint8_t>(e.op));
-  store_.object_type.push_back(static_cast<uint8_t>(e.object_type));
-  store_.failed.push_back(e.failed ? 1 : 0);
-  ++size_;
+  const size_t base = size_;
+  store_.ForEach([n = base + count](auto& col) { col.resize(n); });
+  // One row-major pass: each row's strings are coded in column order, so
+  // codes keep the first-seen order a loop of one-row appends gives.
+  ColumnStore& c = store_;
+  for (size_t i = 0; i < count; ++i) {
+    const Event& e = rows[i];
+    const size_t r = base + i;
+    c.id[r] = e.id;
+    c.ts[r] = e.ts;
+    c.subj_pid[r] = e.subject.pid;
+    c.obj_pid[r] = e.obj_proc.pid;
+    c.src_port[r] = e.obj_net.src_port;
+    c.dst_port[r] = e.obj_net.dst_port;
+    c.amount[r] = e.amount;
+    c.agent[r] = DictCode(e.agent_id);
+    c.subj_exe[r] = DictCode(e.subject.exe_name);
+    c.subj_user[r] = DictCode(e.subject.user);
+    c.obj_exe[r] = DictCode(e.obj_proc.exe_name);
+    c.obj_user[r] = DictCode(e.obj_proc.user);
+    c.obj_path[r] = DictCode(e.obj_file.path);
+    c.src_ip[r] = DictCode(e.obj_net.src_ip);
+    c.dst_ip[r] = DictCode(e.obj_net.dst_ip);
+    c.protocol[r] = DictCode(e.obj_net.protocol);
+    c.op[r] = static_cast<uint8_t>(e.op);
+    c.object_type[r] = static_cast<uint8_t>(e.object_type);
+    c.failed[r] = e.failed ? 1 : 0;
+  }
+  size_ += count;
   cols_valid_ = false;
   rows_valid_ = false;
 }
@@ -196,18 +230,33 @@ void EventBlock::AppendColumns(const EventBlock& src, size_t offset,
   append(store_.object_type, c.object_type);
   append(store_.failed, c.failed);
 
-  // Codes are remapped lazily, so a spelling the range never uses does
-  // not enter this block's dictionary.
-  constexpr uint32_t kUnmapped = UINT32_MAX;
-  remap_.assign(src.dict_size(), kUnmapped);
+  // A whole block maps every source entry once and gathers branch-free.
+  // A sub-range remaps lazily, so a spelling it never uses does not enter
+  // this block's dictionary.
   const std::string_view* dict = src.dict();
+  const bool whole = count > 0 && count == src.size();
+  constexpr uint32_t kUnmapped = UINT32_MAX;
+  if (whole) {
+    remap_.resize(src.dict_size());
+    remap_[kEmptyCode] = kEmptyCode;
+    for (size_t code = 1; code < src.dict_size(); ++code) {
+      remap_[code] = DictCode(dict[code]);
+    }
+  } else {
+    remap_.assign(src.dict_size(), kUnmapped);
+  }
   auto append_codes = [&](std::vector<uint32_t>& dst, const uint32_t* col) {
     const size_t base = dst.size();
     dst.resize(base + count);
+    uint32_t* out = dst.data() + base;
+    if (whole) {
+      for (size_t i = 0; i < count; ++i) out[i] = remap_[col[i]];
+      return;
+    }
     for (size_t i = 0; i < count; ++i) {
       uint32_t& code = remap_[col[i]];
       if (code == kUnmapped) code = DictCode(dict[col[i]]);
-      dst[base + i] = code;
+      out[i] = code;
     }
   };
   append_codes(store_.agent, c.agent);

@@ -25,11 +25,14 @@ namespace saql {
 /// memo, which the pushed session's queries fill on first read.
 ///
 /// Three backings share this interface:
-///  - **owned columnar** (`AppendColumnar`, `AppendColumns`): the block
-///    owns its column vectors and dictionary — the event-log writer's
-///    pending segment, the WAL chunk encoder, and the general building
-///    side. The owned dictionary is one flat open-addressing table of
-///    codes over spellings copied into a chunked char arena; `Clear`
+///  - **owned columnar** (`AppendRows`, `AppendColumns`): the block owns
+///    its column vectors and dictionary — the event-log writer's pending
+///    segment, the WAL chunk encoder, and the general building side.
+///    `AppendRows` is the one row encoder: it sizes every column once per
+///    call and stores a span's cells in one row-major pass. The owned
+///    dictionary is one flat open-addressing table over spellings copied
+///    into a chunked char arena; each slot holds an exact 32-bit hash tag
+///    and a code, so a probe compares bytes only on a tag match. `Clear`
 ///    keeps the table, the arena chunks and the column vectors, so a
 ///    reused block re-encodes chunks of already-seen spellings without
 ///    allocating;
@@ -117,15 +120,21 @@ class EventBlock {
   // -------------------------------------------------------------------
   // Columnar building (owned).
 
-  /// Encodes one event into the owned columns, dictionary-interning its
-  /// string attributes. First call after `Clear` switches the block to
-  /// owned-columnar mode.
-  void AppendColumnar(const Event& e);
+  /// Encodes `rows[0..count)` into the owned columns, dictionary-coding
+  /// their string attributes in row-major first-seen order (the order a
+  /// WAL record's dictionary pins). First call after `Clear` switches the
+  /// block to owned-columnar mode.
+  void AppendRows(const Event* rows, size_t count);
+  /// One event: `AppendRows(&e, 1)`.
+  void AppendColumnar(const Event& e) { AppendRows(&e, 1); }
 
   /// Appends events `[offset, offset + count)` of the columnar block `src`
   /// column by column, remapping its dictionary codes into this block's
-  /// dictionary (one lookup per distinct spelling the range uses). First
-  /// call after `Clear` switches the block to owned-columnar mode.
+  /// dictionary. A whole source block maps every source entry once, in
+  /// source order, then gathers each code column without branches; a
+  /// sub-range remaps lazily (one lookup per distinct spelling the range
+  /// uses). First call after `Clear` switches the block to owned-columnar
+  /// mode.
   void AppendColumns(const EventBlock& src, size_t offset, size_t count);
 
   // -------------------------------------------------------------------
@@ -174,7 +183,29 @@ class EventBlock {
     std::vector<uint32_t> agent, subj_exe, subj_user, obj_exe, obj_user,
         obj_path, src_ip, dst_ip, protocol;
     std::vector<uint8_t> op, object_type, failed;
-    void clear();
+    /// Applies `f` to every column vector.
+    template <typename F>
+    void ForEach(F f) {
+      f(id);
+      f(ts);
+      f(subj_pid);
+      f(obj_pid);
+      f(src_port);
+      f(dst_port);
+      f(amount);
+      f(agent);
+      f(subj_exe);
+      f(subj_user);
+      f(obj_exe);
+      f(obj_user);
+      f(obj_path);
+      f(src_ip);
+      f(dst_ip);
+      f(protocol);
+      f(op);
+      f(object_type);
+      f(failed);
+    }
   };
 
   /// One chunk of the dictionary's char arena. A chunk never reallocates,
@@ -187,17 +218,23 @@ class EventBlock {
   /// Slots of the code table when it is first allocated (a power of two).
   static constexpr size_t kDictFirstSlots = 32;
 
+  /// One slot of the owned code table: the spelling's exact hash tag and
+  /// its code (`kEmptyCode` = free slot).
+  struct DictSlot {
+    uint32_t tag = 0;
+    uint32_t code = kEmptyCode;
+  };
+
   /// Returns the dictionary code for `s`, adding it on first sight. Codes
   /// are assigned in first-seen order. Lookup probes `dict_table_` from
-  /// `AsciiCaseHash(s)`; equality is exact and case-preserving
-  /// (normalization is the interner's job), so a case variant only shares
-  /// a probe chain.
+  /// `s`'s exact hash (`DictHash`, no case fold: normalization is the
+  /// interner's job) and compares bytes only where a slot's tag equals it.
   uint32_t DictCode(std::string_view s);
 
   /// Copies `s` (non-empty) into the arena and returns the stable view.
   std::string_view ArenaCopy(std::string_view s);
 
-  /// Doubles `dict_table_` and re-places every code.
+  /// Doubles `dict_table_` and re-places every slot by its tag.
   void GrowDictTable();
 
   void EnsureOwnedColumnar();
@@ -218,9 +255,9 @@ class EventBlock {
   size_t arena_used_ = 0;   ///< bytes used in it
   std::vector<std::string_view> dict_own_;
   /// Open-addressing table of codes into `dict_own_`: power-of-two size,
-  /// linear probing, `kEmptyCode` marks a free slot (code 0, "", is never
-  /// stored). Kept at most half full.
-  std::vector<uint32_t> dict_table_;
+  /// linear probing from `tag & mask`, a `kEmptyCode` code marks a free
+  /// slot (code 0, "", is never stored). Kept at most half full.
+  std::vector<DictSlot> dict_table_;
   /// The slots holding codes, so `Clear` frees only those.
   std::vector<uint32_t> dict_slots_;
   const std::string_view* dict_ = nullptr;

@@ -29,6 +29,7 @@ Status CompiledQuery::Init() {
   for (const EventPatternDecl& p : q.patterns) {
     patterns_.emplace_back(p);
   }
+  scratch_single_.events.assign(1, nullptr);
   if (q.patterns.size() > 1) {
     MultieventMatcher::Options mo;
     mo.match_horizon = options_.match_horizon;
@@ -118,11 +119,10 @@ void CompiledQuery::OnEvent(const Event& event) {
 }
 
 void CompiledQuery::EmitSingleMatch(const Event& event) {
-  // The match is scratch: neither consumer keeps it (they copy what they
-  // need), and copy-assigning the event keeps its strings' capacity.
+  // The match borrows the pushed event: neither consumer keeps it (they
+  // copy what they need), so nothing of the event is copied.
   PatternMatch& m = scratch_single_;
-  m.events.resize(1);
-  m.events[0] = event;
+  m.events[0] = &event;
   m.first_ts = m.last_ts = event.ts;
   if (state_ != nullptr) {
     state_->AddMatch(m);

@@ -119,7 +119,7 @@ class CompiledQuery final {
   void EmitRuleMatch(const PatternMatch& match);
 
   /// Single-pattern path: `event` matched; hands it on as a one-event
-  /// match built in `scratch_single_`.
+  /// match in `scratch_single_` that borrows `event`.
   void EmitSingleMatch(const Event& event);
 
   /// Stateful path: one window closed with its groups.

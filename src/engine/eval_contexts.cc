@@ -11,13 +11,13 @@ Result<Value> MatchEvalContext::ResolveRef(const Expr& ref) const {
   // Analyzed references carry their binding: matched-event index + FieldId.
   switch (ref.ref_kind) {
     case RefKind::kEntity: {
-      const Event& e = match_.events[static_cast<size_t>(ref.ref_index)];
+      const Event& e = *match_.events[static_cast<size_t>(ref.ref_index)];
       Result<Value> v = GetEntityField(e, ref.ref_role, ref.ref_field);
       if (!v.ok()) return Value::Null();
       return v;
     }
     case RefKind::kEvent: {
-      const Event& e = match_.events[static_cast<size_t>(ref.ref_index)];
+      const Event& e = *match_.events[static_cast<size_t>(ref.ref_index)];
       Result<Value> v = ref.ref_field != FieldId::kInvalid
                             ? GetEventField(e, ref.ref_field)
                             : GetEventField(e, ref.field);
@@ -33,7 +33,7 @@ Result<Value> MatchEvalContext::ResolveRef(const Expr& ref) const {
   auto ent = aq_.entity_vars.find(ref.base);
   if (ent != aq_.entity_vars.end()) {
     const EntityBinding& b = ent->second.front();
-    const Event& e = match_.events[static_cast<size_t>(b.pattern_index)];
+    const Event& e = *match_.events[static_cast<size_t>(b.pattern_index)];
     std::string field =
         ref.field.empty() ? DefaultFieldForEntity(b.type) : ref.field;
     Result<Value> v = GetEntityField(e, b.role, field);
@@ -43,7 +43,7 @@ Result<Value> MatchEvalContext::ResolveRef(const Expr& ref) const {
   // Event alias.
   auto alias = aq_.alias_to_pattern.find(ref.base);
   if (alias != aq_.alias_to_pattern.end()) {
-    const Event& e = match_.events[static_cast<size_t>(alias->second)];
+    const Event& e = *match_.events[static_cast<size_t>(alias->second)];
     Result<Value> v = GetEventField(e, ref.field);
     if (!v.ok()) return Value::Null();
     return v;

@@ -67,8 +67,11 @@ bool MultieventMatcher::TryExtend(const Partial& p, int pattern_idx,
 
 void MultieventMatcher::Emit(const Partial& p,
                              std::vector<PatternMatch>* out) {
+  // `p` sits in `extensions_`, which the next `OnEvent` clears; until
+  // then its events back the match.
   PatternMatch m;
-  m.events = p.events;
+  m.events.reserve(p.events.size());
+  for (const Event& e : p.events) m.events.push_back(&e);
   m.first_ts = p.first_ts;
   m.last_ts = p.last_ts;
   out->push_back(std::move(m));

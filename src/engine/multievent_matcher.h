@@ -13,10 +13,14 @@
 
 namespace saql {
 
-/// A complete match of all event patterns of a query.
+/// A complete match of all event patterns of a query. The match borrows
+/// its events: a single-pattern match points at the pushed event itself,
+/// a multi-pattern match at the completing partial's own copies. Either
+/// stays alive only until the producer's next `OnEvent`, so a consumer
+/// reads the match at once and copies whatever it keeps.
 struct PatternMatch {
   /// Matched events indexed by *declaration-order* pattern index.
-  std::vector<Event> events;
+  std::vector<const Event*> events;
   Timestamp first_ts = 0;
   Timestamp last_ts = 0;
 };
@@ -67,7 +71,8 @@ class MultieventMatcher {
                     Options options);
 
   /// Feeds one event (already past global constraints); appends completed
-  /// matches to `out`.
+  /// matches to `out`. The matches point into this matcher's scratch and
+  /// are valid until the next `OnEvent`.
   void OnEvent(const Event& event, std::vector<PatternMatch>* out);
 
   /// Drops partials that can no longer complete by `watermark`.

@@ -51,7 +51,7 @@ bool StateMaintainer::ResolveGroupKeys(const PatternMatch& match,
   values->clear();
   key->clear();
   for (const ResolvedGroupKey& k : aq_->group_keys) {
-    const Event& e = match.events[static_cast<size_t>(k.pattern_index)];
+    const Event& e = *match.events[static_cast<size_t>(k.pattern_index)];
     EntityRole role = k.source == ResolvedGroupKey::Source::kSubject
                           ? EntityRole::kSubject
                           : EntityRole::kObject;

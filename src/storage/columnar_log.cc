@@ -199,15 +199,23 @@ ColumnarLogWriter::ColumnarLogWriter(const std::string& path, Options options)
 ColumnarLogWriter::~ColumnarLogWriter() { Close(); }
 
 Status ColumnarLogWriter::Append(const Event& event) {
-  SAQL_RETURN_IF_ERROR(status_);
-  pending_.AppendColumnar(event);
-  if (pending_.size() >= options_.segment_events) return Flush();
-  return Status::Ok();
+  return AppendRows(&event, 1);
 }
 
 Status ColumnarLogWriter::AppendBatch(const EventBatch& events) {
-  for (const Event& e : events) {
-    SAQL_RETURN_IF_ERROR(Append(e));
+  return AppendRows(events.data(), events.size());
+}
+
+Status ColumnarLogWriter::AppendRows(const Event* rows, size_t n) {
+  for (size_t done = 0; done < n;) {
+    SAQL_RETURN_IF_ERROR(status_);
+    const size_t take =
+        std::min(n - done, options_.segment_events - pending_.size());
+    pending_.AppendRows(rows + done, take);
+    done += take;
+    if (pending_.size() >= options_.segment_events) {
+      SAQL_RETURN_IF_ERROR(Flush());
+    }
   }
   return Status::Ok();
 }
@@ -216,13 +224,7 @@ Status ColumnarLogWriter::WriteBlock(EventBlock* block) {
   SAQL_RETURN_IF_ERROR(status_);
   const size_t n = block->size();
   if (n == 0) return Status::Ok();
-  if (!block->columnar()) {
-    const Event* rows = block->MutableRows();
-    for (size_t i = 0; i < n; ++i) {
-      SAQL_RETURN_IF_ERROR(Append(rows[i]));
-    }
-    return Status::Ok();
-  }
+  if (!block->columnar()) return AppendRows(block->MutableRows(), n);
   if (pending_.empty() && n >= options_.segment_events) {
     SAQL_RETURN_IF_ERROR(WriteSegment(*block));
     events_written_ += n;

@@ -107,6 +107,10 @@ class ColumnarLogWriter {
   uint64_t segments_written() const { return segments_written_; }
 
  private:
+  /// Encodes `rows[0..n)` into the pending segment, one `AppendRows`
+  /// per stretch up to the segment threshold.
+  Status AppendRows(const Event* rows, size_t n);
+
   /// Serializes one columnar block as a segment.
   Status WriteSegment(const EventBlock& block);
 

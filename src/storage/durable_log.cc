@@ -91,9 +91,7 @@ Status DurableLogWriter::Append(const Event* events, size_t n) {
     const size_t count = std::min(n - done, options_.segment_events);
     // Encoded outside `mu_`: only this thread advances `next_seq_`.
     encode_block_.Clear();
-    for (size_t i = done; i < done + count; ++i) {
-      encode_block_.AppendColumnar(events[i]);
-    }
+    encode_block_.AppendRows(events + done, count);
     EncodeWalRecord(next_seq_, encode_block_, &encode_record_);
     done += count;
     SAQL_RETURN_IF_ERROR(AppendEncodedRecord(done == n));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "test_util.h"
 
 namespace saql {
@@ -229,6 +230,101 @@ TEST(CompiledQueryTest, CreateRejectsNull) {
   Result<std::unique_ptr<CompiledQuery>> q =
       CompiledQuery::Create(nullptr, "q");
   EXPECT_FALSE(q.ok());
+}
+
+TEST(CompiledQueryTest, SingleMatchBorrowsThePushedEvent) {
+  // A stateless rule whose alert reads only a numeric field: a matched
+  // event is read where it was pushed, never copied, so the first matched
+  // batch makes no heap allocation although every string of its events
+  // is longer than the small-string buffer. Both delivery paths.
+  QueryHarness h(
+      "proc p write ip i as e alert e.amount > 1000000 return p, i");
+  EventBatch batch;
+  for (int i = 0; i < 8; ++i) {
+    Event e = NetWrite("C:\\Program Files\\Vendor\\agent-" +
+                           std::to_string(i) + ".exe",
+                       10 + i, (i + 1) * kSecond);
+    e.agent_id = "workstation-" + std::to_string(i) + ".corp.example.com";
+    e.subject.user = "CORP\\service-account-" + std::to_string(i);
+    e.obj_net.dst_ip = "fd00:0000:0000:0000:0000:0000:0000:000" +
+                       std::to_string(i);
+    e.obj_net.src_ip = "fd00:0000:0000:0000:0000:0000:0000:0100";
+    batch.push_back(std::move(e));
+  }
+  const EventRefs refs = {&batch[0], &batch[1], &batch[2], &batch[3]};
+
+  size_t before = testing::HeapAllocs();
+  for (const Event& e : batch) h->OnEvent(e);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  before = testing::HeapAllocs();
+  h->OnIndexedDelivery(/*events_in=*/4, /*failed_global=*/0, refs);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  EXPECT_EQ(h->stats().matches, 12u);
+  EXPECT_TRUE(h.alerts().empty());
+  EXPECT_EQ(h.errors().total(), 0u);
+}
+
+TEST(CompiledQueryTest, JoinAlertReadsTheCompletingPartialsEvents) {
+  // Paper Query 1: a four-step join whose alert values come from the
+  // completing partial's own events. Two runs of the c5 sequence with
+  // different dump files give two distinct rows, each with the values of
+  // its own events (another reader process in the second run, so the
+  // first run's partials cannot complete with its exfiltration).
+  QueryHarness h(testing::ReadQueryFile("query1_rule.saql"));
+  auto run = [&h](const std::string& dump, const std::string& dst,
+                  int64_t reader_pid, Timestamp t0) {
+    const std::string host = "db-server-01";
+    h->OnEvent(EventBuilder()
+                   .At(t0)
+                   .OnHost(host)
+                   .Subject("cmd.exe", 11)
+                   .Op(EventOp::kStart)
+                   .ProcObject("osql.exe", 12)
+                   .Build());
+    h->OnEvent(EventBuilder()
+                   .At(t0 + 1)
+                   .OnHost(host)
+                   .Subject("sqlservr.exe", 13)
+                   .Op(EventOp::kWrite)
+                   .FileObject(dump)
+                   .Build());
+    h->OnEvent(EventBuilder()
+                   .At(t0 + 2)
+                   .OnHost(host)
+                   .Subject("sbblv.exe", reader_pid)
+                   .Op(EventOp::kRead)
+                   .FileObject(dump)
+                   .Build());
+    h->OnEvent(EventBuilder()
+                   .At(t0 + 3)
+                   .OnHost(host)
+                   .Subject("sbblv.exe", reader_pid)
+                   .Op(EventOp::kWrite)
+                   .NetObject(dst, 443)
+                   .Amount(1000000)
+                   .Build());
+  };
+  run("C:\\MSSQL\\Backup\\backup1.dmp", "66.77.88.129", 14, kSecond);
+  run("D:\\Archive\\Nightly\\backup1.dmp", "10.20.30.129", 24,
+      2 * kSecond);
+  h->OnFinish();
+  ASSERT_EQ(h.alerts().size(), 2u);
+  const std::vector<std::vector<std::string>> want = {
+      {"cmd.exe", "osql.exe", "sqlservr.exe",
+       "C:\\MSSQL\\Backup\\backup1.dmp", "sbblv.exe", "66.77.88.129"},
+      {"cmd.exe", "osql.exe", "sqlservr.exe",
+       "D:\\Archive\\Nightly\\backup1.dmp", "sbblv.exe", "10.20.30.129"}};
+  for (size_t a = 0; a < want.size(); ++a) {
+    const Alert& alert = h.alerts()[a];
+    ASSERT_EQ(alert.values.size(), want[a].size()) << a;
+    for (size_t i = 0; i < want[a].size(); ++i) {
+      EXPECT_EQ(alert.values[i].second.AsString(), want[a][i])
+          << "alert " << a << " value " << alert.values[i].first;
+    }
+  }
+  EXPECT_EQ(h.errors().total(), 0u);
 }
 
 }  // namespace

@@ -116,15 +116,16 @@ TEST(MatchEvalContextTest, EntityAndAliasResolution) {
           "proc p write file f as e alert e.amount > 0 return p, f, "
           "e.agentid")
           .value();
+  const Event event = EventBuilder()
+                          .At(5)
+                          .OnHost("db-1")
+                          .Subject("osql.exe", 42)
+                          .Op(EventOp::kWrite)
+                          .FileObject("/dump.bin")
+                          .Amount(100)
+                          .Build();
   PatternMatch match;
-  match.events.push_back(EventBuilder()
-                             .At(5)
-                             .OnHost("db-1")
-                             .Subject("osql.exe", 42)
-                             .Op(EventOp::kWrite)
-                             .FileObject("/dump.bin")
-                             .Amount(100)
-                             .Build());
+  match.events.push_back(&event);
   MatchEvalContext ctx(*aq, match);
   EXPECT_EQ(EvaluateExpr(*Ref("p", std::nullopt, ""), ctx)
                 .value().AsString(),

@@ -243,5 +243,122 @@ TEST(EventBlockTest, ReencodingSeenSpellingsDoesNotAllocate) {
   ExpectRoundTrip(block, EventBatch(corpus.begin(), corpus.begin() + 256));
 }
 
+/// Every column of `a` and `b`, cell by cell.
+void ExpectSameColumns(const EventBlock& a, const EventBlock& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const EventBlock::Columns& x = a.columns();
+  const EventBlock::Columns& y = b.columns();
+  auto same = [&](const auto* p, const auto* q, const char* name) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(p[i], q[i]) << name << " row " << i;
+    }
+  };
+  same(x.id, y.id, "id");
+  same(x.ts, y.ts, "ts");
+  same(x.subj_pid, y.subj_pid, "subj_pid");
+  same(x.obj_pid, y.obj_pid, "obj_pid");
+  same(x.src_port, y.src_port, "src_port");
+  same(x.dst_port, y.dst_port, "dst_port");
+  same(x.amount, y.amount, "amount");
+  same(x.agent, y.agent, "agent");
+  same(x.subj_exe, y.subj_exe, "subj_exe");
+  same(x.subj_user, y.subj_user, "subj_user");
+  same(x.obj_exe, y.obj_exe, "obj_exe");
+  same(x.obj_user, y.obj_user, "obj_user");
+  same(x.obj_path, y.obj_path, "obj_path");
+  same(x.src_ip, y.src_ip, "src_ip");
+  same(x.dst_ip, y.dst_ip, "dst_ip");
+  same(x.protocol, y.protocol, "protocol");
+  same(x.op, y.op, "op");
+  same(x.object_type, y.object_type, "object_type");
+  same(x.failed, y.failed, "failed");
+}
+
+TEST(EventBlockTest, AppendRowsEqualsOneRowAppends) {
+  // One `AppendRows` per chunk against a loop of one-row appends: the
+  // same columns, the same dictionary in the same order, the same WAL
+  // record bytes.
+  const EventBatch corpus = SimulatedCorpus();
+  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{256},
+                             size_t{4096}}) {
+    EventBlock whole;
+    EventBlock rows;
+    WalRecord want;
+    WalRecord got;
+    for (size_t off = 0; off < corpus.size(); off += chunk) {
+      const size_t n = std::min(chunk, corpus.size() - off);
+      whole.Clear();
+      whole.AppendRows(corpus.data() + off, n);
+      rows.Clear();
+      for (size_t i = 0; i < n; ++i) rows.AppendRows(&corpus[off + i], 1);
+      ExpectSameColumns(whole, rows);
+      ASSERT_EQ(whole.dict_size(), rows.dict_size()) << chunk << " @" << off;
+      for (size_t i = 0; i < whole.dict_size(); ++i) {
+        ASSERT_EQ(whole.dict()[i], rows.dict()[i]) << chunk << " @" << off;
+      }
+      EncodeWalRecord(off + 1, whole, &got);
+      EncodeWalRecord(off + 1, rows, &want);
+      ASSERT_EQ(got.bytes, want.bytes) << chunk << " @" << off;
+    }
+  }
+}
+
+TEST(EventBlockTest, SpellingsSharingTheLoadedBytesGetDistinctCodes) {
+  // Equal length, equal first and last 8 bytes: only the middle differs.
+  // Below 4 bytes: equal first, middle and last byte, differing length.
+  const std::string head = "C:\\Users";  // 8 bytes
+  const std::string tail = "\\x64.exe";  // 8 bytes
+  const std::vector<std::string> spellings = {
+      head + "AAAAA" + tail, head + "AAAAB" + tail, head + "BAAAA" + tail,
+      head + "AABAA" + tail, "a", "aa", "aaa", "ab", "abb", "aba"};
+  ASSERT_EQ(head.size(), 8u);
+  ASSERT_EQ(tail.size(), 8u);
+  EventBatch events;
+  for (size_t i = 0; i < spellings.size(); ++i) {
+    events.push_back(FileWrite(static_cast<int64_t>(i + 1), "x.exe",
+                               spellings[i]));
+  }
+  EventBlock block;
+  block.AppendRows(events.data(), events.size());
+  const EventBlock::Columns& c = block.columns();
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(block.dict()[c.obj_path[i]], spellings[i]) << i;
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(c.obj_path[i], c.obj_path[j]) << i << " vs " << j;
+    }
+  }
+  ExpectRoundTrip(block, events);
+}
+
+TEST(EventBlockTest, WholeBlockMergeEqualsSubRangeMerges) {
+  // The drainer's case: whole WAL chunks merged into a pending segment
+  // (mapped entry by entry, gathered) against the same rows merged as
+  // two sub-ranges each (remapped lazily). Dictionary order may differ;
+  // the decoded rows may not.
+  const EventBatch corpus = SimulatedCorpus();
+  ASSERT_GE(corpus.size(), 512u);
+  EventBlock first;
+  EventBlock second;
+  first.AppendRows(corpus.data(), 256);
+  second.AppendRows(corpus.data() + 256, 256);
+  EventBlock whole;
+  whole.AppendColumns(first, 0, 256);
+  whole.AppendColumns(second, 0, 256);
+  EventBlock split;
+  split.AppendColumns(first, 0, 100);
+  split.AppendColumns(first, 100, 156);
+  split.AppendColumns(second, 0, 1);
+  split.AppendColumns(second, 1, 255);
+  ASSERT_EQ(whole.size(), 512u);
+  ASSERT_EQ(split.size(), 512u);
+  const Event* got = whole.MutableRows();
+  const Event* want = split.MutableRows();
+  for (size_t i = 0; i < 512; ++i) {
+    ExpectSameEvent(got[i], want[i], i);
+    ExpectSameEvent(got[i], corpus[i], i);
+  }
+  ExpectRoundTrip(whole, EventBatch(corpus.begin(), corpus.begin() + 512));
+}
+
 }  // namespace
 }  // namespace saql

@@ -72,8 +72,8 @@ TEST(MatcherTest, OrderedTwoStepSequence) {
   EXPECT_TRUE(h.Feed(Start("cmd.exe", "osql.exe", 100)).empty());
   auto matches = h.Feed(FileIo("sqlservr.exe", EventOp::kWrite, "/d", 200));
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].events[0].subject.exe_name, "cmd.exe");
-  EXPECT_EQ(matches[0].events[1].obj_file.path, "/d");
+  EXPECT_EQ(matches[0].events[0]->subject.exe_name, "cmd.exe");
+  EXPECT_EQ(matches[0].events[1]->obj_file.path, "/d");
   EXPECT_EQ(matches[0].first_ts, 100);
   EXPECT_EQ(matches[0].last_ts, 200);
 }
@@ -117,7 +117,7 @@ TEST(MatcherTest, SharedVariableEnforced) {
   auto matches = h.Feed(FileIo("sbblv.exe", EventOp::kRead,
                                "/backup1.dmp", 200));
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].events[1].obj_file.path, "/backup1.dmp");
+  EXPECT_EQ(matches[0].events[1]->obj_file.path, "/backup1.dmp");
 }
 
 TEST(MatcherTest, SharedSubjectVariableEnforced) {
@@ -237,7 +237,7 @@ TEST(MatcherTest, FourStepPaperQuery1Sequence) {
   auto matches = h.Feed(exfil);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].events.size(), 4u);
-  EXPECT_EQ(matches[0].events[3].obj_net.dst_ip, "66.77.88.129");
+  EXPECT_EQ(matches[0].events[3]->obj_net.dst_ip, "66.77.88.129");
 }
 
 TEST(MatcherTest, EventMatchingNoPatternDoesNotAllocate) {

@@ -28,7 +28,7 @@ class Harness {
 
   void Add(const Event& e) {
     PatternMatch m;
-    m.events.push_back(e);
+    m.events.push_back(&e);
     m.first_ts = m.last_ts = e.ts;
     sm_->AddMatch(m);
   }
