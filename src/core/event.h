@@ -1,8 +1,10 @@
 #ifndef SAQL_CORE_EVENT_H_
 #define SAQL_CORE_EVENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/result.h"
@@ -117,34 +119,58 @@ struct EventSymbols {
 /// One system monitoring event: the SVO triple 〈subject, operation, object〉
 /// stamped with host and time, as collected by the (simulated) kernel
 /// agents. Events are immutable once emitted into the stream.
-struct Event {
+///
+/// Layout is hot-first: every field a pushed event is read through sits in
+/// its first two 64-byte cache lines. Line 0 holds what the stream routing
+/// loop (`ts`, `op`, `object_type`), the single-pattern matchers (`amount`,
+/// `failed`), the symbol memo (`syms`) and the constraint index's `pid`
+/// residual read; line 1 holds the subject's `exe_name` and `user` that
+/// the exact-equality symbol reads intern. The host and the object
+/// entities follow, cold. A new field goes below `subject` unless every
+/// pushed event reads it.
+struct alignas(64) Event {
   /// Monotonically increasing id assigned by the producing source.
   uint64_t id = 0;
   /// Event time (kernel timestamp), nanoseconds since epoch.
   Timestamp ts = 0;
-  /// Host / data-collection agent identifier ("db-server-01").
-  std::string agent_id;
-  /// Acting process.
-  ProcessEntity subject;
+  /// Data volume of the operation in bytes (read/write/send/recv), else 0.
+  int64_t amount = 0;
   /// Operation performed by the subject on the object.
   EventOp op = EventOp::kRead;
   /// Which of the object fields below is populated.
   EntityType object_type = EntityType::kFile;
-  ProcessEntity obj_proc;
-  FileEntity obj_file;
-  NetworkEntity obj_net;
-  /// Data volume of the operation in bytes (read/write/send/recv), else 0.
-  int64_t amount = 0;
   /// True when the kernel reported the operation as failed.
   bool failed = false;
   /// Interned ids of the hot string attributes; 0 until first read.
   /// `mutable`: readers fill the memo through `const Event&`, so one event
   /// must not be read from two threads at once.
   mutable EventSymbols syms;
+  /// Acting process.
+  ProcessEntity subject;
+  /// Host / data-collection agent identifier ("db-server-01").
+  std::string agent_id;
+  ProcessEntity obj_proc;
+  FileEntity obj_file;
+  NetworkEntity obj_net;
 
   /// Human-readable one-line rendering for logs and the CLI.
   std::string ToString() const;
 };
+
+// The hot-first layout, pinned: routing, the memo and the `pid` residual
+// read line 0 only; the subject's strings end inside line 1.
+static_assert(std::is_standard_layout_v<Event>);
+static_assert(offsetof(Event, ts) + sizeof(Timestamp) <= 64);
+static_assert(offsetof(Event, amount) + sizeof(int64_t) <= 64);
+static_assert(offsetof(Event, op) < 64 && offsetof(Event, object_type) < 64 &&
+              offsetof(Event, failed) < 64);
+static_assert(offsetof(Event, syms) + sizeof(EventSymbols) <= 64);
+static_assert(offsetof(Event, subject) + offsetof(ProcessEntity, pid) +
+                  sizeof(int64_t) <=
+              64);
+static_assert(offsetof(Event, subject) + sizeof(ProcessEntity) <= 128);
+// Whole lines: 384 bytes (six) with libstdc++'s 32-byte std::string.
+static_assert(sizeof(Event) % 64 == 0);
 
 /// Classification used by the paper: file / process / network events,
 /// derived from the object type.

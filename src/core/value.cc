@@ -1,7 +1,7 @@
 #include "core/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace saql {
 
@@ -67,33 +67,46 @@ bool Value::Truthy() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(out);
+  return out;
+}
+
+void Value::AppendTo(std::string& out) const {
   switch (kind()) {
     case Kind::kNull:
-      return "null";
+      out += "null";
+      return;
     case Kind::kBool:
-      return AsBool() ? "true" : "false";
+      out += AsBool() ? "true" : "false";
+      return;
     case Kind::kInt:
-      return std::to_string(AsInt());
     case Kind::kFloat: {
-      std::ostringstream os;
-      os << AsFloat();
-      return os.str();
+      // Ints in decimal; floats as `std::ostream << double` prints them
+      // (`%g`, six significant digits), without a stream or a temporary.
+      char buf[32];
+      std::to_chars_result r =
+          is_int() ? std::to_chars(buf, buf + sizeof(buf), AsInt())
+                   : std::to_chars(buf, buf + sizeof(buf), AsFloat(),
+                                   std::chars_format::general, 6);
+      out.append(buf, r.ptr);
+      return;
     }
     case Kind::kString:
-      return AsString();
+      out += AsString();
+      return;
     case Kind::kSet: {
-      std::string out = "{";
+      out += '{';
       bool first = true;
       for (const std::string& s : AsSet()) {
         if (!first) out += ", ";
         out += s;
         first = false;
       }
-      out += "}";
-      return out;
+      out += '}';
+      return;
     }
   }
-  return "?";
 }
 
 bool Value::Equals(const Value& other) const {

@@ -64,6 +64,10 @@ class Value {
   /// Renders for display / CSV output. Sets render as `{a, b, c}`.
   std::string ToString() const;
 
+  /// Appends `ToString()`'s rendering to `out`; allocates only when `out`
+  /// must grow.
+  void AppendTo(std::string& out) const;
+
   /// Deep equality with numeric coercion (1 == 1.0 is true).
   bool Equals(const Value& other) const;
 

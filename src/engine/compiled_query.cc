@@ -165,27 +165,50 @@ void CompiledQuery::EmitRuleMatch(const PatternMatch& match) {
     }
     if (!*fire) return;
   }
+  // Evaluate the row into scratch and look its distinct key up before
+  // building the alert: a duplicate row, the common `return distinct`
+  // match, allocates nothing. A string attribute is read in place and
+  // becomes a Value only in an alert.
+  const size_t n = q.returns.size();
+  row_.resize(n);
+  distinct_key_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    const Expr& expr = *q.returns[i].expr;
+    const std::string* s = ctx.ResolveStringRef(expr);
+    if (s == nullptr) {
+      Result<Value> v = EvaluateExpr(expr, ctx);
+      if (!v.ok()) {
+        ReportError(v.status());
+        v = Value::Null();
+      }
+      row_[i] = std::move(*v);
+    }
+    if (q.return_distinct) {
+      if (s != nullptr) {
+        distinct_key_ += *s;
+      } else {
+        row_[i].AppendTo(distinct_key_);
+      }
+      distinct_key_ += '\x1f';
+    }
+  }
+  if (q.return_distinct) {
+    if (distinct_seen_.find(distinct_key_) != distinct_seen_.end()) {
+      return;  // duplicate result row suppressed
+    }
+    distinct_seen_.insert(distinct_key_);
+  }
+  if (!PassesCooldown(/*group=*/"", match.last_ts)) return;
   Alert alert;
   alert.query_name = name_;
   alert.ts = match.last_ts;
-  std::string distinct_key;
-  for (const ReturnItem& item : q.returns) {
-    Result<Value> v = EvaluateExpr(*item.expr, ctx);
-    if (!v.ok()) {
-      ReportError(v.status());
-      v = Value::Null();
-    }
-    if (q.return_distinct) {
-      distinct_key += v->ToString();
-      distinct_key += '\x1f';
-    }
-    alert.values.emplace_back(item.label, std::move(*v));
+  alert.values.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ReturnItem& item = q.returns[i];
+    const std::string* s = ctx.ResolveStringRef(*item.expr);
+    alert.values.emplace_back(item.label,
+                              s != nullptr ? Value(*s) : std::move(row_[i]));
   }
-  if (q.return_distinct &&
-      !distinct_seen_.insert(distinct_key).second) {
-    return;  // duplicate result row suppressed
-  }
-  if (!PassesCooldown(/*group=*/"", alert.ts)) return;
   ++stats_.alerts;
   if (sink_) sink_(alert);
 }

@@ -2,6 +2,7 @@
 #define SAQL_ENGINE_COMPILED_QUERY_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -157,7 +158,16 @@ class CompiledQuery final {
   std::unique_ptr<MultieventMatcher> matcher_;  ///< multi-pattern queries
   std::unique_ptr<StateMaintainer> state_;      ///< stateful queries
   std::unordered_map<std::string, GroupHistory> groups_;
-  std::set<std::string> distinct_seen_;  ///< for `return distinct`
+  /// `return distinct` rows seen so far: one rendered key per distinct
+  /// row, kept for the life of the query with no cap and no expiry, so it
+  /// grows with the number of distinct rows (ROADMAP item 2 lists it among
+  /// the states with no limit yet).
+  std::set<std::string, std::less<>> distinct_seen_;
+  /// `EmitRuleMatch` scratch, reused across matches: the evaluated return
+  /// row (an item read in place as a string is left untouched) and its
+  /// rendered distinct key.
+  std::vector<Value> row_;
+  std::string distinct_key_;
 
   QueryStats stats_;
   std::vector<PatternMatch> scratch_matches_;

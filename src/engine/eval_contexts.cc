@@ -51,6 +51,23 @@ Result<Value> MatchEvalContext::ResolveRef(const Expr& ref) const {
   return Value::Null();
 }
 
+const std::string* MatchEvalContext::ResolveStringRef(
+    const Expr& expr) const {
+  if (expr.kind != ExprKind::kRef) return nullptr;
+  switch (expr.ref_kind) {
+    case RefKind::kEntity:
+      return GetEntityStringFieldPtr(
+          *match_.events[static_cast<size_t>(expr.ref_index)], expr.ref_role,
+          expr.ref_field);
+    case RefKind::kEvent:
+      return GetEventStringFieldPtr(
+          *match_.events[static_cast<size_t>(expr.ref_index)],
+          expr.ref_field);
+    default:
+      return nullptr;
+  }
+}
+
 Result<Value> WindowEvalContext::ResolveRef(const Expr& ref) const {
   // Analyzed references resolve by index, no name lookups.
   switch (ref.ref_kind) {

@@ -37,6 +37,11 @@ class MatchEvalContext : public EvalContext {
 
   Result<Value> ResolveRef(const Expr& ref) const override;
 
+  /// Zero-copy read of `expr` when it is an analyzed reference to a
+  /// string attribute the matched event carries: the string `ResolveRef`
+  /// would copy into its Value. nullptr for any other expression.
+  const std::string* ResolveStringRef(const Expr& expr) const;
+
  private:
   const AnalyzedQuery& aq_;
   const PatternMatch& match_;

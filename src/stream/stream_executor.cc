@@ -2,6 +2,15 @@
 
 namespace saql {
 
+namespace {
+
+/// How many events ahead of the routing loop `ProcessBatch` prefetches.
+/// The loop itself reads only line 0 of an event; the processors it hands
+/// the batch to read lines 0-1 (see `Event`), so both are requested.
+constexpr size_t kPrefetchDistance = 8;
+
+}  // namespace
+
 void StreamExecutor::Subscribe(EventProcessor* processor) {
   processors_.push_back(processor);
   routing_dirty_ = true;
@@ -51,6 +60,12 @@ void StreamExecutor::ProcessBatch(Event* batch, size_t count) {
   ++stats_.batches;
   for (EventRefs& r : routed_) r.clear();
   for (size_t k = 0; k < count; ++k) {
+    if (k + kPrefetchDistance < count) {
+      const char* ahead =
+          reinterpret_cast<const char*>(&batch[k + kPrefetchDistance]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + 64);
+    }
     const Event& e = batch[k];
     ++stats_.events;
     if (e.ts > max_event_ts_) max_event_ts_ = e.ts;

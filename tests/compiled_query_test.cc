@@ -266,6 +266,44 @@ TEST(CompiledQueryTest, SingleMatchBorrowsThePushedEvent) {
   EXPECT_EQ(h.errors().total(), 0u);
 }
 
+TEST(CompiledQueryTest, DuplicateDistinctRowDoesNotAllocate) {
+  // After a `return distinct` row's first alert, a match that repeats the
+  // row is looked up before any alert is built: it makes no heap
+  // allocation and raises nothing, although its strings are longer than
+  // the small-string buffer. The int column is evaluated, not read in
+  // place. Both delivery paths.
+  QueryHarness h("proc p write ip i as e return distinct p, i, e.amount");
+  EventBatch batch;
+  for (int i = 0; i < 8; ++i) {
+    Event e = NetWrite("C:\\Program Files\\Vendor\\agent-updater.exe", 10,
+                       (i + 1) * kSecond);
+    e.obj_net.dst_ip = "fd00:0000:0000:0000:0000:0000:0000:0001";
+    batch.push_back(std::move(e));
+  }
+  const EventRefs refs = {&batch[0], &batch[1], &batch[2], &batch[3]};
+  h->OnEvent(batch[0]);
+  ASSERT_EQ(h.alerts().size(), 1u);
+
+  size_t before = testing::HeapAllocs();
+  for (const Event& e : batch) h->OnEvent(e);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  before = testing::HeapAllocs();
+  h->OnIndexedDelivery(/*events_in=*/4, /*failed_global=*/0, refs);
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+
+  EXPECT_EQ(h->stats().matches, 13u);
+  EXPECT_EQ(h.alerts().size(), 1u);
+  EXPECT_EQ(h->stats().alerts, 1u);
+  EXPECT_EQ(h.errors().total(), 0u);
+  ASSERT_EQ(h.alerts()[0].values.size(), 3u);
+  EXPECT_EQ(h.alerts()[0].values[0].second.AsString(),
+            "C:\\Program Files\\Vendor\\agent-updater.exe");
+  EXPECT_EQ(h.alerts()[0].values[1].second.AsString(),
+            "fd00:0000:0000:0000:0000:0000:0000:0001");
+  EXPECT_EQ(h.alerts()[0].values[2].second.AsInt(), 10);
+}
+
 TEST(CompiledQueryTest, JoinAlertReadsTheCompletingPartialsEvents) {
   // Paper Query 1: a four-step join whose alert values come from the
   // completing partial's own events. Two runs of the c5 sequence with

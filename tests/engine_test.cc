@@ -73,6 +73,42 @@ TEST(RuleQueryTest, DistinctSuppressesDuplicates) {
   EXPECT_EQ(alerts.size(), 1u);
 }
 
+TEST(RuleQueryTest, DistinctKeyKeepsTodaysRendering) {
+  // A distinct row's key is each value's `Value::ToString` followed by
+  // '\x1f'. Rows that render alike are one row: `amount / 4` is a float
+  // printed with six significant digits, so 1000000, 1000000.75 and
+  // 1000003 are all "1e+06". The separator keeps ("ab", "c") apart from
+  // ("a", "bc"); the file path of a network object is null.
+  EventBatch events;
+  events.push_back(NetWrite("ab", "c", 4000000, 1 * kSecond));   // new
+  events.push_back(NetWrite("a", "bc", 4000000, 2 * kSecond));   // new
+  events.push_back(NetWrite("ab", "c", 4000003, 3 * kSecond));   // as #1
+  events.push_back(NetWrite("ab", "c", 4000012, 4 * kSecond));   // as #1
+  events.push_back(NetWrite("ab", "c", 4400000, 5 * kSecond));   // new
+  events.push_back(NetWrite("ab", "c", 8, 6 * kSecond));         // new
+  events.push_back(NetWrite("ab", "c", 8, 7 * kSecond));         // as #6
+  auto alerts = RunQuery(
+      "proc p write ip i as e "
+      "return distinct p, i, e.object_path, e.amount / 4, e.amount % 3",
+      events);
+  std::vector<std::string> rows;
+  for (const Alert& a : alerts) {
+    std::string row = std::to_string(a.ts / kSecond) + ":";
+    for (const auto& [label, value] : a.values) row += " " + value.ToString();
+    rows.push_back(row);
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{
+                      "1: ab c null 1e+06 1",
+                      "2: a bc null 1e+06 1",
+                      "5: ab c null 1.1e+06 2",
+                      "6: ab c null 2 2",
+                  }));
+  ASSERT_EQ(alerts.size(), 4u);
+  EXPECT_TRUE(alerts[0].values[2].second.is_null());
+  EXPECT_TRUE(alerts[0].values[3].second.is_float());
+  EXPECT_TRUE(alerts[0].values[4].second.is_int());
+}
+
 TEST(RuleQueryTest, AlertConditionFilters) {
   EventBatch events;
   events.push_back(NetWrite("app.exe", "1.1.1.1", 100, kSecond));
